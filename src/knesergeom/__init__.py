@@ -32,7 +32,13 @@ from .graphs import (
     odd_girth,
     shortest_odd_cycle,
 )
-from .isomorphism import CanonicalForm, are_isomorphic, canonical_form, verify_isomorphism
+from .isomorphism import (
+    CanonicalForm,
+    are_isomorphic,
+    canonical_form,
+    is_automorphism,
+    verify_isomorphism,
+)
 from .incidence import (
     BuekenhoutDiagram,
     DIGON,
@@ -42,6 +48,7 @@ from .incidence import (
     PARTIAL_LINEAR_SPACE,
     RankTwoSummary,
     buekenhout_diagram,
+    flags_of_type,
     incidence_graph,
     is_firm,
     is_geometry,
@@ -49,6 +56,7 @@ from .incidence import (
     is_thick,
     rank2_summary,
     residue,
+    residue_mask,
     satisfies_ip2,
     truncation,
     vertex_edge_geometry,
@@ -69,7 +77,6 @@ from .kneser_geometry import (
     KneserGeometry,
     build_geometry,
     chamber_count,
-    enumerate_chambers,
     incidence_graph_degree,
     predicted_diagram,
 )
@@ -78,6 +85,7 @@ from .group_action import (
     act_on_element,
     adjacent_transpositions,
     chamber_orbit_size,
+    element_action,
     flag_orbit_count,
     is_type_preserving_automorphism,
     permutation_group_order,

@@ -26,6 +26,7 @@ from .graphs import (
 from .group_action import (
     adjacent_transpositions,
     chamber_orbit_size,
+    element_action,
     flag_orbit_count,
     is_type_preserving_automorphism,
     permutation_group_order,
@@ -35,6 +36,7 @@ from .incidence import (
     buekenhout_diagram,
     diagram_to_dot,
     diagram_to_json,
+    flags_of_type,
     is_geometry,
     is_residually_connected,
     is_thick,
@@ -52,7 +54,6 @@ from .kneser_geometry import (
     GeometryParams,
     build_geometry,
     chamber_count,
-    enumerate_chambers,
     predicted_diagram,
 )
 from .incidence import rank2_summary, summary_to_json
@@ -115,7 +116,7 @@ def cmd_build(args) -> int:
         return EXIT_USAGE
     geom = build_geometry(params)
     if args.format == "graph6":
-        payload = graph6_encode(incidence_graph_of(geom)) + b"\n"
+        payload = graph6_encode(geom.incidence_system().graph) + b"\n"
         return _write(payload, args.out)
     if args.format == "dot":
         diagram = buekenhout_diagram(geom.incidence_system())
@@ -126,10 +127,6 @@ def cmd_build(args) -> int:
         "geometry": system_to_json(geom.incidence_system()),
     }
     return _write(_dump(doc), args.out)
-
-
-def incidence_graph_of(geom):
-    return geom.to_incidence_graph().graph
 
 
 # ---------------------------------------------------------------------------
@@ -181,21 +178,20 @@ def _check_ip2(params, geom, args):
 
 def _check_flag_transitivity(params, geom, args):
     gens = adjacent_transpositions(params.ground_size)
-    if not all(is_type_preserving_automorphism(geom, pi) for pi in gens):
+    sys_, tables = element_action(geom, gens)
+    if not all(is_type_preserving_automorphism(sys_, t) for t in tables):
         return False, {"generators_checked": len(gens), "automorphisms": False}
     total = chamber_count(params)
-    start = next(enumerate_chambers(geom))
-    orbit = chamber_orbit_size(geom, gens, start)
+    start = next(flags_of_type(sys_, range(params.r)))
+    orbit = chamber_orbit_size(sys_, tables, start)
     orbit_counts = {}
     transitive = orbit == total
     for size in range(1, params.r + 1):
         for J in combinations(range(params.r), size):
-            count, _ = flag_orbit_count(geom, gens, J)
+            count, _ = flag_orbit_count(sys_, tables, J)
             orbit_counts[",".join(map(str, J))] = count
             transitive = transitive and count == 1
-    swaps_ok = all(
-        type_swap_map(geom, sigma)[1] for sigma in _all_type_permutations(params.r)
-    )
+    swaps_ok = all(type_swap_map(sys_, sigma)[1] for sigma in permutations(range(params.r)))
     details = {
         "orbit_size": orbit,
         "total": total,
@@ -212,10 +208,6 @@ def _check_flag_transitivity(params, geom, args):
     return transitive and swaps_ok, details
 
 
-def _all_type_permutations(r):
-    return permutations(range(r))
-
-
 def _check_locally_x(params, geom, args):
     if params.r < 3:
         return True, {"skipped": "rank 2: rank-1 residues are edgeless"}
@@ -225,19 +217,17 @@ def _check_locally_x(params, geom, args):
     if getattr(args, "assume_transitive", False):
         # one vertex per orbit of the type-preserving point action; falls
         # back to the full check if some type splits into several orbits
-        gens = adjacent_transpositions(params.ground_size)
+        sys_, tables = element_action(geom, adjacent_transpositions(params.ground_size))
         reps = []
         single = True
         for t in range(params.r):
-            count, rs = flag_orbit_count(geom, gens, (t,))
+            count, rs = flag_orbit_count(sys_, tables, (t,))
             single = single and count == 1
             reps.extend(e for (e,) in rs)
         if single:
             vertices = sorted(reps)
             extra["orbit_representatives"] = vertices
-    report = is_locally_x(
-        incidence_graph_of(geom), reference, jobs=args.threads, vertices=vertices
-    )
+    report = is_locally_x(geom.incidence_system().graph, reference, vertices=vertices)
     details = report.to_json()
     details.update(extra)
     return report.ok, details
@@ -322,12 +312,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_graph6_file(path):
+    """The one graph in a graph6 file; blank lines are ignored, a second
+    graph6 line is an error."""
     with open(path, "rb") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                return graph6_decode(line)
-    raise Graph6Error(f"no graph6 line in {path}", offset=0)
+        lines = [(no, line.strip()) for no, line in enumerate(fh, 1) if line.strip()]
+    if not lines:
+        raise Graph6Error(f"no graph6 line in {path}", offset=0)
+    if len(lines) > 1:
+        no, extra = lines[1]
+        raise Graph6Error(
+            f"{path} holds more than one graph6 line; extra line {no}: "
+            f"{extra.decode('ascii', 'backslashreplace')}"
+        )
+    return graph6_decode(lines[0][1])
 
 
 def cmd_locally_x(args) -> int:
@@ -340,7 +337,7 @@ def cmd_locally_x(args) -> int:
     except Graph6Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = is_locally_x(g, x, jobs=args.threads)
+    report = is_locally_x(g, x)
     code = _write(_dump(report.to_json()), args.out)
     if code != EXIT_OK:
         return code
@@ -385,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run this check (repeatable); default is --all",
     )
     p_verify.add_argument(
-        "--threads", type=int, default=1, help="worker bound for per-vertex checks"
-    )
-    p_verify.add_argument(
         "--assume-transitive",
         action="store_true",
         help="locally-x: check one vertex per verified orbit instead of all",
@@ -398,9 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lx.add_argument("graph", help="graph6 file with the graph to check")
     p_lx.add_argument("reference", help="graph6 file with the reference X")
     p_lx.add_argument("--out", help="write the report to this path")
-    p_lx.add_argument(
-        "--threads", type=int, default=1, help="worker bound for per-vertex checks"
-    )
     p_lx.set_defaults(func=cmd_locally_x)
     return parser
 

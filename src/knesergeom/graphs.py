@@ -36,20 +36,6 @@ class Graph:
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         self._masks = None
 
-    @classmethod
-    def from_adjacency(cls, adj) -> "Graph":
-        g = cls.__new__(cls)
-        g.n = len(adj)
-        g.adj = tuple(tuple(sorted(set(row))) for row in adj)
-        for v, row in enumerate(g.adj):
-            for u in row:
-                if not 0 <= u < g.n or u == v:
-                    raise ValueError("malformed adjacency")
-                if v not in g.adj[u]:
-                    raise ValueError("adjacency not symmetric")
-        g._masks = None
-        return g
-
     @property
     def neighbor_masks(self) -> tuple[int, ...]:
         if self._masks is None:
@@ -378,7 +364,12 @@ def graph6_encode(g: Graph) -> bytes:
 def graph6_decode(data) -> Graph:
     """Decode a graph6 byte string (optional '>>graph6<<' prefix tolerated)."""
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error(
+                f"non-ASCII character {data[exc.start]!r}", offset=exc.start
+            ) from None
     data = data.strip()
     if data.startswith(_G6_HEADER):
         data = data[len(_G6_HEADER):]

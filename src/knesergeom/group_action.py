@@ -2,17 +2,21 @@
 
 Point permutations of the ground set act on elements by mapping subsets
 pointwise inside each type; type permutations act by relabeling the copies.
-Orbit computations are plain BFS closures over generator images, so orbit
-size equals transitivity evidence: the chamber orbit under the symmetric
-group's generators reaching every chamber certifies flag-transitivity on
-chambers, and one orbit per flag type certifies it in full.
+element_action turns ground-set permutations into element-index tables,
+once, and everything after it works on such tables over an
+IncidenceSystem.  Orbit computations are plain BFS closures over generator
+images, so orbit size equals transitivity evidence: the chamber orbit under
+the symmetric group's generators reaching every chamber certifies
+flag-transitivity on chambers, and one orbit per flag type certifies it in
+full.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .incidence import IncidenceSystem
+from .incidence import IncidenceSystem, flags_of_type
+from .isomorphism import is_automorphism
 from .kneser_geometry import KneserGeometry
 from .subsets import KSubset
 
@@ -81,93 +85,75 @@ def act_on_element(geom: KneserGeometry, pi: Permutation, e: int) -> int:
     return geom.element_index(t, KSubset(pi.apply_to_mask(geom.masks[e])))
 
 
-def act_on_flag(geom: KneserGeometry, pi: Permutation, flag) -> tuple[int, ...]:
-    return tuple(sorted(act_on_element(geom, pi, e) for e in flag))
+def element_action(obj, gens) -> tuple[IncidenceSystem, list[tuple[int, ...]]]:
+    """The incidence system of obj and one element-index table per generator.
+
+    obj is either a built disjointness geometry or a plain IncidenceSystem.
+    A generator is either a ground-set Permutation (geometries only), which
+    becomes its table here, or already an element-index map such as the
+    mapping returned by type_swap_map.
+    """
+    sys = obj.incidence_system() if isinstance(obj, KneserGeometry) else obj
+    n = sys.n_elements
+    tables = [
+        tuple(act_on_element(obj, g, e) for e in range(n))
+        if isinstance(g, Permutation)
+        else tuple(g)
+        for g in gens
+    ]
+    return sys, tables
 
 
-def is_type_preserving_automorphism(geom: KneserGeometry, pi: Permutation) -> bool:
-    """Full check that the induced element map is a type-preserving,
+def _preserves_incidence(sys: IncidenceSystem, table) -> bool:
+    """table is a bijection of the elements that maps incident pairs to
+    incident pairs and non-incident pairs to non-incident pairs."""
+    n = sys.n_elements
+    return sorted(table) == list(range(n)) and is_automorphism(sys.graph, table)
+
+
+def is_type_preserving_automorphism(obj, gen) -> bool:
+    """Full check that the element map of gen is a type-preserving,
     incidence-preserving bijection (both directions)."""
-    n = geom.n_elements
-    images = [act_on_element(geom, pi, e) for e in range(n)]
-    if sorted(images) != list(range(n)):
-        return False
-    if any(geom.type_of(images[e]) != geom.type_of(e) for e in range(n)):
-        return False
-    for x in range(n):
-        for y in range(x + 1, n):
-            if geom.incident(x, y) != geom.incident(images[x], images[y]):
-                return False
-    return True
+    sys, (table,) = element_action(obj, [gen])
+    type_of = sys.type_of
+    return _preserves_incidence(sys, table) and all(
+        type_of[img] == t for img, t in zip(table, type_of)
+    )
 
 
-def chamber_orbit_size(geom: KneserGeometry, gens, start) -> int:
+def chamber_orbit_size(obj, gens, start) -> int:
     """Size of the orbit of a chamber under the generated group."""
+    sys, tables = element_action(obj, gens)
     start = tuple(sorted(start))
-    if len(start) != geom.params.r:
+    if len(start) != sys.rank:
         raise ValueError("start flag is not a chamber")
     seen = {start}
     queue = deque([start])
     while queue:
         flag = queue.popleft()
-        for pi in gens:
-            img = act_on_flag(geom, pi, flag)
+        for table in tables:
+            img = tuple(sorted([table[e] for e in flag]))
             if img not in seen:
                 seen.add(img)
                 queue.append(img)
     return len(seen)
 
 
-def _flags_of_type(geom: KneserGeometry, J):
-    J = tuple(sorted(J))
-    per = geom.params.per_type
-    masks = geom.masks
-
-    def extend(idx, chosen, used):
-        if idx == len(J):
-            yield chosen
-            return
-        base = J[idx] * per
-        for i in range(per):
-            if masks[base + i] & used == 0:
-                yield from extend(idx + 1, chosen + (base + i,), used | masks[base + i])
-
-    yield from extend(0, (), 0)
-
-
-def _flag_image(obj, gen, flag):
-    if isinstance(gen, Permutation):
-        return act_on_flag(obj, gen, flag)
-    return tuple(sorted(gen[e] for e in flag))  # element-index map
-
-
 def flag_orbit_count(obj, gens, J) -> tuple[int, list[tuple[int, ...]]]:
     """Partition the flags of type J into orbits; returns (count, one
-    representative per orbit).
-
-    obj is either a built disjointness geometry with ground-set Permutation
-    generators, or a plain IncidenceSystem with element-index maps (e.g.
-    the mapping returned by type_swap_map) as generators.
-    """
-    if isinstance(obj, KneserGeometry):
-        J = tuple(sorted(J))
-        if any(not 0 <= t < obj.params.r for t in J):
-            raise ValueError(f"types {J} out of range")
-        todo = set(_flags_of_type(obj, J))
-    else:
-        from .incidence import flags_of_type
-
-        todo = set(flags_of_type(obj, J))
+    representative per orbit).  obj and gens are as for element_action."""
+    sys, tables = element_action(obj, gens)
+    todo = set(flags_of_type(sys, J))
     reps = []
     while todo:
         rep = min(todo)
         reps.append(rep)
-        queue = deque([rep])
         todo.discard(rep)
+        queue = deque([rep])
         while queue:
             flag = queue.popleft()
-            for gen in gens:
-                img = _flag_image(obj, gen, flag)
+            for table in tables:
+                img = tuple(sorted([table[e] for e in flag]))
                 if img in todo:
                     todo.discard(img)
                     queue.append(img)
@@ -179,33 +165,12 @@ def type_swap_map(obj, sigma) -> tuple[tuple[int, ...] | None, bool]:
     pairing elements with equal labels across types; returns (mapping,
     valid) where valid means the map exists and preserves incidence.
 
-    For the disjointness geometries the map is (type i, S) -> (sigma(i), S)
-    and is an automorphism for every sigma; for a general labeled system it
-    is invalid whenever some label has no partner of the target type.
+    For the disjointness geometries the labels are the subset masks, so the
+    map is (type i, S) -> (sigma(i), S) and is an automorphism for every
+    sigma; for a general labeled system it is invalid whenever some label
+    has no partner of the target type.
     """
-    if isinstance(obj, KneserGeometry):
-        per = obj.params.per_type
-        sigma = tuple(sigma)
-        if sorted(sigma) != list(range(obj.params.r)):
-            raise ValueError("sigma is not a permutation of the types")
-        mapping = tuple(
-            sigma[e // per] * per + e % per for e in range(obj.n_elements)
-        )
-        ok = _preserves_incidence_geom(obj, mapping)
-        return mapping, ok
-    return _type_swap_system(obj, sigma)
-
-
-def _preserves_incidence_geom(geom: KneserGeometry, mapping) -> bool:
-    n = geom.n_elements
-    for x in range(n):
-        for y in range(x + 1, n):
-            if geom.incident(x, y) != geom.incident(mapping[x], mapping[y]):
-                return False
-    return True
-
-
-def _type_swap_system(sys: IncidenceSystem, sigma):
+    sys, _ = element_action(obj, ())
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(sys.rank)):
         raise ValueError("sigma is not a permutation of the types")
@@ -223,12 +188,8 @@ def _type_swap_system(sys: IncidenceSystem, sigma):
             return None, False
         mapping.append(by_type_label[key])
     mapping = tuple(mapping)
-    if sorted(mapping) != list(range(sys.n_elements)):
+    if not _preserves_incidence(sys, mapping):
         return None, False
-    for x in range(sys.n_elements):
-        for y in range(x + 1, sys.n_elements):
-            if sys.incident(x, y) != sys.incident(mapping[x], mapping[y]):
-                return None, False
     return mapping, True
 
 

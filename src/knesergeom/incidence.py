@@ -49,10 +49,12 @@ class IncidenceSystem:
 
     Type labels are arbitrary ints (kept verbatim by residues and
     truncations); rank is the number of distinct labels.  Incidence between
-    elements of equal type is rejected at construction.
+    elements of equal type is rejected at construction.  The incidence
+    relation is held once, as `graph` (vertex e is element e); `adj`,
+    `element_masks` and `incident` read from it.
     """
 
-    __slots__ = ("types", "type_of", "labels", "adj", "_masks", "_type_masks")
+    __slots__ = ("types", "type_of", "labels", "graph", "_type_masks")
 
     def __init__(self, types, type_of, incidences, labels=None):
         self.types = tuple(sorted(set(types)))
@@ -66,21 +68,21 @@ class IncidenceSystem:
             if len(labels) != n:
                 raise ValueError("labels must cover all elements")
         self.labels = labels
-        nbrs = [set() for _ in range(n)]
+        self.graph = Graph(n, self._checked_edges(incidences))
+        self._type_masks = None
+
+    def _checked_edges(self, incidences):
+        n, type_of = len(self.type_of), self.type_of
         for x, y in incidences:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"incidence ({x},{y}) out of range")
             if x == y:
                 continue  # incidence is reflexive; only store the graph part
-            if self.type_of[x] == self.type_of[y]:
+            if type_of[x] == type_of[y]:
                 raise ValueError(
-                    f"elements {x},{y} of equal type {self.type_of[x]} cannot be incident"
+                    f"elements {x},{y} of equal type {type_of[x]} cannot be incident"
                 )
-            nbrs[x].add(y)
-            nbrs[y].add(x)
-        self.adj = tuple(tuple(sorted(s)) for s in nbrs)
-        self._masks = None
-        self._type_masks = None
+            yield x, y
 
     @property
     def rank(self) -> int:
@@ -91,10 +93,12 @@ class IncidenceSystem:
         return len(self.type_of)
 
     @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        return self.graph.adj
+
+    @property
     def element_masks(self) -> tuple[int, ...]:
-        if self._masks is None:
-            self._masks = tuple(sum(1 << u for u in row) for row in self.adj)
-        return self._masks
+        return self.graph.neighbor_masks
 
     def type_mask(self, t: int) -> int:
         if self._type_masks is None:
@@ -108,9 +112,7 @@ class IncidenceSystem:
         return tuple(e for e, te in enumerate(self.type_of) if te == t)
 
     def incident(self, x: int, y: int) -> bool:
-        if x == y:
-            return True
-        return self.element_masks[x] >> y & 1 == 1
+        return x == y or self.graph.has_edge(x, y)
 
     def label_of(self, e: int) -> str:
         return self.labels[e] if self.labels is not None else str(e)
@@ -120,7 +122,7 @@ class IncidenceSystem:
             isinstance(other, IncidenceSystem)
             and self.types == other.types
             and self.type_of == other.type_of
-            and self.adj == other.adj
+            and self.graph == other.graph
             and self.labels == other.labels
         )
 
@@ -138,10 +140,10 @@ class TypedIncidenceGraph:
 
 
 def incidence_graph(sys: IncidenceSystem) -> TypedIncidenceGraph:
-    """Vertex v is element v; edges are the incidences; colors index types."""
+    """Vertex v is element v; edges are the incidences; colors index types.
+    The graph is the system's own, not a copy."""
     idx = {t: i for i, t in enumerate(sys.types)}
-    g = Graph.from_adjacency(sys.adj)
-    return TypedIncidenceGraph(g, tuple(idx[t] for t in sys.type_of), sys.types)
+    return TypedIncidenceGraph(sys.graph, tuple(idx[t] for t in sys.type_of), sys.types)
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +253,17 @@ def is_geometry(sys: IncidenceSystem) -> GeometryCheck:
 # residues and truncations
 # ---------------------------------------------------------------------------
 
-def residue(sys: IncidenceSystem, flag) -> tuple[IncidenceSystem, tuple[int, ...]]:
-    """The residue of a flag: elements incident to all of it, outside it,
-    with the remaining types.  Returns (system, back_map) with
-    back_map[new_id] = old_id."""
-    flag = tuple(sorted(set(flag)))
-    if not is_flag(sys, flag):
-        raise FlagError("not a flag")
+def residue_mask(sys: IncidenceSystem, flag) -> int:
+    """Bitmask of the residue's elements: those incident to every element
+    of the flag.  No element is in its own neighbor mask, so the flag
+    itself drops out."""
     cand = (1 << sys.n_elements) - 1
     for e in flag:
         cand &= sys.element_masks[e]
-    for e in flag:
-        cand &= ~(1 << e)
-    keep = [e for e in range(sys.n_elements) if cand >> e & 1]
-    flag_types = {sys.type_of[e] for e in flag}
-    new_types = tuple(t for t in sys.types if t not in flag_types)
+    return cand
+
+
+def _restriction(sys: IncidenceSystem, keep, types) -> IncidenceSystem:
     pos = {old: new for new, old in enumerate(keep)}
     incid = [
         (pos[a], pos[b])
@@ -274,8 +272,21 @@ def residue(sys: IncidenceSystem, flag) -> tuple[IncidenceSystem, tuple[int, ...
         if b in pos and a < b
     ]
     labels = tuple(sys.labels[e] for e in keep) if sys.labels is not None else None
-    sub = IncidenceSystem(new_types, tuple(sys.type_of[e] for e in keep), incid, labels)
-    return sub, tuple(keep)
+    return IncidenceSystem(types, tuple(sys.type_of[e] for e in keep), incid, labels)
+
+
+def residue(sys: IncidenceSystem, flag) -> tuple[IncidenceSystem, tuple[int, ...]]:
+    """The residue of a flag: elements incident to all of it, outside it,
+    with the remaining types.  Returns (system, back_map) with
+    back_map[new_id] = old_id."""
+    flag = tuple(sorted(set(flag)))
+    if not is_flag(sys, flag):
+        raise FlagError("not a flag")
+    cand = residue_mask(sys, flag)
+    keep = [e for e in range(sys.n_elements) if cand >> e & 1]
+    flag_types = {sys.type_of[e] for e in flag}
+    new_types = tuple(t for t in sys.types if t not in flag_types)
+    return _restriction(sys, keep, new_types), tuple(keep)
 
 
 def truncation(sys: IncidenceSystem, J) -> IncidenceSystem:
@@ -284,22 +295,12 @@ def truncation(sys: IncidenceSystem, J) -> IncidenceSystem:
     if not J <= set(sys.types):
         raise ValueError(f"types {sorted(J)} not a subset of {sys.types}")
     keep = [e for e in range(sys.n_elements) if sys.type_of[e] in J]
-    pos = {old: new for new, old in enumerate(keep)}
-    incid = [
-        (pos[a], pos[b])
-        for a in keep
-        for b in sys.adj[a]
-        if b in pos and a < b
-    ]
-    labels = tuple(sys.labels[e] for e in keep) if sys.labels is not None else None
-    return IncidenceSystem(tuple(sorted(J)), tuple(sys.type_of[e] for e in keep), incid, labels)
+    return _restriction(sys, keep, tuple(sorted(J)))
 
 
 def _residue_connected(sys, flag) -> bool:
     """Connectivity of the residue's incidence graph, computed on masks."""
-    cand = (1 << sys.n_elements) - 1
-    for e in flag:
-        cand &= sys.element_masks[e] & ~(1 << e)
+    cand = residue_mask(sys, flag)
     if cand == 0:
         return True
     start = (cand & -cand).bit_length() - 1
@@ -338,10 +339,7 @@ def is_residually_connected(sys: IncidenceSystem) -> ResidualConnectivityCheck:
 
 def _rank1_residue_sizes_of_cotype(sys, cotype):
     for flag in flags_of_type(sys, cotype):
-        cand = (1 << sys.n_elements) - 1
-        for e in flag:
-            cand &= sys.element_masks[e] & ~(1 << e)
-        yield flag, cand.bit_count()
+        yield flag, residue_mask(sys, flag).bit_count()
 
 
 def _rank1_residue_sizes(sys: IncidenceSystem):
@@ -411,15 +409,14 @@ def rank2_summary(sys: IncidenceSystem) -> RankTwoSummary:
     type's elements), and the classification of a connected rank-2 system."""
     if sys.rank != 2:
         raise ValueError("rank2_summary needs a rank-2 system")
-    tig = incidence_graph(sys)
-    comps = connected_components(tig.graph)
+    comps = connected_components(sys.graph)
     if len(comps) > 1:
         raise DisconnectedGeometryError(
             f"incidence graph has {len(comps)} components", comps
         )
-    gv = girth(tig.graph)
+    gv = girth(sys.graph)
     gon = INF if gv == INF else gv // 2
-    ecc = eccentricities(tig.graph)
+    ecc = eccentricities(sys.graph)
     dias = []
     for t in sys.types:
         elems = sys.elements_of_type(t)
@@ -448,9 +445,7 @@ def satisfies_ip2(sys: IncidenceSystem) -> Ip2Check:
     for J in combinations(sys.types, sys.rank - 2):
         pair = tuple(t for t in sys.types if t not in set(J))
         for flag in flags_of_type(sys, J):
-            cand = (1 << sys.n_elements) - 1
-            for e in flag:
-                cand &= masks[e] & ~(1 << e)
+            cand = residue_mask(sys, flag)
             a = [masks[e] & cand for e in range(sys.n_elements)
                  if cand >> e & 1 and sys.type_of[e] == pair[0]]
             b = [masks[e] & cand for e in range(sys.n_elements)

@@ -132,7 +132,9 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _is_automorphism(g: Graph, perm) -> bool:
+def is_automorphism(g: Graph, perm) -> bool:
+    """For a bijection perm of the vertices: does it map every neighborhood
+    onto the neighborhood of the image, i.e. preserve edges and non-edges?"""
     masks = g.neighbor_masks
     for u in range(g.n):
         img = 0
@@ -172,7 +174,7 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
             perm = [0] * g.n
             for x in range(g.n):
                 perm[x] = order[pos[x]]
-            if _is_automorphism(g, perm):
+            if is_automorphism(g, perm):
                 for x in range(g.n):
                     root_uf.union(x, perm[x])
 

@@ -25,8 +25,6 @@ from .incidence import (
     PARTIAL_LINEAR_SPACE,
     NEITHER,
     RankTwoSummary,
-    TypedIncidenceGraph,
-    incidence_graph,
 )
 from .kneser import KneserParams, predicted_diameter, predicted_gonality
 from .subsets import GroundSet, KSubset, colex_rank, enumerate_k_subsets
@@ -112,13 +110,13 @@ class KneserGeometry:
         if self._system is None:
             n = self.n_elements
             per = self.params.per_type
-            incid = []
-            for x in range(n):
-                tx, mx = x // per, self.masks[x]
-                start = (tx + 1) * per
-                for y in range(start, n):
-                    if mx & self.masks[y] == 0:
-                        incid.append((x, y))
+            masks = self.masks
+            incid = (
+                (x, y)
+                for x in range(n)
+                for y in range((x // per + 1) * per, n)
+                if masks[x] & masks[y] == 0
+            )
             self._system = IncidenceSystem(
                 range(self.params.r),
                 [e // per for e in range(n)],
@@ -126,9 +124,6 @@ class KneserGeometry:
                 [self._labels[e % per] for e in range(n)],
             )
         return self._system
-
-    def to_incidence_graph(self) -> TypedIncidenceGraph:
-        return incidence_graph(self.incidence_system())
 
     def __repr__(self):
         p = self.params
@@ -147,25 +142,6 @@ def chamber_count(params: GeometryParams) -> int:
     for t in range(params.r):
         total *= math.comb(m - t * k, k)
     return total
-
-
-def enumerate_chambers(geom: KneserGeometry):
-    """All chambers as sorted element tuples, by depth-first extension in
-    type order with disjointness pruning."""
-    p = geom.params
-    per = p.per_type
-    masks = geom.masks
-
-    def extend(t, chosen, used):
-        if t == p.r:
-            yield chosen
-            return
-        base = t * per
-        for i in range(per):
-            if masks[base + i] & used == 0:
-                yield from extend(t + 1, chosen + (base + i,), used | masks[base + i])
-
-    yield from extend(0, (), 0)
 
 
 def incidence_graph_degree(params: GeometryParams) -> int:

@@ -4,21 +4,18 @@ A graph is locally X when the subgraph induced on the neighbors of every
 vertex is isomorphic to X.  The check here is exhaustive by design: every
 vertex is tested, each through a degree pre-filter, a refinement-signature
 comparison against X, and finally a full isomorphism search whose returned
-bijection is verified edge by edge.  Per-vertex checks are independent and
-may run on a small thread pool; results are merged by vertex index, so the
-report does not depend on the worker count.
+bijection is verified edge by edge.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, graph_digest, induced_subgraph
 from .isomorphism import are_isomorphic, wl_signature
-from .incidence import incidence_graph, residue
+from .incidence import residue
 from .kneser_geometry import GeometryParams, build_geometry
 
 
@@ -64,7 +61,7 @@ def _mapping_digest(mapping) -> str:
     return hashlib.sha256(",".join(map(str, mapping)).encode()).hexdigest()
 
 
-def is_locally_x(g: Graph, x: Graph, jobs: int = 1, vertices=None) -> LocallyXReport:
+def is_locally_x(g: Graph, x: Graph, vertices=None) -> LocallyXReport:
     """Check the vertices of g (all of them unless told otherwise).
 
     Neighborhoods are compared signature-first (a refinement invariant, so
@@ -89,11 +86,7 @@ def is_locally_x(g: Graph, x: Graph, jobs: int = 1, vertices=None) -> LocallyXRe
             return VertexCheck(v, False, None)
         return VertexCheck(v, True, _mapping_digest(mapping))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check, targets))
-    else:
-        results = [check(v) for v in targets]
+    results = [check(v) for v in targets]
 
     failures = tuple(r.vertex for r in results if not r.isomorphic)
     return LocallyXReport(
@@ -115,4 +108,4 @@ def residue_reference_graph(params: GeometryParams) -> Graph:
         raise ValueError("reference residue needs rank r >= 3")
     geom = build_geometry(params)
     sub, _ = residue(geom.incidence_system(), (0,))
-    return incidence_graph(sub).graph
+    return sub.graph

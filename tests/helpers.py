@@ -69,6 +69,18 @@ def odd_girth_oracle(g):
     return math.inf
 
 
+def preserves_incidence_oracle(incident, n, mapping):
+    """Pairwise check that mapping is a bijection of 0..n-1 with
+    incident(x, y) == incident(mapping[x], mapping[y]) for every pair."""
+    if sorted(mapping) != list(range(n)):
+        return False
+    return all(
+        incident(x, y) == incident(mapping[x], mapping[y])
+        for x in range(n)
+        for y in range(x + 1, n)
+    )
+
+
 def brute_force_isomorphism(g, h):
     """Exhaustive backtracking over all adjacency-consistent injections.
 

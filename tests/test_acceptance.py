@@ -21,8 +21,8 @@ from knesergeom import (
     construct_even_path,
     construct_odd_path,
     diameter,
-    enumerate_chambers,
     flag_orbit_count,
+    flags_of_type,
     girth,
     incidence_graph,
     is_bipartite,
@@ -192,7 +192,7 @@ def test_criterion_06_full_certificate_523(desargues):
 
     gens = adjacent_transpositions(7)
     ok = ok and chamber_count(params) == 630
-    start = next(enumerate_chambers(geom))
+    start = next(flags_of_type(geom.incidence_system(), range(3)))
     ok = ok and chamber_orbit_size(geom, gens, start) == 630
     for size in range(1, 4):
         for J in combinations(range(3), size):

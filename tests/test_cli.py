@@ -1,7 +1,11 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import knesergeom
 from knesergeom import (
     GeometryParams,
     build_geometry,
@@ -13,11 +17,21 @@ from knesergeom import (
 )
 
 
+# the child process imports the same package as the tests, whether it
+# comes from PYTHONPATH or from pytest's pythonpath setting
+_PKG_ROOT = str(Path(knesergeom.__file__).resolve().parents[1])
+_CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(p for p in (_PKG_ROOT, os.environ.get("PYTHONPATH")) if p),
+)
+
+
 def run_cli(*args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "knesergeom.cli", *args],
         capture_output=True,
         timeout=300,
+        env=_CHILD_ENV,
         **kw,
     )
 
@@ -183,3 +197,29 @@ def test_assume_transitive_checks_orbit_reps():
     details = cert["checks"][0]["details"]
     assert details["total"] == 3  # one representative per type
     assert details["orbit_representatives"] == [0, 21, 42]
+
+
+# stdout sha256 of `verify --all`: certificates are byte-reproducible, so a
+# refactor that changes any byte of one fails here
+GOLDEN_VERIFY_ALL = [
+    ("5", "2", "3", 0, "174325a1a208315c908c7d5076f8b362e2de54a9388888b3c631a7ba82280cec"),
+    ("6", "2", "3", 1, "d600c162b7e5252fa9407722500e802d5fc20fc0e250129cece7205f84cb1f14"),
+]
+
+
+def test_verify_all_golden_certificates():
+    for n, k, r, code, digest in GOLDEN_VERIFY_ALL:
+        res = run_cli("verify", "--n", n, "--k", k, "--r", r, "--all")
+        assert res.returncode == code
+        assert hashlib.sha256(res.stdout).hexdigest() == digest, (n, k, r)
+
+
+def test_locally_x_second_graph6_line_exit2(tmp_path):
+    two = tmp_path / "two.g6"
+    two.write_bytes("@\n\nCé\n".encode())
+    ok = tmp_path / "ok.g6"
+    ok.write_bytes(b"@\n")
+    res = run_cli("locally-x", str(two), str(ok))
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert str(two).encode() in res.stderr and b"line 3" in res.stderr

@@ -204,6 +204,13 @@ def test_graph6_errors_carry_offset():
     assert exc.value.offset == 0
 
 
+def test_graph6_rejects_non_ascii_str():
+    # 'é' must not be replaced by '?' (byte 63), which is valid graph6
+    with pytest.raises(Graph6Error) as exc:
+        graph6_decode("Cé")
+    assert exc.value.offset == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 20), st.integers(0, 2**30))
 def test_graph6_roundtrip_property(n, seed):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -10,14 +11,15 @@ from knesergeom import (
     adjacent_transpositions,
     build_geometry,
     chamber_orbit_size,
-    enumerate_chambers,
     flag_orbit_count,
+    flags_of_type,
     is_type_preserving_automorphism,
     kneser_neighborhood_geometry,
     KneserParams,
     permutation_group_order,
     type_swap_map,
 )
+from helpers import preserves_incidence_oracle
 
 
 def test_permutation_validation():
@@ -63,11 +65,11 @@ def test_generators_are_automorphisms():
 def test_chamber_orbit_sizes():
     geom = build_geometry(GeometryParams(5, 2, 3))
     gens = adjacent_transpositions(7)
-    start = next(enumerate_chambers(geom))
+    start = next(flags_of_type(geom.incidence_system(), range(3)))
     assert chamber_orbit_size(geom, gens, start) == 630
 
     geom2 = build_geometry(GeometryParams(5, 2, 2))
-    start2 = next(enumerate_chambers(geom2))
+    start2 = next(flags_of_type(geom2.incidence_system(), range(2)))
     assert chamber_orbit_size(geom2, adjacent_transpositions(5), start2) == 30
 
     ident_only = [Permutation.identity(7)]
@@ -125,3 +127,67 @@ def test_group_order_by_orbit():
     for m in range(2, 9):
         assert permutation_group_order(adjacent_transpositions(m)) == math.factorial(m)
     assert permutation_group_order([Permutation.identity(4)]) == 1
+
+
+def _candidate_maps(geom, rng):
+    """Element maps of the (5,2,3) system: automorphisms from ground-set
+    permutations and type swaps, and non-automorphisms from random
+    bijections, in-type shuffles and single in-type transpositions."""
+    n, per = geom.n_elements, geom.params.per_type
+    maps = []
+    for _ in range(6):
+        images = list(range(7))
+        rng.shuffle(images)
+        pi = Permutation(images)
+        table = [act_on_element(geom, pi, e) for e in range(n)]
+        maps.append(table)
+        a, b = rng.sample(range(per), 2)
+        t = rng.randrange(3) * per
+        swapped = list(table)
+        swapped[t + a], swapped[t + b] = swapped[t + b], swapped[t + a]
+        maps.append(swapped)
+    for sigma in [(1, 0, 2), (1, 2, 0)]:
+        maps.append(list(type_swap_map(geom, sigma)[0]))
+    for _ in range(6):
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        maps.append(shuffled)
+        in_type = []
+        for t in range(3):
+            block = list(range(t * per, (t + 1) * per))
+            rng.shuffle(block)
+            in_type.extend(block)
+        maps.append(in_type)
+    maps.append(list(range(n)))
+    return maps
+
+
+def test_preservation_check_matches_pairwise_oracle():
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    sys_ = geom.incidence_system()
+    n = geom.n_elements
+    verdicts = []
+    for table in _candidate_maps(geom, random.Random(20181127)):
+        type_preserving = all(geom.type_of(table[e]) == geom.type_of(e) for e in range(n))
+        expected = type_preserving and preserves_incidence_oracle(geom.incident, n, table)
+        assert is_type_preserving_automorphism(sys_, table) == expected
+        verdicts.append(expected)
+    assert verdicts.count(True) >= 7 and verdicts.count(False) >= 12
+
+
+def test_type_swap_map_matches_pairwise_oracle():
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    for sigma in [(0, 1, 2), (2, 0, 1), (0, 2, 1)]:
+        mapping, ok = type_swap_map(geom, sigma)
+        assert ok and preserves_incidence_oracle(geom.incident, geom.n_elements, mapping)
+
+
+def test_non_automorphisms_rejected():
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    sys_ = geom.incidence_system()
+    swap_in_type = list(range(63))
+    swap_in_type[0], swap_in_type[1] = 1, 0
+    assert not is_type_preserving_automorphism(sys_, swap_in_type)
+    assert not is_type_preserving_automorphism(sys_, [0] * 63)  # not a bijection
+    mapping, _ = type_swap_map(geom, (1, 0, 2))
+    assert not is_type_preserving_automorphism(sys_, mapping)  # moves types

@@ -17,6 +17,7 @@ from knesergeom import (
     kneser_neighborhood_geometry,
     rank2_summary,
     residue,
+    residue_mask,
     satisfies_ip2,
     truncation,
     vertex_edge_geometry,
@@ -50,7 +51,20 @@ def test_incidence_graph_k2():
     sys_ = IncidenceSystem((0, 1), [0, 1], [(0, 1)])
     tig = incidence_graph(sys_)
     assert tig.graph == Graph(2, [(0, 1)])
+    assert tig.graph is sys_.graph
     assert tig.type_colors == (0, 1)
+
+
+def test_residue_mask_is_common_neighborhood():
+    sys_ = kneser_neighborhood_geometry(KneserParams(5, 2))
+    for J in [(), (0,), (1,), (0, 1)]:
+        for flag in flags_of_type(sys_, J):
+            expected = {
+                e for e in range(sys_.n_elements)
+                if e not in flag and all(sys_.incident(e, f) for f in flag)
+            }
+            mask = residue_mask(sys_, flag)
+            assert {e for e in range(sys_.n_elements) if mask >> e & 1} == expected
 
 
 def test_is_flag():

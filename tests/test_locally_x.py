@@ -88,14 +88,6 @@ def test_locally_desargues(desargues):
     assert all(r.mapping_digest for r in report.per_vertex)
 
 
-def test_threaded_report_matches_sequential(desargues):
-    params = GeometryParams(5, 2, 3)
-    g = incidence_graph(build_geometry(params).incidence_system()).graph
-    seq = is_locally_x(g, desargues, jobs=1)
-    par = is_locally_x(g, desargues, jobs=4)
-    assert seq == par
-
-
 def test_report_json_shape(petersen):
     report = is_locally_x(kneser_graph(KneserParams(7, 2)), petersen)
     doc = report.to_json()
