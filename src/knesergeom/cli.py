@@ -10,6 +10,7 @@ invocation is byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -176,10 +177,20 @@ def _check_ip2(params, geom, args):
     return ok, details
 
 
+def _verified_point_action(params, geom):
+    """The incidence system and the element tables of the ground set's
+    adjacent transpositions; the tables are None unless every one is a
+    verified type-preserving automorphism."""
+    sys_, tables = element_action(geom, adjacent_transpositions(params.ground_size))
+    if all(is_type_preserving_automorphism(sys_, t) for t in tables):
+        return sys_, tables
+    return sys_, None
+
+
 def _check_flag_transitivity(params, geom, args):
     gens = adjacent_transpositions(params.ground_size)
-    sys_, tables = element_action(geom, gens)
-    if not all(is_type_preserving_automorphism(sys_, t) for t in tables):
+    sys_, tables = _verified_point_action(params, geom)
+    if tables is None:
         return False, {"generators_checked": len(gens), "automorphisms": False}
     total = chamber_count(params)
     start = next(flags_of_type(sys_, range(params.r)))
@@ -202,9 +213,8 @@ def _check_flag_transitivity(params, geom, args):
         "verified_subgroup_order": math.factorial(params.ground_size)
         * math.factorial(params.r),
         "aut_lower_bound_only": True,
+        "point_group_order": permutation_group_order(gens),
     }
-    if params.ground_size <= 8:
-        details["point_group_order"] = permutation_group_order(gens)
     return transitive and swaps_ok, details
 
 
@@ -216,17 +226,19 @@ def _check_locally_x(params, geom, args):
     extra = {}
     if getattr(args, "assume_transitive", False):
         # one vertex per orbit of the type-preserving point action; falls
-        # back to the full check if some type splits into several orbits
-        sys_, tables = element_action(geom, adjacent_transpositions(params.ground_size))
-        reps = []
-        single = True
-        for t in range(params.r):
-            count, rs = flag_orbit_count(sys_, tables, (t,))
-            single = single and count == 1
-            reps.extend(e for (e,) in rs)
-        if single:
-            vertices = sorted(reps)
-            extra["orbit_representatives"] = vertices
+        # back to the full check if a generator table is not a verified
+        # automorphism or some type splits into several orbits
+        sys_, tables = _verified_point_action(params, geom)
+        if tables is not None:
+            reps = []
+            single = True
+            for t in range(params.r):
+                count, rs = flag_orbit_count(sys_, tables, (t,))
+                single = single and count == 1
+                reps.extend(e for (e,) in rs)
+            if single:
+                vertices = sorted(reps)
+                extra["orbit_representatives"] = vertices
     report = is_locally_x(geom.incidence_system().graph, reference, vertices=vertices)
     details = report.to_json()
     details.update(extra)
@@ -244,9 +256,16 @@ def _check_odd_girth(params, geom, args):
     return computed == predicted, details
 
 
+@functools.lru_cache(maxsize=1)
+def _neighborhood_summary(kp):
+    """rank2_summary of the neighborhood geometry of KG(n,k); memoised so
+    that the gonality and diameter checks share one build."""
+    return rank2_summary(kneser_neighborhood_geometry(kp))
+
+
 def _check_gonality(params, geom, args):
     kp = params.kneser
-    s = rank2_summary(kneser_neighborhood_geometry(kp))
+    s = _neighborhood_summary(kp)
     predicted = predicted_gonality(kp)
     return s.gonality == predicted, {
         "predicted": predicted,
@@ -256,7 +275,7 @@ def _check_gonality(params, geom, args):
 
 def _check_diameter(params, geom, args):
     kp = params.kneser
-    s = rank2_summary(kneser_neighborhood_geometry(kp))
+    s = _neighborhood_summary(kp)
     predicted = predicted_diameter(kp)
     ok = s.diameters == (predicted, predicted)
     return ok, {"predicted": predicted, "summary": summary_to_json(s)}

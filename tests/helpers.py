@@ -2,7 +2,8 @@
 
 Every oracle here deliberately avoids the code paths it is used to check:
 girth by edge-deletion BFS, odd girth by boolean adjacency powers,
-isomorphism by exhaustive backtracking over consistent injections.
+isomorphism by exhaustive backtracking over consistent injections, group
+order by listing every element.
 """
 
 import math
@@ -79,6 +80,23 @@ def preserves_incidence_oracle(incident, n, mapping):
         for x in range(n)
         for y in range(x + 1, n)
     )
+
+
+def tuple_orbit_group_order(gens):
+    """Order of the group generated by Permutations, as the orbit size of
+    the identity tuple under composition: the action on tuples is regular,
+    so the orbit is the whole group.  Only for small degree."""
+    start = tuple(range(gens[0].m))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        t = queue.popleft()
+        for pi in gens:
+            img = tuple(pi(x) for x in t)
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+    return len(seen)
 
 
 def brute_force_isomorphism(g, h):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from knesergeom import (
     incidence_graph,
     kneser_graph,
     KneserParams,
+    rank2_summary,
 )
 
 
@@ -197,6 +199,62 @@ def test_assume_transitive_checks_orbit_reps():
     details = cert["checks"][0]["details"]
     assert details["total"] == 3  # one representative per type
     assert details["orbit_representatives"] == [0, 21, 42]
+
+
+def test_assume_transitive_needs_verified_tables(monkeypatch, tmp_path):
+    from knesergeom import cli, is_type_preserving_automorphism
+
+    real_element_action = cli.element_action
+
+    def shifted_tables(geom, gens):
+        # a cyclic shift inside each type: type-preserving with one orbit
+        # per type, but not an automorphism
+        sys_, tables = real_element_action(geom, gens)
+        per = sys_.n_elements // sys_.rank
+        shift = tuple(e - e % per + (e + 1) % per for e in range(sys_.n_elements))
+        assert not is_type_preserving_automorphism(sys_, shift)
+        return sys_, [shift] * len(tables)
+
+    monkeypatch.setattr(cli, "element_action", shifted_tables)
+    out = tmp_path / "cert.json"
+    code = cli.main([
+        "verify", "--n", "5", "--k", "2", "--r", "3",
+        "--check", "locally-x", "--assume-transitive", "--out", str(out),
+    ])
+    assert code == 0
+    details = json.loads(out.read_text())["checks"][0]["details"]
+    assert details["total"] == 63  # every vertex, not one per claimed orbit
+    assert "orbit_representatives" not in details
+
+
+def test_gonality_and_diameter_share_one_rank2_summary(monkeypatch, tmp_path):
+    from knesergeom import cli
+
+    calls = []
+
+    def counted(sys_):
+        calls.append(sys_)
+        return rank2_summary(sys_)
+
+    cli._neighborhood_summary.cache_clear()
+    monkeypatch.setattr(cli, "rank2_summary", counted)
+    out = tmp_path / "cert.json"
+    code = cli.main([
+        "verify", "--n", "7", "--k", "3", "--r", "2",
+        "--check", "gonality", "--check", "diameter", "--out", str(out),
+    ])
+    assert code == 0 and len(calls) == 1
+    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    assert names == ["gonality", "diameter"]
+
+
+def test_flag_transitivity_point_group_order_past_degree_8():
+    res = run_cli(
+        "verify", "--n", "5", "--k", "2", "--r", "4", "--check", "flag-transitivity",
+    )
+    assert res.returncode == 0
+    details = json.loads(res.stdout)["checks"][0]["details"]
+    assert details["point_group_order"] == math.factorial(9)
 
 
 # stdout sha256 of `verify --all`: certificates are byte-reproducible, so a

@@ -19,7 +19,7 @@ from knesergeom import (
     permutation_group_order,
     type_swap_map,
 )
-from helpers import preserves_incidence_oracle
+from helpers import preserves_incidence_oracle, tuple_orbit_group_order
 
 
 def test_permutation_validation():
@@ -127,6 +127,82 @@ def test_group_order_by_orbit():
     for m in range(2, 9):
         assert permutation_group_order(adjacent_transpositions(m)) == math.factorial(m)
     assert permutation_group_order([Permutation.identity(4)]) == 1
+
+
+def _cycle(m, points):
+    images = list(range(m))
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    return Permutation(images)
+
+
+def _generator_sets(rng):
+    """Generator lists of degree 1-12: named families (trivial, cyclic,
+    dihedral, alternating, symmetric, intransitive, imprimitive), the same
+    with duplicate and identity generators mixed in, and seeded random
+    lists of random permutations, transpositions and 3-cycles."""
+    sets = []
+    for m in range(1, 13):
+        ident = Permutation.identity(m)
+        rot = _cycle(m, list(range(m)))
+        sets.append([ident])
+        sets.append([rot])
+        if m >= 3:
+            reflection = Permutation([(-i) % m for i in range(m)])
+            sets.append([rot, reflection])  # dihedral, order 2m
+            sets.append([_cycle(m, [0, 1, i]) for i in range(2, m)])  # alternating
+            sets.append(adjacent_transpositions(m))
+        if m >= 4:
+            # intransitive: Sym on the first half, a cycle on the rest
+            h = m // 2
+            sets.append([Permutation.transposition(m, i, i + 1) for i in range(h - 1)]
+                        + [_cycle(m, list(range(h, m)))])
+        if m % 2 == 0 and m >= 4:
+            # imprimitive: C2 wr C(m/2) on the blocks {2i, 2i+1}
+            sets.append([Permutation([(i + 2) % m for i in range(m)]),
+                         Permutation.transposition(m, 0, 1)])
+    for m in range(1, 13):
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.randrange(3)
+                if kind == 0 or m < 3:
+                    images = list(range(m))
+                    rng.shuffle(images)
+                    gens.append(Permutation(images))
+                elif kind == 1:
+                    gens.append(Permutation.transposition(m, *rng.sample(range(m), 2)))
+                else:
+                    gens.append(_cycle(m, rng.sample(range(m), 3)))
+            sets.append(gens)
+    for gens in sets[::5]:
+        sets.append(gens + gens[:1] + [Permutation.identity(gens[0].m)])
+    return sets
+
+
+def test_group_order_matches_sympy():
+    from sympy.combinatorics import Permutation as SympyPermutation, PermutationGroup
+
+    sets = _generator_sets(random.Random(20181128))
+    orders = set()
+    for gens in sets:
+        expected = PermutationGroup([SympyPermutation(list(g.images)) for g in gens]).order()
+        assert permutation_group_order(gens) == expected, [g.images for g in gens]
+        orders.add(expected)
+    assert len(sets) >= 180 and {1, 2, math.factorial(12), math.factorial(12) // 2} <= orders
+
+
+def test_group_order_matches_tuple_orbit():
+    for gens in _generator_sets(random.Random(7)):
+        if gens[0].m <= 7:
+            assert permutation_group_order(gens) == tuple_orbit_group_order(gens)
+
+
+def test_group_order_rejects_bad_generators():
+    with pytest.raises(ValueError):
+        permutation_group_order([])
+    with pytest.raises(ValueError):
+        permutation_group_order([Permutation.identity(3), Permutation.identity(4)])
 
 
 def _candidate_maps(geom, rng):
