@@ -82,13 +82,12 @@ from .kneser_geometry import (
 )
 from .group_action import (
     Permutation,
-    act_on_element,
     adjacent_transpositions,
     chamber_orbit_size,
-    element_action,
     flag_orbit_count,
     is_type_preserving_automorphism,
     permutation_group_order,
+    point_tables,
     type_swap_map,
 )
 from .locally_x import (

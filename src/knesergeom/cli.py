@@ -27,20 +27,20 @@ from .graphs import (
 from .group_action import (
     adjacent_transpositions,
     chamber_orbit_size,
-    element_action,
     flag_orbit_count,
     is_type_preserving_automorphism,
     permutation_group_order,
+    point_tables,
     type_swap_map,
 )
 from .incidence import (
+    _rank1_residue_sizes,
     buekenhout_diagram,
     diagram_to_dot,
     diagram_to_json,
     flags_of_type,
     is_geometry,
     is_residually_connected,
-    is_thick,
     satisfies_ip2,
     system_to_json,
 )
@@ -151,10 +151,11 @@ def _check_residual_connectivity(params, geom, args):
 
 
 def _check_thickness(params, geom, args):
-    sys_ = geom.incidence_system()
-    thick = is_thick(sys_)
-    expected = math.comb(params.n - params.k, params.k)
-    return thick, {"rank1_residue_size": expected, "thick": thick}
+    """Thick iff every rank-1 residue has at least three elements; reports
+    the smallest size found."""
+    smallest = min(size for _, size in _rank1_residue_sizes(geom.incidence_system()))
+    thick = smallest >= 3
+    return thick, {"rank1_residue_size": smallest, "thick": thick}
 
 
 def _check_diagram(params, geom, args):
@@ -181,7 +182,8 @@ def _verified_point_action(params, geom):
     """The incidence system and the element tables of the ground set's
     adjacent transpositions; the tables are None unless every one is a
     verified type-preserving automorphism."""
-    sys_, tables = element_action(geom, adjacent_transpositions(params.ground_size))
+    sys_ = geom.incidence_system()
+    tables = point_tables(geom, adjacent_transpositions(params.ground_size))
     if all(is_type_preserving_automorphism(sys_, t) for t in tables):
         return sys_, tables
     return sys_, None
@@ -221,7 +223,7 @@ def _check_flag_transitivity(params, geom, args):
 def _check_locally_x(params, geom, args):
     if params.r < 3:
         return True, {"skipped": "rank 2: rank-1 residues are edgeless"}
-    reference = residue_reference_graph(params)
+    reference = residue_reference_graph(geom)
     vertices = None
     extra = {}
     if getattr(args, "assume_transitive", False):

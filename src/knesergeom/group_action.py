@@ -3,15 +3,15 @@ orders.
 
 Point permutations of the ground set act on elements by mapping subsets
 pointwise inside each type; type permutations act by relabeling the copies.
-element_action turns ground-set permutations into element-index tables,
-once, and everything after it works on such tables over an
-IncidenceSystem.  Orbit computations are plain BFS closures over generator
-images, so orbit size equals transitivity evidence: the chamber orbit under
-the symmetric group's generators reaching every chamber certifies
-flag-transitivity on chambers, and one orbit per flag type certifies it in
-full.  The order of a group of ground-set permutations is computed exactly
-from a base and strong generating set (deterministic Schreier-Sims), never
-by listing the group's elements.
+point_tables turns ground-set permutations into element-index tables, once;
+every other function here sees only an IncidenceSystem and such tables.
+Orbit computations are plain BFS closures over table images, so orbit size
+equals transitivity evidence: the chamber orbit under the symmetric group's
+generators reaching every chamber certifies flag-transitivity on chambers,
+and one orbit per flag type certifies it in full.  The order of a group of
+ground-set permutations is computed exactly from a base and strong
+generating set (deterministic Schreier-Sims), never by listing the group's
+elements.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from collections import deque
 from .incidence import IncidenceSystem, flags_of_type
 from .isomorphism import is_automorphism
 from .kneser_geometry import KneserGeometry
-from .subsets import KSubset
 
 
 class Permutation:
@@ -80,54 +79,35 @@ def adjacent_transpositions(m: int) -> list[Permutation]:
     return [Permutation.transposition(m, i, i + 1) for i in range(m - 1)]
 
 
-def act_on_element(geom: KneserGeometry, pi: Permutation, e: int) -> int:
-    """Image of an element under a ground-set permutation: same type,
-    subset mapped pointwise."""
-    if pi.m != geom.params.ground_size:
+def point_tables(geom: KneserGeometry, perms) -> list[tuple[int, ...]]:
+    """One element-index table per ground-set permutation: the image of
+    element e is the element of the same type whose subset is the pointwise
+    image of e's subset."""
+    m = geom.params.ground_size
+    if any(pi.m != m for pi in perms):
         raise ValueError("permutation degree does not match the ground set")
-    t = geom.type_of(e)
-    return geom.element_index(t, KSubset(pi.apply_to_mask(geom.masks[e])))
-
-
-def element_action(obj, gens) -> tuple[IncidenceSystem, list[tuple[int, ...]]]:
-    """The incidence system of obj and one element-index table per generator.
-
-    obj is either a built disjointness geometry or a plain IncidenceSystem.
-    A generator is either a ground-set Permutation (geometries only), which
-    becomes its table here, or already an element-index map such as the
-    mapping returned by type_swap_map.
-    """
-    sys = obj.incidence_system() if isinstance(obj, KneserGeometry) else obj
-    n = sys.n_elements
-    tables = [
-        tuple(act_on_element(obj, g, e) for e in range(n))
-        if isinstance(g, Permutation)
-        else tuple(g)
-        for g in gens
+    masks = geom.masks
+    types = [geom.type_of(e) for e in range(len(masks))]
+    index = {key: e for e, key in enumerate(zip(types, masks))}
+    return [
+        tuple([index[t, pi.apply_to_mask(mask)] for t, mask in zip(types, masks)])
+        for pi in perms
     ]
-    return sys, tables
 
 
-def _preserves_incidence(sys: IncidenceSystem, table) -> bool:
-    """table is a bijection of the elements that maps incident pairs to
-    incident pairs and non-incident pairs to non-incident pairs."""
-    n = sys.n_elements
-    return sorted(table) == list(range(n)) and is_automorphism(sys.graph, table)
-
-
-def is_type_preserving_automorphism(obj, gen) -> bool:
-    """Full check that the element map of gen is a type-preserving,
-    incidence-preserving bijection (both directions)."""
-    sys, (table,) = element_action(obj, [gen])
+def is_type_preserving_automorphism(sys: IncidenceSystem, table) -> bool:
+    """Full check that the element table is a type-preserving bijection
+    that maps incident pairs to incident pairs and non-incident pairs to
+    non-incident pairs."""
     type_of = sys.type_of
-    return _preserves_incidence(sys, table) and all(
+    return is_automorphism(sys.graph, table) and all(
         type_of[img] == t for img, t in zip(table, type_of)
     )
 
 
-def chamber_orbit_size(obj, gens, start) -> int:
-    """Size of the orbit of a chamber under the generated group."""
-    sys, tables = element_action(obj, gens)
+def chamber_orbit_size(sys: IncidenceSystem, tables, start) -> int:
+    """Size of the orbit of a chamber under the group the element tables
+    generate."""
     start = tuple(sorted(start))
     if len(start) != sys.rank:
         raise ValueError("start flag is not a chamber")
@@ -143,10 +123,9 @@ def chamber_orbit_size(obj, gens, start) -> int:
     return len(seen)
 
 
-def flag_orbit_count(obj, gens, J) -> tuple[int, list[tuple[int, ...]]]:
-    """Partition the flags of type J into orbits; returns (count, one
-    representative per orbit).  obj and gens are as for element_action."""
-    sys, tables = element_action(obj, gens)
+def flag_orbit_count(sys: IncidenceSystem, tables, J) -> tuple[int, list[tuple[int, ...]]]:
+    """Partition the flags of type J into orbits of the group the element
+    tables generate; returns (count, one representative per orbit)."""
     todo = set(flags_of_type(sys, J))
     reps = []
     while todo:
@@ -164,7 +143,7 @@ def flag_orbit_count(obj, gens, J) -> tuple[int, list[tuple[int, ...]]]:
     return len(reps), reps
 
 
-def type_swap_map(obj, sigma) -> tuple[tuple[int, ...] | None, bool]:
+def type_swap_map(sys: IncidenceSystem, sigma) -> tuple[tuple[int, ...] | None, bool]:
     """The element bijection induced by a permutation sigma of the types,
     pairing elements with equal labels across types; returns (mapping,
     valid) where valid means the map exists and preserves incidence.
@@ -174,7 +153,6 @@ def type_swap_map(obj, sigma) -> tuple[tuple[int, ...] | None, bool]:
     sigma; for a general labeled system it is invalid whenever some label
     has no partner of the target type.
     """
-    sys, _ = element_action(obj, ())
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(sys.rank)):
         raise ValueError("sigma is not a permutation of the types")
@@ -192,7 +170,7 @@ def type_swap_map(obj, sigma) -> tuple[tuple[int, ...] | None, bool]:
             return None, False
         mapping.append(by_type_label[key])
     mapping = tuple(mapping)
-    if not _preserves_incidence(sys, mapping):
+    if not is_automorphism(sys.graph, mapping):
         return None, False
     return mapping, True
 

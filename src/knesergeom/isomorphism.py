@@ -133,16 +133,9 @@ class _UnionFind:
 
 
 def is_automorphism(g: Graph, perm) -> bool:
-    """For a bijection perm of the vertices: does it map every neighborhood
-    onto the neighborhood of the image, i.e. preserve edges and non-edges?"""
-    masks = g.neighbor_masks
-    for u in range(g.n):
-        img = 0
-        for w in g.adj[u]:
-            img |= 1 << perm[w]
-        if img != masks[perm[u]]:
-            return False
-    return True
+    """Is perm a bijection of the vertices that preserves edges and
+    non-edges?"""
+    return verify_isomorphism(g, g, perm)
 
 
 def canonical_form(g: Graph, colors=None) -> CanonicalForm:
@@ -214,16 +207,18 @@ def wl_signature(g: Graph, colors=None) -> tuple:
 
 
 def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
-    """Check that mapping is a bijection sending edges to edges and
-    non-edges to non-edges."""
-    if g.n != h.n or len(mapping) != g.n or len(set(mapping)) != g.n:
+    """Check that mapping is a bijection from g's vertices onto h's that
+    maps every neighborhood onto the neighborhood of the image, i.e. sends
+    edges to edges and non-edges to non-edges."""
+    n = g.n
+    if h.n != n or len(mapping) != n or set(mapping) != set(range(n)):
         return False
-    if g.n_edges != h.n_edges:
-        return False
-    hedges = {(u, v) for u, v in h.edges()}
-    for u, v in g.edges():
-        a, b = mapping[u], mapping[v]
-        if (min(a, b), max(a, b)) not in hedges:
+    masks = h.neighbor_masks
+    for u in range(n):
+        img = 0
+        for w in g.adj[u]:
+            img |= 1 << mapping[w]
+        if img != masks[mapping[u]]:
             return False
     return True
 

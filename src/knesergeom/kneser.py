@@ -13,6 +13,11 @@ and an odd walk of length exactly 2*ceil(c/(n-2k)) + 1, by swapping
 (n-2k)-sized chunks of the symmetric difference one pair at a time and
 padding from the complement of A union B.  Every constructed walk is
 re-verified before being returned.
+
+neighborhood_geometry builds the rank-2 neighborhood geometry of any graph
+from its bipartite double cover; for KG(n, k) that geometry is the rank-2
+disjointness geometry, so kneser_neighborhood_geometry returns the system
+kneser_geometry builds for (n, k, 2).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, bipartite_double_cover
 from .incidence import IncidenceSystem
 from .subsets import GroundSet, KSubset, enumerate_k_subsets, validate_subset
 
@@ -168,21 +173,22 @@ def construct_odd_path(A: KSubset, B: KSubset, p: KneserParams) -> list[KSubset]
 def neighborhood_geometry(g: Graph, labels=None) -> IncidenceSystem:
     """The rank-2 geometry on two copies of the vertices with (p,0)
     incident to (q,1) iff p ~ q; copy 0 sits at indices 0..n-1, copy 1 at
-    n..2n-1, so its incidence graph equals the bipartite double cover."""
+    n..2n-1, and the incidences are the edges of the bipartite double
+    cover."""
     n = g.n
-    incid = []
-    for u, v in g.edges():
-        incid.append((u, n + v))
-        incid.append((v, n + u))
     if labels is not None:
         labels = list(labels)
         if len(labels) != n:
             raise ValueError("labels must cover all vertices")
         labels = labels + labels
-    return IncidenceSystem((0, 1), [0] * n + [1] * n, incid, labels)
+    return IncidenceSystem(
+        (0, 1), [0] * n + [1] * n, bipartite_double_cover(g).edges(), labels
+    )
 
 
 def kneser_neighborhood_geometry(p: KneserParams) -> IncidenceSystem:
-    """Neighborhood geometry of KG(n,k) with subset-mask labels in hex."""
-    labels = [f"{s.bits:#x}" for s in enumerate_k_subsets(p.ground, p.k)]
-    return neighborhood_geometry(kneser_graph(p), labels)
+    """Neighborhood geometry of KG(n,k) with subset-mask labels in hex: the
+    rank-2 disjointness geometry of (n, k)."""
+    from .kneser_geometry import GeometryParams, build_geometry  # imports this module
+
+    return build_geometry(GeometryParams(p.n, p.k, 2)).incidence_system()

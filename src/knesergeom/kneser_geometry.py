@@ -7,8 +7,10 @@ disjoint.  The rank-2 case is the neighborhood geometry of KG(n, k); every
 rank-2 residue of the general case is isomorphic to that geometry, which is
 what the closed-form diagram below encodes.
 
-Element indexing is type-major with colex order within a type, so element
-lookups are O(1) and every derived certificate is byte-reproducible.
+Element indexing is type-major with colex order within a type, so every
+derived certificate is byte-reproducible.  This module is the only one that
+knows that layout: other layers read an element's type and subset through
+type_of, subset_of and masks, and otherwise see the IncidenceSystem.
 Incidence is always answerable from the subset masks alone; the adjacency
 lists of the full incidence system are materialized lazily and only
 on demand.
@@ -27,7 +29,7 @@ from .incidence import (
     RankTwoSummary,
 )
 from .kneser import KneserParams, predicted_diameter, predicted_gonality
-from .subsets import GroundSet, KSubset, colex_rank, enumerate_k_subsets
+from .subsets import GroundSet, KSubset, enumerate_k_subsets
 
 
 @dataclass(frozen=True)
@@ -94,11 +96,6 @@ class KneserGeometry:
 
     def label_of(self, e: int) -> str:
         return self._labels[e % self.params.per_type]
-
-    def element_index(self, type_: int, subset: KSubset) -> int:
-        if not 0 <= type_ < self.params.r:
-            raise ValueError(f"type {type_} out of range")
-        return type_ * self.params.per_type + colex_rank(self.params.ground, subset)
 
     def incident(self, x: int, y: int) -> bool:
         """x * y iff the types differ and the subsets are disjoint."""

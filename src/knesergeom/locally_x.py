@@ -2,9 +2,9 @@
 
 A graph is locally X when the subgraph induced on the neighbors of every
 vertex is isomorphic to X.  The check here is exhaustive by design: every
-vertex is tested, each through a degree pre-filter, a refinement-signature
-comparison against X, and finally a full isomorphism search whose returned
-bijection is verified edge by edge.
+vertex is tested by an isomorphism search against X, which rejects at once
+when the vertex counts, the edge counts or the refined cell profiles differ
+and otherwise returns a bijection verified edge by edge.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, graph_digest, induced_subgraph
-from .isomorphism import are_isomorphic, wl_signature
+from .isomorphism import are_isomorphic
 from .incidence import residue
-from .kneser_geometry import GeometryParams, build_geometry
+from .kneser_geometry import KneserGeometry
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,13 @@ def _mapping_digest(mapping) -> str:
 def is_locally_x(g: Graph, x: Graph, vertices=None) -> LocallyXReport:
     """Check the vertices of g (all of them unless told otherwise).
 
-    Neighborhoods are compared signature-first (a refinement invariant, so
-    a mismatch certifies failure); the full bijection search runs only on a
-    signature match and its result is edge-verified before counting.
+    Each neighborhood goes to are_isomorphic, whose refinement pre-check
+    certifies a mismatch and whose returned bijection is edge-verified
+    before it counts.
 
     The transitivity shortcut is off by default: pass orbit representatives
     via `vertices` to check one vertex per orbit instead of all of them.
     """
-    x_sig = wl_signature(x)
     targets = sorted(set(range(g.n) if vertices is None else vertices))
     for v in targets:
         if not 0 <= v < g.n:
@@ -79,8 +78,6 @@ def is_locally_x(g: Graph, x: Graph, vertices=None) -> LocallyXReport:
 
     def check(v: int) -> VertexCheck:
         nbhd, _ = neighborhood_graph(g, v)
-        if nbhd.n != x.n or wl_signature(nbhd) != x_sig:
-            return VertexCheck(v, False, None)
         mapping = are_isomorphic(nbhd, x)
         if mapping is None:
             return VertexCheck(v, False, None)
@@ -99,13 +96,12 @@ def is_locally_x(g: Graph, x: Graph, vertices=None) -> LocallyXReport:
     )
 
 
-def residue_reference_graph(params: GeometryParams) -> Graph:
-    """The canonical reference X for the incidence graph of the rank-r
+def residue_reference_graph(geom: KneserGeometry) -> Graph:
+    """The canonical reference X for the incidence graph of the built rank-r
     geometry: the incidence graph of the residue of the first element of
     type 0.  Needs r >= 3; at r = 2 the rank-1 residues are edgeless and
     the locally-X question degenerates."""
-    if params.r < 3:
+    if geom.params.r < 3:
         raise ValueError("reference residue needs rank r >= 3")
-    geom = build_geometry(params)
     sub, _ = residue(geom.incidence_system(), (0,))
     return sub.graph

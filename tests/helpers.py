@@ -10,7 +10,7 @@ import math
 import random
 from collections import deque
 
-from knesergeom import Graph
+from knesergeom import Graph, KSubset, colex_rank
 
 
 def random_graph(rng, n, p):
@@ -79,6 +79,18 @@ def preserves_incidence_oracle(incident, n, mapping):
         incident(x, y) == incident(mapping[x], mapping[y])
         for x in range(n)
         for y in range(x + 1, n)
+    )
+
+
+def colex_point_table(geom, pi):
+    """Element table of a ground-set Permutation computed through the
+    element layout: the image of e is its type's offset plus the colex rank
+    of the pointwise image of its subset."""
+    ground, per = geom.params.ground, geom.params.per_type
+    return tuple(
+        geom.type_of(e) * per
+        + colex_rank(ground, KSubset.from_elements(pi(x) for x in geom.subset_of(e).elements()))
+        for e in range(geom.n_elements)
     )
 
 

@@ -35,6 +35,7 @@ from knesergeom import (
     kneser_neighborhood_geometry,
     odd_girth,
     permutation_group_order,
+    point_tables,
     predicted_diagram,
     predicted_diameter,
     predicted_gonality,
@@ -190,13 +191,13 @@ def test_criterion_06_full_certificate_523(desargues):
     ok = ok and d == predicted_diagram(params)
     ok = ok and set(d.edges) == {(0, 1), (0, 2), (1, 2)}
 
-    gens = adjacent_transpositions(7)
+    tables = point_tables(geom, adjacent_transpositions(7))
     ok = ok and chamber_count(params) == 630
-    start = next(flags_of_type(geom.incidence_system(), range(3)))
-    ok = ok and chamber_orbit_size(geom, gens, start) == 630
+    start = next(flags_of_type(sys_, range(3)))
+    ok = ok and chamber_orbit_size(sys_, tables, start) == 630
     for size in range(1, 4):
         for J in combinations(range(3), size):
-            count, _ = flag_orbit_count(geom, gens, J)
+            count, _ = flag_orbit_count(sys_, tables, J)
             ok = ok and count == 1
     report("criterion 6: full certificate for the (5,2,3) geometry", ok)
 
@@ -214,9 +215,10 @@ def test_criterion_07_locally_x_main_theorem(desargues):
     details = []
     ok = True
     for params, reference, total in cases:
+        geom = build_geometry(params)
         if reference is None:
-            reference = residue_reference_graph(params)
-        g = incidence_graph(build_geometry(params).incidence_system()).graph
+            reference = residue_reference_graph(geom)
+        g = incidence_graph(geom.incidence_system()).graph
         rep = is_locally_x(g, reference)
         ok = ok and rep.ok and rep.total == total
         details.append(f"({params.n},{params.k},{params.r}): {rep.passed}/{rep.total}")
@@ -277,12 +279,13 @@ def test_criterion_10_isomorphism_soundness():
 def test_criterion_11_automorphism_lower_bound():
     params = GeometryParams(5, 2, 3)
     geom = build_geometry(params)
+    sys_ = geom.incidence_system()
     gens = adjacent_transpositions(7)
-    ok = all(is_type_preserving_automorphism(geom, pi) for pi in gens)
+    ok = all(is_type_preserving_automorphism(sys_, t) for t in point_tables(geom, gens))
     from itertools import permutations
 
     swaps = list(permutations(range(3)))
-    ok = ok and all(type_swap_map(geom, sigma)[1] for sigma in swaps)
+    ok = ok and all(type_swap_map(sys_, sigma)[1] for sigma in swaps)
     point_order = permutation_group_order(gens)
     ok = ok and point_order == math.factorial(7)
     witness_order = point_order * len(swaps)

@@ -204,18 +204,19 @@ def test_assume_transitive_checks_orbit_reps():
 def test_assume_transitive_needs_verified_tables(monkeypatch, tmp_path):
     from knesergeom import cli, is_type_preserving_automorphism
 
-    real_element_action = cli.element_action
+    real_point_tables = cli.point_tables
 
-    def shifted_tables(geom, gens):
+    def shifted_tables(geom, perms):
         # a cyclic shift inside each type: type-preserving with one orbit
         # per type, but not an automorphism
-        sys_, tables = real_element_action(geom, gens)
+        tables = real_point_tables(geom, perms)
+        sys_ = geom.incidence_system()
         per = sys_.n_elements // sys_.rank
         shift = tuple(e - e % per + (e + 1) % per for e in range(sys_.n_elements))
         assert not is_type_preserving_automorphism(sys_, shift)
-        return sys_, [shift] * len(tables)
+        return [shift] * len(tables)
 
-    monkeypatch.setattr(cli, "element_action", shifted_tables)
+    monkeypatch.setattr(cli, "point_tables", shifted_tables)
     out = tmp_path / "cert.json"
     code = cli.main([
         "verify", "--n", "5", "--k", "2", "--r", "3",
@@ -248,6 +249,37 @@ def test_gonality_and_diameter_share_one_rank2_summary(monkeypatch, tmp_path):
     assert names == ["gonality", "diameter"]
 
 
+def test_thickness_reports_computed_minimum():
+    from types import SimpleNamespace
+
+    from knesergeom import Graph, cli, vertex_edge_geometry
+
+    # the vertex-edge geometry of a path: an end vertex lies on one edge, so
+    # the smallest rank-1 residue has one element (C(n-k,k) = 3 here)
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    stand_in = SimpleNamespace(incidence_system=lambda: vertex_edge_geometry(path))
+    ok, details = cli._check_thickness(GeometryParams(5, 2, 3), stand_in, None)
+    assert ok is False
+    assert details == {"rank1_residue_size": 1, "thick": False}
+
+
+def test_verify_all_builds_the_geometry_once(monkeypatch, tmp_path):
+    from knesergeom import KneserGeometry, cli
+
+    built = []
+    real_init = KneserGeometry.__init__
+
+    def counted(self, params):
+        built.append(params)
+        real_init(self, params)
+
+    monkeypatch.setattr(KneserGeometry, "__init__", counted)
+    out = tmp_path / "cert.json"
+    code = cli.main(["verify", "--n", "5", "--k", "2", "--r", "3", "--all", "--out", str(out)])
+    assert code == 0
+    assert built.count(GeometryParams(5, 2, 3)) == 1
+
+
 def test_flag_transitivity_point_group_order_past_degree_8():
     res = run_cli(
         "verify", "--n", "5", "--k", "2", "--r", "4", "--check", "flag-transitivity",
@@ -270,6 +302,28 @@ def test_verify_all_golden_certificates():
         res = run_cli("verify", "--n", n, "--k", k, "--r", r, "--all")
         assert res.returncode == code
         assert hashlib.sha256(res.stdout).hexdigest() == digest, (n, k, r)
+
+
+# stdout sha256 of the rank-2 certificate, the orbit-representative
+# locally-x check and the json/dot exports, under the same rule
+GOLDEN_OUTPUTS = [
+    (("verify", "--n", "7", "--k", "3", "--r", "2", "--all"), 0,
+     "12f25d5b03786b308be04331b13026c30d8122dedc93a30e5466ae6a680130b1"),
+    (("verify", "--n", "5", "--k", "2", "--r", "3", "--check", "locally-x",
+      "--assume-transitive"), 0,
+     "28520ca6af61c204e57e2575a68851b606c14dbacdf731df5644fca563285887"),
+    (("build", "--n", "5", "--k", "2", "--r", "3", "--format", "json"), 0,
+     "302fd3f62e30309c60c7b2c9c07a3315cb97c907f400885fcee647bdefb94094"),
+    (("build", "--n", "5", "--k", "2", "--r", "3", "--format", "dot"), 0,
+     "924138eadd19d975feb034c5b96776bb4b7038af740ee95b2be976bcf6d8f1c0"),
+]
+
+
+def test_golden_outputs():
+    for argv, code, digest in GOLDEN_OUTPUTS:
+        res = run_cli(*argv)
+        assert res.returncode == code
+        assert hashlib.sha256(res.stdout).hexdigest() == digest, argv
 
 
 def test_locally_x_second_graph6_line_exit2(tmp_path):

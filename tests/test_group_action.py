@@ -7,7 +7,6 @@ from knesergeom import (
     GeometryParams,
     KSubset,
     Permutation,
-    act_on_element,
     adjacent_transpositions,
     build_geometry,
     chamber_orbit_size,
@@ -17,9 +16,10 @@ from knesergeom import (
     kneser_neighborhood_geometry,
     KneserParams,
     permutation_group_order,
+    point_tables,
     type_swap_map,
 )
-from helpers import preserves_incidence_oracle, tuple_orbit_group_order
+from helpers import colex_point_table, preserves_incidence_oracle, tuple_orbit_group_order
 
 
 def test_permutation_validation():
@@ -35,54 +35,72 @@ def test_apply_to_mask():
     assert pi.apply_to_mask(0b00101) == 0b00110
 
 
-def test_act_on_element():
+def test_point_tables_map_subsets():
     geom = build_geometry(GeometryParams(5, 2, 3))
-    ident = Permutation.identity(7)
-    assert all(act_on_element(geom, ident, e) == e for e in range(63))
-    swap = Permutation.transposition(7, 0, 1)
-    e = geom.element_index(0, KSubset.from_elements([0, 2]))
-    img = act_on_element(geom, swap, e)
-    assert geom.type_of(img) == 0
-    assert geom.subset_of(img) == KSubset.from_elements([1, 2])
+    (ident,) = point_tables(geom, [Permutation.identity(7)])
+    assert ident == tuple(range(63))
+    (swap,) = point_tables(geom, [Permutation.transposition(7, 0, 1)])
+    for e in range(63):
+        assert geom.type_of(swap[e]) == geom.type_of(e)
+    e = next(e for e in range(21) if geom.subset_of(e) == KSubset.from_elements([0, 2]))
+    assert geom.subset_of(swap[e]) == KSubset.from_elements([1, 2])
+    with pytest.raises(ValueError):
+        point_tables(geom, [Permutation.identity(6)])
+
+
+def test_point_tables_match_colex_oracle():
+    rng = random.Random(20181129)
+    for n, k, r in [(5, 2, 3), (6, 2, 3), (7, 3, 3)]:
+        geom = build_geometry(GeometryParams(n, k, r))
+        m = geom.params.ground_size
+        perms = adjacent_transpositions(m)
+        for _ in range(5):
+            images = list(range(m))
+            rng.shuffle(images)
+            perms.append(Permutation(images))
+        assert point_tables(geom, perms) == [colex_point_table(geom, pi) for pi in perms]
 
 
 def test_incidence_preserved_under_action():
     geom = build_geometry(GeometryParams(5, 2, 3))
-    pi = Permutation.transposition(7, 2, 5)
+    (table,) = point_tables(geom, [Permutation.transposition(7, 2, 5)])
     for x in range(0, 63, 5):
         for y in range(x + 1, 63, 7):
-            assert geom.incident(x, y) == geom.incident(
-                act_on_element(geom, pi, x), act_on_element(geom, pi, y)
-            )
+            assert geom.incident(x, y) == geom.incident(table[x], table[y])
 
 
 def test_generators_are_automorphisms():
     geom = build_geometry(GeometryParams(5, 2, 3))
-    for pi in adjacent_transpositions(7):
-        assert is_type_preserving_automorphism(geom, pi)
+    sys_ = geom.incidence_system()
+    for table in point_tables(geom, adjacent_transpositions(7)):
+        assert is_type_preserving_automorphism(sys_, table)
 
 
 def test_chamber_orbit_sizes():
     geom = build_geometry(GeometryParams(5, 2, 3))
-    gens = adjacent_transpositions(7)
-    start = next(flags_of_type(geom.incidence_system(), range(3)))
-    assert chamber_orbit_size(geom, gens, start) == 630
+    sys_ = geom.incidence_system()
+    tables = point_tables(geom, adjacent_transpositions(7))
+    start = next(flags_of_type(sys_, range(3)))
+    assert chamber_orbit_size(sys_, tables, start) == 630
 
     geom2 = build_geometry(GeometryParams(5, 2, 2))
-    start2 = next(flags_of_type(geom2.incidence_system(), range(2)))
-    assert chamber_orbit_size(geom2, adjacent_transpositions(5), start2) == 30
+    sys2 = geom2.incidence_system()
+    start2 = next(flags_of_type(sys2, range(2)))
+    tables2 = point_tables(geom2, adjacent_transpositions(5))
+    assert chamber_orbit_size(sys2, tables2, start2) == 30
 
-    ident_only = [Permutation.identity(7)]
-    assert chamber_orbit_size(geom, ident_only, start) == 1
+    ident_only = point_tables(geom, [Permutation.identity(7)])
+    assert chamber_orbit_size(sys_, ident_only, start) == 1
 
 
 def test_flag_orbit_counts():
     geom = build_geometry(GeometryParams(5, 2, 3))
-    gens = adjacent_transpositions(7)
-    count, reps = flag_orbit_count(geom, gens, ())
+    sys_ = geom.incidence_system()
+    tables = point_tables(geom, adjacent_transpositions(7))
+    count, reps = flag_orbit_count(sys_, tables, ())
     assert count == 1 and reps == [()]
     for J in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-        count, _ = flag_orbit_count(geom, gens, J)
+        count, _ = flag_orbit_count(sys_, tables, J)
         assert count == 1, J
 
 
@@ -104,9 +122,10 @@ def test_flag_orbits_detect_disjoint_copies():
 
 def test_type_swap_on_geometry():
     geom = build_geometry(GeometryParams(5, 2, 3))
-    mapping, ok = type_swap_map(geom, (0, 1, 2))
+    sys_ = geom.incidence_system()
+    mapping, ok = type_swap_map(sys_, (0, 1, 2))
     assert ok and mapping == tuple(range(63))
-    mapping, ok = type_swap_map(geom, (1, 2, 0))
+    mapping, ok = type_swap_map(sys_, (1, 2, 0))
     assert ok
     per = geom.params.per_type
     assert mapping[0] == per  # type 0 -> type 1, same subset
@@ -215,7 +234,7 @@ def _candidate_maps(geom, rng):
         images = list(range(7))
         rng.shuffle(images)
         pi = Permutation(images)
-        table = [act_on_element(geom, pi, e) for e in range(n)]
+        table = list(point_tables(geom, [pi])[0])
         maps.append(table)
         a, b = rng.sample(range(per), 2)
         t = rng.randrange(3) * per
@@ -223,7 +242,7 @@ def _candidate_maps(geom, rng):
         swapped[t + a], swapped[t + b] = swapped[t + b], swapped[t + a]
         maps.append(swapped)
     for sigma in [(1, 0, 2), (1, 2, 0)]:
-        maps.append(list(type_swap_map(geom, sigma)[0]))
+        maps.append(list(type_swap_map(geom.incidence_system(), sigma)[0]))
     for _ in range(6):
         shuffled = list(range(n))
         rng.shuffle(shuffled)
@@ -254,7 +273,7 @@ def test_preservation_check_matches_pairwise_oracle():
 def test_type_swap_map_matches_pairwise_oracle():
     geom = build_geometry(GeometryParams(5, 2, 3))
     for sigma in [(0, 1, 2), (2, 0, 1), (0, 2, 1)]:
-        mapping, ok = type_swap_map(geom, sigma)
+        mapping, ok = type_swap_map(geom.incidence_system(), sigma)
         assert ok and preserves_incidence_oracle(geom.incident, geom.n_elements, mapping)
 
 
@@ -265,5 +284,5 @@ def test_non_automorphisms_rejected():
     swap_in_type[0], swap_in_type[1] = 1, 0
     assert not is_type_preserving_automorphism(sys_, swap_in_type)
     assert not is_type_preserving_automorphism(sys_, [0] * 63)  # not a bijection
-    mapping, _ = type_swap_map(geom, (1, 0, 2))
+    mapping, _ = type_swap_map(sys_, (1, 0, 2))
     assert not is_type_preserving_automorphism(sys_, mapping)  # moves types

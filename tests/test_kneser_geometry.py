@@ -15,7 +15,11 @@ from knesergeom import (
     is_geometry,
     is_residually_connected,
     is_thick,
+    colex_rank,
+    enumerate_k_subsets,
+    kneser_graph,
     kneser_neighborhood_geometry,
+    neighborhood_geometry,
     predicted_diagram,
     residue,
     satisfies_ip2,
@@ -35,16 +39,24 @@ def test_params_validation():
 
 
 def test_rank2_case_is_neighborhood_geometry():
-    geom = build_geometry(GeometryParams(5, 2, 2))
-    assert geom.incidence_system() == kneser_neighborhood_geometry(KneserParams(5, 2))
+    # the rank-2 disjointness geometry against the double-cover construction
+    # of the neighborhood geometry of KG(n,k), labels included
+    for n, k in [(5, 2), (6, 2), (7, 3), (9, 4)]:
+        p = KneserParams(n, k)
+        labels = [f"{s.bits:#x}" for s in enumerate_k_subsets(p.ground, k)]
+        expected = neighborhood_geometry(kneser_graph(p), labels)
+        assert build_geometry(GeometryParams(n, k, 2)).incidence_system() == expected
+        assert kneser_neighborhood_geometry(p) == expected
 
 
 def test_element_indexing():
+    # type-major, colex rank within a type
     geom = build_geometry(GeometryParams(5, 2, 3))
     assert geom.n_elements == 63
-    for e in [0, 21, 62]:
-        t = geom.type_of(e)
-        assert geom.element_index(t, geom.subset_of(e)) == e
+    ground = geom.params.ground
+    for e in range(63):
+        assert geom.type_of(e) == e // 21
+        assert colex_rank(ground, geom.subset_of(e)) == e % 21
 
 
 def test_incidence_predicate_matches_materialized():

@@ -71,13 +71,13 @@ def test_locally_petersen(petersen):
 
 
 def test_reference_residue_graphs(desargues):
-    ref = residue_reference_graph(GeometryParams(5, 2, 3))
+    ref = residue_reference_graph(build_geometry(GeometryParams(5, 2, 3)))
     assert ref.n == 20 and are_isomorphic(ref, desargues) is not None
-    ref6 = residue_reference_graph(GeometryParams(6, 2, 3))
+    ref6 = residue_reference_graph(build_geometry(GeometryParams(6, 2, 3)))
     dc6 = bipartite_double_cover(kneser_graph(KneserParams(6, 2)))
     assert ref6.n == 30 and are_isomorphic(ref6, dc6) is not None
     with pytest.raises(ValueError):
-        residue_reference_graph(GeometryParams(5, 2, 2))
+        residue_reference_graph(build_geometry(GeometryParams(5, 2, 2)))
 
 
 def test_locally_desargues(desargues):
