@@ -250,11 +250,11 @@ def _check_locally_x(params, geom, args):
 def _check_odd_girth(params, geom, args):
     kp = params.kneser
     predicted = predicted_odd_girth(kp)
-    computed = odd_girth(kneser_graph(kp))
+    g = kneser_graph(kp)
+    computed = odd_girth(g)
     details = {"predicted": predicted, "computed": computed if computed != math.inf else "inf"}
     if computed != predicted:
-        cycle = shortest_odd_cycle(kneser_graph(kp))
-        details["witness_cycle"] = cycle
+        details["witness_cycle"] = shortest_odd_cycle(g)
     return computed == predicted, details
 
 

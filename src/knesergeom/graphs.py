@@ -2,9 +2,11 @@
 
 Everything here is deterministic and exact: BFS distances, girth, odd girth,
 diameter, connectivity, bipartiteness, induced subgraphs, the bipartite
-double cover, and graph6 I/O.  Girth-type searches run one BFS per source
-over per-vertex neighbor bitmasks, which keeps the inner loops in word
-operations; infinity is represented by math.inf.
+double cover, and graph6 I/O.  Girth runs one BFS per source over
+per-vertex neighbor bitmasks; eccentricities and odd girth run one
+synchronous sweep that grows a bitmask per vertex for every source at once,
+so the inner loops stay in word operations.  Infinity is represented by
+math.inf.
 """
 
 from __future__ import annotations
@@ -98,25 +100,44 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def eccentricities(g: Graph):
-    """Per-vertex eccentricity; math.inf where some vertex is unreachable."""
-    masks = g.neighbor_masks
-    full = (1 << g.n) - 1
-    out = []
-    for s in range(g.n):
-        visited = 1 << s
-        cur = visited
-        d = 0
-        while cur:
-            nxt = 0
-            for v in _iter_bits(cur):
-                nxt |= masks[v]
-            nxt &= ~visited
-            if not nxt:
-                break
-            d += 1
-            visited |= nxt
-            cur = nxt
-        out.append(d if visited == full else INF)
+    """Per-vertex eccentricity; math.inf where some vertex is unreachable.
+
+    One synchronous sweep for all sources at once: ball[v] is the bitmask of
+    the vertices within distance d of v, and ball_{d+1}[v] is ball_d[v] or'ed
+    with ball_d[w] for every neighbor w.  Each round reads only the previous
+    round's list, so no ball mixes two radii.  ecc(v) is the first d at which
+    ball[v] is full; a ball that stops growing short of full is v's whole
+    component, so v gets math.inf.
+    """
+    n = g.n
+    if n <= 1:
+        return [0] * n
+    adj = g.adj
+    full = (1 << n) - 1
+    ball = [m | 1 << v for v, m in enumerate(g.neighbor_masks)]
+    out = [INF] * n
+    still_open = []
+    for v in range(n):
+        if ball[v] == full:
+            out[v] = 1
+        else:
+            still_open.append(v)
+    d = 1
+    while still_open:
+        d += 1
+        grown = ball[:]
+        growing = []
+        for v in still_open:
+            b = ball[v]
+            for w in adj[v]:
+                b |= ball[w]
+            if b == full:
+                out[v] = d
+            elif b != ball[v]:
+                growing.append(v)
+            grown[v] = b
+        ball = grown
+        still_open = growing
     return out
 
 
@@ -214,67 +235,63 @@ def girth(g: Graph):
 def odd_girth(g: Graph):
     """Length of the shortest odd cycle; math.inf iff the graph is bipartite.
 
-    For each source s this finds the shortest odd closed walk through s as
-    the distance from (s, even) to (s, odd) in the parity-layered graph; the
-    minimum over sources is the odd girth.
+    One synchronous sweep for all sources at once: walk[v] is the bitmask of
+    the endpoints of walks of exactly length L from v, and a step sets
+    walk_{L+1}[v] to the or of walk_L[w] over the neighbors w of v.  The
+    answer is the first odd L with v in walk[v] for some v, since a minimal
+    odd closed walk is an odd cycle; a non-bipartite graph has one of
+    length at most n, so the sweep ends.
     """
-    masks = g.neighbor_masks
-    n = g.n
-    best = INF
-    for s in range(n):
-        target = 1 << (s + n)
-        visited = 1 << s
-        cur = visited
-        d = 0
-        while cur:
-            if d + 1 >= best:
-                break
-            nxt = 0
-            for i in _iter_bits(cur):
-                if i < n:
-                    nxt |= masks[i] << n
-                else:
-                    nxt |= masks[i - n]
-            nxt &= ~visited
-            d += 1
-            if nxt & target:
-                best = d
-                break
-            if not nxt:
-                break
-            visited |= nxt
-            cur = nxt
-        if best == 3:
-            break
-    return best
+    if is_bipartite(g):
+        return INF
+    adj = g.adj
+    walk = list(g.neighbor_masks)
+    length = 1
+    while not any(m >> v & 1 for v, m in enumerate(walk)):
+        for _ in range(2):
+            prev = walk
+            walk = []
+            for row in adj:
+                b = 0
+                for w in row:
+                    b |= prev[w]
+                walk.append(b)
+        length += 2
+    return length
 
 
 def shortest_odd_cycle(g: Graph):
     """An explicit odd cycle of length odd_girth(g), or None if bipartite.
 
-    Plain parent-tracking BFS on the parity-layered graph; the closed walk
-    recovered at the minimizing source is simple, hence a cycle.
+    Plain parent-tracking BFS on the parity-layered graph, one layer at a
+    time, cut off once it is as deep as the best cycle found so far; the
+    closed walk recovered at the minimizing source is simple, hence a cycle.
     """
     n = g.n
     best_len = INF
     best_cycle = None
     for s in range(n):
-        start = s
         target = s + n
-        parent = {start: -1}
-        q = deque([start])
+        parent = {s: -1}
+        layer = [s]
+        depth = 0
         found = False
-        while q and not found:
-            x = q.popleft()
-            v, p = (x, 0) if x < n else (x - n, 1)
-            for w in g.adj[v]:
-                y = w + n if p == 0 else w
-                if y not in parent:
-                    parent[y] = x
-                    if y == target:
-                        found = True
-                        break
-                    q.append(y)
+        while layer and not found and depth + 1 < best_len:
+            nxt = []
+            for x in layer:
+                v, p = (x, 0) if x < n else (x - n, 1)
+                for w in g.adj[v]:
+                    y = w + n if p == 0 else w
+                    if y not in parent:
+                        parent[y] = x
+                        if y == target:
+                            found = True
+                            break
+                        nxt.append(y)
+                if found:
+                    break
+            layer = nxt
+            depth += 1
         if not found:
             continue
         walk = []
@@ -283,10 +300,8 @@ def shortest_odd_cycle(g: Graph):
             walk.append(x % n)
             x = parent[x]
         walk.reverse()  # s, ..., s of odd length
-        length = len(walk) - 1
-        if length < best_len:
-            best_len = length
-            best_cycle = walk[:-1]
+        best_len = len(walk) - 1
+        best_cycle = walk[:-1]
     return best_cycle
 
 

@@ -2,8 +2,9 @@
 
 Every oracle here deliberately avoids the code paths it is used to check:
 girth by edge-deletion BFS, odd girth by boolean adjacency powers,
-isomorphism by exhaustive backtracking over consistent injections, group
-order by listing every element.
+eccentricities and odd girth by one BFS per source instead of one sweep
+for all sources, isomorphism by exhaustive backtracking over consistent
+injections, group order by listing every element.
 """
 
 import math
@@ -68,6 +69,71 @@ def odd_girth_oracle(g):
             return length
         walk = ((walk @ two_step) > 0).astype(np.int64)
     return math.inf
+
+
+def _iter_bits(x):
+    while x:
+        b = x & -x
+        yield b.bit_length() - 1
+        x ^= b
+
+
+def per_source_eccentricities(g):
+    """Eccentricities by one bitmask BFS per source; math.inf where some
+    vertex is unreachable."""
+    masks = g.neighbor_masks
+    full = (1 << g.n) - 1
+    out = []
+    for s in range(g.n):
+        visited = 1 << s
+        cur = visited
+        d = 0
+        while cur:
+            nxt = 0
+            for v in _iter_bits(cur):
+                nxt |= masks[v]
+            nxt &= ~visited
+            if not nxt:
+                break
+            d += 1
+            visited |= nxt
+            cur = nxt
+        out.append(d if visited == full else math.inf)
+    return out
+
+
+def per_source_odd_girth(g):
+    """Odd girth as the minimum over sources s of the distance from (s, even)
+    to (s, odd) in the parity-layered graph, one bitmask BFS per source."""
+    masks = g.neighbor_masks
+    n = g.n
+    best = math.inf
+    for s in range(n):
+        target = 1 << (s + n)
+        visited = 1 << s
+        cur = visited
+        d = 0
+        while cur:
+            if d + 1 >= best:
+                break
+            nxt = 0
+            for i in _iter_bits(cur):
+                if i < n:
+                    nxt |= masks[i] << n
+                else:
+                    nxt |= masks[i - n]
+            nxt &= ~visited
+            d += 1
+            if nxt & target:
+                best = d
+                break
+            if not nxt:
+                break
+            visited |= nxt
+            cur = nxt
+        if best == 3:
+            break
+    return best
 
 
 def preserves_incidence_oracle(incident, n, mapping):

@@ -249,6 +249,30 @@ def test_gonality_and_diameter_share_one_rank2_summary(monkeypatch, tmp_path):
     assert names == ["gonality", "diameter"]
 
 
+def test_odd_girth_mismatch_witness_builds_kneser_graph_once(monkeypatch, tmp_path):
+    from knesergeom import cli
+
+    built = []
+
+    def counted(kp):
+        g = kneser_graph(kp)
+        built.append(g)
+        return g
+
+    monkeypatch.setattr(cli, "kneser_graph", counted)
+    monkeypatch.setattr(cli, "predicted_odd_girth", lambda kp: 3)
+    out = tmp_path / "cert.json"
+    code = cli.main(["verify", "--n", "7", "--k", "3", "--r", "2", "--check", "odd-girth",
+                     "--out", str(out)])
+    assert code == 1 and len(built) == 1
+    details = json.loads(out.read_text())["checks"][0]["details"]
+    assert details["predicted"] == 3 and details["computed"] == 7
+    cyc, g = details["witness_cycle"], built[0]
+    assert len(cyc) == 7 == len(set(cyc))
+    for i in range(len(cyc)):
+        assert g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)])
+
+
 def test_thickness_reports_computed_minimum():
     from types import SimpleNamespace
 
@@ -304,11 +328,14 @@ def test_verify_all_golden_certificates():
         assert hashlib.sha256(res.stdout).hexdigest() == digest, (n, k, r)
 
 
-# stdout sha256 of the rank-2 certificate, the orbit-representative
+# stdout sha256 of the rank-2 certificates, the orbit-representative
 # locally-x check and the json/dot exports, under the same rule
 GOLDEN_OUTPUTS = [
     (("verify", "--n", "7", "--k", "3", "--r", "2", "--all"), 0,
      "12f25d5b03786b308be04331b13026c30d8122dedc93a30e5466ae6a680130b1"),
+    (("verify", "--n", "12", "--k", "5", "--r", "2", "--check", "odd-girth",
+      "--check", "gonality", "--check", "diameter"), 0,
+     "d9bbfa01d1f1ba47e8471fb896e16dcf03efa109d5af07b38ad640a24320238e"),
     (("verify", "--n", "5", "--k", "2", "--r", "3", "--check", "locally-x",
       "--assume-transitive"), 0,
      "28520ca6af61c204e57e2575a68851b606c14dbacdf731df5644fca563285887"),

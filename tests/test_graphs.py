@@ -22,7 +22,15 @@ from knesergeom import (
     odd_girth,
     shortest_odd_cycle,
 )
-from helpers import girth_oracle, graph_from_nx, odd_girth_oracle, random_graph
+from knesergeom.graphs import connected_components, eccentricities
+from helpers import (
+    girth_oracle,
+    graph_from_nx,
+    odd_girth_oracle,
+    per_source_eccentricities,
+    per_source_odd_girth,
+    random_graph,
+)
 
 TRIANGLE = Graph(3, [(0, 1), (1, 2), (0, 2)])
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -144,6 +152,108 @@ def test_metric_oracles_on_random_graphs():
             assert diameter(g) == nx.diameter(nxg)
 
 
+def to_nx(g):
+    nxg = nx.empty_graph(g.n)
+    nxg.add_edges_from(g.edges())
+    return nxg
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph(offset, edges)
+
+
+def cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def with_pendant_paths(g, lengths):
+    """g with a path of lengths[i] new vertices hung off vertex i."""
+    n, edges = g.n, list(g.edges())
+    for anchor, length in enumerate(lengths):
+        prev = anchor
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph(n, edges)
+
+
+def check_eccentricities(g):
+    ecc = eccentricities(g)
+    assert ecc == per_source_eccentricities(g)
+    comps = connected_components(g)
+    if len(comps) > 1:
+        assert ecc == [INF] * g.n
+    for comp in comps:
+        sub, mapping = induced_subgraph(g, comp)
+        want = nx.eccentricity(to_nx(sub))
+        assert eccentricities(sub) == [want[i] for i in range(sub.n)]
+        if len(comps) == 1:
+            assert [ecc[v] for v in mapping] == [want[i] for i in range(sub.n)]
+
+
+def test_eccentricities_match_networkx_per_vertex():
+    assert eccentricities(Graph(0)) == []
+    assert eccentricities(Graph(1)) == [0]
+    assert eccentricities(Graph(2)) == [INF, INF]
+    assert eccentricities(PATH3) == [2, 1, 2]
+    # an isolated vertex makes every entry infinite
+    check_eccentricities(Graph(5, [(0, 1), (1, 2), (2, 3)]))
+    check_eccentricities(with_pendant_paths(cycle(9), [4, 0, 0, 2]))
+    check_eccentricities(disjoint_union(cycle(5), PATH3))
+    rng = random.Random(29)
+    disconnected = 0
+    for _ in range(120):
+        g = random_graph(rng, rng.randrange(0, 30), rng.choice([0.05, 0.1, 0.2, 0.4]))
+        disconnected += len(connected_components(g)) > 1
+        check_eccentricities(g)
+    assert disconnected > 20
+
+
+def check_odd_girth(g, want):
+    assert odd_girth(g) == per_source_odd_girth(g) == odd_girth_oracle(g) == want
+
+
+def test_odd_girth_structured_families():
+    for length in range(7, 16, 2):
+        check_odd_girth(with_pendant_paths(cycle(length), [3, 0, 1, 5]), length)
+        # only the second component has an odd cycle
+        check_odd_girth(disjoint_union(cycle(length + 1), cycle(length)), length)
+        check_odd_girth(disjoint_union(with_pendant_paths(PATH3, [2]), cycle(length)), length)
+    for length in range(4, 17, 2):
+        check_odd_girth(cycle(length), INF)
+    for a in range(1, 6):
+        for b in range(a, 7):
+            kab = Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+            check_odd_girth(kab, INF)
+    check_odd_girth(Graph(0), INF)
+    check_odd_girth(Graph(4), INF)
+
+
+@st.composite
+def sparse_graphs(draw, max_n=20):
+    """A cycle through some drawn vertices plus a few more edges: long odd
+    and even cycles, pendant trees and isolated vertices all occur."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return Graph(n)
+    ring = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    edges = list(zip(ring, ring[1:] + ring[:1])) if len(ring) >= 3 else []
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    return Graph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_graphs())
+def test_sweeps_match_per_source_bfs_property(g):
+    assert eccentricities(g) == per_source_eccentricities(g)
+    assert odd_girth(g) == per_source_odd_girth(g) == odd_girth_oracle(g)
+
+
 def test_shortest_odd_cycle(petersen):
     cyc = shortest_odd_cycle(petersen)
     assert len(cyc) == 5
@@ -151,6 +261,17 @@ def test_shortest_odd_cycle(petersen):
     for i in range(5):
         assert petersen.has_edge(cyc[i], cyc[(i + 1) % 5])
     assert shortest_odd_cycle(C4) is None
+    # a simple cycle of length odd_girth, also where a source's BFS is cut off
+    rng = random.Random(31)
+    graphs = [with_pendant_paths(cycle(11), [2, 3]), disjoint_union(cycle(6), cycle(9))]
+    graphs += [random_graph(rng, rng.randrange(3, 20), 0.15) for _ in range(40)]
+    for g in graphs:
+        cyc = shortest_odd_cycle(g)
+        if cyc is None:
+            assert odd_girth(g) == INF
+            continue
+        assert len(cyc) == odd_girth(g) == len(set(cyc))
+        assert all(g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_predictors():
 
 
 def test_odd_girth_against_formula_small():
-    for n, k in [(5, 2), (6, 2), (7, 3), (8, 3)]:
+    for n, k in [(5, 2), (6, 2), (7, 3), (8, 3), (9, 4), (11, 5), (12, 5)]:
         p = KneserParams(n, k)
         assert odd_girth(kneser_graph(p)) == predicted_odd_girth(p)
 
@@ -148,7 +148,8 @@ def test_neighborhood_geometry_kg62_counts():
 
 
 def test_gonality_diameter_vs_oracle_small():
-    for n, k in [(5, 2), (6, 2), (7, 2), (7, 3)]:
+    # (11,5) has n = 2k+1: odd girth and diameters 11, gonality 3
+    for n, k in [(5, 2), (6, 2), (7, 2), (7, 3), (9, 4), (11, 5), (12, 5)]:
         p = KneserParams(n, k)
         s = rank2_summary(kneser_neighborhood_geometry(p))
         assert s.gonality == predicted_gonality(p)
