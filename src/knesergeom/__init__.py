@@ -33,9 +33,7 @@ from .graphs import (
     shortest_odd_cycle,
 )
 from .isomorphism import (
-    CanonicalForm,
     are_isomorphic,
-    canonical_form,
     is_automorphism,
     verify_isomorphism,
 )

@@ -178,10 +178,12 @@ def _check_ip2(params, geom, args):
     return ok, details
 
 
+@functools.lru_cache(maxsize=1)
 def _verified_point_action(params, geom):
     """The incidence system and the element tables of the ground set's
     adjacent transpositions; the tables are None unless every one is a
-    verified type-preserving automorphism."""
+    verified type-preserving automorphism.  Memoised so that the
+    flag-transitivity and locally-x checks verify the tables once."""
     sys_ = geom.incidence_system()
     tables = point_tables(geom, adjacent_transpositions(params.ground_size))
     if all(is_type_preserving_automorphism(sys_, t) for t in tables):
@@ -223,28 +225,9 @@ def _check_flag_transitivity(params, geom, args):
 def _check_locally_x(params, geom, args):
     if params.r < 3:
         return True, {"skipped": "rank 2: rank-1 residues are edgeless"}
-    reference = residue_reference_graph(geom)
-    vertices = None
-    extra = {}
-    if getattr(args, "assume_transitive", False):
-        # one vertex per orbit of the type-preserving point action; falls
-        # back to the full check if a generator table is not a verified
-        # automorphism or some type splits into several orbits
-        sys_, tables = _verified_point_action(params, geom)
-        if tables is not None:
-            reps = []
-            single = True
-            for t in range(params.r):
-                count, rs = flag_orbit_count(sys_, tables, (t,))
-                single = single and count == 1
-                reps.extend(e for (e,) in rs)
-            if single:
-                vertices = sorted(reps)
-                extra["orbit_representatives"] = vertices
-    report = is_locally_x(geom.incidence_system().graph, reference, vertices=vertices)
-    details = report.to_json()
-    details.update(extra)
-    return report.ok, details
+    sys_, tables = _verified_point_action(params, geom)
+    report = is_locally_x(sys_.graph, residue_reference_graph(geom), tables or ())
+    return report.ok, report.to_json()
 
 
 def _check_odd_girth(params, geom, args):
@@ -401,11 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         choices=CHECK_NAMES,
         help="run this check (repeatable); default is --all",
-    )
-    p_verify.add_argument(
-        "--assume-transitive",
-        action="store_true",
-        help="locally-x: check one vertex per verified orbit instead of all",
     )
     p_verify.set_defaults(func=cmd_verify)
 

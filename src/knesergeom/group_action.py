@@ -50,9 +50,6 @@ class Permutation:
             mask ^= b
         return out
 
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
     @classmethod
     def identity(cls, m: int) -> "Permutation":
         return cls(range(m))

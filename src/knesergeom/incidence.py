@@ -166,10 +166,6 @@ def is_flag(sys: IncidenceSystem, elements) -> bool:
     return True
 
 
-def flag_type(sys: IncidenceSystem, elements) -> tuple[int, ...]:
-    return tuple(sorted(sys.type_of[e] for e in elements))
-
-
 def flags_of_type(sys: IncidenceSystem, J):
     """Yield every flag of type J as a sorted element tuple, depth-first in
     ascending type order."""

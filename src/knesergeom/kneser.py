@@ -22,7 +22,6 @@ kneser_geometry builds for (n, k, 2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .graphs import Graph, bipartite_double_cover
@@ -48,10 +47,6 @@ class KneserParams:
     @property
     def ground(self) -> GroundSet:
         return GroundSet(self.n)
-
-    @property
-    def n_vertices(self) -> int:
-        return math.comb(self.n, self.k)
 
 
 def kneser_graph(p: KneserParams) -> Graph:

@@ -1,10 +1,12 @@
 """Locally-X verification: does every vertex neighborhood induce X?
 
 A graph is locally X when the subgraph induced on the neighbors of every
-vertex is isomorphic to X.  The check here is exhaustive by design: every
-vertex is tested by an isomorphism search against X, which rejects at once
-when the vertex counts, the edge counts or the refined cell profiles differ
-and otherwise returns a bijection verified edge by edge.
+vertex is isomorphic to X.  Every vertex gets a verdict backed by an
+edge-verified bijection N(v) -> X or by a failed isomorphism search.  The
+bijection either comes from a search or is carried from an already matched
+vertex along a given automorphism table and then checked edge by edge, so a
+table that is not really an automorphism can cost searches but never makes
+a vertex pass.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, graph_digest, induced_subgraph
-from .isomorphism import are_isomorphic
+from .isomorphism import are_isomorphic, verify_isomorphism
 from .incidence import residue
 from .kneser_geometry import KneserGeometry
 
@@ -61,36 +63,69 @@ def _mapping_digest(mapping) -> str:
     return hashlib.sha256(",".join(map(str, mapping)).encode()).hexdigest()
 
 
-def is_locally_x(g: Graph, x: Graph, vertices=None) -> LocallyXReport:
-    """Check the vertices of g (all of them unless told otherwise).
+def _carried_map(g: Graph, table, u: int, map_u):
+    """u's bijection N(u) -> X moved to N(table[u]) along table: the
+    neighbor table[y] of table[u] goes where map_u sends y.  None unless
+    table sends N(u) onto N(table[u])."""
+    pos_w = {z: j for j, z in enumerate(g.adj[table[u]])}
+    if len(pos_w) != len(map_u):
+        return None
+    carried = [None] * len(map_u)
+    for y, image in zip(g.adj[u], map_u):
+        j = pos_w.get(table[y])
+        if j is None:
+            return None
+        carried[j] = image
+    return carried
 
-    Each neighborhood goes to are_isomorphic, whose refinement pre-check
-    certifies a mismatch and whose returned bijection is edge-verified
-    before it counts.
 
-    The transitivity shortcut is off by default: pass orbit representatives
-    via `vertices` to check one vertex per orbit instead of all of them.
+def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
+    """Check every vertex of g.
+
+    Vertices are taken in ascending order.  One that is not yet matched goes
+    to are_isomorphic, whose refinement pre-check certifies a mismatch and
+    whose returned bijection is edge-verified.  From each matched vertex u
+    the match spreads over the vertex permutations in `automorphisms`: an
+    unmatched w = t[u] takes u's bijection carried along t, which counts
+    only if verify_isomorphism passes on N(w); otherwise w gets its own
+    search.  Only matched vertices spread further, so with tables from a
+    group with one orbit per type the check runs one search per type.
     """
-    targets = sorted(set(range(g.n) if vertices is None else vertices))
-    for v in targets:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+    for t in automorphisms:
+        if len(t) != g.n or set(t) != set(range(g.n)):
+            raise ValueError("every table must be a permutation of the vertices of g")
+    results: list[Optional[VertexCheck]] = [None] * g.n
+    spreading: list = []  # (matched vertex, its bijection N(v) -> X)
 
-    def check(v: int) -> VertexCheck:
-        nbhd, _ = neighborhood_graph(g, v)
-        mapping = are_isomorphic(nbhd, x)
+    def settle(v: int, mapping) -> None:
         if mapping is None:
-            return VertexCheck(v, False, None)
-        return VertexCheck(v, True, _mapping_digest(mapping))
+            results[v] = VertexCheck(v, False, None)
+        else:
+            results[v] = VertexCheck(v, True, _mapping_digest(mapping))
+            spreading.append((v, mapping))
 
-    results = [check(v) for v in targets]
+    for root in range(g.n):
+        if results[root] is not None:
+            continue
+        settle(root, are_isomorphic(neighborhood_graph(g, root)[0], x))
+        while spreading:
+            u, map_u = spreading.pop()
+            for t in automorphisms:
+                w = t[u]
+                if results[w] is not None:
+                    continue
+                nbhd = neighborhood_graph(g, w)[0]
+                carried = _carried_map(g, t, u, map_u)
+                if carried is None or not verify_isomorphism(nbhd, x, carried):
+                    carried = are_isomorphic(nbhd, x)
+                settle(w, carried)
 
     failures = tuple(r.vertex for r in results if not r.isomorphic)
     return LocallyXReport(
         graph_digest=graph_digest(g),
         reference_digest=graph_digest(x),
-        total=len(targets),
-        passed=len(targets) - len(failures),
+        total=g.n,
+        passed=g.n - len(failures),
         failures=failures,
         per_vertex=tuple(results),
     )

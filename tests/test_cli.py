@@ -189,43 +189,47 @@ def test_build_out_io_error_exit3(tmp_path):
     assert res.returncode == 3
 
 
-def test_assume_transitive_checks_orbit_reps():
-    res = run_cli(
-        "verify", "--n", "5", "--k", "2", "--r", "3",
-        "--check", "locally-x", "--assume-transitive",
-    )
-    assert res.returncode == 0
-    cert = json.loads(res.stdout)
-    details = cert["checks"][0]["details"]
-    assert details["total"] == 3  # one representative per type
-    assert details["orbit_representatives"] == [0, 21, 42]
+def _recording(results, fn):
+    def recorded(*args):
+        result = fn(*args)
+        results.append(result)
+        return result
+
+    return recorded
 
 
-def test_assume_transitive_needs_verified_tables(monkeypatch, tmp_path):
-    from knesergeom import cli, is_type_preserving_automorphism
+def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
+    from knesergeom import cli, locally_x
 
-    real_point_tables = cli.point_tables
-
-    def shifted_tables(geom, perms):
-        # a cyclic shift inside each type: type-preserving with one orbit
-        # per type, but not an automorphism
-        tables = real_point_tables(geom, perms)
-        sys_ = geom.incidence_system()
-        per = sys_.n_elements // sys_.rank
-        shift = tuple(e - e % per + (e + 1) % per for e in range(sys_.n_elements))
-        assert not is_type_preserving_automorphism(sys_, shift)
-        return [shift] * len(tables)
-
-    monkeypatch.setattr(cli, "point_tables", shifted_tables)
+    searches, edge_checks, table_checks = [], [], []
+    monkeypatch.setattr(locally_x, "are_isomorphic",
+                        _recording(searches, locally_x.are_isomorphic))
+    monkeypatch.setattr(locally_x, "verify_isomorphism",
+                        _recording(edge_checks, locally_x.verify_isomorphism))
+    monkeypatch.setattr(cli, "is_type_preserving_automorphism",
+                        _recording(table_checks, cli.is_type_preserving_automorphism))
     out = tmp_path / "cert.json"
-    code = cli.main([
-        "verify", "--n", "5", "--k", "2", "--r", "3",
-        "--check", "locally-x", "--assume-transitive", "--out", str(out),
-    ])
-    assert code == 0
-    details = json.loads(out.read_text())["checks"][0]["details"]
-    assert details["total"] == 63  # every vertex, not one per claimed orbit
-    assert "orbit_representatives" not in details
+    code = cli.main(["verify", "--n", "6", "--k", "2", "--r", "3", "--all", "--out", str(out)])
+    assert code == 1  # ip2 fails at n > 2k+1
+    check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["locally-x"]
+    assert check["pass"]
+    assert check["details"]["total"] == check["details"]["passed"] == 84
+    # one search per type; every other vertex takes a carried map that
+    # passes its edge check
+    assert len(searches) == 3 and all(m is not None for m in searches)
+    assert len(edge_checks) == 81 and all(edge_checks)
+    # flag-transitivity and locally-x share one verification of the 7
+    # adjacent-transposition tables of the 8 ground points
+    assert len(table_checks) == 7 and all(table_checks)
+
+
+def test_assume_transitive_is_an_unknown_argument(capsys):
+    from knesergeom import cli
+
+    code = cli.main(["verify", "--n", "5", "--k", "2", "--r", "3",
+                     "--check", "locally-x", "--assume-transitive"])
+    assert code == 2
+    assert "--assume-transitive" in capsys.readouterr().err
 
 
 def test_gonality_and_diameter_share_one_rank2_summary(monkeypatch, tmp_path):
@@ -328,17 +332,16 @@ def test_verify_all_golden_certificates():
         assert hashlib.sha256(res.stdout).hexdigest() == digest, (n, k, r)
 
 
-# stdout sha256 of the rank-2 certificates, the orbit-representative
-# locally-x check and the json/dot exports, under the same rule
+# stdout sha256 of the rank-2 certificates, the rank-4 locally-x check and
+# the json/dot exports, under the same rule
 GOLDEN_OUTPUTS = [
     (("verify", "--n", "7", "--k", "3", "--r", "2", "--all"), 0,
      "12f25d5b03786b308be04331b13026c30d8122dedc93a30e5466ae6a680130b1"),
     (("verify", "--n", "12", "--k", "5", "--r", "2", "--check", "odd-girth",
       "--check", "gonality", "--check", "diameter"), 0,
      "d9bbfa01d1f1ba47e8471fb896e16dcf03efa109d5af07b38ad640a24320238e"),
-    (("verify", "--n", "5", "--k", "2", "--r", "3", "--check", "locally-x",
-      "--assume-transitive"), 0,
-     "28520ca6af61c204e57e2575a68851b606c14dbacdf731df5644fca563285887"),
+    (("verify", "--n", "5", "--k", "2", "--r", "4", "--check", "locally-x"), 0,
+     "2b55cda67c193bd0606dd81f99d9ffca81abcf4a4bcf0694587842d7a1f1c15c"),
     (("build", "--n", "5", "--k", "2", "--r", "3", "--format", "json"), 0,
      "302fd3f62e30309c60c7b2c9c07a3315cb97c907f400885fcee647bdefb94094"),
     (("build", "--n", "5", "--k", "2", "--r", "3", "--format", "dot"), 0,

@@ -338,3 +338,23 @@ def test_graph6_roundtrip_property(n, seed):
     rng = random.Random(seed)
     g = random_graph(rng, n, 0.4)
     assert graph6_decode(graph6_encode(g)) == g
+
+
+_G6_BODY = st.one_of(
+    st.binary(max_size=24),
+    st.lists(st.integers(63, 126), max_size=24).map(bytes),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([b"", b">>graph6<<"]), st.sampled_from([b"", b"~", b"~~"]), _G6_BODY)
+def test_graph6_decode_fuzz(header, size_prefix, body):
+    # any input either fails with a located Graph6Error or decodes to a
+    # graph that survives a round trip; bytes need not match, since
+    # non-canonical long size fields such as b"~??@" (n = 1) are accepted
+    try:
+        g = graph6_decode(header + size_prefix + body)
+    except Graph6Error as exc:
+        assert isinstance(exc.offset, int)
+        return
+    assert graph6_decode(graph6_encode(g)) == g

@@ -1,11 +1,11 @@
 import random
 
 import networkx as nx
+from hypothesis import given, settings, strategies as st
 
 from knesergeom import (
     Graph,
     are_isomorphic,
-    canonical_form,
     verify_isomorphism,
 )
 from knesergeom.isomorphism import color_refine, wl_signature
@@ -22,21 +22,20 @@ def relabel(g, perm):
 
 def test_c5_relabel_invariance():
     rng = random.Random(1)
-    base = canonical_form(C5).digest
     for _ in range(10):
         perm = list(range(5))
         rng.shuffle(perm)
-        assert canonical_form(relabel(C5, perm)).digest == base
+        h = relabel(C5, perm)
+        mapping = are_isomorphic(C5, h)
+        assert mapping is not None and verify_isomorphism(C5, h, mapping)
 
 
 def test_same_degree_sequence_distinguished():
-    assert canonical_form(C6).digest != canonical_form(TWO_C3).digest
     assert are_isomorphic(C6, TWO_C3) is None
 
 
 def test_desargues_vs_dodecahedron(desargues):
     dod = graph_from_nx(nx.dodecahedral_graph())
-    assert canonical_form(desargues).digest != canonical_form(dod).digest
     assert are_isomorphic(desargues, dod) is None
     assert are_isomorphic(desargues, graph_from_nx(nx.desargues_graph())) is not None
 
@@ -61,12 +60,10 @@ def test_relabel_closure_on_corpus(petersen, desargues):
     rng = random.Random(42)
     corpus = [C5, C6, TWO_C3, petersen, desargues, random_graph(rng, 9, 0.4)]
     for g in corpus:
-        base = canonical_form(g).digest
         for _ in range(50):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = relabel(g, perm)
-            assert canonical_form(h).digest == base
             mapping = are_isomorphic(g, h)
             assert mapping is not None and verify_isomorphism(g, h, mapping)
 
@@ -96,8 +93,8 @@ def test_wl_signature_prefilter(petersen):
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert wl_signature(star) != wl_signature(path)
     assert wl_signature(petersen) == wl_signature(relabel(petersen, list(reversed(range(10)))))
-    # regular graphs can collide on the signature; the full search and the
-    # canonical digest still separate them
+    # regular graphs can collide on the signature; the full search still
+    # separates them
     assert wl_signature(C6) == wl_signature(TWO_C3)
     assert are_isomorphic(C6, TWO_C3) is None
 
@@ -113,3 +110,43 @@ def test_brute_force_agreement_small():
         assert (ours is None) == (brute is None)
         if ours is not None:
             assert verify_isomorphism(g, h, ours)
+
+
+@st.composite
+def relabelled_pair(draw):
+    """A graph on up to 12 vertices, a relabelling of it, and the same
+    relabelling with one edge moved onto a non-edge (None when the graph is
+    empty or complete)."""
+    n = draw(st.integers(0, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, b in zip(pairs, bits) if b]
+    non_edges = [p for p, b in zip(pairs, bits) if not b]
+    perm = draw(st.permutations(range(n)))
+    g = Graph(n, edges)
+    h = relabel(g, perm)
+    near = None
+    if edges and non_edges:
+        moved = draw(st.sampled_from(edges))
+        added = draw(st.sampled_from(non_edges))
+        near = relabel(Graph(n, [e for e in edges if e != moved] + [added]), perm)
+    return g, h, near
+
+
+def _nx(g):
+    nxg = nx.empty_graph(g.n)
+    nxg.add_edges_from(g.edges())
+    return nxg
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_pair())
+def test_are_isomorphic_matches_networkx_property(case):
+    g, h, near = case
+    mapping = are_isomorphic(g, h)
+    assert mapping is not None and verify_isomorphism(g, h, mapping)
+    if near is not None:
+        found = are_isomorphic(g, near)
+        assert (found is not None) == nx.is_isomorphic(_nx(g), _nx(near))
+        if found is not None:
+            assert verify_isomorphism(g, near, found)

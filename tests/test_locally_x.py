@@ -4,13 +4,16 @@ from knesergeom import (
     GeometryParams,
     Graph,
     KneserParams,
+    adjacent_transpositions,
     are_isomorphic,
     bipartite_double_cover,
     build_geometry,
     incidence_graph,
     is_locally_x,
+    is_type_preserving_automorphism,
     kneser_graph,
     neighborhood_graph,
+    point_tables,
     residue_reference_graph,
 )
 from knesergeom.subsets import GroundSet, enumerate_k_subsets
@@ -93,3 +96,59 @@ def test_report_json_shape(petersen):
     doc = report.to_json()
     assert set(doc) == {"graph", "reference", "total", "passed", "failed"}
     assert doc["total"] == 21 and doc["failed"] == []
+
+
+def _geometry_523():
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    tables = point_tables(geom, adjacent_transpositions(7))
+    return geom.incidence_system(), residue_reference_graph(geom), tables
+
+
+def test_verified_tables_same_report_fewer_searches(monkeypatch):
+    from knesergeom import locally_x
+
+    sys_, x, tables = _geometry_523()
+    plain = is_locally_x(sys_.graph, x)
+    searches = []
+
+    def counted(g, h):
+        searches.append(g.n)
+        return are_isomorphic(g, h)
+
+    monkeypatch.setattr(locally_x, "are_isomorphic", counted)
+    carried = is_locally_x(sys_.graph, x, tables)
+    assert carried.to_json() == plain.to_json()
+    assert carried.ok and carried.total == 63
+    assert all(r.mapping_digest for r in carried.per_vertex)
+    assert len(searches) == 3  # one per type
+
+
+def test_non_automorphism_tables_change_nothing():
+    # a cyclic shift inside each type is type-preserving with one orbit per
+    # type, but not an automorphism: its carried maps fail their edge
+    # checks and every vertex is searched as with no tables
+    sys_, x, _ = _geometry_523()
+    per = sys_.n_elements // sys_.rank
+    shift = tuple(e - e % per + (e + 1) % per for e in range(sys_.n_elements))
+    assert not is_type_preserving_automorphism(sys_, shift)
+    assert is_locally_x(sys_.graph, x, [shift]) == is_locally_x(sys_.graph, x)
+
+
+def test_carried_maps_are_edge_checked():
+    # the point tables of the intact geometry are not automorphisms of the
+    # graph with one edge removed; carrying maps along them must not make
+    # a damaged neighborhood pass
+    sys_, x, tables = _geometry_523()
+    edges = sys_.graph.edges()
+    damaged = Graph(sys_.graph.n, edges[1:])
+    plain = is_locally_x(damaged, x)
+    assert plain.failures == (0, 26, 56, 61, 62)
+    assert is_locally_x(damaged, x, tables).failures == plain.failures
+
+
+def test_tables_must_be_permutations():
+    sys_, x, tables = _geometry_523()
+    with pytest.raises(ValueError):
+        is_locally_x(sys_.graph, x, [tables[0][:-1]])
+    with pytest.raises(ValueError):
+        is_locally_x(sys_.graph, x, [(0,) * sys_.graph.n])
