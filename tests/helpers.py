@@ -4,7 +4,8 @@ Every oracle here deliberately avoids the code paths it is used to check:
 girth by edge-deletion BFS, odd girth by boolean adjacency powers,
 eccentricities and odd girth by one BFS per source instead of one sweep
 for all sources, isomorphism by exhaustive backtracking over consistent
-injections, group order by listing every element.
+injections, group order by listing every element, colour refinement by
+recomputing every vertex's neighbour-colour multiset each round.
 """
 
 import math
@@ -175,6 +176,28 @@ def tuple_orbit_group_order(gens):
                 seen.add(img)
                 queue.append(img)
     return len(seen)
+
+
+def wl_refine_oracle(adj, colors):
+    """Stable 1-WL refinement of the given coloring.
+
+    Every round rebuilds each vertex's key (old color, sorted neighbor
+    colors) and re-ranks the distinct keys, until the number of colors
+    stops growing.
+    """
+    n = len(adj)
+    colors = list(colors)
+    ncls = len(set(colors))
+    while True:
+        keys = [
+            (colors[v], tuple(sorted(colors[u] for u in adj[v])))
+            for v in range(n)
+        ]
+        ids = {key: i for i, key in enumerate(sorted(set(keys)))}
+        new = [ids[k] for k in keys]
+        if len(ids) == ncls:
+            return tuple(new)
+        colors, ncls = new, len(ids)
 
 
 def brute_force_isomorphism(g, h):

@@ -144,6 +144,22 @@ def test_locally_x_failure_exit1(tmp_path):
     assert doc["failed"] == [0, 1, 2, 3]
 
 
+def test_locally_x_deep_search_reports(tmp_path):
+    # the centre of the star K_{1,1100} has 1,100 isolated neighbours, like
+    # X; matching them takes a search 1,099 levels deep
+    from knesergeom import Graph
+
+    gf = tmp_path / "star.g6"
+    rf = tmp_path / "x.g6"
+    gf.write_bytes(graph6_encode(Graph(1101, [(0, i) for i in range(1, 1101)])) + b"\n")
+    rf.write_bytes(graph6_encode(Graph(1100)) + b"\n")
+    res = run_cli("locally-x", str(gf), str(rf))
+    assert res.returncode == 1
+    doc = json.loads(res.stdout)
+    assert doc["total"] == 1101 and doc["passed"] == 1
+    assert doc["failed"] == list(range(1, 1101))
+
+
 def test_locally_x_parse_error_exit2(tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_bytes(b"\x01\x02\x03\n")

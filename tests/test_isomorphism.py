@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from knesergeom import (
     verify_isomorphism,
 )
 from knesergeom.isomorphism import color_refine, wl_signature
-from helpers import brute_force_isomorphism, graph_from_nx, random_graph
+from helpers import brute_force_isomorphism, graph_from_nx, random_graph, wl_refine_oracle
 
 C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
 C6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -150,3 +151,76 @@ def test_are_isomorphic_matches_networkx_property(case):
         assert (found is not None) == nx.is_isomorphic(_nx(g), _nx(near))
         if found is not None:
             assert verify_isomorphism(g, near, found)
+
+
+@st.composite
+def colored_relabelled(draw):
+    """A graph on up to 14 vertices with a coloring in at most 4 colors, and
+    a permutation pi of its vertices."""
+    n = draw(st.integers(0, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    colors = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [p for p, b in zip(pairs, bits) if b]), colors, perm
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_relabelled())
+def test_color_refine_matches_wl_oracle_property(case):
+    g, colors, perm = case
+    ids = color_refine(g.adj, colors)
+    oracle = wl_refine_oracle(g.adj, colors)
+    # the same set partition: cell ids and oracle colors correspond 1-1
+    assert len(set(zip(ids, oracle))) == len(set(ids)) == len(set(oracle))
+    relabelled_colors = [0] * g.n
+    for v in range(g.n):
+        relabelled_colors[perm[v]] = colors[v]
+    new_ids = color_refine(relabel(g, perm).adj, relabelled_colors)
+    assert all(new_ids[perm[v]] == ids[v] for v in range(g.n))
+
+
+def cayley_z4xz4(connection):
+    """Cayley graph on Z4 x Z4 with a symmetric connection set."""
+    elems = [(a, b) for a in range(4) for b in range(4)]
+    index = {e: i for i, e in enumerate(elems)}
+    edges = {
+        tuple(sorted((index[(a, b)], index[((a + c) % 4, (b + d) % 4)])))
+        for a, b in elems
+        for c, d in connection
+    }
+    return Graph(16, edges)
+
+
+def test_rook_vs_shrikhande_backtracks():
+    # both are SRG(16, 6, 2, 2): 1-WL cannot tell them apart, so the search
+    # has to individualize and backtrack before it rejects the pair
+    rook = cayley_z4xz4([(a, 0) for a in (1, 2, 3)] + [(0, b) for b in (1, 2, 3)])
+    shrikhande = cayley_z4xz4([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+    for g in (rook, shrikhande):
+        assert all(g.degree(v) == 6 for v in range(16)) and g.n_edges == 48
+        for u, v in combinations(range(16), 2):
+            common = (g.neighbor_masks[u] & g.neighbor_masks[v]).bit_count()
+            assert common == 2
+    assert wl_signature(rook) == wl_signature(shrikhande)
+    assert are_isomorphic(rook, shrikhande) is None
+    assert are_isomorphic(shrikhande, rook) is None
+    # in their disjoint union 1-WL sees one cell, so a candidate from the
+    # wrong component fails only after individualization and is backtracked
+    union = Graph(32, rook.edges() + [(u + 16, v + 16) for u, v in shrikhande.edges()])
+    rng = random.Random(16)
+    for g in (rook, shrikhande, union):
+        for _ in range(20):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            mapping = are_isomorphic(g, h)
+            assert mapping is not None and verify_isomorphism(g, h, mapping)
+
+
+def test_deep_search_has_no_recursion_limit():
+    # an edgeless graph is never split by refinement, so the search
+    # individualizes one vertex per level, n - 1 levels deep
+    g = Graph(1200)
+    mapping = are_isomorphic(g, Graph(1200))
+    assert mapping is not None and verify_isomorphism(g, Graph(1200), mapping)

@@ -152,3 +152,23 @@ def test_tables_must_be_permutations():
         is_locally_x(sys_.graph, x, [tables[0][:-1]])
     with pytest.raises(ValueError):
         is_locally_x(sys_.graph, x, [(0,) * sys_.graph.n])
+
+
+def test_reference_is_refined_once(monkeypatch):
+    from knesergeom import isomorphism
+
+    sys_, x, _ = _geometry_523()
+    isomorphism._reference_path.cache_clear()
+    on_x = []
+    refine = isomorphism._refine
+
+    def recorded(masks, *args):
+        if masks is x.neighbor_masks:
+            on_x.append(len(masks))
+        return refine(masks, *args)
+
+    monkeypatch.setattr(isomorphism, "_refine", recorded)
+    report = is_locally_x(sys_.graph, x)
+    assert report.ok and report.total == 63
+    depth = len(isomorphism._reference_path(x, (0,) * x.n).levels) - 1
+    assert 1 <= len(on_x) <= depth + 1
