@@ -41,7 +41,9 @@ from .incidence import (
     flags_of_type,
     is_geometry,
     is_residually_connected,
+    rank2_summary,
     satisfies_ip2,
+    summary_to_json,
     system_to_json,
 )
 from .kneser import (
@@ -57,27 +59,12 @@ from .kneser_geometry import (
     chamber_count,
     predicted_diagram,
 )
-from .incidence import rank2_summary, summary_to_json
 from .locally_x import is_locally_x, residue_reference_graph
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-CHECK_NAMES = [
-    "geometry",
-    "residual-connectivity",
-    "thickness",
-    "diagram",
-    "ip2",
-    "flag-transitivity",
-    "locally-x",
-    "odd-girth",
-    "gonality",
-    "diameter",
-]
-
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -101,17 +88,13 @@ def _write(text, out_path) -> int:
     return EXIT_OK
 
 
-def _geometry_params(args) -> GeometryParams:
-    return GeometryParams(args.n, args.k, args.r)
-
-
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
     try:
-        params = _geometry_params(args)
+        params = GeometryParams(args.n, args.k, args.r)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -134,7 +117,7 @@ def cmd_build(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_geometry(params, geom, args):
+def _check_geometry(params, geom):
     ok, witness = is_geometry(geom.incidence_system())
     details = {"elements": geom.n_elements, "per_type": params.per_type}
     if witness is not None:
@@ -142,7 +125,7 @@ def _check_geometry(params, geom, args):
     return ok, details
 
 
-def _check_residual_connectivity(params, geom, args):
+def _check_residual_connectivity(params, geom):
     ok, failing = is_residually_connected(geom.incidence_system())
     details = {}
     if failing is not None:
@@ -150,7 +133,7 @@ def _check_residual_connectivity(params, geom, args):
     return ok, details
 
 
-def _check_thickness(params, geom, args):
+def _check_thickness(params, geom):
     """Thick iff every rank-1 residue has at least three elements; reports
     the smallest size found."""
     smallest = min(size for _, size in _rank1_residue_sizes(geom.incidence_system()))
@@ -158,7 +141,7 @@ def _check_thickness(params, geom, args):
     return thick, {"rank1_residue_size": smallest, "thick": thick}
 
 
-def _check_diagram(params, geom, args):
+def _check_diagram(params, geom):
     computed = buekenhout_diagram(geom.incidence_system(), verify_uniformity=True)
     predicted = predicted_diagram(params)
     ok = computed == predicted
@@ -169,7 +152,7 @@ def _check_diagram(params, geom, args):
     }
 
 
-def _check_ip2(params, geom, args):
+def _check_ip2(params, geom):
     ok, pair, flag = satisfies_ip2(geom.incidence_system())
     details = {"closed_form_predicts": params.n == 2 * params.k + 1}
     if pair is not None:
@@ -191,7 +174,7 @@ def _verified_point_action(params, geom):
     return sys_, None
 
 
-def _check_flag_transitivity(params, geom, args):
+def _check_flag_transitivity(params, geom):
     gens = adjacent_transpositions(params.ground_size)
     sys_, tables = _verified_point_action(params, geom)
     if tables is None:
@@ -222,7 +205,7 @@ def _check_flag_transitivity(params, geom, args):
     return transitive and swaps_ok, details
 
 
-def _check_locally_x(params, geom, args):
+def _check_locally_x(params, geom):
     if params.r < 3:
         return True, {"skipped": "rank 2: rank-1 residues are edgeless"}
     sys_, tables = _verified_point_action(params, geom)
@@ -230,7 +213,7 @@ def _check_locally_x(params, geom, args):
     return report.ok, report.to_json()
 
 
-def _check_odd_girth(params, geom, args):
+def _check_odd_girth(params, geom):
     kp = params.kneser
     predicted = predicted_odd_girth(kp)
     g = kneser_graph(kp)
@@ -248,7 +231,7 @@ def _neighborhood_summary(kp):
     return rank2_summary(kneser_neighborhood_geometry(kp))
 
 
-def _check_gonality(params, geom, args):
+def _check_gonality(params, geom):
     kp = params.kneser
     s = _neighborhood_summary(kp)
     predicted = predicted_gonality(kp)
@@ -258,7 +241,7 @@ def _check_gonality(params, geom, args):
     }
 
 
-def _check_diameter(params, geom, args):
+def _check_diameter(params, geom):
     kp = params.kneser
     s = _neighborhood_summary(kp)
     predicted = predicted_diameter(kp)
@@ -278,11 +261,12 @@ _CHECKS = {
     "gonality": _check_gonality,
     "diameter": _check_diameter,
 }
+CHECK_NAMES = list(_CHECKS)
 
 
 def cmd_verify(args) -> int:
     try:
-        params = _geometry_params(args)
+        params = GeometryParams(args.n, args.k, args.r)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -296,7 +280,7 @@ def cmd_verify(args) -> int:
     for name in CHECK_NAMES:
         if name not in selected:
             continue
-        ok, details = _CHECKS[name](params, geom, args)
+        ok, details = _CHECKS[name](params, geom)
         checks.append({"name": name, "pass": ok, "details": details})
         all_ok = all_ok and ok
     cert = {

@@ -2,10 +2,11 @@
 
 Everything here is deterministic and exact: BFS distances, girth, odd girth,
 diameter, connectivity, bipartiteness, induced subgraphs, the bipartite
-double cover, and graph6 I/O.  Girth runs one BFS per source over
-per-vertex neighbor bitmasks; eccentricities and odd girth run one
-synchronous sweep that grows a bitmask per vertex for every source at once,
-so the inner loops stay in word operations.  Infinity is represented by
+double cover, and graph6 I/O.  Connectivity is one bitmask search,
+component_mask, which also serves the residue checks.  Girth runs one BFS
+per source over per-vertex neighbor bitmasks; eccentricities and odd girth
+run one synchronous sweep that grows a bitmask per vertex for every source
+at once, so the inner loops stay in word operations.  Infinity is represented by
 math.inf.
 """
 
@@ -148,29 +149,33 @@ def diameter(g: Graph):
     return max(eccentricities(g))
 
 
+def component_mask(masks, start: int, within: int) -> int:
+    """Bitmask of the vertices reachable from start inside the vertex set
+    within (a bitmask that holds start), given per-vertex neighbor masks."""
+    seen = cur = 1 << start
+    while cur:
+        nxt = 0
+        for v in _iter_bits(cur):
+            nxt |= masks[v]
+        cur = nxt & within & ~seen
+        seen |= cur
+    return seen
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return bfs_distances(g, 0).count(-1) == 0
+    full = (1 << g.n) - 1
+    return g.n == 0 or component_mask(g.neighbor_masks, 0, full) == full
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    seen = [False] * g.n
+    """Vertex sets of the components, each sorted, in order of their
+    smallest vertex."""
     comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        q = deque([s])
-        seen[s] = True
-        while q:
-            u = q.popleft()
-            comp.append(u)
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    q.append(w)
-        comps.append(tuple(sorted(comp)))
+    left = (1 << g.n) - 1
+    while left:
+        comp = component_mask(g.neighbor_masks, (left & -left).bit_length() - 1, left)
+        comps.append(tuple(_iter_bits(comp)))
+        left &= ~comp
     return comps
 
 

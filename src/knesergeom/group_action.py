@@ -5,19 +5,19 @@ Point permutations of the ground set act on elements by mapping subsets
 pointwise inside each type; type permutations act by relabeling the copies.
 point_tables turns ground-set permutations into element-index tables, once;
 every other function here sees only an IncidenceSystem and such tables.
-Orbit computations are plain BFS closures over table images, so orbit size
-equals transitivity evidence: the chamber orbit under the symmetric group's
-generators reaching every chamber certifies flag-transitivity on chambers,
-and one orbit per flag type certifies it in full.  The order of a group of
-ground-set permutations is computed exactly from a base and strong
-generating set (deterministic Schreier-Sims), never by listing the group's
-elements.
+Orbit computations share one BFS closure over table images, _orbit; for
+flag_orbit_count it reaches only flags not yet assigned to an orbit.  Orbit
+size equals transitivity evidence: the chamber orbit under the symmetric
+group's generators reaching every chamber certifies flag-transitivity on
+chambers, and one orbit per flag type certifies it in full.  The order of
+a group of ground-set permutations is computed exactly from a base and
+strong generating set (deterministic Schreier-Sims), never by listing the
+group's elements.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .incidence import IncidenceSystem, flags_of_type
 from .isomorphism import is_automorphism
@@ -102,41 +102,49 @@ def is_type_preserving_automorphism(sys: IncidenceSystem, table) -> bool:
     )
 
 
+def _orbit(tables, start, pool=None) -> int:
+    """Size of the orbit of a sorted flag under the group the element
+    tables generate, closed by BFS over table images.  Without a pool every
+    image is reached, and a set records what was.  With a pool (a set of
+    flags without start), only flags still in the pool are reached, and
+    each is taken out of it when reached, so no second set is built."""
+    reached = {start} if pool is None else None
+    queue = [start]
+    for flag in queue:  # grows while it is scanned
+        for table in tables:
+            img = tuple(sorted([table[e] for e in flag]))
+            if pool is None:
+                if img in reached:
+                    continue
+                reached.add(img)
+            elif img in pool:
+                pool.remove(img)
+            else:
+                continue
+            queue.append(img)
+    return len(queue)
+
+
 def chamber_orbit_size(sys: IncidenceSystem, tables, start) -> int:
     """Size of the orbit of a chamber under the group the element tables
     generate."""
     start = tuple(sorted(start))
     if len(start) != sys.rank:
         raise ValueError("start flag is not a chamber")
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        flag = queue.popleft()
-        for table in tables:
-            img = tuple(sorted([table[e] for e in flag]))
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return len(seen)
+    return _orbit(tables, start)
 
 
 def flag_orbit_count(sys: IncidenceSystem, tables, J) -> tuple[int, list[tuple[int, ...]]]:
     """Partition the flags of type J into orbits of the group the element
-    tables generate; returns (count, one representative per orbit)."""
+    tables generate; returns (count, one representative per orbit).  Each
+    orbit is closed inside the flags not yet assigned to an earlier one."""
     todo = set(flags_of_type(sys, J))
     reps = []
     while todo:
         rep = min(todo)
         reps.append(rep)
-        todo.discard(rep)
-        queue = deque([rep])
-        while queue:
-            flag = queue.popleft()
-            for table in tables:
-                img = tuple(sorted([table[e] for e in flag]))
-                if img in todo:
-                    todo.discard(img)
-                    queue.append(img)
+        todo.remove(rep)
+        _orbit(tables, rep, todo)
     return len(reps), reps
 
 

@@ -3,10 +3,13 @@
 An IncidenceSystem stores typed elements together with a symmetric
 incidence relation in which distinct incident elements always have distinct
 types, i.e. the incidence graph is rank-partite.  On top of that sit the
-structural predicates: the geometry test (every maximal clique of the
-incidence graph is a chamber), residual connectedness, firmness/thickness,
-rank-2 classification (generalised digon / partial linear space / neither),
-the rank-2 intersection property, and Buekenhout diagram extraction.
+structural predicates: the geometry test (every flag lies in a chamber),
+residual connectedness, firmness/thickness, rank-2 classification
+(generalised digon / partial linear space / neither), the rank-2
+intersection property, and Buekenhout diagram extraction.  All of them read
+one walk, _residues, which yields every flag of a type together with the
+bitmask of its residue; a non-chamber flag with an empty residue is a
+maximal non-chamber flag.
 
 All counts are exact integers; math.inf only ever appears as a gonality or
 diameter of degenerate systems.
@@ -21,6 +24,7 @@ from typing import NamedTuple, Optional
 from .graphs import (
     Graph,
     INF,
+    component_mask,
     connected_components,
     eccentricities,
     girth,
@@ -166,82 +170,59 @@ def is_flag(sys: IncidenceSystem, elements) -> bool:
     return True
 
 
-def flags_of_type(sys: IncidenceSystem, J):
-    """Yield every flag of type J as a sorted element tuple, depth-first in
-    ascending type order."""
+def _residues(sys: IncidenceSystem, J):
+    """Yield (flag, residue mask) for every flag of type J: the flag as a
+    sorted element tuple, depth-first in ascending type order, and the
+    bitmask that residue_mask would return for it."""
     J = tuple(sorted(J))
     if len(set(J)) != len(J) or any(t not in set(sys.types) for t in J):
         raise ValueError(f"types {J} not a subset of {sys.types}")
-    if not J:
-        yield ()
-        return
-    full = (1 << sys.n_elements) - 1
     masks = sys.element_masks
+    type_masks = [sys.type_mask(t) for t in J]
 
     def extend(idx, chosen, cand):
         if idx == len(J):
-            yield tuple(sorted(chosen))
+            yield tuple(sorted(chosen)), cand
             return
-        pool = cand & sys.type_mask(J[idx])
+        pool = cand & type_masks[idx]
         while pool:
             b = pool & -pool
             e = b.bit_length() - 1
             pool ^= b
             yield from extend(idx + 1, chosen + (e,), cand & masks[e])
 
-    yield from extend(0, (), full)
+    yield from extend(0, (), (1 << sys.n_elements) - 1)
 
 
-# ---------------------------------------------------------------------------
-# geometry predicate via maximal cliques
-# ---------------------------------------------------------------------------
+def flags_of_type(sys: IncidenceSystem, J):
+    """Every flag of type J as a sorted element tuple, depth-first in
+    ascending type order."""
+    return (flag for flag, _ in _residues(sys, J))
 
-def _maximal_cliques(masks, n):
-    """Bron-Kerbosch with pivoting over bitmask adjacency; yields bitmasks."""
 
-    def bk(r, p, x):
-        if not p and not x:
-            yield r
-            return
-        # pivot: candidate from p|x covering most of p (scan capped for speed)
-        pool = p | x
-        pivot, cover, scanned = -1, -1, 0
-        t = pool
-        while t and scanned < 48:
-            b = t & -t
-            u = b.bit_length() - 1
-            t ^= b
-            c = (p & masks[u]).bit_count()
-            if c > cover:
-                pivot, cover = u, c
-            scanned += 1
-        branch = p & ~masks[pivot] if pivot >= 0 else p
-        while branch:
-            b = branch & -branch
-            v = b.bit_length() - 1
-            branch ^= b
-            yield from bk(r | b, p & masks[v], x & masks[v])
-            p &= ~b
-            x |= b
-
-    yield from bk(0, (1 << n) - 1, 0)
+def _cotype(sys: IncidenceSystem, J) -> tuple[int, ...]:
+    return tuple(t for t in sys.types if t not in J)
 
 
 class GeometryCheck(NamedTuple):
     ok: bool
-    witness: Optional[tuple[int, ...]]  # a maximal non-chamber flag, if any
+    # the first non-chamber flag with an empty residue (so a maximal
+    # non-chamber flag), if any
+    witness: Optional[tuple[int, ...]]
 
 
 def is_geometry(sys: IncidenceSystem) -> GeometryCheck:
-    """True iff every maximal clique of the incidence graph meets all types,
-    i.e. every flag extends to a chamber."""
+    """True iff every flag extends to a chamber, i.e. no flag of size below
+    the rank has an empty residue.  The witness is the first such flag, by
+    size, then type, then the flag walk's order; it is a maximal
+    non-chamber flag."""
     if sys.rank < 1:
         raise ValueError("geometry test needs rank >= 1")
-    rank = sys.rank
-    for clique in _maximal_cliques(sys.element_masks, sys.n_elements):
-        if clique.bit_count() != rank:
-            witness = tuple(e for e in range(sys.n_elements) if clique >> e & 1)
-            return GeometryCheck(False, witness)
+    for size in range(sys.rank):
+        for J in combinations(sys.types, size):
+            for flag, cand in _residues(sys, J):
+                if cand == 0:
+                    return GeometryCheck(False, flag)
     return GeometryCheck(True, None)
 
 
@@ -257,6 +238,10 @@ def residue_mask(sys: IncidenceSystem, flag) -> int:
     for e in flag:
         cand &= sys.element_masks[e]
     return cand
+
+
+def _members(sys: IncidenceSystem, mask: int) -> list[int]:
+    return [e for e in range(sys.n_elements) if mask >> e & 1]
 
 
 def _restriction(sys: IncidenceSystem, keep, types) -> IncidenceSystem:
@@ -278,10 +263,8 @@ def residue(sys: IncidenceSystem, flag) -> tuple[IncidenceSystem, tuple[int, ...
     flag = tuple(sorted(set(flag)))
     if not is_flag(sys, flag):
         raise FlagError("not a flag")
-    cand = residue_mask(sys, flag)
-    keep = [e for e in range(sys.n_elements) if cand >> e & 1]
-    flag_types = {sys.type_of[e] for e in flag}
-    new_types = tuple(t for t in sys.types if t not in flag_types)
+    keep = _members(sys, residue_mask(sys, flag))
+    new_types = _cotype(sys, {sys.type_of[e] for e in flag})
     return _restriction(sys, keep, new_types), tuple(keep)
 
 
@@ -294,28 +277,6 @@ def truncation(sys: IncidenceSystem, J) -> IncidenceSystem:
     return _restriction(sys, keep, tuple(sorted(J)))
 
 
-def _residue_connected(sys, flag) -> bool:
-    """Connectivity of the residue's incidence graph, computed on masks."""
-    cand = residue_mask(sys, flag)
-    if cand == 0:
-        return True
-    start = (cand & -cand).bit_length() - 1
-    visited = 1 << start
-    cur = visited
-    while cur:
-        nxt = 0
-        t = cur
-        while t:
-            b = t & -t
-            v = b.bit_length() - 1
-            t ^= b
-            nxt |= sys.element_masks[v]
-        nxt &= cand & ~visited
-        visited |= nxt
-        cur = nxt
-    return visited == cand
-
-
 class ResidualConnectivityCheck(NamedTuple):
     ok: bool
     failing_flag: Optional[tuple[int, ...]]
@@ -325,23 +286,21 @@ def is_residually_connected(sys: IncidenceSystem) -> ResidualConnectivityCheck:
     """Every residue of rank >= 2 (the empty flag included) has a connected
     incidence graph.  Only flags of corank >= 2 matter; smaller residues are
     vacuous."""
+    masks = sys.element_masks
     for size in range(0, max(sys.rank - 1, 0)):
         for J in combinations(sys.types, size):
-            for flag in flags_of_type(sys, J):
-                if not _residue_connected(sys, flag):
+            for flag, cand in _residues(sys, J):
+                start = (cand & -cand).bit_length() - 1
+                if cand and component_mask(masks, start, cand) != cand:
                     return ResidualConnectivityCheck(False, flag)
     return ResidualConnectivityCheck(True, None)
 
 
-def _rank1_residue_sizes_of_cotype(sys, cotype):
-    for flag in flags_of_type(sys, cotype):
-        yield flag, residue_mask(sys, flag).bit_count()
-
-
 def _rank1_residue_sizes(sys: IncidenceSystem):
+    """(flag, residue size) for every flag of corank 1."""
     for i in sys.types:
-        cotype = tuple(t for t in sys.types if t != i)
-        yield from _rank1_residue_sizes_of_cotype(sys, cotype)
+        for flag, cand in _residues(sys, _cotype(sys, (i,))):
+            yield flag, cand.bit_count()
 
 
 def is_firm(sys: IncidenceSystem) -> bool:
@@ -367,37 +326,35 @@ class RankTwoSummary:
     classification: str
 
 
-def _classify_bipartite(side_a_masks, side_b_masks, a_mask, b_mask) -> str:
-    """Digon / partial linear space / neither, without assuming connectivity.
+def _classify(sys: IncidenceSystem, cand: int, pair) -> str:
+    """Digon / partial linear space / neither for the rank-2 system on the
+    elements of the bitmask cand, whose types are pair, without assuming
+    connectivity.
 
     A generalised digon is a complete bipartite incidence with at least two
     elements on each side (so gonality and both diameters equal 2); a
     partial linear space has no 4-cycle, i.e. no two elements of one side
-    sharing two common neighbors.  A complete bipartite system with a
-    singleton side has no 4-cycle and lands in the linear-space class.
+    sharing two common neighbors.  A 4-cycle has two elements on each side,
+    so scanning the pairs of one side finds every one.  A complete
+    bipartite system with a singleton side has no 4-cycle and lands in the
+    linear-space class.
     """
-    na, nb = a_mask.bit_count(), b_mask.bit_count()
-    complete = all(m & b_mask == b_mask for m in side_a_masks)
-    if complete and na >= 2 and nb >= 2:
+    masks = sys.element_masks
+    a_mask, b_mask = cand & sys.type_mask(pair[0]), cand & sys.type_mask(pair[1])
+    side = [masks[e] & b_mask for e in range(sys.n_elements) if a_mask >> e & 1]
+    if len(side) >= 2 and b_mask.bit_count() >= 2 and all(m == b_mask for m in side):
         return DIGON
-    for masks, other in ((side_a_masks, b_mask), (side_b_masks, a_mask)):
-        for i in range(len(masks)):
-            mi = masks[i] & other
-            for j in range(i + 1, len(masks)):
-                if (mi & masks[j]).bit_count() >= 2:
-                    return NEITHER
+    for i, mi in enumerate(side):
+        for mj in side[i + 1:]:
+            if (mi & mj).bit_count() >= 2:
+                return NEITHER
     return PARTIAL_LINEAR_SPACE
 
 
 def classify_rank2(sys: IncidenceSystem) -> str:
     if sys.rank != 2:
         raise ValueError("classification needs a rank-2 system")
-    ta, tb = sys.types
-    a = sys.elements_of_type(ta)
-    b = sys.elements_of_type(tb)
-    am, bm = sys.type_mask(ta), sys.type_mask(tb)
-    masks = sys.element_masks
-    return _classify_bipartite([masks[e] for e in a], [masks[e] for e in b], am, bm)
+    return _classify(sys, (1 << sys.n_elements) - 1, sys.types)
 
 
 def rank2_summary(sys: IncidenceSystem) -> RankTwoSummary:
@@ -405,14 +362,14 @@ def rank2_summary(sys: IncidenceSystem) -> RankTwoSummary:
     type's elements), and the classification of a connected rank-2 system."""
     if sys.rank != 2:
         raise ValueError("rank2_summary needs a rank-2 system")
-    comps = connected_components(sys.graph)
-    if len(comps) > 1:
+    ecc = eccentricities(sys.graph)
+    if INF in ecc:  # some element is unreachable from another
+        comps = connected_components(sys.graph)
         raise DisconnectedGeometryError(
             f"incidence graph has {len(comps)} components", comps
         )
     gv = girth(sys.graph)
     gon = INF if gv == INF else gv // 2
-    ecc = eccentricities(sys.graph)
     dias = []
     for t in sys.types:
         elems = sys.elements_of_type(t)
@@ -437,19 +394,11 @@ def satisfies_ip2(sys: IncidenceSystem) -> Ip2Check:
     assumed."""
     if sys.rank < 2:
         return Ip2Check(True, None, None)
-    masks = sys.element_masks
     for J in combinations(sys.types, sys.rank - 2):
-        pair = tuple(t for t in sys.types if t not in set(J))
-        for flag in flags_of_type(sys, J):
-            cand = residue_mask(sys, flag)
-            a = [masks[e] & cand for e in range(sys.n_elements)
-                 if cand >> e & 1 and sys.type_of[e] == pair[0]]
-            b = [masks[e] & cand for e in range(sys.n_elements)
-                 if cand >> e & 1 and sys.type_of[e] == pair[1]]
-            am = cand & sys.type_mask(pair[0])
-            bm = cand & sys.type_mask(pair[1])
-            if _classify_bipartite(a, b, am, bm) == NEITHER:
-                return Ip2Check(False, (pair[0], pair[1]), flag)
+        pair = _cotype(sys, J)
+        for flag, cand in _residues(sys, J):
+            if _classify(sys, cand, pair) == NEITHER:
+                return Ip2Check(False, pair, flag)
     return Ip2Check(True, None, None)
 
 
@@ -487,43 +436,40 @@ def buekenhout_diagram(sys: IncidenceSystem, verify_uniformity: bool = False) ->
     verify_uniformity=True to check that all residues of each kind agree.
     """
     counts = {t: len(sys.elements_of_type(t)) for t in sys.types}
-    orders = {}
-    for i in sys.types:
-        cotype = tuple(t for t in sys.types if t != i)
-        first_flag, first_size = None, None
-        for flag, size in _rank1_residue_sizes_of_cotype(sys, cotype):
+
+    def uniform(J, value, label, kind):
+        """value(residue mask) at the first flag of type J; with
+        verify_uniformity, also at every other flag of type J."""
+        first_flag = first = None
+        for flag, cand in _residues(sys, J):
+            v = value(cand)
             if first_flag is None:
-                first_flag, first_size = flag, size
+                first_flag, first = flag, v
                 if not verify_uniformity:
                     break
-            elif size != first_size:
+            elif v != first:
                 raise ValueError(
-                    f"non-uniform {i}-order: flag {first_flag} gives {first_size - 1}, "
-                    f"flag {flag} gives {size - 1}"
+                    f"non-uniform {label}-{kind}: flag {first_flag} gives {first}, "
+                    f"flag {flag} gives {v}"
                 )
         if first_flag is None:
-            raise ValueError(f"no flag of cotype {i}; not a geometry")
-        orders[i] = first_size - 1
+            raise ValueError(f"no flag of cotype {label}; not a geometry")
+        return first
+
+    orders = {
+        i: uniform(_cotype(sys, (i,)), lambda cand: cand.bit_count() - 1, i, "order")
+        for i in sys.types
+    }
     edges = {}
-    for i, j in combinations(sys.types, 2):
-        J = tuple(t for t in sys.types if t not in (i, j))
-        first_flag, summary = None, None
-        for flag in flags_of_type(sys, J):
-            sub, _ = residue(sys, flag)
-            s = rank2_summary(sub)
-            if summary is None:
-                first_flag, summary = flag, s
-                if not verify_uniformity:
-                    break
-            elif s != summary:
-                raise ValueError(
-                    f"non-uniform {{{i},{j}}}-residues: flag {first_flag} gives "
-                    f"{summary}, flag {flag} gives {s}"
-                )
-        if summary is None:
-            raise ValueError(f"no flag of cotype {{{i},{j}}}; not a geometry")
+    for pair in combinations(sys.types, 2):
+        summary = uniform(
+            _cotype(sys, pair),
+            lambda cand: rank2_summary(_restriction(sys, _members(sys, cand), pair)),
+            f"{{{pair[0]},{pair[1]}}}",
+            "residues",
+        )
         if summary.classification != DIGON:
-            edges[(i, j)] = summary
+            edges[pair] = summary
     return BuekenhoutDiagram(sys.types, orders, counts, edges)
 
 

@@ -5,14 +5,28 @@ girth by edge-deletion BFS, odd girth by boolean adjacency powers,
 eccentricities and odd girth by one BFS per source instead of one sweep
 for all sources, isomorphism by exhaustive backtracking over consistent
 injections, group order by listing every element, colour refinement by
-recomputing every vertex's neighbour-colour multiset each round.
+recomputing every vertex's neighbour-colour multiset each round, flags by
+itertools.product over the per-type element lists, residue connectivity
+and the geometry test (maximal cliques) by networkx.
 """
 
+import itertools
 import math
 import random
 from collections import deque
 
-from knesergeom import Graph, KSubset, colex_rank
+import networkx as nx
+from hypothesis import strategies as st
+
+from knesergeom import (
+    DIGON,
+    NEITHER,
+    PARTIAL_LINEAR_SPACE,
+    Graph,
+    IncidenceSystem,
+    KSubset,
+    colex_rank,
+)
 
 
 def random_graph(rng, n, p):
@@ -253,3 +267,123 @@ def isomorphism_corpus(seed=99):
         for i in range(count):
             corpus.append(random_graph(rng, n, densities[i % len(densities)]))
     return corpus
+
+
+# ---------------------------------------------------------------------------
+# residue checks
+# ---------------------------------------------------------------------------
+
+@st.composite
+def typed_systems(draw, max_rank=4):
+    """A typed incidence system of rank 2 to max_rank with arbitrary int
+    type labels and 1 to 3 elements per type.  Incidences are either every
+    incidence of a few drawn chambers (often a geometry), a drawn subset of
+    the cross-type pairs, or all of them but a few (often thick and
+    connected), so both verdicts of every residue check occur."""
+    rank = draw(st.integers(2, max_rank))
+    labels = st.lists(st.integers(0, 9), min_size=rank, max_size=rank, unique=True)
+    types = sorted(draw(labels))
+    counts = draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
+    type_of = [t for t, c in zip(types, counts) for _ in range(c)]
+    n = len(type_of)
+    pairs = [
+        (x, y) for x, y in itertools.combinations(range(n), 2) if type_of[x] != type_of[y]
+    ]
+    mode = draw(st.sampled_from(["chambers", "subset", "all_but"]))
+    if mode == "chambers":
+        of_type = [[e for e in range(n) if type_of[e] == t] for t in types]
+        chamber = st.tuples(*map(st.sampled_from, of_type))
+        chambers = draw(st.lists(chamber, min_size=1, max_size=6))
+        incid = {pair for c in chambers for pair in itertools.combinations(c, 2)}
+    else:
+        drawn = set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+        incid = drawn if mode == "subset" else set(pairs) - drawn
+    return IncidenceSystem(types, type_of, sorted(incid))
+
+
+def nx_incidence_graph(sys):
+    g = nx.Graph()
+    g.add_nodes_from(range(sys.n_elements))
+    g.add_edges_from(sys.graph.edges())
+    return g
+
+
+def flags_oracle(g, type_of, J):
+    """Flags of type J, sorted: one element per type of J, pairwise
+    adjacent in the networkx incidence graph g."""
+    per_type = [[e for e in g if type_of[e] == t] for t in J]
+    return sorted(
+        tuple(sorted(c))
+        for c in itertools.product(*per_type)
+        if all(g.has_edge(a, b) for a, b in itertools.combinations(c, 2))
+    )
+
+
+def residue_oracle(g, flag):
+    """The elements outside the flag incident to every flag element, on the
+    networkx incidence graph g."""
+    return {e for e in g if e not in flag and all(g.has_edge(e, f) for f in flag)}
+
+
+def classify_oracle(g, type_of, elements, pair):
+    """Digon / partial linear space / neither for the rank-2 system on the
+    given elements, by counting common neighbours on both sides."""
+    a = [e for e in elements if type_of[e] == pair[0]]
+    b = [e for e in elements if type_of[e] == pair[1]]
+    if len(a) >= 2 and len(b) >= 2 and all(g.has_edge(x, y) for x in a for y in b):
+        return DIGON
+    for side in (a, b):
+        for x, y in itertools.combinations(side, 2):
+            if len(set(g[x]) & set(g[y]) & set(elements)) >= 2:
+                return NEITHER
+    return PARTIAL_LINEAR_SPACE
+
+
+def residue_verdicts_oracle(sys):
+    """Brute-force verdicts of the residue checks: geometry (every maximal
+    clique of the incidence graph is a chamber), residual connectivity,
+    ip2, firmness and thickness, plus the sorted (flag, size) list of the
+    rank-1 residues."""
+    g = nx_incidence_graph(sys)
+    types, rank = sys.types, sys.rank
+    cliques = list(nx.find_cliques(g))
+
+    def flags_of_corank(c):
+        for J in itertools.combinations(types, rank - c):
+            for flag in flags_oracle(g, sys.type_of, J):
+                yield flag, residue_oracle(g, flag), tuple(t for t in types if t not in J)
+
+    connected = all(
+        not res or nx.is_connected(g.subgraph(res))
+        for c in range(2, rank + 1)
+        for _, res, _ in flags_of_corank(c)
+    )
+    ip2 = all(
+        classify_oracle(g, sys.type_of, res, pair) != NEITHER
+        for _, res, pair in flags_of_corank(2)
+    )
+    rank1 = sorted((flag, len(res)) for flag, res, _ in flags_of_corank(1))
+    return {
+        "geometry": bool(cliques) and all(len(c) == rank for c in cliques),
+        "residually_connected": connected,
+        "ip2": ip2,
+        "firm": all(size >= 2 for _, size in rank1),
+        "thick": all(size >= 3 for _, size in rank1),
+        "rank1_sizes": rank1,
+    }
+
+
+def restricted_orbit_reps_oracle(flags, tables):
+    """Orbit representatives (component minima) of flags under involutive
+    element tables, where an image that is not among the flags is dropped:
+    the components of the graph joining each flag to each of its images
+    that is a flag.  With involutions that graph is the orbit relation."""
+    flags = set(flags)
+    g = nx.Graph()
+    g.add_nodes_from(flags)
+    for flag in flags:
+        for table in tables:
+            img = tuple(sorted(table[e] for e in flag))
+            if img in flags:
+                g.add_edge(flag, img)
+    return sorted(min(comp) for comp in nx.connected_components(g))

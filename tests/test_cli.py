@@ -302,7 +302,7 @@ def test_thickness_reports_computed_minimum():
     # the smallest rank-1 residue has one element (C(n-k,k) = 3 here)
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
     stand_in = SimpleNamespace(incidence_system=lambda: vertex_edge_geometry(path))
-    ok, details = cli._check_thickness(GeometryParams(5, 2, 3), stand_in, None)
+    ok, details = cli._check_thickness(GeometryParams(5, 2, 3), stand_in)
     assert ok is False
     assert details == {"rank1_residue_size": 1, "thick": False}
 
@@ -348,8 +348,8 @@ def test_verify_all_golden_certificates():
         assert hashlib.sha256(res.stdout).hexdigest() == digest, (n, k, r)
 
 
-# stdout sha256 of the rank-2 certificates, the rank-4 locally-x check and
-# the json/dot exports, under the same rule
+# stdout sha256 of the rank-2 certificates, the rank-4 locally-x and residue
+# checks and the json/dot exports, under the same rule
 GOLDEN_OUTPUTS = [
     (("verify", "--n", "7", "--k", "3", "--r", "2", "--all"), 0,
      "12f25d5b03786b308be04331b13026c30d8122dedc93a30e5466ae6a680130b1"),
@@ -358,6 +358,10 @@ GOLDEN_OUTPUTS = [
      "d9bbfa01d1f1ba47e8471fb896e16dcf03efa109d5af07b38ad640a24320238e"),
     (("verify", "--n", "5", "--k", "2", "--r", "4", "--check", "locally-x"), 0,
      "2b55cda67c193bd0606dd81f99d9ffca81abcf4a4bcf0694587842d7a1f1c15c"),
+    (("verify", "--n", "5", "--k", "2", "--r", "4", "--check", "geometry",
+      "--check", "residual-connectivity", "--check", "thickness", "--check", "diagram",
+      "--check", "ip2"), 0,
+     "ca647f13c31062bd5a3d7176e206f6052d6fa7c7643d9c4cd6e0dac2a7e52cd6"),
     (("build", "--n", "5", "--k", "2", "--r", "3", "--format", "json"), 0,
      "302fd3f62e30309c60c7b2c9c07a3315cb97c907f400885fcee647bdefb94094"),
     (("build", "--n", "5", "--k", "2", "--r", "3", "--format", "dot"), 0,

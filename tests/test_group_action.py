@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knesergeom import (
     GeometryParams,
@@ -19,7 +21,13 @@ from knesergeom import (
     point_tables,
     type_swap_map,
 )
-from helpers import colex_point_table, preserves_incidence_oracle, tuple_orbit_group_order
+from helpers import (
+    colex_point_table,
+    preserves_incidence_oracle,
+    restricted_orbit_reps_oracle,
+    tuple_orbit_group_order,
+    typed_systems,
+)
 
 
 def test_permutation_validation():
@@ -118,6 +126,50 @@ def test_flag_orbits_detect_disjoint_copies():
     swap_copies = (2, 3, 0, 1)
     count, _ = flag_orbit_count(two_digons, [swap_copies], (0, 1))
     assert count == 1
+
+
+def test_flag_orbits_stop_at_non_flags():
+    from knesergeom import IncidenceSystem
+
+    # a path 0-3-1-4-2: swapping the end points 0 and 2 sends the chambers
+    # (0,3) and (2,4) to the non-flags (2,3) and (0,4), and swapping the
+    # lines 3 and 4 joins those two non-flags; no flag image joins the end
+    # chambers, so they stay in separate orbits
+    path = IncidenceSystem((0, 1), [0, 0, 0, 1, 1], [(0, 3), (1, 3), (1, 4), (2, 4)])
+    swap_ends, swap_lines = (2, 1, 0, 3, 4), (0, 1, 2, 4, 3)
+    tables = [swap_ends, swap_lines]
+    count, reps = flag_orbit_count(path, tables, (0, 1))
+    assert (count, reps) == (3, [(0, 3), (1, 3), (2, 4)])
+    assert reps == restricted_orbit_reps_oracle(flags_of_type(path, (0, 1)), tables)
+
+
+@st.composite
+def systems_with_involutions(draw):
+    """A typed system of rank 2 or 3 and one to three element tables, each
+    a product of disjoint transpositions that need not preserve types or
+    incidence."""
+    sys_ = draw(typed_systems(max_rank=3))
+    n = sys_.n_elements
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        table = list(range(n))
+        points = draw(st.permutations(range(n)))
+        for a, b in zip(points[0::2], points[1::2]):
+            if draw(st.booleans()):
+                table[a], table[b] = b, a
+        tables.append(tuple(table))
+    return sys_, tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_with_involutions())
+def test_flag_orbit_count_matches_brute_force_property(case):
+    sys_, tables = case
+    for size in range(1, sys_.rank + 1):
+        for J in itertools.combinations(sys_.types, size):
+            count, reps = flag_orbit_count(sys_, tables, J)
+            assert reps == restricted_orbit_reps_oracle(flags_of_type(sys_, J), tables)
+            assert count == len(reps)
 
 
 def test_type_swap_on_geometry():

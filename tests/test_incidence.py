@@ -1,4 +1,8 @@
+from itertools import combinations
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from knesergeom import (
     DIGON,
@@ -24,11 +28,20 @@ from knesergeom import (
 )
 from knesergeom.incidence import (
     DisconnectedGeometryError,
+    _rank1_residue_sizes,
     classify_rank2,
     diagram_to_dot,
     flags_of_type,
     is_flag,
     system_to_json,
+)
+from helpers import (
+    classify_oracle,
+    flags_oracle,
+    nx_incidence_graph,
+    residue_oracle,
+    residue_verdicts_oracle,
+    typed_systems,
 )
 
 
@@ -125,6 +138,84 @@ def test_residual_connectivity():
     )
     ok, flag = is_residually_connected(two)
     assert not ok and flag == ()
+
+
+def test_residual_connectivity_fails_below_the_empty_flag():
+    # two chambers sharing only the point 0: the whole incidence graph and
+    # every line's and plane's residue are connected, the point's residue
+    # {1, 3} + {2, 4} is not
+    bowtie = IncidenceSystem(
+        (0, 1, 2),
+        [0, 1, 1, 2, 2],
+        [(0, 1), (0, 3), (1, 3), (0, 2), (0, 4), (2, 4)],
+    )
+    assert is_geometry(bowtie).ok
+    assert is_residually_connected(bowtie) == (False, (0,))
+
+
+def _flag_type(sys_, flag):
+    return tuple(sorted(sys_.type_of[e] for e in flag))
+
+
+@settings(max_examples=300, deadline=None)
+@given(typed_systems())
+def test_residue_checks_match_brute_force_property(sys_):
+    g = nx_incidence_graph(sys_)
+    want = residue_verdicts_oracle(sys_)
+    rank = sys_.rank
+    for size in range(rank + 1):
+        for J in combinations(sys_.types, size):
+            flags = flags_oracle(g, sys_.type_of, J)
+            assert sorted(flags_of_type(sys_, J)) == flags
+            for flag in flags:
+                mask = residue_mask(sys_, flag)
+                assert {e for e in g if mask >> e & 1} == residue_oracle(g, flag)
+
+    def is_oracle_flag(flag):
+        return flag in flags_oracle(g, sys_.type_of, _flag_type(sys_, flag))
+
+    # geometry: the witness is a non-chamber flag with an empty residue
+    ok, witness = is_geometry(sys_)
+    assert ok == want["geometry"]
+    if ok:
+        assert witness is None
+    else:
+        assert is_oracle_flag(witness) and len(witness) < rank
+        assert residue_oracle(g, witness) == set()
+
+    # residual connectivity: the witness is a flag of corank >= 2 whose
+    # residue is disconnected
+    ok, flag = is_residually_connected(sys_)
+    assert ok == want["residually_connected"]
+    if ok:
+        assert flag is None
+    else:
+        res = residue_oracle(g, flag)
+        assert is_oracle_flag(flag) and len(flag) <= rank - 2
+        assert res and not nx.is_connected(g.subgraph(res))
+
+    # ip2: the witness is a corank-2 flag whose residue, of the given
+    # pair of types, is neither a digon nor a partial linear space
+    ok, pair, flag = satisfies_ip2(sys_)
+    assert ok == want["ip2"]
+    if ok:
+        assert (pair, flag) == (None, None)
+    else:
+        assert is_oracle_flag(flag) and len(flag) == rank - 2
+        assert pair == tuple(t for t in sys_.types if t not in _flag_type(sys_, flag))
+        assert classify_oracle(g, sys_.type_of, residue_oracle(g, flag), pair) == NEITHER
+
+    assert is_firm(sys_) == want["firm"]
+    assert is_thick(sys_) == want["thick"]
+    assert sorted(_rank1_residue_sizes(sys_)) == want["rank1_sizes"]
+
+    # every rank-2 residue, and the system itself at rank 2
+    for J in combinations(sys_.types, rank - 2):
+        pair = tuple(t for t in sys_.types if t not in J)
+        for flag in flags_oracle(g, sys_.type_of, J):
+            sub, _ = residue(sys_, flag)
+            got = classify_rank2(sub)
+            assert got == classify_oracle(g, sys_.type_of, residue_oracle(g, flag), pair)
 
 
 def test_firm_thick():
