@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import sys
-from itertools import combinations, permutations
+from itertools import combinations
 
 from . import __version__
 from .graphs import (
@@ -26,7 +26,6 @@ from .graphs import (
 )
 from .group_action import (
     adjacent_transpositions,
-    chamber_orbit_size,
     flag_orbit_count,
     is_type_preserving_automorphism,
     permutation_group_order,
@@ -38,7 +37,6 @@ from .incidence import (
     buekenhout_diagram,
     diagram_to_dot,
     diagram_to_json,
-    flags_of_type,
     is_geometry,
     is_residually_connected,
     rank2_summary,
@@ -180,16 +178,19 @@ def _check_flag_transitivity(params, geom):
     if tables is None:
         return False, {"generators_checked": len(gens), "automorphisms": False}
     total = chamber_count(params)
-    start = next(flags_of_type(sys_, range(params.r)))
-    orbit = chamber_orbit_size(sys_, tables, start)
     orbit_counts = {}
-    transitive = orbit == total
+    transitive = True
     for size in range(1, params.r + 1):
         for J in combinations(range(params.r), size):
-            count, _ = flag_orbit_count(sys_, tables, J)
-            orbit_counts[",".join(map(str, J))] = count
-            transitive = transitive and count == 1
-    swaps_ok = all(type_swap_map(sys_, sigma)[1] for sigma in permutations(range(params.r)))
+            orbits = flag_orbit_count(sys_, tables, J)
+            orbit_counts[",".join(map(str, J))] = len(orbits)
+            transitive = transitive and len(orbits) == 1
+    # J is now the chamber type, and orbits[0] the orbit of the first chamber
+    orbit = orbits[0][1]
+    transitive = transitive and orbit == total
+    # label-pairing maps compose, so the adjacent type transpositions are
+    # valid exactly when every type permutation is
+    swaps_ok = all(type_swap_map(sys_, t.images)[1] for t in adjacent_transpositions(params.r))
     details = {
         "orbit_size": orbit,
         "total": total,

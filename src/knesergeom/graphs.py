@@ -364,21 +364,11 @@ def graph6_encode(g: Graph) -> bytes:
     column-major order, packed 6 bits per byte, each byte offset by 63."""
     if g.n > _G6_MAX_N:
         raise ValueError(f"graph6 supports at most {_G6_MAX_N} vertices")
-    out = bytearray(_g6_encode_n(g.n))
-    bits = 0
-    nbits = 0
-    for j in range(1, g.n):
-        col = g.neighbor_masks[j]
-        for i in range(j):
-            bits = (bits << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(bits + 63)
-                bits = 0
-                nbits = 0
-    if nbits:
-        out.append((bits << (6 - nbits)) + 63)
-    return bytes(out)
+    masks = g.neighbor_masks
+    # column j lists bits 0..j-1 of vertex j's mask, lowest first
+    bits = "".join(format(masks[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    bits += "0" * (-len(bits) % 6)
+    return _g6_encode_n(g.n) + bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
 
 
 def graph6_decode(data) -> Graph:

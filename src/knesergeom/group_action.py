@@ -5,14 +5,16 @@ Point permutations of the ground set act on elements by mapping subsets
 pointwise inside each type; type permutations act by relabeling the copies.
 point_tables turns ground-set permutations into element-index tables, once;
 every other function here sees only an IncidenceSystem and such tables.
-Orbit computations share one BFS closure over table images, _orbit; for
-flag_orbit_count it reaches only flags not yet assigned to an orbit.  Orbit
-size equals transitivity evidence: the chamber orbit under the symmetric
-group's generators reaching every chamber certifies flag-transitivity on
-chambers, and one orbit per flag type certifies it in full.  The order of
-a group of ground-set permutations is computed exactly from a base and
-strong generating set (deterministic Schreier-Sims), never by listing the
-group's elements.
+Every orbit is closed once, by one BFS over table images inside a pool of
+flags that it consumes, _orbit: flag_orbit_count sorts the flags of a type
+once and returns each orbit's smallest flag and size, and
+chamber_orbit_size closes a chamber inside the chambers.  One orbit per
+flag type, the chamber orbit holding every chamber, certifies
+flag-transitivity.  Label-pairing type swaps compose, so they are valid for
+the adjacent type transpositions exactly when they are valid for every type
+permutation.  The order of a group of ground-set permutations is computed
+exactly from a base and strong generating set (deterministic
+Schreier-Sims), never by listing the group's elements.
 """
 
 from __future__ import annotations
@@ -102,50 +104,42 @@ def is_type_preserving_automorphism(sys: IncidenceSystem, table) -> bool:
     )
 
 
-def _orbit(tables, start, pool=None) -> int:
-    """Size of the orbit of a sorted flag under the group the element
-    tables generate, closed by BFS over table images.  Without a pool every
-    image is reached, and a set records what was.  With a pool (a set of
-    flags without start), only flags still in the pool are reached, and
-    each is taken out of it when reached, so no second set is built."""
-    reached = {start} if pool is None else None
+def _orbit(tables, start, pool) -> int:
+    """Size of the orbit of the sorted flag start under the group the
+    element tables generate, closed by BFS over table images inside pool, a
+    dict that maps each flag of a set holding start to itself.  Only flags
+    still in the pool are reached, and each is popped from it when reached,
+    so no second set is built, and the queue holds the pool's own tuples
+    rather than copies of them."""
+    del pool[start]
     queue = [start]
     for flag in queue:  # grows while it is scanned
         for table in tables:
-            img = tuple(sorted([table[e] for e in flag]))
-            if pool is None:
-                if img in reached:
-                    continue
-                reached.add(img)
-            elif img in pool:
-                pool.remove(img)
-            else:
-                continue
-            queue.append(img)
+            img = pool.pop(tuple(sorted([table[e] for e in flag])), None)
+            if img is not None:
+                queue.append(img)
     return len(queue)
 
 
 def chamber_orbit_size(sys: IncidenceSystem, tables, start) -> int:
     """Size of the orbit of a chamber under the group the element tables
-    generate."""
+    generate, closed inside the chambers."""
     start = tuple(sorted(start))
-    if len(start) != sys.rank:
+    chambers = {c: c for c in flags_of_type(sys, sys.types)}
+    if start not in chambers:
         raise ValueError("start flag is not a chamber")
-    return _orbit(tables, start)
+    return _orbit(tables, start, chambers)
 
 
-def flag_orbit_count(sys: IncidenceSystem, tables, J) -> tuple[int, list[tuple[int, ...]]]:
+def flag_orbit_count(sys: IncidenceSystem, tables, J) -> list[tuple[tuple[int, ...], int]]:
     """Partition the flags of type J into orbits of the group the element
-    tables generate; returns (count, one representative per orbit).  Each
-    orbit is closed inside the flags not yet assigned to an earlier one."""
-    todo = set(flags_of_type(sys, J))
-    reps = []
-    while todo:
-        rep = min(todo)
-        reps.append(rep)
-        todo.remove(rep)
-        _orbit(tables, rep, todo)
-    return len(reps), reps
+    tables generate; returns one (representative, size) pair per orbit, the
+    representative being the orbit's smallest flag.  The flags are sorted
+    once, and each orbit is closed inside the flags not yet assigned to an
+    earlier one, from the first flag left in sorted order."""
+    flags = sorted(flags_of_type(sys, J))
+    pool = {f: f for f in flags}
+    return [(f, _orbit(tables, f, pool)) for f in flags if f in pool]
 
 
 def type_swap_map(sys: IncidenceSystem, sigma) -> tuple[tuple[int, ...] | None, bool]:

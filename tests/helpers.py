@@ -301,6 +301,42 @@ def typed_systems(draw, max_rank=4):
     return IncidenceSystem(types, type_of, sorted(incid))
 
 
+@st.composite
+def labelled_typed_systems(draw, max_rank=4):
+    """A typed incidence system of rank 2 to max_rank whose elements carry
+    labels from "abc", one to three per type, the same set for every type
+    or one set per type.  Elements (s, x) and (t, y) of distinct types are
+    incident when {x, y} lies in the label relation drawn for the type pair
+    {s, t} out of one or two relations, and then up to two drawn element
+    pairs flip, so the label-pairing type swaps are valid for all, some or
+    none of the type permutations."""
+    rank = draw(st.integers(2, max_rank))
+    types = sorted(draw(st.lists(st.integers(0, 9), min_size=rank, max_size=rank, unique=True)))
+    label_sets = st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)
+    if draw(st.booleans()):
+        per_type = [sorted(draw(label_sets))] * rank
+    else:
+        per_type = [sorted(draw(label_sets)) for _ in types]
+    elements = [(t, x) for t, labels in zip(types, per_type) for x in labels]
+    label_pairs = [frozenset(p) for p in itertools.combinations_with_replacement("abc", 2)]
+    relations = draw(st.lists(st.sets(st.sampled_from(label_pairs)), min_size=1, max_size=2))
+    relation_of = {tt: draw(st.sampled_from(relations)) for tt in itertools.combinations(types, 2)}
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(elements)), 2)
+        if elements[i][0] != elements[j][0]
+    ]
+    incid = {
+        (i, j)
+        for i, j in pairs
+        if frozenset((elements[i][1], elements[j][1])) in relation_of[elements[i][0], elements[j][0]]
+    }
+    incid ^= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    return IncidenceSystem(
+        types, [t for t, _ in elements], sorted(incid), labels=[x for _, x in elements]
+    )
+
+
 def nx_incidence_graph(sys):
     g = nx.Graph()
     g.add_nodes_from(range(sys.n_elements))
@@ -373,11 +409,11 @@ def residue_verdicts_oracle(sys):
     }
 
 
-def restricted_orbit_reps_oracle(flags, tables):
-    """Orbit representatives (component minima) of flags under involutive
-    element tables, where an image that is not among the flags is dropped:
-    the components of the graph joining each flag to each of its images
-    that is a flag.  With involutions that graph is the orbit relation."""
+def restricted_orbits_oracle(flags, tables):
+    """(smallest flag, size) of each orbit of flags under involutive element
+    tables, where an image that is not among the flags is dropped: the
+    components of the graph joining each flag to each of its images that is
+    a flag.  With involutions that graph is the orbit relation."""
     flags = set(flags)
     g = nx.Graph()
     g.add_nodes_from(flags)
@@ -386,4 +422,4 @@ def restricted_orbit_reps_oracle(flags, tables):
             img = tuple(sorted(table[e] for e in flag))
             if img in flags:
                 g.add_edge(flag, img)
-    return sorted(min(comp) for comp in nx.connected_components(g))
+    return sorted((min(comp), len(comp)) for comp in nx.connected_components(g))

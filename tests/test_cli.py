@@ -239,6 +239,35 @@ def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
     assert len(table_checks) == 7 and all(table_checks)
 
 
+def test_verify_all_closes_the_chamber_orbit_once(monkeypatch, tmp_path):
+    from knesergeom import cli, group_action
+
+    chamber_closures, orbit_sizes, swaps = [], [], []
+    real_orbit = group_action._orbit
+
+    def orbit(tables, start, *pool):
+        if len(start) == 3:
+            chamber_closures.append(start)
+        return real_orbit(tables, start, *pool)
+
+    monkeypatch.setattr(group_action, "_orbit", orbit)
+    for module in (cli, group_action):
+        if hasattr(module, "chamber_orbit_size"):
+            monkeypatch.setattr(module, "chamber_orbit_size",
+                                _recording(orbit_sizes, module.chamber_orbit_size))
+    monkeypatch.setattr(cli, "type_swap_map", _recording(swaps, cli.type_swap_map))
+    out = tmp_path / "cert.json"
+    code = cli.main(["verify", "--n", "6", "--k", "2", "--r", "3", "--all", "--out", str(out)])
+    assert code == 1  # ip2 fails at n > 2k+1
+    check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["flag-transitivity"]
+    assert check["pass"] and check["details"]["orbit_size"] == check["details"]["total"]
+    # the chamber partition gives the orbit size: one closure from a chamber,
+    # and the r - 1 = 2 adjacent type transpositions stand for all 3! swaps
+    assert len(chamber_closures) == 1
+    assert orbit_sizes == []
+    assert len(swaps) == 2 and all(ok for _, ok in swaps)
+
+
 def test_assume_transitive_is_an_unknown_argument(capsys):
     from knesergeom import cli
 
@@ -348,8 +377,9 @@ def test_verify_all_golden_certificates():
         assert hashlib.sha256(res.stdout).hexdigest() == digest, (n, k, r)
 
 
-# stdout sha256 of the rank-2 certificates, the rank-4 locally-x and residue
-# checks and the json/dot exports, under the same rule
+# stdout sha256 of the rank-2 certificates, `verify --all` in the argument
+# order of the bench's verify-rank3 op, the rank-4 locally-x, residue and
+# flag-transitivity checks and the json/dot/graph6 exports, under the same rule
 GOLDEN_OUTPUTS = [
     (("verify", "--n", "7", "--k", "3", "--r", "2", "--all"), 0,
      "12f25d5b03786b308be04331b13026c30d8122dedc93a30e5466ae6a680130b1"),
@@ -366,6 +396,12 @@ GOLDEN_OUTPUTS = [
      "302fd3f62e30309c60c7b2c9c07a3315cb97c907f400885fcee647bdefb94094"),
     (("build", "--n", "5", "--k", "2", "--r", "3", "--format", "dot"), 0,
      "924138eadd19d975feb034c5b96776bb4b7038af740ee95b2be976bcf6d8f1c0"),
+    (("verify", "--all", "--n", "6", "--k", "2", "--r", "3"), 1,
+     "d600c162b7e5252fa9407722500e802d5fc20fc0e250129cece7205f84cb1f14"),
+    (("verify", "--n", "5", "--k", "2", "--r", "4", "--check", "flag-transitivity"), 0,
+     "6e7bc6d60ef45d016c4e23ded69d251812c48f077180640ec16b3cdabff6b407"),
+    (("build", "--n", "5", "--k", "2", "--r", "3", "--format", "graph6"), 0,
+     "141e8e8216139860352cbee8de800ce96b73980610645aae0f02173fcb329879"),
 ]
 
 

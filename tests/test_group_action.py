@@ -23,8 +23,9 @@ from knesergeom import (
 )
 from helpers import (
     colex_point_table,
+    labelled_typed_systems,
     preserves_incidence_oracle,
-    restricted_orbit_reps_oracle,
+    restricted_orbits_oracle,
     tuple_orbit_group_order,
     typed_systems,
 )
@@ -90,6 +91,7 @@ def test_chamber_orbit_sizes():
     tables = point_tables(geom, adjacent_transpositions(7))
     start = next(flags_of_type(sys_, range(3)))
     assert chamber_orbit_size(sys_, tables, start) == 630
+    assert chamber_orbit_size(sys_, tables, reversed(start)) == 630
 
     geom2 = build_geometry(GeometryParams(5, 2, 2))
     sys2 = geom2.incidence_system()
@@ -101,15 +103,27 @@ def test_chamber_orbit_sizes():
     assert chamber_orbit_size(sys_, ident_only, start) == 1
 
 
+def test_chamber_orbit_needs_a_chamber():
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    sys_ = geom.incidence_system()
+    tables = point_tables(geom, adjacent_transpositions(7))
+    chamber = next(flags_of_type(sys_, range(3)))
+    # three elements of type 0; a flag of corank 1; a chamber's types with a
+    # non-incident pair (elements 0 and 21 carry the same subset)
+    for start in [(0, 1, 2), chamber[:2], (0, 21, chamber[2])]:
+        with pytest.raises(ValueError, match="start flag is not a chamber"):
+            chamber_orbit_size(sys_, tables, start)
+
+
 def test_flag_orbit_counts():
     geom = build_geometry(GeometryParams(5, 2, 3))
     sys_ = geom.incidence_system()
     tables = point_tables(geom, adjacent_transpositions(7))
-    count, reps = flag_orbit_count(sys_, tables, ())
-    assert count == 1 and reps == [()]
+    assert flag_orbit_count(sys_, tables, ()) == [((), 1)]
     for J in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-        count, _ = flag_orbit_count(sys_, tables, J)
-        assert count == 1, J
+        [(rep, size)] = flag_orbit_count(sys_, tables, J)
+        flags = list(flags_of_type(sys_, J))
+        assert rep == min(flags) and size == len(flags), J
 
 
 def test_flag_orbits_detect_disjoint_copies():
@@ -121,11 +135,9 @@ def test_flag_orbits_detect_disjoint_copies():
         [(0, 1), (2, 3)],
     )
     identity_map = tuple(range(4))
-    count, reps = flag_orbit_count(two_digons, [identity_map], (0,))
-    assert count == 2 and reps == [(0,), (2,)]
+    assert flag_orbit_count(two_digons, [identity_map], (0,)) == [((0,), 1), ((2,), 1)]
     swap_copies = (2, 3, 0, 1)
-    count, _ = flag_orbit_count(two_digons, [swap_copies], (0, 1))
-    assert count == 1
+    assert flag_orbit_count(two_digons, [swap_copies], (0, 1)) == [((0, 1), 2)]
 
 
 def test_flag_orbits_stop_at_non_flags():
@@ -138,9 +150,9 @@ def test_flag_orbits_stop_at_non_flags():
     path = IncidenceSystem((0, 1), [0, 0, 0, 1, 1], [(0, 3), (1, 3), (1, 4), (2, 4)])
     swap_ends, swap_lines = (2, 1, 0, 3, 4), (0, 1, 2, 4, 3)
     tables = [swap_ends, swap_lines]
-    count, reps = flag_orbit_count(path, tables, (0, 1))
-    assert (count, reps) == (3, [(0, 3), (1, 3), (2, 4)])
-    assert reps == restricted_orbit_reps_oracle(flags_of_type(path, (0, 1)), tables)
+    orbits = flag_orbit_count(path, tables, (0, 1))
+    assert orbits == [((0, 3), 1), ((1, 3), 2), ((2, 4), 1)]
+    assert orbits == restricted_orbits_oracle(flags_of_type(path, (0, 1)), tables)
 
 
 @st.composite
@@ -167,9 +179,19 @@ def test_flag_orbit_count_matches_brute_force_property(case):
     sys_, tables = case
     for size in range(1, sys_.rank + 1):
         for J in itertools.combinations(sys_.types, size):
-            count, reps = flag_orbit_count(sys_, tables, J)
-            assert reps == restricted_orbit_reps_oracle(flags_of_type(sys_, J), tables)
-            assert count == len(reps)
+            orbits = flag_orbit_count(sys_, tables, J)
+            assert orbits == restricted_orbits_oracle(flags_of_type(sys_, J), tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_typed_systems())
+def test_adjacent_type_swaps_decide_every_type_swap_property(sys_):
+    # label-pairing maps compose: sigma's map followed by tau's is tau∘sigma's
+    def all_valid(sigmas):
+        return all(type_swap_map(sys_, sigma)[1] for sigma in sigmas)
+
+    adjacent = [t.images for t in adjacent_transpositions(sys_.rank)]
+    assert all_valid(adjacent) == all_valid(itertools.permutations(range(sys_.rank)))
 
 
 def test_type_swap_on_geometry():
