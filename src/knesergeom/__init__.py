@@ -84,6 +84,7 @@ from .group_action import (
     chamber_orbit_size,
     flag_orbit_count,
     is_type_preserving_automorphism,
+    level_orbits,
     permutation_group_order,
     point_tables,
     type_swap_map,

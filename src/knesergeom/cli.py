@@ -26,8 +26,8 @@ from .graphs import (
 )
 from .group_action import (
     adjacent_transpositions,
-    flag_orbit_count,
     is_type_preserving_automorphism,
+    level_orbits,
     permutation_group_order,
     point_tables,
     type_swap_map,
@@ -139,15 +139,43 @@ def _check_thickness(params, geom):
     return thick, {"rank1_residue_size": smallest, "thick": thick}
 
 
+@functools.lru_cache(maxsize=1)
+def _symmetry_witness(params, geom):
+    """The incidence system, the element tables of the ground set's
+    adjacent transpositions, and their level_orbits for every nonempty type
+    set; tables is None and levels empty unless every table is a verified
+    type-preserving automorphism.  Memoised so that the diagram,
+    flag-transitivity and locally-x checks share one witness."""
+    sys_ = geom.incidence_system()
+    tables = point_tables(geom, adjacent_transpositions(params.ground_size))
+    if not all(is_type_preserving_automorphism(sys_, t) for t in tables):
+        return sys_, None, {}
+    levels = {
+        J: level_orbits(sys_, tables, J)
+        for size in range(1, params.r + 1)
+        for J in combinations(range(params.r), size)
+    }
+    return sys_, tables, levels
+
+
 def _check_diagram(params, geom):
-    computed = buekenhout_diagram(geom.incidence_system(), verify_uniformity=True)
+    sys_, tables, levels = _symmetry_witness(params, geom)
+    # the first residue of each kind stands for all when the verified group
+    # is transitive on the flags of every corank-1 and corank-2 type set
+    # (the empty type set has one flag)
+    certified = tables is not None and all(
+        s == c for J, lv in levels.items() if params.r - 2 <= len(J) < params.r for s, c in lv
+    )
+    computed = buekenhout_diagram(sys_)
     predicted = predicted_diagram(params)
-    ok = computed == predicted
-    return ok, {
+    details = {
         "computed": diagram_to_json(computed),
         "predicted": diagram_to_json(predicted),
         "order_closed_form": "C(n-k,k)-1",
     }
+    if not certified:
+        details["uniformity_certified"] = False
+    return certified and computed == predicted, details
 
 
 def _check_ip2(params, geom):
@@ -159,35 +187,19 @@ def _check_ip2(params, geom):
     return ok, details
 
 
-@functools.lru_cache(maxsize=1)
-def _verified_point_action(params, geom):
-    """The incidence system and the element tables of the ground set's
-    adjacent transpositions; the tables are None unless every one is a
-    verified type-preserving automorphism.  Memoised so that the
-    flag-transitivity and locally-x checks verify the tables once."""
-    sys_ = geom.incidence_system()
-    tables = point_tables(geom, adjacent_transpositions(params.ground_size))
-    if all(is_type_preserving_automorphism(sys_, t) for t in tables):
-        return sys_, tables
-    return sys_, None
-
-
 def _check_flag_transitivity(params, geom):
     gens = adjacent_transpositions(params.ground_size)
-    sys_, tables = _verified_point_action(params, geom)
+    sys_, tables, levels = _symmetry_witness(params, geom)
     if tables is None:
         return False, {"generators_checked": len(gens), "automorphisms": False}
     total = chamber_count(params)
-    orbit_counts = {}
-    transitive = True
-    for size in range(1, params.r + 1):
-        for J in combinations(range(params.r), size):
-            orbits = flag_orbit_count(sys_, tables, J)
-            orbit_counts[",".join(map(str, J))] = len(orbits)
-            transitive = transitive and len(orbits) == 1
-    # J is now the chamber type, and orbits[0] the orbit of the first chamber
-    orbit = orbits[0][1]
-    transitive = transitive and orbit == total
+    # (type set, level, orbit size, candidates) of each level not filled
+    gaps = [(J, i, s, c) for J, lv in levels.items() for i, (s, c) in enumerate(lv) if s != c]
+    uncovered = {gap[0] for gap in gaps}
+    # with every level full, the chambers number the product of the chamber
+    # type's level orbits
+    orbit = math.prod(size for size, _ in levels[tuple(range(params.r))])
+    transitive = orbit == total and not gaps
     # label-pairing maps compose, so the adjacent type transpositions are
     # valid exactly when every type permutation is
     swaps_ok = all(type_swap_map(sys_, t.images)[1] for t in adjacent_transpositions(params.r))
@@ -196,20 +208,25 @@ def _check_flag_transitivity(params, geom):
         "total": total,
         "transitive": transitive,
         "generators_checked": len(gens),
-        "flag_orbit_counts": orbit_counts,
+        "flag_orbit_counts": {
+            ",".join(map(str, J)): None if J in uncovered else 1 for J in levels
+        },
         "type_swaps_valid": swaps_ok,
         "verified_subgroup_order": math.factorial(params.ground_size)
         * math.factorial(params.r),
         "aut_lower_bound_only": True,
         "point_group_order": permutation_group_order(gens),
     }
+    if gaps:
+        keys = ("types", "level", "orbit_size", "candidates")
+        details["uncovered_level"] = dict(zip(keys, gaps[0]))
     return transitive and swaps_ok, details
 
 
 def _check_locally_x(params, geom):
     if params.r < 3:
         return True, {"skipped": "rank 2: rank-1 residues are edgeless"}
-    sys_, tables = _verified_point_action(params, geom)
+    sys_, tables, _ = _symmetry_witness(params, geom)
     report = is_locally_x(sys_.graph, residue_reference_graph(geom), tables or ())
     return report.ok, report.to_json()
 

@@ -5,23 +5,23 @@ Point permutations of the ground set act on elements by mapping subsets
 pointwise inside each type; type permutations act by relabeling the copies.
 point_tables turns ground-set permutations into element-index tables, once;
 every other function here sees only an IncidenceSystem and such tables.
-Every orbit is closed once, by one BFS over table images inside a pool of
-flags that it consumes, _orbit: flag_orbit_count sorts the flags of a type
-once and returns each orbit's smallest flag and size, and
-chamber_orbit_size closes a chamber inside the chambers.  One orbit per
-flag type, the chamber orbit holding every chamber, certifies
-flag-transitivity.  Label-pairing type swaps compose, so they are valid for
-the adjacent type transpositions exactly when they are valid for every type
-permutation.  The order of a group of ground-set permutations is computed
-exactly from a base and strong generating set (deterministic
-Schreier-Sims), never by listing the group's elements.
+Every orbit is closed once, by one BFS over table images inside a pool that
+it consumes, _orbit.  level_orbits certifies transitivity on the flags of a
+type set from one flag, level by level through stabilisers, so one flag or
+residue stands for all of them; flag_orbit_count and chamber_orbit_size
+enumerate every flag and serve as test oracles.
+Label-pairing type swaps compose, so they are valid for the adjacent type
+transpositions exactly when they are valid for every type permutation.  The
+order of a group of ground-set permutations is computed exactly from a base
+and strong generating set (deterministic Schreier-Sims), never by listing
+the group's elements.
 """
 
 from __future__ import annotations
 
 import math
 
-from .incidence import IncidenceSystem, flags_of_type
+from .incidence import IncidenceSystem, flags_of_type, residue_mask
 from .isomorphism import is_automorphism
 from .kneser_geometry import KneserGeometry
 
@@ -140,6 +140,29 @@ def flag_orbit_count(sys: IncidenceSystem, tables, J) -> list[tuple[tuple[int, .
     flags = sorted(flags_of_type(sys, J))
     pool = {f: f for f in flags}
     return [(f, _orbit(tables, f, pool)) for f in flags if f in pool]
+
+
+def level_orbits(sys: IncidenceSystem, tables, J) -> list[tuple[int, int]]:
+    """One (orbit size, candidate count) pair per level of F, the first
+    flag of type J that flags_of_type yields: level i closes F[i] under the
+    tables that fix every element of F[:i], inside its candidates, the
+    elements of F[i]'s type incident to all of F[:i].
+
+    If the tables are type-preserving automorphisms and every orbit fills
+    its candidates, they are transitive on the flags of type J, which
+    number the product of the orbit sizes.  By induction on i: a flag that
+    agrees with F on F[:i] holds a candidate of level i, which a word in
+    the tables fixing F[:i] maps onto F[i]."""
+    F = next(flags_of_type(sys, J), None)
+    if F is None:
+        raise ValueError(f"no flag of type {tuple(sorted(J))}")
+    levels = []
+    for i, e in enumerate(F):
+        fixing = [t for t in tables if all(t[x] == x for x in F[:i])]
+        cand = residue_mask(sys, F[:i]) & sys.type_mask(sys.type_of[e])
+        pool = {(c,): (c,) for c in range(sys.n_elements) if cand >> c & 1}
+        levels.append((_orbit(fixing, (e,), pool), cand.bit_count()))
+    return levels
 
 
 def type_swap_map(sys: IncidenceSystem, sigma) -> tuple[tuple[int, ...] | None, bool]:

@@ -9,7 +9,10 @@ residual connectedness, firmness/thickness, rank-2 classification
 intersection property, and Buekenhout diagram extraction.  All of them read
 one walk, _residues, which yields every flag of a type together with the
 bitmask of its residue; a non-chamber flag with an empty residue is a
-maximal non-chamber flag.
+maximal non-chamber flag.  The diagram reads only the first residue of each
+cotype: it stands for every residue of that cotype when an automorphism
+group is transitive on those flags, which group_action.level_orbits
+certifies; the other predicates visit every flag.
 
 All counts are exact integers; math.inf only ever appears as a gonality or
 diameter of degenerate systems.
@@ -417,57 +420,27 @@ class BuekenhoutDiagram:
     counts: dict
     edges: dict  # (i, j) with i < j -> RankTwoSummary
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BuekenhoutDiagram)
-            and self.types == other.types
-            and self.orders == other.orders
-            and self.counts == other.counts
-            and self.edges == other.edges
-        )
 
+def buekenhout_diagram(sys: IncidenceSystem) -> BuekenhoutDiagram:
+    """Extract the diagram from the first residue of each kind.
 
-def buekenhout_diagram(sys: IncidenceSystem, verify_uniformity: bool = False) -> BuekenhoutDiagram:
-    """Extract the diagram from residues.
-
-    Orders come from a rank-1 residue of each cotype, pair labels from a
-    rank-2 residue of each type pair.  Callers either know the geometry is
-    flag-transitive (so any residue represents its class) or pass
-    verify_uniformity=True to check that all residues of each kind agree.
+    Orders come from the first rank-1 residue of each cotype, pair labels
+    from the first rank-2 residue of each type pair.  The diagram describes
+    every residue when the geometry is flag-transitive, which
+    group_action.level_orbits certifies for verified automorphisms.
     """
     counts = {t: len(sys.elements_of_type(t)) for t in sys.types}
 
-    def uniform(J, value, label, kind):
-        """value(residue mask) at the first flag of type J; with
-        verify_uniformity, also at every other flag of type J."""
-        first_flag = first = None
-        for flag, cand in _residues(sys, J):
-            v = value(cand)
-            if first_flag is None:
-                first_flag, first = flag, v
-                if not verify_uniformity:
-                    break
-            elif v != first:
-                raise ValueError(
-                    f"non-uniform {label}-{kind}: flag {first_flag} gives {first}, "
-                    f"flag {flag} gives {v}"
-                )
-        if first_flag is None:
-            raise ValueError(f"no flag of cotype {label}; not a geometry")
-        return first
+    def first_residue(cotype):
+        for _, cand in _residues(sys, _cotype(sys, cotype)):
+            return cand
+        raise ValueError(f"no flag of cotype {set(cotype)}; not a geometry")
 
-    orders = {
-        i: uniform(_cotype(sys, (i,)), lambda cand: cand.bit_count() - 1, i, "order")
-        for i in sys.types
-    }
+    orders = {i: first_residue((i,)).bit_count() - 1 for i in sys.types}
     edges = {}
     for pair in combinations(sys.types, 2):
-        summary = uniform(
-            _cotype(sys, pair),
-            lambda cand: rank2_summary(_restriction(sys, _members(sys, cand), pair)),
-            f"{{{pair[0]},{pair[1]}}}",
-            "residues",
-        )
+        cand = first_residue(pair)
+        summary = rank2_summary(_restriction(sys, _members(sys, cand), pair))
         if summary.classification != DIGON:
             edges[pair] = summary
     return BuekenhoutDiagram(sys.types, orders, counts, edges)

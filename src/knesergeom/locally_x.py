@@ -11,7 +11,6 @@ a vertex pass.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,20 +21,12 @@ from .kneser_geometry import KneserGeometry
 
 
 @dataclass(frozen=True)
-class VertexCheck:
-    vertex: int
-    isomorphic: bool
-    mapping_digest: Optional[str]
-
-
-@dataclass(frozen=True)
 class LocallyXReport:
     graph_digest: str
     reference_digest: str
     total: int
     passed: int
     failures: tuple[int, ...]
-    per_vertex: tuple[VertexCheck, ...]
 
     @property
     def ok(self) -> bool:
@@ -57,10 +48,6 @@ def neighborhood_graph(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     return induced_subgraph(g, g.adj[v])
-
-
-def _mapping_digest(mapping) -> str:
-    return hashlib.sha256(",".join(map(str, mapping)).encode()).hexdigest()
 
 
 def _carried_map(g: Graph, table, u: int, map_u):
@@ -94,25 +81,23 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     for t in automorphisms:
         if len(t) != g.n or set(t) != set(range(g.n)):
             raise ValueError("every table must be a permutation of the vertices of g")
-    results: list[Optional[VertexCheck]] = [None] * g.n
+    matched: list[Optional[bool]] = [None] * g.n
     spreading: list = []  # (matched vertex, its bijection N(v) -> X)
 
     def settle(v: int, mapping) -> None:
-        if mapping is None:
-            results[v] = VertexCheck(v, False, None)
-        else:
-            results[v] = VertexCheck(v, True, _mapping_digest(mapping))
+        matched[v] = mapping is not None
+        if mapping is not None:
             spreading.append((v, mapping))
 
     for root in range(g.n):
-        if results[root] is not None:
+        if matched[root] is not None:
             continue
         settle(root, are_isomorphic(neighborhood_graph(g, root)[0], x))
         while spreading:
             u, map_u = spreading.pop()
             for t in automorphisms:
                 w = t[u]
-                if results[w] is not None:
+                if matched[w] is not None:
                     continue
                 nbhd = neighborhood_graph(g, w)[0]
                 carried = _carried_map(g, t, u, map_u)
@@ -120,14 +105,13 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
                     carried = are_isomorphic(nbhd, x)
                 settle(w, carried)
 
-    failures = tuple(r.vertex for r in results if not r.isomorphic)
+    failures = tuple(v for v, ok in enumerate(matched) if not ok)
     return LocallyXReport(
         graph_digest=graph_digest(g),
         reference_digest=graph_digest(x),
         total=g.n,
         passed=g.n - len(failures),
         failures=failures,
-        per_vertex=tuple(results),
     )
 
 

@@ -7,7 +7,8 @@ for all sources, isomorphism by exhaustive backtracking over consistent
 injections, group order by listing every element, colour refinement by
 recomputing every vertex's neighbour-colour multiset each round, flags by
 itertools.product over the per-type element lists, residue connectivity
-and the geometry test (maximal cliques) by networkx.
+and the geometry test (maximal cliques) by networkx, diagram uniformity by
+building every corank-1 and corank-2 residue with residue().
 """
 
 import itertools
@@ -26,6 +27,9 @@ from knesergeom import (
     IncidenceSystem,
     KSubset,
     colex_rank,
+    flags_of_type,
+    rank2_summary,
+    residue,
 )
 
 
@@ -423,3 +427,23 @@ def restricted_orbits_oracle(flags, tables):
             if img in flags:
                 g.add_edge(flag, img)
     return sorted((min(comp), len(comp)) for comp in nx.connected_components(g))
+
+
+def residue_diagram_mismatches(sys, diagram):
+    """Every residue that disagrees with the diagram, as (flag, value)
+    pairs: each corank-1 residue against its type's order, and the
+    rank2_summary of each corank-2 residue against its pair's edge (no edge
+    for a generalised digon).  Every flag is visited, none is assumed to
+    stand for another."""
+    bad = []
+    for i in sys.types:
+        for flag in flags_of_type(sys, [t for t in sys.types if t != i]):
+            order = residue(sys, flag)[0].n_elements - 1
+            if order != diagram.orders[i]:
+                bad.append((flag, order))
+    for pair in itertools.combinations(sys.types, 2):
+        for flag in flags_of_type(sys, [t for t in sys.types if t not in pair]):
+            s = rank2_summary(residue(sys, flag)[0])
+            if diagram.edges.get(pair) != (None if s.classification == DIGON else s):
+                bad.append((flag, s))
+    return bad

@@ -49,7 +49,7 @@ from knesergeom import (
     verify_isomorphism,
     vertex_edge_geometry,
 )
-from helpers import brute_force_isomorphism, isomorphism_corpus
+from helpers import brute_force_isomorphism, isomorphism_corpus, residue_diagram_mismatches
 
 
 def report(name, ok, detail=""):
@@ -73,10 +73,11 @@ def test_criterion_01_petersen_fixed_point(petersen):
         and odd_girth(petersen) == 5
         and diameter(petersen) == 2
     )
-    d = buekenhout_diagram(vertex_edge_geometry(petersen), verify_uniformity=True)
+    d = buekenhout_diagram(vertex_edge_geometry(petersen))
     s = d.edges[(0, 1)]
     ok = (
         ok
+        and residue_diagram_mismatches(vertex_edge_geometry(petersen), d) == []
         and d.orders == {0: 1, 1: 2}
         and d.counts == {0: 10, 1: 15}
         and (s.diameters[0], s.gonality, s.diameters[1]) == (5, 5, 6)
@@ -86,10 +87,11 @@ def test_criterion_01_petersen_fixed_point(petersen):
 
 def test_criterion_02_desargues_fixed_point(petersen, desargues):
     ng = kneser_neighborhood_geometry(KneserParams(5, 2))
-    d = buekenhout_diagram(ng, verify_uniformity=True)
+    d = buekenhout_diagram(ng)
     s = d.edges[(0, 1)]
     ok = (
-        d.orders == {0: 2, 1: 2}
+        residue_diagram_mismatches(ng, d) == []
+        and d.orders == {0: 2, 1: 2}
         and d.counts == {0: 10, 1: 10}
         and (s.diameters[0], s.gonality, s.diameters[1]) == (5, 3, 5)
     )
@@ -186,9 +188,10 @@ def test_criterion_06_full_certificate_523(desargues):
         mapping = are_isomorphic(tig.graph, ref.graph, tig.type_colors, ref.type_colors)
         ok = ok and mapping is not None
 
-    d = buekenhout_diagram(sys_, verify_uniformity=True)
+    d = buekenhout_diagram(sys_)
     ok = ok and d.orders == {0: 2, 1: 2, 2: 2}
     ok = ok and d == predicted_diagram(params)
+    ok = ok and residue_diagram_mismatches(sys_, d) == []
     ok = ok and set(d.edges) == {(0, 1), (0, 2), (1, 2)}
 
     tables = point_tables(geom, adjacent_transpositions(7))

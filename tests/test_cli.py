@@ -239,33 +239,57 @@ def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
     assert len(table_checks) == 7 and all(table_checks)
 
 
-def test_verify_all_closes_the_chamber_orbit_once(monkeypatch, tmp_path):
-    from knesergeom import cli, group_action
+def test_verify_all_enumerates_no_flag_orbit(monkeypatch, tmp_path):
+    from knesergeom import cli, group_action, incidence
 
-    chamber_closures, orbit_sizes, swaps = [], [], []
-    real_orbit = group_action._orbit
-
-    def orbit(tables, start, *pool):
-        if len(start) == 3:
-            chamber_closures.append(start)
-        return real_orbit(tables, start, *pool)
-
-    monkeypatch.setattr(group_action, "_orbit", orbit)
+    orbit_counts, orbit_sizes, summaries, swaps = [], [], [], []
     for module in (cli, group_action):
-        if hasattr(module, "chamber_orbit_size"):
-            monkeypatch.setattr(module, "chamber_orbit_size",
-                                _recording(orbit_sizes, module.chamber_orbit_size))
+        for name, calls in [("flag_orbit_count", orbit_counts),
+                            ("chamber_orbit_size", orbit_sizes)]:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _recording(calls, getattr(module, name)))
+    monkeypatch.setattr(incidence, "rank2_summary",
+                        _recording(summaries, incidence.rank2_summary))
     monkeypatch.setattr(cli, "type_swap_map", _recording(swaps, cli.type_swap_map))
     out = tmp_path / "cert.json"
     code = cli.main(["verify", "--n", "6", "--k", "2", "--r", "3", "--all", "--out", str(out)])
     assert code == 1  # ip2 fails at n > 2k+1
-    check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["flag-transitivity"]
-    assert check["pass"] and check["details"]["orbit_size"] == check["details"]["total"]
-    # the chamber partition gives the orbit size: one closure from a chamber,
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    ft = checks["flag-transitivity"]
+    assert ft["pass"] and ft["details"]["orbit_size"] == ft["details"]["total"]
+    assert checks["diagram"]["pass"]
+    # the level witness replaces every flag partition and chamber closure;
+    # the diagram summarises the first residue of each of the 3 type pairs,
     # and the r - 1 = 2 adjacent type transpositions stand for all 3! swaps
-    assert len(chamber_closures) == 1
-    assert orbit_sizes == []
+    assert orbit_counts == [] and orbit_sizes == []
+    assert len(summaries) == 3
     assert len(swaps) == 2 and all(ok for _, ok in swaps)
+
+
+def test_dropped_generator_leaves_a_counter_witness(monkeypatch, tmp_path):
+    from knesergeom import Permutation, cli
+
+    # without (1 2) the tables generate Sym{0,1} x Sym{2..6}, which fixes the
+    # first element {0,1} of every type: level 0 covers 1 of 21 candidates
+    dropped = Permutation.transposition(7, 1, 2)
+    real = cli.point_tables
+    monkeypatch.setattr(cli, "point_tables",
+                        lambda geom, perms: real(geom, [p for p in perms if p != dropped]))
+    out = tmp_path / "cert.json"
+    code = cli.main(["verify", "--n", "5", "--k", "2", "--r", "3", "--check", "diagram",
+                     "--check", "flag-transitivity", "--out", str(out)])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    diagram = checks["diagram"]
+    assert not diagram["pass"]
+    assert diagram["details"]["uniformity_certified"] is False
+    # the first residues still read as predicted; only uniformity is unproved
+    assert diagram["details"]["computed"] == diagram["details"]["predicted"]
+    ft = checks["flag-transitivity"]["details"]
+    assert not checks["flag-transitivity"]["pass"] and not ft["transitive"]
+    assert ft["generators_checked"] == 6
+    assert ft["uncovered_level"] == {"types": [0], "level": 0, "orbit_size": 1, "candidates": 21}
+    assert set(ft["flag_orbit_counts"].values()) == {None} and len(ft["flag_orbit_counts"]) == 7
 
 
 def test_assume_transitive_is_an_unknown_argument(capsys):
@@ -362,11 +386,26 @@ def test_flag_transitivity_point_group_order_past_degree_8():
     assert details["point_group_order"] == math.factorial(9)
 
 
+def test_flag_transitivity_and_diagram_at_the_frontier():
+    # (5,2,5) has 1,247,400 chambers; both checks read one flag per type set
+    res = run_cli(
+        "verify", "--n", "5", "--k", "2", "--r", "5",
+        "--check", "flag-transitivity", "--check", "diagram",
+    )
+    assert res.returncode == 0
+    checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+    assert checks["diagram"]["pass"] and checks["flag-transitivity"]["pass"]
+    assert checks["flag-transitivity"]["details"]["orbit_size"] == 1247400
+
+
 # stdout sha256 of `verify --all`: certificates are byte-reproducible, so a
 # refactor that changes any byte of one fails here
 GOLDEN_VERIFY_ALL = [
     ("5", "2", "3", 0, "174325a1a208315c908c7d5076f8b362e2de54a9388888b3c631a7ba82280cec"),
     ("6", "2", "3", 1, "d600c162b7e5252fa9407722500e802d5fc20fc0e250129cece7205f84cb1f14"),
+    ("5", "2", "4", 0, "846b918fa3263dc4f338014d5cedb851e7a8b0f4bff9702a367f29d6bb2538a5"),
+    ("6", "2", "4", 1, "c18bdc2098fb9e4dc939dff0f37cfb552a9d1cccd30d2ff4d6174035c1fe8864"),
+    ("7", "3", "3", 0, "1708ba2818c5a796a2c09813ce5289396f45f4700874f3fdc634148dc84c36ab"),
 ]
 
 

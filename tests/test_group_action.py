@@ -10,6 +10,7 @@ from knesergeom import (
     KSubset,
     Permutation,
     adjacent_transpositions,
+    IncidenceSystem,
     build_geometry,
     chamber_orbit_size,
     flag_orbit_count,
@@ -17,6 +18,7 @@ from knesergeom import (
     is_type_preserving_automorphism,
     kneser_neighborhood_geometry,
     KneserParams,
+    level_orbits,
     permutation_group_order,
     point_tables,
     type_swap_map,
@@ -181,6 +183,73 @@ def test_flag_orbit_count_matches_brute_force_property(case):
         for J in itertools.combinations(sys_.types, size):
             orbits = flag_orbit_count(sys_, tables, J)
             assert orbits == restricted_orbits_oracle(flags_of_type(sys_, J), tables)
+
+
+# an ordinary triangle: points 0, 1, 2 and lines 3 = {0,1}, 4 = {1,2}, 5 = {2,0}
+TRIANGLE = IncidenceSystem(
+    (0, 1), [0, 0, 0, 1, 1, 1], [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5)]
+)
+ROTATION, ROTATION_INVERSE = (1, 2, 0, 4, 5, 3), (2, 0, 1, 5, 3, 4)
+REFLECTION = (0, 2, 1, 5, 4, 3)  # fixes point 0, swaps points 1 and 2
+
+
+def test_level_orbits_use_only_tables_that_fix_earlier_levels():
+    tables = [ROTATION, ROTATION_INVERSE]
+    assert all(is_type_preserving_automorphism(TRIANGLE, t) for t in tables + [REFLECTION])
+    # the rotations are transitive on points and on lines, not on chambers
+    assert flag_orbit_count(TRIANGLE, tables, (0, 1)) == [((0, 3), 3), ((0, 5), 3)]
+    assert level_orbits(TRIANGLE, tables, (0,)) == [(3, 3)]
+    # no rotation fixes point 0, so level 1 closes line 3 under no table;
+    # the inverse rotation would carry it to the other candidate, line 5
+    assert level_orbits(TRIANGLE, tables, (0, 1)) == [(3, 3), (1, 2)]
+    # the reflection fixes point 0 and swaps its lines: one chamber orbit
+    tables = [ROTATION, REFLECTION]
+    assert level_orbits(TRIANGLE, tables, (0, 1)) == [(3, 3), (2, 2)]
+    assert flag_orbit_count(TRIANGLE, tables, (0, 1)) == [((0, 3), 6)]
+
+
+def test_level_orbits_stay_inside_the_candidates():
+    # fixing the points and cycling the lines is no automorphism: it sends
+    # line 3 to line 4, which misses point 0, and line 4 on to line 5; the
+    # level-1 orbit passes only through lines on point 0, so it stops at 3
+    cycle_lines = (0, 1, 2, 4, 5, 3)
+    assert level_orbits(TRIANGLE, [cycle_lines], (0, 1)) == [(1, 3), (1, 2)]
+
+
+def test_level_orbits_need_a_flag():
+    apart = IncidenceSystem((0, 1), [0, 1], [])
+    assert level_orbits(apart, [], (0,)) == [(1, 1)]
+    with pytest.raises(ValueError, match="no flag of type"):
+        level_orbits(apart, [], (0, 1))
+
+
+_WITNESS_GEOMETRIES = {
+    params: build_geometry(params)
+    for params in [GeometryParams(5, 2, 2), GeometryParams(5, 2, 3), GeometryParams(4, 1, 3)]
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_full_levels_certify_one_flag_orbit_property(data):
+    params = data.draw(st.sampled_from(list(_WITNESS_GEOMETRIES)))
+    geom = _WITNESS_GEOMETRIES[params]
+    sys_ = geom.incidence_system()
+    m = params.ground_size
+    # a random subset of the adjacent transpositions, and at times one more
+    # ground permutation, so that a level can be full without all of them
+    adjacent = adjacent_transpositions(m)
+    dropped = data.draw(st.sets(st.integers(0, m - 2)))
+    perms = [pi for i, pi in enumerate(adjacent) if i not in dropped]
+    perms += [Permutation(p) for p in data.draw(st.lists(st.permutations(range(m)), max_size=1))]
+    tables = point_tables(geom, perms)
+    size = data.draw(st.integers(1, params.r))
+    J = data.draw(st.sampled_from(list(itertools.combinations(range(params.r), size))))
+    levels = level_orbits(sys_, tables, J)
+    assert all(orbit <= count for orbit, count in levels)
+    if all(orbit == count for orbit, count in levels):
+        [(_, orbit)] = flag_orbit_count(sys_, tables, J)
+        assert orbit == math.prod(orbit for orbit, _ in levels)
 
 
 @settings(max_examples=300, deadline=None)

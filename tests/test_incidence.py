@@ -18,7 +18,9 @@ from knesergeom import (
     is_geometry,
     is_residually_connected,
     is_thick,
+    is_type_preserving_automorphism,
     kneser_neighborhood_geometry,
+    level_orbits,
     rank2_summary,
     residue,
     residue_mask,
@@ -39,6 +41,7 @@ from helpers import (
     classify_oracle,
     flags_oracle,
     nx_incidence_graph,
+    residue_diagram_mismatches,
     residue_oracle,
     residue_verdicts_oracle,
     typed_systems,
@@ -267,7 +270,7 @@ def test_ip2():
 
 
 def test_diagram_petersen_vertex_edge(petersen):
-    d = buekenhout_diagram(vertex_edge_geometry(petersen), verify_uniformity=True)
+    d = buekenhout_diagram(vertex_edge_geometry(petersen))
     assert d.orders == {0: 1, 1: 2}
     assert d.counts == {0: 10, 1: 15}
     s = d.edges[(0, 1)]
@@ -275,9 +278,7 @@ def test_diagram_petersen_vertex_edge(petersen):
 
 
 def test_diagram_desargues_configuration():
-    d = buekenhout_diagram(
-        kneser_neighborhood_geometry(KneserParams(5, 2)), verify_uniformity=True
-    )
+    d = buekenhout_diagram(kneser_neighborhood_geometry(KneserParams(5, 2)))
     assert d.orders == {0: 2, 1: 2}
     assert d.counts == {0: 10, 1: 10}
     s = d.edges[(0, 1)]
@@ -285,17 +286,25 @@ def test_diagram_desargues_configuration():
 
 
 def test_diagram_omits_digon_edges():
-    d = buekenhout_diagram(digon(3, 3), verify_uniformity=True)
+    d = buekenhout_diagram(digon(3, 3))
     assert d.edges == {}
     dot = diagram_to_dot(d)
     assert "--" not in dot
 
 
-def test_diagram_nonuniform_raises():
-    # a path geometry: point 1 lies on two lines, points 0 and 2 on one
+def test_diagram_nonuniform_path_is_not_certified():
+    # a path geometry: point 1 lies on two lines, points 0 and 2 on one, so
+    # the first rank-1 residue of cotype {1} does not stand for the others;
+    # the reflection (0 2)(3 4) is an automorphism, but its level 0 for the
+    # points covers 2 of 3, so the witness does not certify them
     sys_ = IncidenceSystem((0, 1), [0, 0, 0, 1, 1], [(0, 3), (1, 3), (1, 4), (2, 4)])
-    with pytest.raises(ValueError, match="non-uniform"):
-        buekenhout_diagram(sys_, verify_uniformity=True)
+    reflection = (2, 1, 0, 4, 3)
+    assert is_type_preserving_automorphism(sys_, reflection)
+    assert level_orbits(sys_, [reflection], (0,)) == [(2, 3)]
+    assert level_orbits(sys_, [reflection], (1,)) == [(2, 2)]
+    d = buekenhout_diagram(sys_)
+    assert d.orders == {0: 1, 1: 0}
+    assert residue_diagram_mismatches(sys_, d) == [((1,), 1)]
 
 
 def test_system_json_shape():

@@ -88,7 +88,6 @@ def test_locally_desargues(desargues):
     g = incidence_graph(build_geometry(params).incidence_system()).graph
     report = is_locally_x(g, desargues)
     assert report.ok and report.total == 63
-    assert all(r.mapping_digest for r in report.per_vertex)
 
 
 def test_report_json_shape(petersen):
@@ -119,7 +118,6 @@ def test_verified_tables_same_report_fewer_searches(monkeypatch):
     carried = is_locally_x(sys_.graph, x, tables)
     assert carried.to_json() == plain.to_json()
     assert carried.ok and carried.total == 63
-    assert all(r.mapping_digest for r in carried.per_vertex)
     assert len(searches) == 3  # one per type
 
 
