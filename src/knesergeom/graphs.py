@@ -1,71 +1,131 @@
 """Finite simple undirected graphs with exact metric algorithms.
 
+A Graph stores one neighbor bitmask per vertex and nothing else; `adj`, the
+sorted neighbor tuples, is a view built from the masks on first use and
+cached.  Graph.from_masks takes masks and checks them on bit strings, so
+builders that think in masks never make an edge list.
+
 Everything here is deterministic and exact: BFS distances, girth, odd girth,
 diameter, connectivity, bipartiteness, induced subgraphs, the bipartite
 double cover, and graph6 I/O.  Connectivity is one bitmask search,
-component_mask, which also serves the residue checks.  Girth runs one BFS
+component_mask, which also serves the residue checks.  Induced subgraphs
+move each row's kept bits into place, one at a time in a sparse row and
+through the row's bit string in a dense one.  Girth runs one BFS
 per source over per-vertex neighbor bitmasks; eccentricities and odd girth
 run one synchronous sweep that grows a bitmask per vertex for every source
-at once, so the inner loops stay in word operations.  Infinity is represented by
-math.inf.
+at once, so the inner loops stay in word operations.  graph6 packs and
+unpacks six-bit digits with binascii's base64 codec and one byte
+translation.  Infinity is represented by math.inf.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import math
+import re
 from collections import deque
+from operator import itemgetter
 
 INF = math.inf
+_ONE = re.compile("1")
+_CHECK_CHARS = 1 << 20  # bits per block of Graph.from_masks's symmetry check
 
 
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_masks")
+    __slots__ = ("n", "neighbor_masks", "_adj")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        nbrs = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self.adj = tuple(tuple(sorted(s)) for s in nbrs)
-        self._masks = None
+        self.neighbor_masks = tuple(masks)
+        self._adj = None
+
+    @classmethod
+    def from_masks(cls, masks) -> "Graph":
+        """The graph in which vertex v has the neighbor bitmask masks[v].
+
+        Raises ValueError on a bit outside 0..n-1, on a vertex in its own
+        mask, and on asymmetric masks.  Symmetry is checked on bit strings,
+        highest bit first, for a block of columns lo..lo+width-1 at a time:
+        with the rows' block bits laid end to end from row n-1 down to row
+        0, the slice from lo + width - 1 - u in steps of width is column u
+        read from row n-1 down, which must equal row u's bit string.
+        """
+        masks = tuple(masks)
+        n = len(masks)
+        for v, m in enumerate(masks):
+            if m < 0 or m >> n:
+                raise ValueError(f"neighbor mask of vertex {v} has a bit outside 0..{n - 1}")
+            if m >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+        row_fmt = f"0{n}b"
+        width = max(1, _CHECK_CHARS // max(n, 1))
+        for lo in range(0, n, width):
+            width = min(width, n - lo)
+            fmt, span = f"0{width}b", (1 << width) - 1
+            block = "".join([format(m >> lo & span, fmt) for m in reversed(masks)])
+            for u in range(lo, lo + width):
+                row, column = format(masks[u], row_fmt), block[lo + width - 1 - u :: width]
+                if row != column:
+                    v = n - 1 - next(c for c, (a, b) in enumerate(zip(row, column)) if a != b)
+                    raise ValueError(f"asymmetric masks: {u} and {v} disagree on {u}-{v}")
+        return cls._derived(masks)
+
+    @classmethod
+    def _derived(cls, masks) -> "Graph":
+        """from_masks without its checks, for masks cut from a Graph's own:
+        an induced subgraph or a double cover of a simple graph is simple."""
+        g = cls.__new__(cls)
+        g.n, g.neighbor_masks, g._adj = len(masks), tuple(masks), None
+        return g
 
     @property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        if self._masks is None:
-            self._masks = tuple(sum(1 << u for u in row) for row in self.adj)
-        return self._masks
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        if self._adj is None:
+            self._adj = tuple(tuple(_bits(m)) for m in self.neighbor_masks)
+        return self._adj
 
     @property
     def n_edges(self) -> int:
-        return sum(len(row) for row in self.adj) // 2
+        return sum(m.bit_count() for m in self.neighbor_masks) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.neighbor_masks[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        return [
+            (u, v + u + 1) for u, m in enumerate(self.neighbor_masks) for v in _bits(m >> u + 1)
+        ]
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.neighbor_masks[u] >> v & 1 == 1
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        return isinstance(other, Graph) and self.neighbor_masks == other.neighbor_masks
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        return hash(self.neighbor_masks)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.n_edges})"
+
+
+def _bits(x: int) -> list[int]:
+    """The set bits of x, ascending, read off its bit string by the regex
+    engine: faster than _iter_bits once x spans more than a few words."""
+    return [m.start() for m in _ONE.finditer(format(x, "b")[::-1])]
 
 
 def _iter_bits(x: int):
@@ -77,11 +137,8 @@ def _iter_bits(x: int):
 
 def graph_digest(g: Graph) -> str:
     """Deterministic identity digest of (n, edge set); not isomorphism-invariant."""
-    h = hashlib.sha256()
-    h.update(str(g.n).encode())
-    for u, v in g.edges():
-        h.update(f",{u}-{v}".encode())
-    return h.hexdigest()
+    text = str(g.n) + "".join(f",{u}-{v}" for u, v in g.edges())
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -312,25 +369,45 @@ def shortest_odd_cycle(g: Graph):
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on the given vertices, relabeled 0..len-1 in ascending
-    original order; returns (subgraph, mapping) with mapping[new] = old."""
+    original order; returns (subgraph, mapping) with mapping[new] = old.
+
+    A row with few kept neighbours moves them into place one bit at a time.
+    A denser row is written as a bit string over the span of the kept
+    vertices, highest bit first, and itemgetter picks the kept columns in
+    descending order, so the joined string is the new mask."""
     vs = sorted(set(vertices))
     for v in vs:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    pos = {old: new for new, old in enumerate(vs)}
-    edges = [(pos[u], pos[v]) for u in vs for v in g.adj[u] if v in pos and u < v]
-    return Graph(len(vs), edges), tuple(vs)
+    if not vs:
+        return Graph._derived(()), ()
+    lo, hi = vs[0], vs[-1]
+    fmt = f"0{hi - lo + 1}b"
+    pick = itemgetter(*[hi - v for v in reversed(vs)])
+    place = {v - lo: 1 << i for i, v in enumerate(vs)}
+    kept = 0
+    for v in vs:
+        kept |= 1 << v - lo
+    nbrs, masks = g.neighbor_masks, []
+    for v in vs:
+        row = nbrs[v] >> lo & kept
+        if row.bit_count() * 4 < len(vs):
+            m = 0
+            while row:
+                b = row & -row
+                m |= place[b.bit_length() - 1]
+                row ^= b
+        else:
+            m = int("".join(pick(format(row, fmt))), 2)
+        masks.append(m)
+    return Graph._derived(masks), tuple(vs)
 
 
 def bipartite_double_cover(g: Graph) -> Graph:
     """Tensor product with a single edge: (v,0) at index v, (v,1) at n+v,
     and an edge {(u,0),(v,1)} for each edge {u,v} of g, both orientations."""
-    n = g.n
-    edges = []
-    for u, v in g.edges():
-        edges.append((u, n + v))
-        edges.append((v, n + u))
-    return Graph(2 * n, edges)
+    masks = g.neighbor_masks
+    return Graph._derived([m << g.n for m in masks] + list(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +436,30 @@ def _g6_encode_n(n: int) -> bytes:
     return bytes([126, 126] + [c + 63 for c in chunks])
 
 
+# base64 digits in value order, and the same values offset by 63
+_B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_DIGITS = bytes(range(63, 127))
+_B64_TO_G6 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
+_G6_TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
+
+
 def graph6_encode(g: Graph) -> bytes:
     """Standard header-less graph6: N(n) then the upper triangle in
-    column-major order, packed 6 bits per byte, each byte offset by 63."""
+    column-major order, packed 6 bits per byte, each byte offset by 63.
+
+    The column bits form one bit string; base64 cuts it into six-bit
+    digits, highest first, once it is padded to whole 24-bit groups, and
+    a translation moves the digits onto bytes 63..126."""
     if g.n > _G6_MAX_N:
         raise ValueError(f"graph6 supports at most {_G6_MAX_N} vertices")
     masks = g.neighbor_masks
     # column j lists bits 0..j-1 of vertex j's mask, lowest first
     bits = "".join(format(masks[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
-    bits += "0" * (-len(bits) % 6)
-    return _g6_encode_n(g.n) + bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+    ndigits = -(-len(bits) // 6)
+    groups = -(-ndigits // 4)
+    packed = int(bits or "0", 2) << 24 * groups - len(bits)
+    b64 = binascii.b2a_base64(packed.to_bytes(3 * groups, "big"), newline=False)
+    return _g6_encode_n(g.n) + b64[:ndigits].translate(_B64_TO_G6)
 
 
 def graph6_decode(data) -> Graph:
@@ -419,20 +510,22 @@ def graph6_decode(data) -> Graph:
             f"expected {nbytes} payload bytes for n={n}, got {len(data) - pos}",
             offset=pos,
         )
-    edges = []
-    bit = 0
-    i, j = 0, 1
-    for b in range(pos, len(data)):
-        x = val(b)
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                if x >> shift & 1:
-                    raise Graph6Error("nonzero padding bits", offset=b)
-                continue
-            if x >> shift & 1:
-                edges.append((i, j))
-            bit += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
-    return Graph(n, edges)
+    payload = data[pos:]
+    if payload and not (63 <= min(payload) and max(payload) <= 126):
+        for b in range(pos, len(data)):
+            val(b)  # raises at the first byte out of range
+    # the payload's six-bit digits as base64 text, padded to whole groups
+    digits = payload.translate(_G6_TO_B64)
+    padded = binascii.a2b_base64(digits + b"A" * (-len(digits) % 4))
+    spare = 8 * len(padded) - nbits  # padding bits, then the base64 fill
+    whole = int.from_bytes(padded, "big")
+    if whole & ((1 << spare) - 1):
+        raise Graph6Error("nonzero padding bits", offset=len(data) - 1)
+    bits = format(whole >> spare, f"0{nbits}b") if nbits else ""
+    # cols[j][i] = 1 iff i ~ j, for i < j, zero-filled to n entries; laid
+    # end to end, the columns hold row v's entries above v at [v::n][v + 1:]
+    cols = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] + "0" * (n - j) for j in range(n)]
+    table = "".join(cols)
+    return Graph.from_masks(
+        int((cols[v][:v] + table[v::n][v:])[::-1], 2) for v in range(n)
+    )

@@ -27,10 +27,12 @@ from typing import NamedTuple, Optional
 from .graphs import (
     Graph,
     INF,
+    _iter_bits,
     component_mask,
     connected_components,
     eccentricities,
     girth,
+    induced_subgraph,
 )
 
 DIGON = "generalised_digon"
@@ -56,40 +58,59 @@ class IncidenceSystem:
 
     Type labels are arbitrary ints (kept verbatim by residues and
     truncations); rank is the number of distinct labels.  Incidence between
-    elements of equal type is rejected at construction.  The incidence
-    relation is held once, as `graph` (vertex e is element e); `adj`,
-    `element_masks` and `incident` read from it.
+    elements of equal type is rejected at construction, by one AND of each
+    element's mask with its type's mask.  The incidence relation is held
+    once, as `graph` (vertex e is element e), given as pairs or, through
+    from_graph, as a Graph; `adj`, `element_masks` and `incident` read
+    from it.
     """
 
     __slots__ = ("types", "type_of", "labels", "graph", "_type_masks")
 
     def __init__(self, types, type_of, incidences, labels=None):
-        self.types = tuple(sorted(set(types)))
-        self.type_of = tuple(type_of)
-        for t in self.type_of:
-            if t not in set(self.types):
-                raise ValueError(f"element type {t} not among declared types {self.types}")
+        self._set_elements(types, type_of, labels)
         n = len(self.type_of)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels must cover all elements")
-        self.labels = labels
-        self.graph = Graph(n, self._checked_edges(incidences))
-        self._type_masks = None
-
-    def _checked_edges(self, incidences):
-        n, type_of = len(self.type_of), self.type_of
+        edges = []
         for x, y in incidences:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"incidence ({x},{y}) out of range")
-            if x == y:
-                continue  # incidence is reflexive; only store the graph part
-            if type_of[x] == type_of[y]:
-                raise ValueError(
-                    f"elements {x},{y} of equal type {type_of[x]} cannot be incident"
-                )
-            yield x, y
+            if x != y:  # incidence is reflexive; only store the graph part
+                edges.append((x, y))
+        self._set_graph(Graph(n, edges))
+
+    @classmethod
+    def from_graph(cls, types, type_of, graph: Graph, labels=None) -> "IncidenceSystem":
+        """The system whose incidence graph is graph: element e is vertex e."""
+        sys = cls.__new__(cls)
+        sys._set_elements(types, type_of, labels)
+        if graph.n != len(sys.type_of):
+            raise ValueError(f"graph has {graph.n} vertices for {len(sys.type_of)} elements")
+        sys._set_graph(graph)
+        return sys
+
+    def _set_elements(self, types, type_of, labels) -> None:
+        self.types = tuple(sorted(set(types)))
+        self.type_of = tuple(type_of)
+        tm = {t: 0 for t in self.types}
+        for e, t in enumerate(self.type_of):
+            if t not in tm:
+                raise ValueError(f"element type {t} not among declared types {self.types}")
+            tm[t] |= 1 << e
+        self._type_masks = tm
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != len(self.type_of):
+                raise ValueError("labels must cover all elements")
+        self.labels = labels
+
+    def _set_graph(self, graph: Graph) -> None:
+        tm = self._type_masks
+        for x, (mask, t) in enumerate(zip(graph.neighbor_masks, self.type_of)):
+            same = mask & tm[t]
+            if same:
+                y = (same & -same).bit_length() - 1
+                raise ValueError(f"elements {x},{y} of equal type {t} cannot be incident")
+        self.graph = graph
 
     @property
     def rank(self) -> int:
@@ -108,11 +129,6 @@ class IncidenceSystem:
         return self.graph.neighbor_masks
 
     def type_mask(self, t: int) -> int:
-        if self._type_masks is None:
-            tm = {u: 0 for u in self.types}
-            for e, te in enumerate(self.type_of):
-                tm[te] |= 1 << e
-            self._type_masks = tm
         return self._type_masks[t]
 
     def elements_of_type(self, t: int) -> tuple[int, ...]:
@@ -178,7 +194,8 @@ def _residues(sys: IncidenceSystem, J):
     sorted element tuple, depth-first in ascending type order, and the
     bitmask that residue_mask would return for it."""
     J = tuple(sorted(J))
-    if len(set(J)) != len(J) or any(t not in set(sys.types) for t in J):
+    declared = set(sys.types)
+    if len(set(J)) != len(J) or any(t not in declared for t in J):
         raise ValueError(f"types {J} not a subset of {sys.types}")
     masks = sys.element_masks
     type_masks = [sys.type_mask(t) for t in J]
@@ -243,20 +260,11 @@ def residue_mask(sys: IncidenceSystem, flag) -> int:
     return cand
 
 
-def _members(sys: IncidenceSystem, mask: int) -> list[int]:
-    return [e for e in range(sys.n_elements) if mask >> e & 1]
-
-
 def _restriction(sys: IncidenceSystem, keep, types) -> IncidenceSystem:
-    pos = {old: new for new, old in enumerate(keep)}
-    incid = [
-        (pos[a], pos[b])
-        for a in keep
-        for b in sys.adj[a]
-        if b in pos and a < b
-    ]
+    """The system on the ascending elements keep, renumbered in that order."""
+    graph, _ = induced_subgraph(sys.graph, keep)
     labels = tuple(sys.labels[e] for e in keep) if sys.labels is not None else None
-    return IncidenceSystem(types, tuple(sys.type_of[e] for e in keep), incid, labels)
+    return IncidenceSystem.from_graph(types, [sys.type_of[e] for e in keep], graph, labels)
 
 
 def residue(sys: IncidenceSystem, flag) -> tuple[IncidenceSystem, tuple[int, ...]]:
@@ -266,7 +274,7 @@ def residue(sys: IncidenceSystem, flag) -> tuple[IncidenceSystem, tuple[int, ...
     flag = tuple(sorted(set(flag)))
     if not is_flag(sys, flag):
         raise FlagError("not a flag")
-    keep = _members(sys, residue_mask(sys, flag))
+    keep = list(_iter_bits(residue_mask(sys, flag)))
     new_types = _cotype(sys, {sys.type_of[e] for e in flag})
     return _restriction(sys, keep, new_types), tuple(keep)
 
@@ -440,7 +448,7 @@ def buekenhout_diagram(sys: IncidenceSystem) -> BuekenhoutDiagram:
     edges = {}
     for pair in combinations(sys.types, 2):
         cand = first_residue(pair)
-        summary = rank2_summary(_restriction(sys, _members(sys, cand), pair))
+        summary = rank2_summary(_restriction(sys, list(_iter_bits(cand)), pair))
         if summary.classification != DIGON:
             edges[pair] = summary
     return BuekenhoutDiagram(sys.types, orders, counts, edges)
@@ -478,7 +486,7 @@ def system_to_json(sys: IncidenceSystem) -> dict:
             {"id": e, "type": sys.type_of[e], "label": sys.label_of(e)}
             for e in range(sys.n_elements)
         ],
-        "incidences": [[a, b] for a in range(sys.n_elements) for b in sys.adj[a] if a < b],
+        "incidences": [[a, b] for a, b in sys.graph.edges()],
     }
 
 

@@ -136,12 +136,18 @@ def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
     n = g.n
     if h.n != n or len(mapping) != n or set(mapping) != set(range(n)):
         return False
-    masks = h.neighbor_masks
-    for u in range(n):
+    # a bijection does that iff its inverse maps each neighborhood of h onto
+    # that of the preimage; reading h's lists reuses the adjacency a fixed
+    # reference builds once, where g is often a fresh graph held as masks
+    preimage = [0] * n
+    for u, a in enumerate(mapping):
+        preimage[a] = u
+    masks = g.neighbor_masks
+    for a, row in enumerate(h.adj):
         img = 0
-        for w in g.adj[u]:
-            img |= 1 << mapping[w]
-        if img != masks[mapping[u]]:
+        for b in row:
+            img |= 1 << preimage[b]
+        if img != masks[preimage[a]]:
             return False
     return True
 

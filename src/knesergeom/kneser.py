@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bipartite_double_cover
+from .graphs import Graph, _iter_bits, bipartite_double_cover
 from .incidence import IncidenceSystem
 from .subsets import GroundSet, KSubset, enumerate_k_subsets, validate_subset
 
@@ -49,16 +49,29 @@ class KneserParams:
         return GroundSet(self.n)
 
 
+def disjointness_table(subsets) -> list[int]:
+    """For nonempty subset bitmasks S_0..S_{N-1}, D[i] is the bitmask of
+    the j with S_j disjoint from S_i: the AND over the points p of S_i of
+    the subsets avoiding p, taken as the complement of the OR of the
+    subsets that hold p.  S_i holds its own points, so i is not in D[i]."""
+    holding = {}
+    for i, s in enumerate(subsets):
+        for p in _iter_bits(s):
+            holding[p] = holding.get(p, 0) | 1 << i
+    everything = (1 << len(subsets)) - 1
+    table = []
+    for s in subsets:
+        hit = 0
+        for p in _iter_bits(s):
+            hit |= holding[p]
+        table.append(everything ^ hit)
+    return table
+
+
 def kneser_graph(p: KneserParams) -> Graph:
     """KG(n,k): C(n,k) vertices indexed by colex rank, edge iff disjoint."""
-    masks = [s.bits for s in enumerate_k_subsets(p.ground, p.k)]
-    edges = [
-        (i, j)
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-        if masks[i] & masks[j] == 0
-    ]
-    return Graph(len(masks), edges)
+    subsets = [s.bits for s in enumerate_k_subsets(p.ground, p.k)]
+    return Graph.from_masks(disjointness_table(subsets))
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -176,8 +189,8 @@ def neighborhood_geometry(g: Graph, labels=None) -> IncidenceSystem:
         if len(labels) != n:
             raise ValueError("labels must cover all vertices")
         labels = labels + labels
-    return IncidenceSystem(
-        (0, 1), [0] * n + [1] * n, bipartite_double_cover(g).edges(), labels
+    return IncidenceSystem.from_graph(
+        (0, 1), [0] * n + [1] * n, bipartite_double_cover(g), labels
     )
 
 

@@ -11,9 +11,10 @@ Element indexing is type-major with colex order within a type, so every
 derived certificate is byte-reproducible.  This module is the only one that
 knows that layout: other layers read an element's type and subset through
 type_of, subset_of and masks, and otherwise see the IncidenceSystem.
-Incidence is always answerable from the subset masks alone; the adjacency
-lists of the full incidence system are materialized lazily and only
-on demand.
+incidence_system builds that system once, straight from neighbor bitmasks:
+kneser.disjointness_table gives, per subset, the mask of the subsets
+disjoint from it, and element (t, i) meets that mask in every type block
+but its own.  No pair of elements is visited and no edge list is made.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .graphs import Graph
 from .incidence import (
     BuekenhoutDiagram,
     IncidenceSystem,
@@ -28,7 +30,12 @@ from .incidence import (
     NEITHER,
     RankTwoSummary,
 )
-from .kneser import KneserParams, predicted_diameter, predicted_gonality
+from .kneser import (
+    KneserParams,
+    disjointness_table,
+    predicted_diameter,
+    predicted_gonality,
+)
 from .subsets import GroundSet, KSubset, enumerate_k_subsets
 
 
@@ -72,8 +79,8 @@ class GeometryParams:
 
 
 class KneserGeometry:
-    """The built geometry: subsets per element, O(1) incidence, and a lazy
-    materialized IncidenceSystem."""
+    """The built geometry: subsets per element, O(1) incidence, and the
+    IncidenceSystem, built on first use."""
 
     __slots__ = ("params", "masks", "_system", "_labels")
 
@@ -105,20 +112,17 @@ class KneserGeometry:
 
     def incidence_system(self) -> IncidenceSystem:
         if self._system is None:
-            n = self.n_elements
-            per = self.params.per_type
-            masks = self.masks
-            incid = (
-                (x, y)
-                for x in range(n)
-                for y in range((x // per + 1) * per, n)
-                if masks[x] & masks[y] == 0
-            )
-            self._system = IncidenceSystem(
-                range(self.params.r),
-                [e // per for e in range(n)],
-                incid,
-                [self._labels[e % per] for e in range(n)],
+            r, per = self.params.r, self.params.per_type
+            table = disjointness_table(self.masks[:per])
+            # element (t, i) meets the subsets disjoint from S_i in every
+            # type block u != t: all r blocks, minus block t
+            every_block = [sum(d << u * per for u in range(r)) for d in table]
+            masks = [every_block[i] ^ table[i] << t * per for t in range(r) for i in range(per)]
+            self._system = IncidenceSystem.from_graph(
+                range(r),
+                [t for t in range(r) for _ in range(per)],
+                Graph.from_masks(masks),
+                self._labels * r,
             )
         return self._system
 

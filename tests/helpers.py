@@ -8,7 +8,9 @@ injections, group order by listing every element, colour refinement by
 recomputing every vertex's neighbour-colour multiset each round, flags by
 itertools.product over the per-type element lists, residue connectivity
 and the geometry test (maximal cliques) by networkx, diagram uniformity by
-building every corank-1 and corank-2 residue with residue().
+building every corank-1 and corank-2 residue with residue(), Kneser graphs
+and disjointness geometries by a loop over pairs of subsets into an edge
+list, graph6 by packing each six-bit slice of the column bit string.
 """
 
 import itertools
@@ -21,12 +23,15 @@ from hypothesis import strategies as st
 
 from knesergeom import (
     DIGON,
+    GeometryParams,
+    KneserParams,
     NEITHER,
     PARTIAL_LINEAR_SPACE,
     Graph,
     IncidenceSystem,
     KSubset,
     colex_rank,
+    enumerate_k_subsets,
     flags_of_type,
     rank2_summary,
     residue,
@@ -447,3 +452,53 @@ def residue_diagram_mismatches(sys, diagram):
             if diagram.edges.get(pair) != (None if s.classification == DIGON else s):
                 bad.append((flag, s))
     return bad
+
+
+def kneser_graph_oracle(n, k):
+    """KG(n, k) from a loop over the pairs of k-subsets in colex order."""
+    masks = [s.bits for s in enumerate_k_subsets(KneserParams(n, k).ground, k)]
+    edges = [
+        (i, j)
+        for i in range(len(masks))
+        for j in range(i + 1, len(masks))
+        if masks[i] & masks[j] == 0
+    ]
+    return Graph(len(masks), edges)
+
+
+def incidence_system_oracle(n, k, r):
+    """The rank-r disjointness geometry from a loop over the pairs of
+    elements of different types, type-major with colex order in a type."""
+    p = GeometryParams(n, k, r)
+    per = p.per_type
+    subsets = [s.bits for s in enumerate_k_subsets(p.ground, k)]
+    masks = subsets * r
+    incid = [
+        (x, y)
+        for x in range(len(masks))
+        for y in range((x // per + 1) * per, len(masks))
+        if masks[x] & masks[y] == 0
+    ]
+    labels = [f"{subsets[e % per]:#x}" for e in range(len(masks))]
+    return IncidenceSystem(range(r), [e // per for e in range(len(masks))], incid, labels)
+
+
+def graph6_encode_oracle(g):
+    """graph6 for n <= 258047 by packing each six-bit slice of the column
+    bit string into one byte; column j is bits 0..j-1 of vertex j's mask,
+    lowest first."""
+    n, masks = g.n, g.neighbor_masks
+    if n <= 62:
+        head = bytes([n + 63])
+    else:
+        head = bytes([126] + [(n >> s & 63) + 63 for s in (12, 6, 0)])
+    bits = "".join(format(masks[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+
+
+def induced_subgraph_oracle(g, vertices):
+    """The subgraph induced on vertices by renumbering each edge inside them."""
+    vs = sorted(set(vertices))
+    pos = {old: new for new, old in enumerate(vs)}
+    return Graph(len(vs), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])

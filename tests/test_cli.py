@@ -441,6 +441,10 @@ GOLDEN_OUTPUTS = [
      "6e7bc6d60ef45d016c4e23ded69d251812c48f077180640ec16b3cdabff6b407"),
     (("build", "--n", "5", "--k", "2", "--r", "3", "--format", "graph6"), 0,
      "141e8e8216139860352cbee8de800ce96b73980610645aae0f02173fcb329879"),
+    (("build", "--format", "graph6", "--n", "9", "--k", "4", "--r", "3"), 0,
+     "114eb85f871a83282eaa7011ab61fd6a1c932aae483a8610583ed1e10d58a7d5"),
+    (("build", "--format", "json", "--n", "9", "--k", "4", "--r", "3"), 0,
+     "0cca6cb106a08367ed2d1c5313b999753e46d120ba780f240431cbd9ce1a4a05"),
 ]
 
 
@@ -449,6 +453,27 @@ def test_golden_outputs():
         res = run_cli(*argv)
         assert res.returncode == code
         assert hashlib.sha256(res.stdout).hexdigest() == digest, argv
+
+
+def test_build_graph6_goes_from_masks_to_bytes(monkeypatch, tmp_path):
+    from knesergeom import Graph, cli
+
+    # the export builds no graph from an edge list and never the adjacency
+    # tuples of the one it encodes
+    edge_lists, encoded_graphs = [], []
+    monkeypatch.setattr(Graph, "__init__", _recording(edge_lists, Graph.__init__))
+    encode = cli.graph6_encode
+    monkeypatch.setattr(cli, "graph6_encode", lambda g: encoded_graphs.append(g) or encode(g))
+    out = tmp_path / "943.g6"
+    code = cli.main(["build", "--format", "graph6", "--n", "9", "--k", "4", "--r", "3",
+                     "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "114eb85f871a83282eaa7011ab61fd6a1c932aae483a8610583ed1e10d58a7d5"
+    )
+    assert edge_lists == []
+    (g,) = encoded_graphs
+    assert g.n == 2145 and g._adj is None
 
 
 def test_locally_x_second_graph6_line_exit2(tmp_path):

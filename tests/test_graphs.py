@@ -25,7 +25,9 @@ from knesergeom import (
 from knesergeom.graphs import connected_components, eccentricities
 from helpers import (
     girth_oracle,
+    graph6_encode_oracle,
     graph_from_nx,
+    induced_subgraph_oracle,
     odd_girth_oracle,
     per_source_eccentricities,
     per_source_odd_girth,
@@ -44,6 +46,35 @@ def test_graph_validation():
         Graph(2, [(0, 2)])
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])  # duplicates collapse
     assert g.n_edges == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 24), st.integers(0, 2**30), st.sampled_from([0.1, 0.4, 0.8]))
+def test_from_masks_matches_edges_and_rejects_bad_bits(n, seed, p):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    masks = list(g.neighbor_masks)
+    assert Graph.from_masks(masks) == g
+    assert Graph.from_masks(masks).adj == g.adj
+    for u in range(n):
+        for v in range(n):
+            if u != v:  # one flipped bit leaves v~u and u~v disagreeing
+                with pytest.raises(ValueError, match="asymmetric"):
+                    Graph.from_masks(masks[:u] + [masks[u] ^ 1 << v] + masks[u + 1:])
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph.from_masks(masks[:u] + [masks[u] | 1 << u] + masks[u + 1:])
+        for bit in (n, n + 1 + rng.randrange(64)):
+            with pytest.raises(ValueError, match="outside"):
+                Graph.from_masks(masks[:u] + [masks[u] | 1 << bit] + masks[u + 1:])
+        with pytest.raises(ValueError, match="outside"):
+            Graph.from_masks(masks[:u] + [-1 - masks[u]] + masks[u + 1:])
+
+
+def test_adj_is_a_cached_view():
+    g = Graph.from_masks([0b110, 0b101, 0b011])
+    assert g._adj is None and g.n_edges == 3 and g.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert g._adj is None
+    assert g.adj == ((1, 2), (0, 2), (0, 1)) and g.adj is g.adj
 
 
 def test_bfs_distances():
@@ -99,6 +130,19 @@ def test_induced_subgraph(petersen):
     # Petersen neighborhoods are co-triangles
     nbhd, _ = induced_subgraph(petersen, petersen.adj[0])
     assert nbhd.n == 3 and nbhd.n_edges == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 2**30), st.sampled_from([0.2, 0.5, 0.9]))
+def test_induced_subgraph_matches_edge_renumbering(n, seed, p):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    lo = rng.randrange(n + 1)
+    contiguous = range(lo, rng.randrange(lo, n + 1))
+    scattered = [v for v in range(n) if rng.random() < 0.5]
+    for vs in (contiguous, scattered, [rng.randrange(n)] if n else []):
+        sub, mapping = induced_subgraph(g, vs)
+        assert sub == induced_subgraph_oracle(g, vs) and mapping == tuple(sorted(vs))
 
 
 def test_double_cover_fixtures():
@@ -302,6 +346,20 @@ def test_graph6_matches_networkx():
         nxg.add_edges_from(g.edges())
         assert enc == nx.to_graph6_bytes(nxg, header=False).strip()
         assert graph_from_nx(nx.from_graph6_bytes(enc)) == g
+
+
+def test_graph6_matches_column_packing_and_networkx_up_to_70():
+    # n = 62/63 switches the size field; n(n-1)/2 mod 6 runs through every
+    # padding length
+    rng = random.Random(70)
+    for n in range(71):
+        for p in (0.0, 0.5, 1.0):
+            g = random_graph(rng, n, p)
+            enc = graph6_encode(g)
+            nxg = nx.empty_graph(n)
+            nxg.add_edges_from(g.edges())
+            assert enc == graph6_encode_oracle(g) == nx.to_graph6_bytes(nxg, header=False).strip()
+            assert graph6_decode(enc) == g
 
 
 def test_graph6_extended_size_header():

@@ -63,6 +63,17 @@ def test_system_validation():
     assert sys_.rank == 2 and sys_.incident(0, 1) and sys_.incident(0, 0)
 
 
+def test_system_from_graph_rejects_equal_type_masks():
+    # elements 0 and 2 share type 0; the masks make them incident
+    path = Graph.from_masks([0b110, 0b001, 0b001])
+    with pytest.raises(ValueError, match="elements 0,2 of equal type 0"):
+        IncidenceSystem.from_graph((0, 1), [0, 1, 0], path)
+    with pytest.raises(ValueError, match="3 vertices for 2 elements"):
+        IncidenceSystem.from_graph((0, 1), [0, 1], path)
+    sys_ = IncidenceSystem.from_graph((0, 1), [0, 1, 1], path)
+    assert sys_ == IncidenceSystem((0, 1), [0, 1, 1], [(0, 1), (0, 2)])
+
+
 def test_incidence_graph_k2():
     sys_ = IncidenceSystem((0, 1), [0, 1], [(0, 1)])
     tig = incidence_graph(sys_)

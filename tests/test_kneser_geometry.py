@@ -25,7 +25,18 @@ from knesergeom import (
     satisfies_ip2,
     truncation,
 )
-from helpers import residue_diagram_mismatches
+from helpers import incidence_system_oracle, kneser_graph_oracle, residue_diagram_mismatches
+
+
+@pytest.mark.parametrize(
+    "n,k,r",
+    [(5, 2, 2), (5, 2, 3), (5, 2, 4), (5, 2, 5), (6, 2, 4), (7, 3, 3), (12, 5, 2), (9, 4, 3)],
+)
+def test_disjointness_tables_match_pair_loops(n, k, r):
+    p = GeometryParams(n, k, r)
+    assert build_geometry(p).incidence_system() == incidence_system_oracle(n, k, r)
+    for m in {n, p.ground_size}:
+        assert kneser_graph(KneserParams(m, k)) == kneser_graph_oracle(m, k)
 
 
 def test_params_validation():
