@@ -9,8 +9,7 @@ Everything here is deterministic and exact: BFS distances, girth, odd girth,
 diameter, connectivity, bipartiteness, induced subgraphs, the bipartite
 double cover, and graph6 I/O.  Connectivity is one bitmask search,
 component_mask, which also serves the residue checks.  Induced subgraphs
-move each row's kept bits into place, one at a time in a sparse row and
-through the row's bit string in a dense one.  Girth runs one BFS
+move each row's kept bits into place one at a time.  Girth runs one BFS
 per source over per-vertex neighbor bitmasks; eccentricities and odd girth
 run one synchronous sweep that grows a bitmask per vertex for every source
 at once, so the inner loops stay in word operations.  graph6 packs and
@@ -23,12 +22,9 @@ from __future__ import annotations
 import binascii
 import hashlib
 import math
-import re
 from collections import deque
-from operator import itemgetter
 
 INF = math.inf
-_ONE = re.compile("1")
 _CHECK_CHARS = 1 << 20  # bits per block of Graph.from_masks's symmetry check
 
 
@@ -85,8 +81,9 @@ class Graph:
 
     @classmethod
     def _derived(cls, masks) -> "Graph":
-        """from_masks without its checks, for masks cut from a Graph's own:
-        an induced subgraph or a double cover of a simple graph is simple."""
+        """from_masks without its checks, for masks that are simple by
+        construction: cut from a Graph's own (an induced subgraph or a
+        double cover of a simple graph is simple) or decoded from graph6."""
         g = cls.__new__(cls)
         g.n, g.neighbor_masks, g._adj = len(masks), tuple(masks), None
         return g
@@ -94,7 +91,7 @@ class Graph:
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         if self._adj is None:
-            self._adj = tuple(tuple(_bits(m)) for m in self.neighbor_masks)
+            self._adj = tuple(tuple(_iter_bits(m)) for m in self.neighbor_masks)
         return self._adj
 
     @property
@@ -106,7 +103,9 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [
-            (u, v + u + 1) for u, m in enumerate(self.neighbor_masks) for v in _bits(m >> u + 1)
+            (u, v + u + 1)
+            for u, m in enumerate(self.neighbor_masks)
+            for v in _iter_bits(m >> u + 1)
         ]
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -120,12 +119,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.n_edges})"
-
-
-def _bits(x: int) -> list[int]:
-    """The set bits of x, ascending, read off its bit string by the regex
-    engine: faster than _iter_bits once x spans more than a few words."""
-    return [m.start() for m in _ONE.finditer(format(x, "b")[::-1])]
 
 
 def _iter_bits(x: int):
@@ -370,35 +363,21 @@ def shortest_odd_cycle(g: Graph):
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on the given vertices, relabeled 0..len-1 in ascending
     original order; returns (subgraph, mapping) with mapping[new] = old.
-
-    A row with few kept neighbours moves them into place one bit at a time.
-    A denser row is written as a bit string over the span of the kept
-    vertices, highest bit first, and itemgetter picks the kept columns in
-    descending order, so the joined string is the new mask."""
+    Each row keeps its neighbours among the vertices and moves each kept bit
+    to the neighbour's new index."""
     vs = sorted(set(vertices))
     for v in vs:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    if not vs:
-        return Graph._derived(()), ()
-    lo, hi = vs[0], vs[-1]
-    fmt = f"0{hi - lo + 1}b"
-    pick = itemgetter(*[hi - v for v in reversed(vs)])
-    place = {v - lo: 1 << i for i, v in enumerate(vs)}
+    place = {v: 1 << i for i, v in enumerate(vs)}
     kept = 0
     for v in vs:
-        kept |= 1 << v - lo
+        kept |= 1 << v
     nbrs, masks = g.neighbor_masks, []
     for v in vs:
-        row = nbrs[v] >> lo & kept
-        if row.bit_count() * 4 < len(vs):
-            m = 0
-            while row:
-                b = row & -row
-                m |= place[b.bit_length() - 1]
-                row ^= b
-        else:
-            m = int("".join(pick(format(row, fmt))), 2)
+        m = 0
+        for w in _iter_bits(nbrs[v] & kept):
+            m |= place[w]
         masks.append(m)
     return Graph._derived(masks), tuple(vs)
 
@@ -523,9 +502,8 @@ def graph6_decode(data) -> Graph:
         raise Graph6Error("nonzero padding bits", offset=len(data) - 1)
     bits = format(whole >> spare, f"0{nbits}b") if nbits else ""
     # cols[j][i] = 1 iff i ~ j, for i < j, zero-filled to n entries; laid
-    # end to end, the columns hold row v's entries above v at [v::n][v + 1:]
+    # end to end, the columns hold row v's entries above v at [v::n][v + 1:],
+    # so the masks are symmetric, loop-free and in range by construction
     cols = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] + "0" * (n - j) for j in range(n)]
     table = "".join(cols)
-    return Graph.from_masks(
-        int((cols[v][:v] + table[v::n][v:])[::-1], 2) for v in range(n)
-    )
+    return Graph._derived([int((cols[v][:v] + table[v::n][v:])[::-1], 2) for v in range(n)])

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -22,6 +23,7 @@ from knesergeom import (
     odd_girth,
     shortest_odd_cycle,
 )
+from knesergeom import graphs
 from knesergeom.graphs import connected_components, eccentricities
 from helpers import (
     girth_oracle,
@@ -49,25 +51,33 @@ def test_graph_validation():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 24), st.integers(0, 2**30), st.sampled_from([0.1, 0.4, 0.8]))
-def test_from_masks_matches_edges_and_rejects_bad_bits(n, seed, p):
+@given(
+    st.integers(0, 24),
+    st.integers(0, 2**30),
+    st.sampled_from([0.1, 0.4, 0.8]),
+    st.sampled_from([graphs._CHECK_CHARS, 8]),
+)
+def test_from_masks_matches_edges_and_rejects_bad_bits(n, seed, p, check_chars):
+    # 8 characters per block puts the symmetry check on one to eight columns
+    # a block, so flipped bits land in every block, the last partial one too
     rng = random.Random(seed)
     g = random_graph(rng, n, p)
     masks = list(g.neighbor_masks)
-    assert Graph.from_masks(masks) == g
-    assert Graph.from_masks(masks).adj == g.adj
-    for u in range(n):
-        for v in range(n):
-            if u != v:  # one flipped bit leaves v~u and u~v disagreeing
-                with pytest.raises(ValueError, match="asymmetric"):
-                    Graph.from_masks(masks[:u] + [masks[u] ^ 1 << v] + masks[u + 1:])
-        with pytest.raises(ValueError, match="self-loop"):
-            Graph.from_masks(masks[:u] + [masks[u] | 1 << u] + masks[u + 1:])
-        for bit in (n, n + 1 + rng.randrange(64)):
+    with mock.patch.object(graphs, "_CHECK_CHARS", check_chars):
+        assert Graph.from_masks(masks) == g
+        assert Graph.from_masks(masks).adj == g.adj
+        for u in range(n):
+            for v in range(n):
+                if u != v:  # one flipped bit leaves v~u and u~v disagreeing
+                    with pytest.raises(ValueError, match="asymmetric"):
+                        Graph.from_masks(masks[:u] + [masks[u] ^ 1 << v] + masks[u + 1:])
+            with pytest.raises(ValueError, match="self-loop"):
+                Graph.from_masks(masks[:u] + [masks[u] | 1 << u] + masks[u + 1:])
+            for bit in (n, n + 1 + rng.randrange(64)):
+                with pytest.raises(ValueError, match="outside"):
+                    Graph.from_masks(masks[:u] + [masks[u] | 1 << bit] + masks[u + 1:])
             with pytest.raises(ValueError, match="outside"):
-                Graph.from_masks(masks[:u] + [masks[u] | 1 << bit] + masks[u + 1:])
-        with pytest.raises(ValueError, match="outside"):
-            Graph.from_masks(masks[:u] + [-1 - masks[u]] + masks[u + 1:])
+                Graph.from_masks(masks[:u] + [-1 - masks[u]] + masks[u + 1:])
 
 
 def test_adj_is_a_cached_view():
