@@ -3,10 +3,12 @@
 McKay & Piperno, "Practical graph isomorphism II" (2014), on ordered
 partitions of bitmask cells.  Refinement splits cells by a splitter queue
 under Hopcroft's rule (Paige & Tarjan 1987), logs each split in a trace and
-stops at the coarsest equitable (1-WL) partition.  are_isomorphic() refines
-the reference h along one memoised path, searches g on an explicit stack,
-drops a branch when its trace departs from h's, and returns only maps that
-pass verify_isomorphism(), the edge check.
+stops at the coarsest equitable (1-WL) partition.  _search() refines the
+reference h along one memoised path, searches a vertex set of a host graph
+on the host's own masks and an explicit stack, drops a branch when its
+trace departs from h's, and returns only maps that pass _edge_check().
+are_isomorphic() and verify_isomorphism() are the cases where that set is
+every vertex; a neighborhood is searched in place, with no subgraph built.
 """
 
 from __future__ import annotations
@@ -38,29 +40,40 @@ def _color_partition(colors):
 
 def _refine(masks, cells, queue, expected=None):
     """Refine `cells` in place by the queued splitters until equitable.
-    For a splitter W, planes[j] holds bit j of |N(v) & W| for every v.  A
+    For a splitter W, planes[j] holds bit j of |N(v) & W| for every v; the
+    cells may cover only part of masks' vertices, as W and every cell lie
+    in the same set, so the counts are those of its induced subgraph.  A
     split cell keeps its index for the lowest count and the other fragments
     are appended.  Returns the trace of (cell index, ((count, size), ...))
     splits, or None as soon as it departs from `expected`."""
     queued, trace = set(queue), []
     while queue:
         queued.discard(s := queue.pop())
-        planes, touched = [0] * cells[s].bit_count().bit_length(), 0
-        for v in _iter_bits(cells[s]):
-            carry, j = masks[v], 0
+        x = cells[s]
+        planes, touched = [0] * x.bit_count().bit_length(), 0
+        while x:
+            b = x & -x
+            x ^= b
+            carry, j = masks[b.bit_length() - 1], 0
             touched |= carry
             while carry:
                 planes[j], carry = planes[j] ^ carry, planes[j] & carry
                 j += 1
+        high_first = range(len(planes) - 1, -1, -1)
         for ci in [i for i, x in enumerate(cells) if x & touched and x & (x - 1)]:
-            frags = [(cells[ci], 0)]
-            for j in range(len(planes) - 1, -1, -1):
-                p, bit = planes[j], 1 << j
-                frags = [(f, c) for x, c0 in frags
-                         for f, c in ((x & ~p, c0), (x & p, c0 | bit)) if f]
+            cell = cells[ci]
+            frags, common = [(cell, 0)], 0  # common: count bits of every vertex
+            for j in high_first:
+                p = planes[j] & cell
+                if p == cell:
+                    common |= 1 << j
+                elif p:
+                    bit = 1 << j
+                    frags = [(f, c) for x, c0 in frags
+                             for f, c in ((x & ~p, c0), (x & p, c0 | bit)) if f]
             if len(frags) == 1:
                 continue
-            entry = (ci, tuple((c, f.bit_count()) for f, c in frags))
+            entry = (ci, tuple((c | common, f.bit_count()) for f, c in frags))
             if expected is not None and expected[len(trace):len(trace) + 1] != [entry]:
                 return None
             trace.append(entry)
@@ -133,21 +146,29 @@ def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
     """Check that mapping is a bijection from g's vertices onto h's that
     maps every neighborhood onto the neighborhood of the image, i.e. sends
     edges to edges and non-edges to non-edges."""
-    n = g.n
-    if h.n != n or len(mapping) != n or set(mapping) != set(range(n)):
+    return _edge_check(g.neighbor_masks, (1 << g.n) - 1, h, mapping)
+
+
+def _edge_check(masks, domain, h, mapping) -> bool:
+    """verify_isomorphism for the subgraph that `masks` induce on the vertex
+    set `domain`, whose i-th lowest vertex goes to mapping[i]: vertex u's
+    row is masks[u] & domain, so neighbors outside the domain are ignored."""
+    n = h.n
+    if domain.bit_count() != n or len(mapping) != n or set(mapping) != set(range(n)):
         return False
     # a bijection does that iff its inverse maps each neighborhood of h onto
     # that of the preimage; reading h's lists reuses the adjacency a fixed
-    # reference builds once, where g is often a fresh graph held as masks
-    preimage = [0] * n
-    for u, a in enumerate(mapping):
-        preimage[a] = u
-    masks = g.neighbor_masks
+    # reference builds once
+    preimage, rest = [0] * n, domain  # preimage[a]: the bit of a's preimage
+    for a in mapping:
+        b = rest & -rest
+        rest ^= b
+        preimage[a] = b
     for a, row in enumerate(h.adj):
         img = 0
         for b in row:
-            img |= 1 << preimage[b]
-        if img != masks[preimage[a]]:
+            img |= preimage[b]
+        if img != masks[preimage[a].bit_length() - 1] & domain:
             return False
     return True
 
@@ -155,37 +176,51 @@ def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
 def are_isomorphic(g: Graph, h: Graph, g_colors=None, h_colors=None):
     """A color-respecting isomorphism g -> h as a list, or None.
 
-    Color classes correspond by the rank of their color value.  h follows
-    one memoised path, individualizing the first vertex of its smallest
-    non-singleton cell; g tries, depth first, every vertex of the cell at
-    the same index, and drops a branch once its trace differs from h's.  A
-    discrete leaf maps each cell of g to the same cell of h and is returned
-    only if it passes the edge check.  If an isomorphism phi exists, the
-    branch individualizing phi's preimage of h's path ends at phi.
+    Color classes correspond by the rank of their color value.  This is
+    _search with every vertex of g as the domain and one starting cell per
+    color class.
     """
-    if g.n != h.n or g.n_edges != h.n_edges:
-        return None
     cg = normalize_colors(g_colors, g.n)
     ch = normalize_colors(h_colors, h.n)
     if sorted(Counter(cg).items()) != sorted(Counter(ch).items()):
         return None
-    if g.n == 0:
+    return _search(g.neighbor_masks, (1 << g.n) - 1, _color_partition(cg), h, ch)
+
+
+def _search(masks, domain, cells, h, h_colors):
+    """An isomorphism from the subgraph that `masks` induce on the vertex
+    set `domain` onto h, as the images of domain's vertices in ascending
+    order, or None.  `cells` splits the domain into the color classes of
+    h_colors, index for index and size for size.
+
+    h follows one memoised path, individualizing the first vertex of its
+    smallest non-singleton cell; the domain side tries, depth first and in
+    ascending order, every vertex of the cell at the same index, and drops
+    a branch once its trace differs from h's.  A discrete leaf maps each
+    cell to the same cell of h and is returned only if it passes the edge
+    check.  If an isomorphism phi exists, the branch individualizing phi's
+    preimage of h's path ends at phi.  The tree and the map are those of
+    the induced subgraph relabeled in ascending order.
+    """
+    twice = sum((masks[u] & domain).bit_count() for u in _iter_bits(domain))
+    if domain.bit_count() != h.n or twice != 2 * h.n_edges:
+        return None
+    if h.n == 0:
         return []
-    ref = _reference_path(h, ch)
+    ref = _reference_path(h, h_colors)
     stack = []  # (level, partition, untried vertices of its target cell)
 
     def enter(level, cells, queue):
         """Refine a node; push it if inner, return its map if a verified leaf."""
         trace, target = ref.level(level)
-        if _refine(g.neighbor_masks, cells, queue, trace) is None:
+        if _refine(masks, cells, queue, trace) is None:
             return None
         if target is not None:
             stack.append((level, cells, cells[target]))
             return None
         mapping = [y.bit_length() - 1 for _, y in sorted(zip(cells, ref.cells))]
-        return mapping if verify_isomorphism(g, h, mapping) else None
+        return mapping if _edge_check(masks, domain, h, mapping) else None
 
-    cells = _color_partition(cg)
     found = enter(0, cells, list(range(len(cells))))
     while stack and found is None:
         level, cells, todo = stack.pop()

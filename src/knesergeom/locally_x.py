@@ -6,7 +6,8 @@ edge-verified bijection N(v) -> X or by a failed isomorphism search.  The
 bijection either comes from a search or is carried from an already matched
 vertex along a given automorphism table and then checked edge by edge, so a
 table that is not really an automorphism can cost searches but never makes
-a vertex pass.
+a vertex pass.  Both the search and the edge check run on N(v) in place,
+on the graph's own neighbor masks: no neighborhood graph is built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, graph_digest, induced_subgraph
-from .isomorphism import are_isomorphic, verify_isomorphism
+from .isomorphism import _edge_check, _search
 from .incidence import residue
 from .kneser_geometry import KneserGeometry
 
@@ -44,7 +45,7 @@ class LocallyXReport:
 
 def neighborhood_graph(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     """Graph induced on the neighbors of v, with the mapping back to the
-    original vertex labels."""
+    original vertex labels; is_locally_x searches N(v) in place instead."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     return induced_subgraph(g, g.adj[v])
@@ -69,18 +70,20 @@ def _carried_map(g: Graph, table, u: int, map_u):
 def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     """Check every vertex of g.
 
-    Vertices are taken in ascending order.  One that is not yet matched goes
-    to are_isomorphic, whose refinement pre-check certifies a mismatch and
-    whose returned bijection is edge-verified.  From each matched vertex u
-    the match spreads over the vertex permutations in `automorphisms`: an
-    unmatched w = t[u] takes u's bijection carried along t, which counts
-    only if verify_isomorphism passes on N(w); otherwise w gets its own
-    search.  Only matched vertices spread further, so with tables from a
-    group with one orbit per type the check runs one search per type.
+    Vertices are taken in ascending order.  One that is not yet matched gets
+    an isomorphism search of N(v) against X, in place on g's masks, whose
+    refinement certifies a mismatch and whose returned bijection is
+    edge-verified.  From each matched vertex u the match spreads over the
+    vertex permutations in `automorphisms`: an unmatched w = t[u] takes u's
+    bijection carried along t, which counts only if it passes the edge
+    check on N(w), again in place; otherwise w gets its own search.  Only
+    matched vertices spread further, so with tables from a group with one
+    orbit per type the check runs one search per type.
     """
     for t in automorphisms:
         if len(t) != g.n or set(t) != set(range(g.n)):
             raise ValueError("every table must be a permutation of the vertices of g")
+    masks, uncolored = g.neighbor_masks, (0,) * x.n
     matched: list[Optional[bool]] = [None] * g.n
     spreading: list = []  # (matched vertex, its bijection N(v) -> X)
 
@@ -92,17 +95,16 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     for root in range(g.n):
         if matched[root] is not None:
             continue
-        settle(root, are_isomorphic(neighborhood_graph(g, root)[0], x))
+        settle(root, _search(masks, masks[root], [masks[root]], x, uncolored))
         while spreading:
             u, map_u = spreading.pop()
             for t in automorphisms:
                 w = t[u]
                 if matched[w] is not None:
                     continue
-                nbhd = neighborhood_graph(g, w)[0]
                 carried = _carried_map(g, t, u, map_u)
-                if carried is None or not verify_isomorphism(nbhd, x, carried):
-                    carried = are_isomorphic(nbhd, x)
+                if carried is None or not _edge_check(masks, masks[w], x, carried):
+                    carried = _search(masks, masks[w], [masks[w]], x, uncolored)
                 settle(w, carried)
 
     failures = tuple(v for v, ok in enumerate(matched) if not ok)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -160,6 +161,37 @@ def test_locally_x_deep_search_reports(tmp_path):
     assert doc["failed"] == list(range(1, 1101))
 
 
+def test_locally_x_relabelled_pair_is_byte_identical(tmp_path):
+    # the pair the locally-x-g6 workload checks, (5,2,4) against the
+    # (5,2,3) reference, each relabelled from one fixed seed: the report and
+    # every vertex's bijection N(v) -> X are pinned, so a change to the
+    # search order or to what the search returns shows up here
+    from knesergeom import Graph, cli
+    from knesergeom.isomorphism import _search
+
+    rng = random.Random(12)
+    paths = []
+    for n, k, r in ((5, 2, 4), (5, 2, 3)):
+        g = build_geometry(GeometryParams(n, k, r)).incidence_system().graph
+        label = list(range(g.n))
+        rng.shuffle(label)
+        paths.append(tmp_path / f"{n}{k}{r}.g6")
+        paths[-1].write_bytes(
+            graph6_encode(Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])) + b"\n"
+        )
+    out = tmp_path / "report.json"
+    assert cli.main(["locally-x", *map(str, paths), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1d576b9f16c8350ce20e87476ba284febe3bdf4610b243ef49b5fc6ddac9feaa"
+    )
+    g, x = (graph6_decode(path.read_bytes().strip()) for path in paths)
+    masks = g.neighbor_masks
+    maps = [_search(masks, masks[v], [masks[v]], x, (0,) * x.n) for v in range(g.n)]
+    assert hashlib.sha256(json.dumps(maps).encode()).hexdigest() == (
+        "e6f258fa362657c8c53a1e74bce6486170c262ddc4efcd3b6fc1f9ea63b6ecb2"
+    )
+
+
 def test_locally_x_parse_error_exit2(tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_bytes(b"\x01\x02\x03\n")
@@ -215,15 +247,27 @@ def _recording(results, fn):
 
 
 def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
-    from knesergeom import cli, locally_x
+    from knesergeom import cli, graphs, incidence, locally_x
 
-    searches, edge_checks, table_checks = [], [], []
-    monkeypatch.setattr(locally_x, "are_isomorphic",
-                        _recording(searches, locally_x.are_isomorphic))
-    monkeypatch.setattr(locally_x, "verify_isomorphism",
-                        _recording(edge_checks, locally_x.verify_isomorphism))
+    searches, edge_checks, table_checks, subgraphs = [], [], [], []
+    monkeypatch.setattr(locally_x, "_search", _recording(searches, locally_x._search))
+    monkeypatch.setattr(locally_x, "_edge_check",
+                        _recording(edge_checks, locally_x._edge_check))
     monkeypatch.setattr(cli, "is_type_preserving_automorphism",
                         _recording(table_checks, cli.is_type_preserving_automorphism))
+    for module in (graphs, incidence, locally_x):  # every name it is called by
+        monkeypatch.setattr(module, "induced_subgraph",
+                            _recording(subgraphs, graphs.induced_subgraph))
+    subgraphs_in_check = []
+    check_locally_x = cli.is_locally_x
+
+    def counted(*args):
+        before = len(subgraphs)
+        report = check_locally_x(*args)
+        subgraphs_in_check.append(len(subgraphs) - before)
+        return report
+
+    monkeypatch.setattr(cli, "is_locally_x", counted)
     out = tmp_path / "cert.json"
     code = cli.main(["verify", "--n", "6", "--k", "2", "--r", "3", "--all", "--out", str(out)])
     assert code == 1  # ip2 fails at n > 2k+1
@@ -231,9 +275,10 @@ def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
     assert check["pass"]
     assert check["details"]["total"] == check["details"]["passed"] == 84
     # one search per type; every other vertex takes a carried map that
-    # passes its edge check
+    # passes its edge check, both run on N(v) in place
     assert len(searches) == 3 and all(m is not None for m in searches)
     assert len(edge_checks) == 81 and all(edge_checks)
+    assert subgraphs_in_check == [0]
     # flag-transitivity and locally-x share one verification of the 7
     # adjacent-transposition tables of the 8 ground points
     assert len(table_checks) == 7 and all(table_checks)

@@ -5,12 +5,22 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from knesergeom import (
+    GeometryParams,
     Graph,
     are_isomorphic,
+    build_geometry,
+    neighborhood_graph,
+    residue_reference_graph,
     verify_isomorphism,
 )
-from knesergeom.isomorphism import color_refine, wl_signature
-from helpers import brute_force_isomorphism, graph_from_nx, random_graph, wl_refine_oracle
+from knesergeom.isomorphism import _edge_check, _search, color_refine, wl_signature
+from helpers import (
+    brute_force_isomorphism,
+    graph_from_nx,
+    induced_subgraph_oracle,
+    random_graph,
+    wl_refine_oracle,
+)
 
 C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
 C6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -224,3 +234,78 @@ def test_deep_search_has_no_recursion_limit():
     g = Graph(1200)
     mapping = are_isomorphic(g, Graph(1200))
     assert mapping is not None and verify_isomorphism(g, Graph(1200), mapping)
+
+
+def _search_neighborhood(g, v, x):
+    """The in-place search of N(v) against x, as is_locally_x runs it."""
+    masks = g.neighbor_masks
+    return _search(masks, masks[v], [masks[v]], x, (0,) * x.n)
+
+
+def _moved_edge(g, rng):
+    """g with one edge moved onto a non-edge so that the result is not
+    isomorphic to g, or None if no tried move does that."""
+    edges = g.edges()
+    non_edges = [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
+    if not edges or not non_edges:
+        return None
+    for _ in range(20):
+        moved, added = rng.choice(edges), rng.choice(non_edges)
+        near = Graph(g.n, [e for e in edges if e != moved] + [added])
+        if not nx.is_isomorphic(_nx(g), _nx(near)):
+            return near
+    return None
+
+
+@st.composite
+def graph_and_rng(draw):
+    n = draw(st.integers(1, 13))
+    pairs = list(combinations(range(n), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, b in zip(pairs, bits) if b]), draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_rng())
+def test_in_place_search_matches_are_isomorphic_on_neighborhood_property(case):
+    # against N(v) relabelled at random and against a graph of the same
+    # order and size that is not isomorphic to it, the search on g's masks
+    # returns exactly what are_isomorphic returns on the built subgraph
+    g, rng = case
+    for v in range(g.n):
+        nbhd = induced_subgraph_oracle(g, g.adj[v])
+        perm = list(range(nbhd.n))
+        rng.shuffle(perm)
+        relabelled = relabel(nbhd, perm)
+        found = _search_neighborhood(g, v, relabelled)
+        assert found is not None
+        assert found == are_isomorphic(neighborhood_graph(g, v)[0], relabelled)
+        near = _moved_edge(nbhd, rng)
+        if near is not None:
+            assert _search_neighborhood(g, v, near) is None
+            assert are_isomorphic(neighborhood_graph(g, v)[0], near) is None
+
+
+def test_in_place_edge_check_rejects_swaps_and_ignores_outside_neighbors():
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    g, x = geom.incidence_system().graph, residue_reference_graph(geom)
+    masks = g.neighbor_masks
+    domain = masks[0]
+    mapping = _search_neighborhood(g, 0, x)
+    assert mapping is not None
+    # every vertex of N(0) is adjacent to 0, which lies outside N(0): the
+    # check reads masks[u] & domain and still accepts the map
+    vs = g.adj[0]
+    assert all(masks[u] & ~domain for u in vs)
+    assert _edge_check(masks, domain, x, mapping)
+    # swapping the images of i and j keeps an isomorphism iff i and j are
+    # twins in N(0); every swap of a non-twin pair is rejected
+    non_twins = 0
+    for i, j in combinations(range(len(vs)), 2):
+        a, b = vs[i], vs[j]
+        twins = (masks[a] & domain) & ~(1 << b) == (masks[b] & domain) & ~(1 << a)
+        swapped = list(mapping)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        assert _edge_check(masks, domain, x, swapped) == twins
+        non_twins += not twins
+    assert non_twins > 0

@@ -104,21 +104,32 @@ def _geometry_523():
 
 
 def test_verified_tables_same_report_fewer_searches(monkeypatch):
-    from knesergeom import locally_x
+    from knesergeom import graphs, incidence, locally_x
 
     sys_, x, tables = _geometry_523()
+    subgraphs = []
+    subgraph = graphs.induced_subgraph
+
+    def built(*args):
+        subgraphs.append(args)
+        return subgraph(*args)
+
+    for module in (graphs, incidence, locally_x):
+        monkeypatch.setattr(module, "induced_subgraph", built)
     plain = is_locally_x(sys_.graph, x)
     searches = []
+    search = locally_x._search
 
-    def counted(g, h):
-        searches.append(g.n)
-        return are_isomorphic(g, h)
+    def counted(masks, domain, *args):
+        searches.append(domain)
+        return search(masks, domain, *args)
 
-    monkeypatch.setattr(locally_x, "are_isomorphic", counted)
+    monkeypatch.setattr(locally_x, "_search", counted)
     carried = is_locally_x(sys_.graph, x, tables)
     assert carried.to_json() == plain.to_json()
     assert carried.ok and carried.total == 63
     assert len(searches) == 3  # one per type
+    assert subgraphs == []  # every neighborhood is searched in place
 
 
 def test_non_automorphism_tables_change_nothing():
