@@ -8,10 +8,12 @@ builders that think in masks never make an edge list.
 Everything here is deterministic and exact: BFS distances, girth, odd girth,
 diameter, connectivity, bipartiteness, induced subgraphs, the bipartite
 double cover, and graph6 I/O.  Connectivity is one bitmask search,
-component_mask, which also serves the residue checks.  Induced subgraphs
-move each row's kept bits into place one at a time.  Girth runs one BFS
-per source over per-vertex neighbor bitmasks; eccentricities and odd girth
-run one synchronous sweep that grows a bitmask per vertex for every source
+component_mask, which also serves the residue checks; bipartiteness is one
+bitmask layer sweep per component.  Induced subgraphs move each row's kept
+bits into place one at a time.  Girth runs one BFS per source over
+per-vertex neighbor bitmasks and stops at the first source that reaches 3,
+or 4 on a bipartite graph; eccentricities and odd girth run one
+synchronous sweep that grows a bitmask per vertex for every source
 at once, so the inner loops stay in word operations.  graph6 packs and
 unpacks six-bit digits with binascii's base64 codec and one byte
 translation.  Infinity is represented by math.inf.
@@ -230,20 +232,22 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for w in g.adj[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    q.append(w)
-                elif color[w] == color[u]:
+    """One bitmask BFS per component, a layer at a time: every edge joins
+    two consecutive layers or lies inside one, and an edge inside a layer
+    closes an odd cycle."""
+    masks = g.neighbor_masks
+    left = (1 << g.n) - 1
+    while left:
+        seen = cur = left & -left
+        while cur:
+            nxt = 0
+            for v in _iter_bits(cur):
+                if masks[v] & cur:
                     return False
+                nxt |= masks[v]
+            cur = nxt & ~seen
+            seen |= cur
+        left &= ~seen
     return True
 
 
@@ -253,9 +257,11 @@ def girth(g: Graph):
     One layered BFS per source.  An edge inside layer d witnesses a cycle of
     length <= 2d+1; a layer-(d+1) vertex with two parents in layer d
     witnesses one of length <= 2d+2.  Minimized over all sources both bounds
-    are attained, so the minimum is exact.
+    are attained, so the minimum is exact.  The sources stop once a cycle
+    as short as any the graph can have is found: 3, or 4 if it is bipartite.
     """
     masks = g.neighbor_masks
+    floor = 4 if is_bipartite(g) else 3
     best = INF
     for s in range(g.n):
         visited = 1 << s
@@ -282,7 +288,7 @@ def girth(g: Graph):
             visited |= nxt
             cur = nxt
             d += 1
-        if best == 3:
+        if best == floor:
             break
     return best
 

@@ -14,6 +14,7 @@ every vertex; a neighborhood is searched in place, with no subgraph built.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 
 from .graphs import Graph, _iter_bits
@@ -122,7 +123,10 @@ class _ReferencePath:
         return self.levels[i]
 
 
-_reference_path = functools.lru_cache(maxsize=1)(_ReferencePath)  # refine a reference once
+# refine each reference once; two entries, so that a graph searched against
+# itself and the X its neighborhoods are searched against do not evict each
+# other
+_reference_path = functools.lru_cache(maxsize=2)(_ReferencePath)
 
 
 def is_automorphism(g: Graph, perm) -> bool:
@@ -187,7 +191,7 @@ def are_isomorphic(g: Graph, h: Graph, g_colors=None, h_colors=None):
     return _search(g.neighbor_masks, (1 << g.n) - 1, _color_partition(cg), h, ch)
 
 
-def _search(masks, domain, cells, h, h_colors):
+def _search(masks, domain, cells, h, h_colors, max_nodes=math.inf):
     """An isomorphism from the subgraph that `masks` induce on the vertex
     set `domain` onto h, as the images of domain's vertices in ascending
     order, or None.  `cells` splits the domain into the color classes of
@@ -200,7 +204,8 @@ def _search(masks, domain, cells, h, h_colors):
     cell to the same cell of h and is returned only if it passes the edge
     check.  If an isomorphism phi exists, the branch individualizing phi's
     preimage of h's path ends at phi.  The tree and the map are those of
-    the induced subgraph relabeled in ascending order.
+    the induced subgraph relabeled in ascending order.  A search that
+    would enter more than max_nodes nodes gives up and returns None.
     """
     twice = sum((masks[u] & domain).bit_count() for u in _iter_bits(domain))
     if domain.bit_count() != h.n or twice != 2 * h.n_edges:
@@ -221,10 +226,13 @@ def _search(masks, domain, cells, h, h_colors):
         mapping = [y.bit_length() - 1 for _, y in sorted(zip(cells, ref.cells))]
         return mapping if _edge_check(masks, domain, h, mapping) else None
 
-    found = enter(0, cells, list(range(len(cells))))
+    found, entered = enter(0, cells, list(range(len(cells)))), 1
     while stack and found is None:
         level, cells, todo = stack.pop()
         if todo:
+            if entered >= max_nodes:
+                return None
+            entered += 1
             b = todo & -todo
             stack.append((level, cells, todo ^ b))
             cells = cells + [b]

@@ -8,6 +8,13 @@ vertex along a given automorphism table and then checked edge by edge, so a
 table that is not really an automorphism can cost searches but never makes
 a vertex pass.  Both the search and the edge check run on N(v) in place,
 on the graph's own neighbor masks: no neighborhood graph is built.
+
+With no tables given, as for a graph read from a graph6 file, the tables
+are discovered: whole-graph searches of g against itself, with two vertices
+individualized, return verified automorphisms that carry one match around
+an orbit.  Discovery runs only when X is large next to g (x.n ** 2 > g.n),
+since one whole-graph search costs about (g.n / x.n) ** 2 neighborhood
+searches, and it gives up for good at the first search that finds nothing.
 """
 
 from __future__ import annotations
@@ -67,6 +74,16 @@ def _carried_map(g: Graph, table, u: int, map_u):
     return carried
 
 
+def _automorphism(g: Graph, root: int, v: int):
+    """An automorphism of g that maps v to root, as a table, or None: a
+    search of g with v individualized against g with root individualized,
+    so every discovery for one root shares one reference path.  The search
+    returns only edge-checked maps, and gives up after g.n nodes."""
+    full = (1 << g.n) - 1
+    root_colors = tuple(int(u == root) for u in range(g.n))
+    return _search(g.neighbor_masks, full, [full ^ 1 << v, 1 << v], g, root_colors, g.n)
+
+
 def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     """Check every vertex of g.
 
@@ -79,26 +96,52 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     check on N(w), again in place; otherwise w gets its own search.  Only
     matched vertices spread further, so with tables from a group with one
     orbit per type the check runs one search per type.
+
+    With no tables given, g's automorphisms are discovered instead.  Once
+    a first vertex `root` has matched, an unmatched v that spreading has
+    not reached gets one search of all of g for an automorphism t with
+    t[v] = root; t joins the tables and every matched vertex spreads along
+    it.  The matched vertices then close up under t, so the cycle of t
+    through root takes the match to v.  Discovery
+    stops for good at the first search that finds no automorphism or
+    enters more than g.n nodes, and every vertex left gets its own search.
+    It runs only when x.n ** 2 > g.n: one search of g costs about
+    (g.n / x.n) ** 2 neighborhood searches.  A vertex passes only on an
+    edge-checked bijection either way, so the report does not depend on
+    whether discovery ran.
     """
-    for t in automorphisms:
+    tables = list(automorphisms)
+    for t in tables:
         if len(t) != g.n or set(t) != set(range(g.n)):
             raise ValueError("every table must be a permutation of the vertices of g")
     masks, uncolored = g.neighbor_masks, (0,) * x.n
     matched: list[Optional[bool]] = [None] * g.n
     spreading: list = []  # (matched vertex, its bijection N(v) -> X)
+    kept: list = []  # every such pair, while discovery may add a table
+    discover = not tables and x.n ** 2 > g.n
 
     def settle(v: int, mapping) -> None:
         matched[v] = mapping is not None
         if mapping is not None:
             spreading.append((v, mapping))
+            if discover:
+                kept.append((v, mapping))
 
-    for root in range(g.n):
-        if matched[root] is not None:
+    for v in range(g.n):
+        if matched[v] is not None:
             continue
-        settle(root, _search(masks, masks[root], [masks[root]], x, uncolored))
+        t = None
+        if discover and kept:  # kept[0] holds the first matched vertex, the root
+            t = _automorphism(g, kept[0][0], v)
+            discover = t is not None  # give up at the first failure
+        if t is not None:
+            tables.append(t)
+            spreading.extend(kept)
+        else:
+            settle(v, _search(masks, masks[v], [masks[v]], x, uncolored))
         while spreading:
             u, map_u = spreading.pop()
-            for t in automorphisms:
+            for t in tables:
                 w = t[u]
                 if matched[w] is not None:
                     continue

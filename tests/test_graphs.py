@@ -235,6 +235,25 @@ def with_pendant_paths(g, lengths):
     return Graph(n, edges)
 
 
+def test_girth_and_bipartite_match_oracles_on_structured_graphs():
+    k33 = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    forest = disjoint_union(with_pendant_paths(PATH3, [2, 0, 3]), Graph(2, [(0, 1)]))
+    cases = [
+        *((cycle(n), n) for n in (4, 6, 8, 10)),
+        (k33, 4),
+        (forest, INF),
+        (Graph(0), INF),
+        # the bipartite C4 comes first, so a floor of 4 would stop before
+        # the triangle; the odd component keeps the floor at 3
+        (disjoint_union(C4, TRIANGLE), 3),
+        (disjoint_union(C4, kneser_graph(KneserParams(5, 2))), 4),
+        (disjoint_union(cycle(6), cycle(5)), 5),
+    ]
+    for g, want in cases:
+        assert girth(g) == girth_oracle(g) == want
+        assert is_bipartite(g) == nx.is_bipartite(to_nx(g))
+
+
 def check_eccentricities(g):
     ecc = eccentricities(g)
     assert ecc == per_source_eccentricities(g)

@@ -309,3 +309,12 @@ def test_in_place_edge_check_rejects_swaps_and_ignores_outside_neighbors():
         assert _edge_check(masks, domain, x, swapped) == twins
         non_twins += not twins
     assert non_twins > 0
+
+
+def test_search_gives_up_past_its_node_cap():
+    # 5K1 against itself: the root and one node per individualized vertex
+    # until one vertex is left, five nodes in all
+    g = Graph(5)
+    full = (1 << 5) - 1
+    assert _search(g.neighbor_masks, full, [full], g, (0,) * 5, 4) is None
+    assert _search(g.neighbor_masks, full, [full], g, (0,) * 5, 5) == [0, 1, 2, 3, 4]

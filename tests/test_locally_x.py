@@ -1,4 +1,9 @@
+import random
+from itertools import combinations
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knesergeom import (
     GeometryParams,
@@ -9,6 +14,7 @@ from knesergeom import (
     bipartite_double_cover,
     build_geometry,
     incidence_graph,
+    induced_subgraph,
     is_locally_x,
     is_type_preserving_automorphism,
     kneser_graph,
@@ -181,3 +187,178 @@ def test_reference_is_refined_once(monkeypatch):
     assert report.ok and report.total == 63
     depth = len(isomorphism._reference_path(x, (0,) * x.n).levels) - 1
     assert 1 <= len(on_x) <= depth + 1
+
+
+def _record_searches(monkeypatch):
+    """Wrap locally_x._search; returns {"whole": [...], "neighborhood": [...]}
+    with the result of every search of all of g and of one N(v)."""
+    from knesergeom import locally_x
+
+    found = {"whole": [], "neighborhood": []}
+    search = locally_x._search
+
+    def recorded(masks, domain, *args):
+        result = search(masks, domain, *args)
+        found["whole" if domain == (1 << len(masks)) - 1 else "neighborhood"].append(result)
+        return result
+
+    monkeypatch.setattr(locally_x, "_search", recorded)
+    return found
+
+
+def test_reference_path_of_g_is_refined_once(monkeypatch):
+    # every discovery search individualizes the matched root on the
+    # reference side, so all of them follow one memoised path of g, which
+    # stays cached next to X's
+    from knesergeom import isomorphism
+
+    sys_, x, _ = _geometry_523()
+    g = sys_.graph
+    isomorphism._reference_path.cache_clear()
+    searches, on_g = _record_searches(monkeypatch), []
+    refine = isomorphism._refine
+
+    def recorded(masks, *args):
+        if masks is g.neighbor_masks and len(args) == 2:  # no expected trace
+            on_g.append(len(masks))
+        return refine(masks, *args)
+
+    monkeypatch.setattr(isomorphism, "_refine", recorded)
+    report = is_locally_x(g, x)
+    assert report.ok and report.total == 63
+    assert len(searches["whole"]) >= 2
+    root_colors = tuple(int(v == 0) for v in range(g.n))
+    depth = len(isomorphism._reference_path(g, root_colors).levels) - 1
+    assert 1 <= len(on_g) <= depth + 1
+
+
+def _relabelled(g, rng):
+    label = list(range(g.n))
+    rng.shuffle(label)
+    return Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
+
+
+def test_discovery_on_the_relabelled_pair(monkeypatch):
+    # the (5,2,4)/(5,2,3) pair relabelled from seed 12, as the locally-x
+    # CLI test pins it: one neighborhood search, and a few discovered
+    # automorphisms carry its map to every other vertex
+    rng = random.Random(12)
+    g, x = (
+        _relabelled(build_geometry(GeometryParams(n, k, r)).incidence_system().graph, rng)
+        for n, k, r in ((5, 2, 4), (5, 2, 3))
+    )
+    searches = _record_searches(monkeypatch)
+    report = is_locally_x(g, x)
+    assert report.ok and report.total == 144
+    assert len(searches["neighborhood"]) == 1
+    assert 1 <= len(searches["whole"]) <= 3
+    assert None not in searches["whole"]
+
+
+def test_no_discovery_when_x_is_small_next_to_g(monkeypatch):
+    # x.n ** 2 <= g.n: a whole-graph search would cost more than the
+    # neighborhood searches it saves
+    cubic = nx.random_regular_graph(3, 2000, seed=7)
+    cases = [
+        (Graph(2000, [(i, (i + 1) % 2000) for i in range(2000)]), Graph(2)),
+        (Graph(2000, list(cubic.edges())), Graph(3)),
+    ]
+    for g, x in cases:
+        searches = _record_searches(monkeypatch)
+        report = is_locally_x(g, x)
+        assert searches["whole"] == [] and len(searches["neighborhood"]) == g.n
+        assert report.failures == _nx_failures(g, x)
+
+
+def test_discovery_gives_up_at_the_first_failure(monkeypatch):
+    # the centre of the star K_{1,1100} matches X = 1100K1 and becomes the
+    # root; no automorphism moves it to a leaf, which the first refinement
+    # of the one discovery search already shows, so every leaf is searched
+    from knesergeom import isomorphism
+
+    g = Graph(1101, [(0, i) for i in range(1, 1101)])
+    searches = _record_searches(monkeypatch)
+    host_refines = []
+    refine = isomorphism._refine
+
+    def recorded(masks, cells, queue, expected=None):
+        trace = refine(masks, cells, queue, expected)
+        # a search node after the centre's own search, before discovery ends
+        if expected is not None and searches["neighborhood"] and not searches["whole"]:
+            host_refines.append(trace)
+        return trace
+
+    monkeypatch.setattr(isomorphism, "_refine", recorded)
+    report = is_locally_x(g, Graph(1100))
+    assert report.passed == 1 and report.failures == tuple(range(1, 1101))
+    assert searches["whole"] == [None]
+    assert len(searches["neighborhood"]) == 1101
+    assert host_refines == [None]
+
+
+def _nx_failures(g, x):
+    """The vertices whose neighborhood networkx finds not isomorphic to x."""
+    nxg, nxx = nx.Graph(g.edges()), nx.Graph(x.edges())
+    nxg.add_nodes_from(range(g.n))
+    nxx.add_nodes_from(range(x.n))
+    return tuple(
+        v for v in range(g.n)
+        if not nx.is_isomorphic(nxg.subgraph(g.adj[v]), nxx)
+    )
+
+
+def _circulant(n, jumps):
+    return Graph(n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
+
+
+def _rook_and_shrikhande():
+    """The 4x4 rook's graph (locally 2K3) on 0..15 next to the Shrikhande
+    graph (locally C6) on 16..31: both strongly regular (16,6,2,2)."""
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    rook = [(i, j) for i, (a, b) in enumerate(cells) for j, (c, d) in enumerate(cells)
+            if i < j and (a == c or b == d)]
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    shrikhande = [(16 + i, 16 + j) for i, (a, b) in enumerate(cells)
+                  for j, (c, d) in enumerate(cells)
+                  if i < j and ((c - a) % 4, (d - b) % 4) in steps]
+    return Graph(32, rook + shrikhande)
+
+
+@st.composite
+def graph_and_local_x(draw):
+    """A random small graph, a circulant or the rook's graph next to the
+    Shrikhande graph, and X induced on one vertex's neighborhood, relabelled."""
+    kind = draw(st.sampled_from(["random", "circulant", "rook+shrikhande"]))
+    if kind == "random":
+        n = draw(st.integers(1, 12))
+        pairs = list(combinations(range(n), 2))
+        bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, [p for p, b in zip(pairs, bits) if b])
+    elif kind == "circulant":
+        n = draw(st.integers(3, 16))
+        g = _circulant(n, draw(st.sets(st.integers(1, n // 2), min_size=1)))
+    else:
+        g = _rook_and_shrikhande()
+    v = draw(st.integers(0, g.n - 1))
+    x, _ = induced_subgraph(g, g.adj[v])
+    return g, _relabelled(x, draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(graph_and_local_x())
+def test_failures_match_networkx_property(case):
+    g, x = case
+    assert is_locally_x(g, x).failures == _nx_failures(g, x)
+
+
+def test_discovery_stops_at_another_orbit(monkeypatch):
+    # rooted in the rook's graph, discovery finds automorphisms until the
+    # first Shrikhande vertex, where none exists; every Shrikhande vertex
+    # is then searched and fails
+    g = _rook_and_shrikhande()
+    x, _ = induced_subgraph(g, g.adj[0])
+    searches = _record_searches(monkeypatch)
+    report = is_locally_x(g, x)
+    assert report.failures == tuple(range(16, 32)) == _nx_failures(g, x)
+    assert searches["whole"][-1] is None and None not in searches["whole"][:-1]
+    assert len(searches["neighborhood"]) == 17
