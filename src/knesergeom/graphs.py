@@ -131,9 +131,15 @@ def _iter_bits(x: int):
 
 
 def graph_digest(g: Graph) -> str:
-    """Deterministic identity digest of (n, edge set); not isomorphism-invariant."""
-    text = str(g.n) + "".join(f",{u}-{v}" for u, v in g.edges())
-    return hashlib.sha256(text.encode()).hexdigest()
+    """Deterministic identity digest of (n, edge set); not isomorphism-invariant.
+    The text hashed is n followed by ",u-v" for every edge u < v in
+    ascending order, built one row at a time."""
+    rows = [str(g.n)]
+    for u, m in enumerate(g.neighbor_masks):
+        if high := m >> u + 1 << u + 1:
+            sep = f",{u}-"
+            rows.append(sep + sep.join(map(str, _iter_bits(high))))
+    return hashlib.sha256("".join(rows).encode()).hexdigest()
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:

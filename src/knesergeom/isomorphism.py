@@ -45,9 +45,12 @@ def _refine(masks, cells, queue, expected=None):
     cells may cover only part of masks' vertices, as W and every cell lie
     in the same set, so the counts are those of its induced subgraph.  A
     split cell keeps its index for the lowest count and the other fragments
-    are appended.  Returns the trace of (cell index, ((count, size), ...))
+    are appended.  Only non-singleton cells can split, so their indices
+    are kept in ascending order in `live`; an appended index is always the
+    largest.  Returns the trace of (cell index, ((count, size), ...))
     splits, or None as soon as it departs from `expected`."""
     queued, trace = set(queue), []
+    live = [i for i, x in enumerate(cells) if x & (x - 1)]
     while queue:
         queued.discard(s := queue.pop())
         x = cells[s]
@@ -61,7 +64,7 @@ def _refine(masks, cells, queue, expected=None):
                 planes[j], carry = planes[j] ^ carry, planes[j] & carry
                 j += 1
         high_first = range(len(planes) - 1, -1, -1)
-        for ci in [i for i, x in enumerate(cells) if x & touched and x & (x - 1)]:
+        for ci in [i for i in live if cells[i] & touched]:
             cell = cells[ci]
             frags, common = [(cell, 0)], 0  # common: count bits of every vertex
             for j in high_first:
@@ -78,8 +81,11 @@ def _refine(masks, cells, queue, expected=None):
             if expected is not None and expected[len(trace):len(trace) + 1] != [entry]:
                 return None
             trace.append(entry)
-            cells[ci] = frags[0][0]
+            cells[ci] = first = frags[0][0]
+            if not first & (first - 1):
+                live.remove(ci)
             new = list(range(len(cells), len(cells) + len(frags) - 1))
+            live.extend(i for i, (f, _) in zip(new, frags[1:]) if f & (f - 1))
             cells.extend(f for f, _ in frags[1:])
             if ci not in queued:  # all but the first largest fragment
                 new = [ci] + new

@@ -1,20 +1,23 @@
 """Locally-X verification: does every vertex neighborhood induce X?
 
 A graph is locally X when the subgraph induced on the neighbors of every
-vertex is isomorphic to X.  Every vertex gets a verdict backed by an
-edge-verified bijection N(v) -> X or by a failed isomorphism search.  The
-bijection either comes from a search or is carried from an already matched
-vertex along a given automorphism table and then checked edge by edge, so a
-table that is not really an automorphism can cost searches but never makes
-a vertex pass.  Both the search and the edge check run on N(v) in place,
-on the graph's own neighbor masks: no neighborhood graph is built.
+vertex is isomorphic to X.  Every verdict rests on an isomorphism search of
+N(v) against X, run in place on the graph's own neighbor masks (no
+neighborhood graph is built): a returned bijection is edge-verified, and a
+failed search is certified by refinement.  Given automorphism tables are
+each verified once on the whole graph, and a searched verdict, pass or
+fail, is copied around the orbit of its vertex under the verified tables,
+since an automorphism t maps N(u) isomorphically onto N(t[u]).  A table
+that is not an automorphism is dropped, so it can cost searches but never
+decides a verdict.
 
 With no tables given, as for a graph read from a graph6 file, the tables
 are discovered: whole-graph searches of g against itself, with two vertices
-individualized, return verified automorphisms that carry one match around
-an orbit.  Discovery runs only when X is large next to g (x.n ** 2 > g.n),
-since one whole-graph search costs about (g.n / x.n) ** 2 neighborhood
-searches, and it gives up for good at the first search that finds nothing.
+individualized, return edge-checked automorphisms that carry one match
+around an orbit.  Discovery runs only when X is large next to g
+(x.n ** 2 > g.n), since one whole-graph search costs about
+(g.n / x.n) ** 2 neighborhood searches, and it gives up for good at the
+first search that finds nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, graph_digest, induced_subgraph
-from .isomorphism import _edge_check, _search
+from .isomorphism import _search, is_automorphism
 from .incidence import residue
 from .kneser_geometry import KneserGeometry
 
@@ -58,22 +61,6 @@ def neighborhood_graph(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     return induced_subgraph(g, g.adj[v])
 
 
-def _carried_map(g: Graph, table, u: int, map_u):
-    """u's bijection N(u) -> X moved to N(table[u]) along table: the
-    neighbor table[y] of table[u] goes where map_u sends y.  None unless
-    table sends N(u) onto N(table[u])."""
-    pos_w = {z: j for j, z in enumerate(g.adj[table[u]])}
-    if len(pos_w) != len(map_u):
-        return None
-    carried = [None] * len(map_u)
-    for y, image in zip(g.adj[u], map_u):
-        j = pos_w.get(table[y])
-        if j is None:
-            return None
-        carried[j] = image
-    return carried
-
-
 def _automorphism(g: Graph, root: int, v: int):
     """An automorphism of g that maps v to root, as a table, or None: a
     search of g with v individualized against g with root individualized,
@@ -87,68 +74,62 @@ def _automorphism(g: Graph, root: int, v: int):
 def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     """Check every vertex of g.
 
-    Vertices are taken in ascending order.  One that is not yet matched gets
-    an isomorphism search of N(v) against X, in place on g's masks, whose
-    refinement certifies a mismatch and whose returned bijection is
-    edge-verified.  From each matched vertex u the match spreads over the
-    vertex permutations in `automorphisms`: an unmatched w = t[u] takes u's
-    bijection carried along t, which counts only if it passes the edge
-    check on N(w), again in place; otherwise w gets its own search.  Only
-    matched vertices spread further, so with tables from a group with one
-    orbit per type the check runs one search per type.
+    Each table in `automorphisms` must be a permutation of g's vertices
+    (ValueError otherwise); those that are not automorphisms of g, by one
+    whole-graph edge check each, are dropped.  Vertices are taken in
+    ascending order.  One without a verdict gets an isomorphism search of
+    N(v) against X, in place on g's masks, whose refinement certifies a
+    mismatch and whose returned bijection is edge-verified.  Its verdict,
+    pass or fail, is copied to every vertex reached from v along the kept
+    tables: an automorphism t maps N(u) isomorphically onto N(t[u]).  So
+    the check runs one search per orbit of the kept tables.
 
     With no tables given, g's automorphisms are discovered instead.  Once
-    a first vertex `root` has matched, an unmatched v that spreading has
-    not reached gets one search of all of g for an automorphism t with
-    t[v] = root; t joins the tables and every matched vertex spreads along
-    it.  The matched vertices then close up under t, so the cycle of t
-    through root takes the match to v.  Discovery
-    stops for good at the first search that finds no automorphism or
-    enters more than g.n nodes, and every vertex left gets its own search.
-    It runs only when x.n ** 2 > g.n: one search of g costs about
-    (g.n / x.n) ** 2 neighborhood searches.  A vertex passes only on an
-    edge-checked bijection either way, so the report does not depend on
-    whether discovery ran.
+    a first vertex `root` has matched, a v without a verdict gets one
+    search of all of g for an automorphism t with t[v] = root, edge-checked
+    by the search; t joins the tables and every settled vertex spreads its
+    verdict again, so the cycle of t through root takes the match to v.
+    Discovery stops for good at the first search that finds no
+    automorphism or enters more than g.n nodes, and every vertex left
+    gets its own search.  It runs only when x.n ** 2 > g.n: one search of
+    g costs about (g.n / x.n) ** 2 neighborhood searches.  Every verdict
+    rests on a search of an orbit mate, so the report does not depend on
+    the tables or on whether discovery ran.
     """
-    tables = list(automorphisms)
-    for t in tables:
+    given = list(automorphisms)
+    for t in given:
         if len(t) != g.n or set(t) != set(range(g.n)):
             raise ValueError("every table must be a permutation of the vertices of g")
+    tables = [t for t in given if is_automorphism(g, t)]
     masks, uncolored = g.neighbor_masks, (0,) * x.n
     matched: list[Optional[bool]] = [None] * g.n
-    spreading: list = []  # (matched vertex, its bijection N(v) -> X)
-    kept: list = []  # every such pair, while discovery may add a table
-    discover = not tables and x.n ** 2 > g.n
+    discover, root = not given and x.n ** 2 > g.n, None
 
-    def settle(v: int, mapping) -> None:
-        matched[v] = mapping is not None
-        if mapping is not None:
-            spreading.append((v, mapping))
-            if discover:
-                kept.append((v, mapping))
+    def spread(frontier: list) -> None:
+        """Copy each frontier vertex's verdict along the tables until closed."""
+        while frontier:
+            u = frontier.pop()
+            for t in tables:
+                w = t[u]
+                if matched[w] is None:
+                    matched[w] = matched[u]
+                    frontier.append(w)
 
     for v in range(g.n):
         if matched[v] is not None:
             continue
         t = None
-        if discover and kept:  # kept[0] holds the first matched vertex, the root
-            t = _automorphism(g, kept[0][0], v)
+        if discover and root is not None:
+            t = _automorphism(g, root, v)
             discover = t is not None  # give up at the first failure
         if t is not None:
             tables.append(t)
-            spreading.extend(kept)
-        else:
-            settle(v, _search(masks, masks[v], [masks[v]], x, uncolored))
-        while spreading:
-            u, map_u = spreading.pop()
-            for t in tables:
-                w = t[u]
-                if matched[w] is not None:
-                    continue
-                carried = _carried_map(g, t, u, map_u)
-                if carried is None or not _edge_check(masks, masks[w], x, carried):
-                    carried = _search(masks, masks[w], [masks[w]], x, uncolored)
-                settle(w, carried)
+            spread([u for u in range(g.n) if matched[u] is not None])
+            continue
+        matched[v] = _search(masks, masks[v], [masks[v]], x, uncolored) is not None
+        if matched[v] and root is None:
+            root = v
+        spread([v])
 
     failures = tuple(v for v, ok in enumerate(matched) if not ok)
     return LocallyXReport(

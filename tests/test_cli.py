@@ -247,24 +247,31 @@ def _recording(results, fn):
 
 
 def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
-    from knesergeom import cli, graphs, incidence, locally_x
+    from knesergeom import cli, graphs, incidence, isomorphism, locally_x
 
-    searches, edge_checks, table_checks, subgraphs = [], [], [], []
+    searches, table_checks, tables_in_check, subgraphs, edge_checks = [], [], [], [], []
     monkeypatch.setattr(locally_x, "_search", _recording(searches, locally_x._search))
-    monkeypatch.setattr(locally_x, "_edge_check",
-                        _recording(edge_checks, locally_x._edge_check))
+    monkeypatch.setattr(locally_x, "is_automorphism",
+                        _recording(tables_in_check, locally_x.is_automorphism))
     monkeypatch.setattr(cli, "is_type_preserving_automorphism",
                         _recording(table_checks, cli.is_type_preserving_automorphism))
     for module in (graphs, incidence, locally_x):  # every name it is called by
         monkeypatch.setattr(module, "induced_subgraph",
                             _recording(subgraphs, graphs.induced_subgraph))
-    subgraphs_in_check = []
+    edge_check = isomorphism._edge_check
+
+    def recorded_edge_check(masks, domain, *args):
+        edge_checks.append(domain == (1 << len(masks)) - 1)  # True: whole graph
+        return edge_check(masks, domain, *args)
+
+    monkeypatch.setattr(isomorphism, "_edge_check", recorded_edge_check)
+    in_check = []
     check_locally_x = cli.is_locally_x
 
     def counted(*args):
-        before = len(subgraphs)
+        before = len(subgraphs), len(edge_checks)
         report = check_locally_x(*args)
-        subgraphs_in_check.append(len(subgraphs) - before)
+        in_check.append((len(subgraphs) - before[0], edge_checks[before[1]:]))
         return report
 
     monkeypatch.setattr(cli, "is_locally_x", counted)
@@ -274,14 +281,18 @@ def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
     check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["locally-x"]
     assert check["pass"]
     assert check["details"]["total"] == check["details"]["passed"] == 84
-    # one search per type; every other vertex takes a carried map that
-    # passes its edge check, both run on N(v) in place
+    # one in-place search per type; the other 81 vertices copy a verdict
+    # along the verified tables, with no edge check of their own: the only
+    # neighborhood edge checks are the three searches' leaves
     assert len(searches) == 3 and all(m is not None for m in searches)
-    assert len(edge_checks) == 81 and all(edge_checks)
-    assert subgraphs_in_check == [0]
-    # flag-transitivity and locally-x share one verification of the 7
-    # adjacent-transposition tables of the 8 ground points
+    [(subgraphs_in_check, checks_in_check)] = in_check
+    assert subgraphs_in_check == 0
+    assert checks_in_check.count(False) == len(searches)
+    # flag-transitivity verifies the 7 adjacent-transposition tables of the
+    # 8 ground points, and locally-x verifies each of them once more
     assert len(table_checks) == 7 and all(table_checks)
+    assert len(tables_in_check) == 7 and all(tables_in_check)
+    assert checks_in_check.count(True) == 7
 
 
 def test_verify_all_enumerates_no_flag_orbit(monkeypatch, tmp_path):

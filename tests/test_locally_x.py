@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -362,3 +363,99 @@ def test_discovery_stops_at_another_orbit(monkeypatch):
     assert report.failures == tuple(range(16, 32)) == _nx_failures(g, x)
     assert searches["whole"][-1] is None and None not in searches["whole"][:-1]
     assert len(searches["neighborhood"]) == 17
+
+
+def _oracle_automorphism(nxg, a, b):
+    """An automorphism of nxg that maps a to b, as a table, or None: the
+    first isomorphism networkx's VF2 finds with a and b pinned."""
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    pinned_a, pinned_b = nxg.copy(), nxg.copy()
+    nx.set_node_attributes(pinned_a, {a: True}, "pin")
+    nx.set_node_attributes(pinned_b, {b: True}, "pin")
+    matcher = GraphMatcher(pinned_a, pinned_b,
+                           node_match=lambda p, q: p.get("pin") == q.get("pin"))
+    found = next(matcher.isomorphisms_iter(), None)
+    return None if found is None else tuple(found[v] for v in range(len(nxg)))
+
+
+def _orbit_count(n, tables):
+    """Orbits of the group the tables generate, by union-find."""
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for t in tables:
+        for v in range(n):
+            parent[root(v)] = root(t[v])
+    return len({root(v) for v in range(n)})
+
+
+@st.composite
+def graph_x_and_tables(draw):
+    """A random small graph or a circulant, X induced on one vertex's
+    neighborhood (relabelled), automorphisms from the networkx oracle that
+    move drawn vertices, and the first transposition that is not one
+    (None if every transposition is)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 10))
+        pairs = list(combinations(range(n), 2))
+        bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, [p for p, b in zip(pairs, bits) if b])
+    else:
+        n = draw(st.integers(3, 14))
+        g = _circulant(n, draw(st.sets(st.integers(1, n // 2), min_size=1)))
+    v = draw(st.integers(0, g.n - 1))
+    x, _ = induced_subgraph(g, g.adj[v])
+    x = _relabelled(x, draw(st.randoms(use_true_random=False)))
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(range(g.n))
+    moves = draw(st.lists(st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1)),
+                          min_size=1, max_size=3))
+    tables = [t for a, b in moves if (t := _oracle_automorphism(nxg, a, b)) is not None]
+    swaps = (tuple(b if w == a else a if w == b else w for w in range(g.n))
+             for a, b in combinations(range(g.n), 2))
+    bad = next((t for t in swaps if any(
+        (t[p], t[q]) not in nxg.edges for p, q in nxg.edges)), None)
+    return g, x, tables, bad
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_x_and_tables())
+def test_one_search_per_orbit_of_the_verified_tables_property(case):
+    from knesergeom import locally_x
+
+    g, x, tables, bad = case
+    searches = []
+    search = locally_x._search
+
+    def recorded(*args):
+        searches.append(args[1])
+        return search(*args)
+
+    given_tables = tables + ([bad] if bad is not None else [])
+    assert given_tables
+    with mock.patch.object(locally_x, "_search", recorded):
+        report = is_locally_x(g, x, given_tables)
+    assert report.failures == is_locally_x(g, x).failures == _nx_failures(g, x)
+    # tables are given (a drawn move a -> a finds the identity, and a graph
+    # with no bad transposition has every permutation as an automorphism),
+    # so nothing is discovered; the non-automorphism is dropped, and each
+    # orbit of the oracle's tables takes one neighborhood search
+    assert len(searches) == _orbit_count(g.n, tables)
+
+
+def test_a_failing_verdict_spreads_around_its_orbit(monkeypatch):
+    # every neighborhood of C_n is two non-adjacent vertices, not K2: the
+    # search of vertex 0 fails, and the rotation copies that to the rest
+    n = 12
+    g = _circulant(n, {1})
+    rotation = tuple((v + 1) % n for v in range(n))
+    searches = _record_searches(monkeypatch)
+    report = is_locally_x(g, Graph(2, [(0, 1)]), [rotation])
+    assert searches == {"whole": [], "neighborhood": [None]}
+    assert report.passed == 0 and report.failures == tuple(range(n))
