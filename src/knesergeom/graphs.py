@@ -6,17 +6,17 @@ cached.  Graph.from_masks takes masks and checks them on bit strings, so
 builders that think in masks never make an edge list.
 
 Everything here is deterministic and exact: BFS distances, girth, odd girth,
-diameter, connectivity, bipartiteness, induced subgraphs, the bipartite
-double cover, and graph6 I/O.  Connectivity is one bitmask search,
-component_mask, which also serves the residue checks; bipartiteness is one
-bitmask layer sweep per component.  Induced subgraphs move each row's kept
-bits into place one at a time.  Girth runs one BFS per source over
-per-vertex neighbor bitmasks and stops at the first source that reaches 3,
-or 4 on a bipartite graph; eccentricities and odd girth run one
-synchronous sweep that grows a bitmask per vertex for every source
-at once, so the inner loops stay in word operations.  graph6 packs and
-unpacks six-bit digits with binascii's base64 codec and one byte
-translation.  Infinity is represented by math.inf.
+diameter, connectivity, bipartiteness, induced subgraphs, the tensor
+product K_r x G (the bipartite double cover at r = 2), and graph6 I/O.
+Connectivity is one bitmask search, component_mask, which also serves the
+residue checks; bipartiteness is one bitmask layer sweep per component.
+Induced subgraphs move each row's kept bits into place one at a time.
+Girth runs one BFS per source over per-vertex neighbor bitmasks and stops
+at the first source that reaches 3, or 4 on a bipartite graph;
+eccentricities and odd girth run one synchronous sweep that grows a
+bitmask per vertex for every source at once, so the inner loops stay in
+word operations.  graph6 packs and unpacks six-bit digits with binascii's
+base64 codec and one byte translation.  Infinity is represented by math.inf.
 """
 
 from __future__ import annotations
@@ -84,8 +84,9 @@ class Graph:
     @classmethod
     def _derived(cls, masks) -> "Graph":
         """from_masks without its checks, for masks that are simple by
-        construction: cut from a Graph's own (an induced subgraph or a
-        double cover of a simple graph is simple) or decoded from graph6."""
+        construction: cut from a Graph's own (an induced subgraph, or the
+        complete_tensor or bipartite_double_cover of a simple graph, is
+        simple) or decoded from graph6."""
         g = cls.__new__(cls)
         g.n, g.neighbor_masks, g._adj = len(masks), tuple(masks), None
         return g
@@ -299,22 +300,26 @@ def girth(g: Graph):
     return best
 
 
-def odd_girth(g: Graph):
-    """Length of the shortest odd cycle; math.inf iff the graph is bipartite.
+def _shortest_odd_closed_walk(g: Graph):
+    """(L, v) with L the odd girth and v the lowest vertex on an odd cycle
+    of length L; None iff the graph is bipartite.
 
     One synchronous sweep for all sources at once: walk[v] is the bitmask of
     the endpoints of walks of exactly length L from v, and a step sets
     walk_{L+1}[v] to the or of walk_L[w] over the neighbors w of v.  The
-    answer is the first odd L with v in walk[v] for some v, since a minimal
-    odd closed walk is an odd cycle; a non-bipartite graph has one of
+    sweep stops at the first odd L with v in walk[v] for some v; a minimal
+    odd closed walk is an odd cycle, and a non-bipartite graph has one of
     length at most n, so the sweep ends.
     """
     if is_bipartite(g):
-        return INF
+        return None
     adj = g.adj
     walk = list(g.neighbor_masks)
     length = 1
-    while not any(m >> v & 1 for v, m in enumerate(walk)):
+    while True:
+        for v, m in enumerate(walk):
+            if m >> v & 1:
+                return length, v
         for _ in range(2):
             prev = walk
             walk = []
@@ -324,52 +329,42 @@ def odd_girth(g: Graph):
                     b |= prev[w]
                 walk.append(b)
         length += 2
-    return length
+
+
+def odd_girth(g: Graph):
+    """Length of the shortest odd cycle; math.inf iff the graph is bipartite."""
+    found = _shortest_odd_closed_walk(g)
+    return INF if found is None else found[0]
 
 
 def shortest_odd_cycle(g: Graph):
     """An explicit odd cycle of length odd_girth(g), or None if bipartite.
 
-    Plain parent-tracking BFS on the parity-layered graph, one layer at a
-    time, cut off once it is as deep as the best cycle found so far; the
-    closed walk recovered at the minimizing source is simple, hence a cycle.
+    Plain parent-tracking BFS on the parity-layered graph from the lowest
+    vertex s on a shortest odd cycle: (s, odd) is first reached at depth
+    odd_girth(g), and a closed walk that short is simple, hence a cycle.
     """
-    n = g.n
-    best_len = INF
-    best_cycle = None
-    for s in range(n):
-        target = s + n
-        parent = {s: -1}
-        layer = [s]
-        depth = 0
-        found = False
-        while layer and not found and depth + 1 < best_len:
-            nxt = []
-            for x in layer:
-                v, p = (x, 0) if x < n else (x - n, 1)
-                for w in g.adj[v]:
-                    y = w + n if p == 0 else w
-                    if y not in parent:
-                        parent[y] = x
-                        if y == target:
-                            found = True
-                            break
-                        nxt.append(y)
-                if found:
-                    break
-            layer = nxt
-            depth += 1
-        if not found:
-            continue
-        walk = []
-        x = target
-        while x != -1:
-            walk.append(x % n)
-            x = parent[x]
-        walk.reverse()  # s, ..., s of odd length
-        best_len = len(walk) - 1
-        best_cycle = walk[:-1]
-    return best_cycle
+    found = _shortest_odd_closed_walk(g)
+    if found is None:
+        return None
+    n, s = g.n, found[1]
+    target = s + n
+    parent = {s: -1}
+    layer = [s]
+    while target not in parent:
+        nxt = []
+        for x in layer:
+            shift = n if x < n else 0  # a step flips the parity
+            for w in g.adj[x % n]:
+                if w + shift not in parent:
+                    parent[w + shift] = x
+                    nxt.append(w + shift)
+        layer = nxt
+    cycle, x = [], parent[target]
+    while x != -1:
+        cycle.append(x % n)
+        x = parent[x]
+    return cycle[::-1]  # s, ..., the vertex before the return to s
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
@@ -394,11 +389,20 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     return Graph._derived(masks), tuple(vs)
 
 
+def complete_tensor(g: Graph, r: int) -> Graph:
+    """K_r x g: vertex (v, t) at index t*n + v, adjacent to (w, u) iff
+    t != u and v ~ w.  Its row is v's row of g in every block but block t,
+    so it is simple whenever g is: every bit is in range, no row reaches
+    its own block, and (t != u and v ~ w) is symmetric."""
+    n = g.n
+    blocks = sum(1 << u * n for u in range(r))  # m * blocks puts m in every block
+    return Graph._derived([m * blocks ^ m << t * n for t in range(r) for m in g.neighbor_masks])
+
+
 def bipartite_double_cover(g: Graph) -> Graph:
-    """Tensor product with a single edge: (v,0) at index v, (v,1) at n+v,
-    and an edge {(u,0),(v,1)} for each edge {u,v} of g, both orientations."""
-    masks = g.neighbor_masks
-    return Graph._derived([m << g.n for m in masks] + list(masks))
+    """K_2 x g: (v,0) at index v, (v,1) at n+v, and an edge {(u,0),(v,1)}
+    for each edge {u,v} of g, both orientations."""
+    return complete_tensor(g, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ Element indexing is type-major with colex order within a type, so every
 derived certificate is byte-reproducible.  This module is the only one that
 knows that layout: other layers read an element's type and subset through
 type_of, subset_of and masks, and otherwise see the IncidenceSystem.
-incidence_system builds that system once, straight from neighbor bitmasks:
-kneser.disjointness_table gives, per subset, the mask of the subsets
-disjoint from it, and element (t, i) meets that mask in every type block
-but its own.  No pair of elements is visited and no edge list is made.
+Its incidence graph is the tensor product K_r x KG(m, k), m = n + k(r-2):
+incidence_system hands the per-type subset masks to
+kneser.disjointness_geometry, which checks the Kneser factor KG(m, k) and
+takes the product of that checked graph, so no pair of elements is visited
+and no edge list is made.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph
 from .incidence import (
     BuekenhoutDiagram,
     IncidenceSystem,
@@ -32,7 +32,7 @@ from .incidence import (
 )
 from .kneser import (
     KneserParams,
-    disjointness_table,
+    disjointness_geometry,
     predicted_diameter,
     predicted_gonality,
 )
@@ -82,13 +82,12 @@ class KneserGeometry:
     """The built geometry: subsets per element, O(1) incidence, and the
     IncidenceSystem, built on first use."""
 
-    __slots__ = ("params", "masks", "_system", "_labels")
+    __slots__ = ("params", "masks", "_system")
 
     def __init__(self, params: GeometryParams):
         self.params = params
         per_type = [s.bits for s in enumerate_k_subsets(params.ground, params.k)]
         self.masks = tuple(per_type * params.r)
-        self._labels = tuple(f"{m:#x}" for m in per_type)
         self._system = None
 
     @property
@@ -101,9 +100,6 @@ class KneserGeometry:
     def subset_of(self, e: int) -> KSubset:
         return KSubset(self.masks[e])
 
-    def label_of(self, e: int) -> str:
-        return self._labels[e % self.params.per_type]
-
     def incident(self, x: int, y: int) -> bool:
         """x * y iff the types differ and the subsets are disjoint."""
         if x == y:
@@ -112,18 +108,7 @@ class KneserGeometry:
 
     def incidence_system(self) -> IncidenceSystem:
         if self._system is None:
-            r, per = self.params.r, self.params.per_type
-            table = disjointness_table(self.masks[:per])
-            # element (t, i) meets the subsets disjoint from S_i in every
-            # type block u != t: all r blocks, minus block t
-            every_block = [sum(d << u * per for u in range(r)) for d in table]
-            masks = [every_block[i] ^ table[i] << t * per for t in range(r) for i in range(per)]
-            self._system = IncidenceSystem.from_graph(
-                range(r),
-                [t for t in range(r) for _ in range(per)],
-                Graph.from_masks(masks),
-                self._labels * r,
-            )
+            self._system = disjointness_geometry(self.masks[: self.params.per_type], self.params.r)
         return self._system
 
     def __repr__(self):

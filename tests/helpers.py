@@ -10,7 +10,8 @@ itertools.product over the per-type element lists, residue connectivity
 and the geometry test (maximal cliques) by networkx, diagram uniformity by
 building every corank-1 and corank-2 residue with residue(), Kneser graphs
 and disjointness geometries by a loop over pairs of subsets into an edge
-list, graph6 by packing each six-bit slice of the column bit string.
+list, the tensor K_r x G by a loop over pairs of typed vertices, graph6
+by packing each six-bit slice of the column bit string.
 """
 
 import itertools
@@ -495,6 +496,21 @@ def graph6_encode_oracle(g):
     bits = "".join(format(masks[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
     bits += "0" * (-len(bits) % 6)
     return head + bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+
+
+def complete_tensor_oracle(g, r):
+    """K_r x g from a loop over the pairs of vertices (v, t), (w, u): an edge
+    iff t != u and v ~ w, with (v, t) numbered t*n + v."""
+    n = g.n
+    edges = [
+        (t * n + v, u * n + w)
+        for t in range(r)
+        for u in range(t + 1, r)
+        for v in range(n)
+        for w in range(n)
+        if g.has_edge(v, w)
+    ]
+    return Graph(r * n, edges)
 
 
 def induced_subgraph_oracle(g, vertices):

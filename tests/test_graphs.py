@@ -24,8 +24,9 @@ from knesergeom import (
     shortest_odd_cycle,
 )
 from knesergeom import graphs
-from knesergeom.graphs import connected_components, eccentricities
+from knesergeom.graphs import complete_tensor, connected_components, eccentricities
 from helpers import (
+    complete_tensor_oracle,
     girth_oracle,
     graph6_encode_oracle,
     graph_from_nx,
@@ -161,6 +162,26 @@ def test_double_cover_fixtures():
     assert dc.n == 4 and sorted(dc.edges()) == [(0, 3), (1, 2)]
     c6 = bipartite_double_cover(TRIANGLE)
     assert c6.n == 6 and girth(c6) == 6 and all(c6.degree(v) == 2 for v in range(6))
+
+
+@st.composite
+def simple_graphs(draw, max_n=12):
+    """Any simple graph on 0..max_n vertices: one drawn bit per vertex pair."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [e for b, e in enumerate(pairs) if bits >> b & 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs(), st.integers(1, 4))
+def test_complete_tensor_matches_pair_loop_and_passes_the_checks(g, r):
+    t = complete_tensor(g, r)
+    assert t == complete_tensor_oracle(g, r)
+    # the product skips from_masks's checks; the checked constructor accepts it
+    assert Graph.from_masks(t.neighbor_masks) == t
+    if r == 2:
+        assert t == bipartite_double_cover(g)
 
 
 def test_double_cover_connectivity_criterion():
@@ -337,6 +358,7 @@ def test_shortest_odd_cycle(petersen):
     # a simple cycle of length odd_girth, also where a source's BFS is cut off
     rng = random.Random(31)
     graphs = [with_pendant_paths(cycle(11), [2, 3]), disjoint_union(cycle(6), cycle(9))]
+    graphs += [kneser_graph(KneserParams(7, 3))]  # odd girth 7
     graphs += [random_graph(rng, rng.randrange(3, 20), 0.15) for _ in range(40)]
     for g in graphs:
         cyc = shortest_odd_cycle(g)

@@ -4,6 +4,7 @@ import pytest
 
 from knesergeom import (
     GeometryParams,
+    Graph,
     KneserParams,
     are_isomorphic,
     buekenhout_diagram,
@@ -53,12 +54,27 @@ def test_params_validation():
 def test_rank2_case_is_neighborhood_geometry():
     # the rank-2 disjointness geometry against the double-cover construction
     # of the neighborhood geometry of KG(n,k), labels included
-    for n, k in [(5, 2), (6, 2), (7, 3), (9, 4)]:
+    for n, k in [(5, 2), (6, 2), (7, 3), (9, 4), (12, 5)]:
         p = KneserParams(n, k)
         labels = [f"{s.bits:#x}" for s in enumerate_k_subsets(p.ground, k)]
         expected = neighborhood_geometry(kneser_graph(p), labels)
         assert build_geometry(GeometryParams(n, k, 2)).incidence_system() == expected
         assert kneser_neighborhood_geometry(p) == expected
+
+
+def test_incidence_system_checks_only_the_kneser_factor(monkeypatch):
+    rows = []
+    from_masks = Graph.from_masks
+
+    def recording(cls, masks):
+        masks = tuple(masks)
+        rows.append(len(masks))
+        return from_masks(masks)
+
+    monkeypatch.setattr(Graph, "from_masks", classmethod(recording))
+    sys_ = build_geometry(GeometryParams(6, 2, 3)).incidence_system()
+    assert sys_.n_elements == 3 * 28
+    assert rows == [math.comb(8, 2)]
 
 
 def test_element_indexing():
