@@ -79,7 +79,6 @@ from .kneser_geometry import (
     predicted_diagram,
 )
 from .group_action import (
-    Permutation,
     adjacent_transpositions,
     chamber_orbit_size,
     flag_orbit_count,
@@ -87,6 +86,7 @@ from .group_action import (
     level_orbits,
     permutation_group_order,
     point_tables,
+    symmetry_witness,
     type_swap_map,
 )
 from .locally_x import (

@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from itertools import combinations
 
 from . import __version__
 from .graphs import (
@@ -26,10 +25,8 @@ from .graphs import (
 )
 from .group_action import (
     adjacent_transpositions,
-    is_type_preserving_automorphism,
-    level_orbits,
     permutation_group_order,
-    point_tables,
+    symmetry_witness,
     type_swap_map,
 )
 from .incidence import (
@@ -46,7 +43,7 @@ from .incidence import (
 )
 from .kneser import (
     kneser_graph,
-    kneser_neighborhood_geometry,
+    neighborhood_geometry,
     predicted_diameter,
     predicted_gonality,
     predicted_odd_girth,
@@ -141,32 +138,22 @@ def _check_thickness(params, geom):
 
 @functools.lru_cache(maxsize=1)
 def _symmetry_witness(params, geom):
-    """The incidence system, the element tables of the ground set's
-    adjacent transpositions, and their level_orbits for every nonempty type
-    set; tables is None and levels empty unless every table is a verified
-    type-preserving automorphism.  Memoised so that the diagram,
-    flag-transitivity and locally-x checks share one witness."""
-    sys_ = geom.incidence_system()
-    tables = point_tables(geom, adjacent_transpositions(params.ground_size))
-    if not all(is_type_preserving_automorphism(sys_, t) for t in tables):
-        return sys_, None, {}
-    levels = {
-        J: level_orbits(sys_, tables, J)
-        for size in range(1, params.r + 1)
-        for J in combinations(range(params.r), size)
-    }
-    return sys_, tables, levels
+    """symmetry_witness of the ground set's adjacent transpositions, memoised
+    so that the diagram, flag-transitivity and locally-x checks share it."""
+    return symmetry_witness(geom, adjacent_transpositions(params.ground_size))
 
 
 def _check_diagram(params, geom):
-    sys_, tables, levels = _symmetry_witness(params, geom)
+    witness = _symmetry_witness(params, geom)
     # the first residue of each kind stands for all when the verified group
     # is transitive on the flags of every corank-1 and corank-2 type set
     # (the empty type set has one flag)
-    certified = tables is not None and all(
-        s == c for J, lv in levels.items() if params.r - 2 <= len(J) < params.r for s, c in lv
+    certified = witness is not None and all(
+        s == c
+        for J, lv in witness.levels.items() if params.r - 2 <= len(J) < params.r
+        for s, c in lv
     )
-    computed = buekenhout_diagram(sys_)
+    computed = buekenhout_diagram(geom.incidence_system())
     predicted = predicted_diagram(params)
     details = {
         "computed": diagram_to_json(computed),
@@ -189,9 +176,10 @@ def _check_ip2(params, geom):
 
 def _check_flag_transitivity(params, geom):
     gens = adjacent_transpositions(params.ground_size)
-    sys_, tables, levels = _symmetry_witness(params, geom)
-    if tables is None:
+    witness = _symmetry_witness(params, geom)
+    if witness is None:
         return False, {"generators_checked": len(gens), "automorphisms": False}
+    levels = witness.levels
     total = chamber_count(params)
     # (type set, level, orbit size, candidates) of each level not filled
     gaps = [(J, i, s, c) for J, lv in levels.items() for i, (s, c) in enumerate(lv) if s != c]
@@ -202,7 +190,8 @@ def _check_flag_transitivity(params, geom):
     transitive = orbit == total and not gaps
     # label-pairing maps compose, so the adjacent type transpositions are
     # valid exactly when every type permutation is
-    swaps_ok = all(type_swap_map(sys_, t.images)[1] for t in adjacent_transpositions(params.r))
+    sys_ = geom.incidence_system()
+    swaps_ok = all(type_swap_map(sys_, t)[1] for t in adjacent_transpositions(params.r))
     details = {
         "orbit_size": orbit,
         "total": total,
@@ -226,15 +215,22 @@ def _check_flag_transitivity(params, geom):
 def _check_locally_x(params, geom):
     if params.r < 3:
         return True, {"skipped": "rank 2: rank-1 residues are edgeless"}
-    sys_, tables, _ = _symmetry_witness(params, geom)
-    report = is_locally_x(sys_.graph, residue_reference_graph(geom), tables or ())
+    g, witness = geom.incidence_system().graph, _symmetry_witness(params, geom)
+    report = is_locally_x(g, residue_reference_graph(geom), witness or ())
     return report.ok, report.to_json()
+
+
+@functools.lru_cache(maxsize=1)
+def _kneser_graph(kp):
+    """KG(n,k), memoised so that the odd-girth, gonality and diameter checks
+    share one checked graph."""
+    return kneser_graph(kp)
 
 
 def _check_odd_girth(params, geom):
     kp = params.kneser
     predicted = predicted_odd_girth(kp)
-    g = kneser_graph(kp)
+    g = _kneser_graph(kp)
     computed = odd_girth(g)
     details = {"predicted": predicted, "computed": computed if computed != math.inf else "inf"}
     if computed != predicted:
@@ -244,9 +240,9 @@ def _check_odd_girth(params, geom):
 
 @functools.lru_cache(maxsize=1)
 def _neighborhood_summary(kp):
-    """rank2_summary of the neighborhood geometry of KG(n,k); memoised so
-    that the gonality and diameter checks share one build."""
-    return rank2_summary(kneser_neighborhood_geometry(kp))
+    """rank2_summary of the neighborhood geometry of the shared KG(n,k);
+    memoised so that the gonality and diameter checks share one build."""
+    return rank2_summary(neighborhood_geometry(_kneser_graph(kp)))
 
 
 def _check_gonality(params, geom):

@@ -1,10 +1,11 @@
 """Permutation actions on the disjointness geometries, orbits, and group
 orders.
 
-Point permutations of the ground set act on elements by mapping subsets
-pointwise inside each type; type permutations act by relabeling the copies.
-point_tables turns ground-set permutations into element-index tables, once;
-every other function here sees only an IncidenceSystem and such tables.
+Ground-set permutations and element tables are both image tuples.  Point
+permutations act on elements by mapping subsets pointwise inside each type,
+type permutations by relabeling the copies.  symmetry_witness verifies the
+block-form point_tables once, on the Kneser factor of K_r x KG(m, k); its
+SymmetryWitness is what every symmetry shortcut reads.
 Every orbit is closed once, by one BFS over table images inside a pool that
 it consumes, _orbit.  level_orbits certifies transitivity on the flags of a
 type set from one flag, level by level through stabilisers, so one flag or
@@ -20,84 +21,83 @@ the group's elements.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from itertools import combinations
 
+from .graphs import Graph, _iter_bits
 from .incidence import IncidenceSystem, flags_of_type, residue_mask
 from .isomorphism import is_automorphism
 from .kneser_geometry import KneserGeometry
 
 
-class Permutation:
-    """A permutation of {0,...,m-1}, stored as its image array."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError("image array is not a permutation")
-        self.images = images
-
-    @property
-    def m(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def apply_to_mask(self, mask: int) -> int:
-        out = 0
-        while mask:
-            b = mask & -mask
-            out |= 1 << self.images[b.bit_length() - 1]
-            mask ^= b
-        return out
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(range(m))
-
-    @classmethod
-    def transposition(cls, m: int, i: int, j: int) -> "Permutation":
-        images = list(range(m))
-        images[i], images[j] = images[j], images[i]
-        return cls(images)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation({list(self.images)})"
+def _permutation(images) -> tuple[int, ...]:
+    images = tuple(images)
+    if sorted(images) != list(range(len(images))):
+        raise ValueError("image array is not a permutation")
+    return images
 
 
-def adjacent_transpositions(m: int) -> list[Permutation]:
+def adjacent_transpositions(m: int) -> list[tuple[int, ...]]:
     """The standard generating set (i i+1), i = 0..m-2, of the symmetric
-    group on m points."""
-    return [Permutation.transposition(m, i, i + 1) for i in range(m - 1)]
+    group on m points, as image tuples."""
+    return [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, m)) for i in range(m - 1)]
 
 
 def point_tables(geom: KneserGeometry, perms) -> list[tuple[int, ...]]:
-    """One element-index table per ground-set permutation: the image of
-    element e is the element of the same type whose subset is the pointwise
-    image of e's subset."""
-    m = geom.params.ground_size
-    if any(pi.m != m for pi in perms):
+    """One element table per ground-set permutation: element e goes to the
+    element of its type whose subset is the pointwise image of e's subset,
+    so each table repeats one type's subset permutation in every type."""
+    perms = [_permutation(pi) for pi in perms]
+    if any(len(pi) != geom.params.ground_size for pi in perms):
         raise ValueError("permutation degree does not match the ground set")
-    masks = geom.masks
-    types = [geom.type_of(e) for e in range(len(masks))]
-    index = {key: e for e, key in enumerate(zip(types, masks))}
-    return [
-        tuple([index[t, pi.apply_to_mask(mask)] for t, mask in zip(types, masks)])
-        for pi in perms
-    ]
+    subsets = geom.subsets
+    index = {mask: i for i, mask in enumerate(subsets)}
+    offsets = range(0, geom.n_elements, len(subsets))
+    blocks = [[index[sum(1 << pi[p] for p in _iter_bits(s))] for s in subsets] for pi in perms]
+    return [tuple([off + i for off in offsets for i in block]) for block in blocks]
+
+
+@dataclass(frozen=True)
+class SymmetryWitness:
+    """Tables verified as type-preserving automorphisms of graph, with their
+    level_orbits for every nonempty type set; only symmetry_witness builds one."""
+
+    graph: Graph
+    tables: tuple[tuple[int, ...], ...]
+    levels: dict
+
+
+def _is_block_automorphism(factor: Graph, r: int, table) -> bool:
+    """Is the table of K_r x factor, (t, v) at t*factor.n + v, of block form
+    (t, v) -> (t, pi v) with pi an automorphism of the factor?"""
+    pi = list(table[: factor.n])
+    blocks = [off + x for off in range(0, r * factor.n, factor.n) for x in pi]
+    return list(table) == blocks and is_automorphism(factor, pi)
+
+
+def symmetry_witness(geom: KneserGeometry, perms) -> SymmetryWitness | None:
+    """The point tables of the ground-set permutations, verified, and their
+    level_orbits for every nonempty type set; None if a table fails.
+
+    The incidence graph is K_r x G for the checked factor G = KG(m, k).  For
+    r >= 2 a block table (t, v) -> (t, pi v), which fixes every type, is an
+    automorphism of K_r x G exactly when pi is one of G, since (s, v) ~ (t, w)
+    iff s != t and v ~ w (the direct product; Hammack, Imrich and Klavzar,
+    Handbook of Product Graphs, 2011).  So each table's block form is checked
+    over every element, and pi edge by edge on the factor only."""
+    sys_, r = geom.incidence_system(), geom.params.r
+    tables = point_tables(geom, perms)
+    if not all(_is_block_automorphism(geom.factor, r, t) for t in tables):
+        return None
+    types = [J for size in range(1, r + 1) for J in combinations(sys_.types, size)]
+    levels = {J: level_orbits(sys_, tables, J) for J in types}
+    return SymmetryWitness(sys_.graph, tuple(tables), levels)
 
 
 def is_type_preserving_automorphism(sys: IncidenceSystem, table) -> bool:
-    """Full check that the element table is a type-preserving bijection
-    that maps incident pairs to incident pairs and non-incident pairs to
-    non-incident pairs."""
+    """Full check, on the whole incidence graph of any system, that the
+    element table is a type-preserving bijection that maps incident pairs
+    to incident pairs and non-incident pairs to non-incident pairs."""
     type_of = sys.type_of
     return is_automorphism(sys.graph, table) and all(
         type_of[img] == t for img, t in zip(table, type_of)
@@ -276,13 +276,13 @@ def permutation_group_order(gens) -> int:
     """
     if not gens:
         raise ValueError("need at least one generator")
-    m = gens[0].m
-    if any(pi.m != m for pi in gens):
+    gens = [_permutation(pi) for pi in gens]
+    m = len(gens[0])
+    if any(len(pi) != m for pi in gens):
         raise ValueError("generators act on different point counts")
     identity = tuple(range(m))
     levels = []
-    for pi in gens:
-        g = pi.images
+    for g in gens:
         if g == identity:
             continue
         j = next((j for j, lv in enumerate(levels) if g[lv.base] != lv.base), None)

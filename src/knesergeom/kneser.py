@@ -14,18 +14,17 @@ and an odd walk of length exactly 2*ceil(c/(n-2k)) + 1, by swapping
 padding from the complement of A union B.  Every constructed walk is
 re-verified before being returned.
 
-disjointness_geometry builds the typed copies of a list of subsets: its
-incidence graph is K_r x KG, checked once on the Kneser factor, and its
-labels are the subset masks in hex.  neighborhood_geometry builds the
-rank-2 neighborhood geometry of any graph over the same tensor at r = 2;
-for KG(n, k) that geometry is the rank-2 disjointness geometry.
+typed_copies is the one constructor of the geometries here: r typed copies
+of a graph's vertices, incident across types along its edges, so that the
+incidence graph is K_r x g for a graph checked once; neighborhood_geometry
+is its rank-2 case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _iter_bits, bipartite_double_cover, complete_tensor
+from .graphs import Graph, _iter_bits, complete_tensor
 from .incidence import IncidenceSystem
 from .subsets import GroundSet, KSubset, enumerate_k_subsets, validate_subset
 
@@ -75,14 +74,18 @@ def kneser_graph(p: KneserParams) -> Graph:
     return Graph.from_masks(disjointness_table(subsets))
 
 
-def disjointness_geometry(subsets, r: int) -> IncidenceSystem:
-    """r typed copies of the subset bitmasks, (t, i) at t*len(subsets) + i
-    and labelled S_i in hex, incident across types iff disjoint: K_r x KG
-    for the checked disjointness graph KG of the subsets."""
-    subsets = list(subsets)
-    tensor = complete_tensor(Graph.from_masks(disjointness_table(subsets)), r)
-    types = [t for t in range(r) for _ in subsets]
-    return IncidenceSystem.from_graph(range(r), types, tensor, [f"{m:#x}" for m in subsets] * r)
+def typed_copies(g: Graph, r: int, labels=None) -> IncidenceSystem:
+    """r typed copies of g's vertices, (t, v) at t*g.n + v and labelled
+    labels[v] if given, with (s, v) incident to (t, w) iff s != t and
+    v ~ w: the incidence graph is K_r x g, simple whenever g is."""
+    n = g.n
+    if labels is not None:
+        labels = list(labels)
+        if len(labels) != n:
+            raise ValueError("labels must cover all vertices")
+        labels = labels * r
+    types = [t for t in range(r) for _ in range(n)]
+    return IncidenceSystem.from_graph(range(r), types, complete_tensor(g, r), labels)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -190,20 +193,13 @@ def construct_odd_path(A: KSubset, B: KSubset, p: KneserParams) -> list[KSubset]
 
 
 def neighborhood_geometry(g: Graph, labels=None) -> IncidenceSystem:
-    """The rank-2 geometry on two copies of the vertices with (p,0)
-    incident to (q,1) iff p ~ q; copy 0 sits at indices 0..n-1, copy 1 at
-    n..2n-1, and the incidences are the edges of the bipartite double
-    cover, K_2 x g."""
-    n = g.n
-    if labels is not None:
-        labels = list(labels)
-        if len(labels) != n:
-            raise ValueError("labels must cover all vertices")
-        labels = labels + labels
-    return IncidenceSystem.from_graph((0, 1), [0] * n + [1] * n, bipartite_double_cover(g), labels)
+    """The rank-2 typed copies of g: (p,0) at index p is incident to (q,1)
+    at n+q iff p ~ q, along the edges of the bipartite double cover K_2 x g."""
+    return typed_copies(g, 2, labels)
 
 
 def kneser_neighborhood_geometry(p: KneserParams) -> IncidenceSystem:
     """Neighborhood geometry of KG(n,k) with subset-mask labels in hex: the
     rank-2 disjointness geometry of (n, k)."""
-    return disjointness_geometry((s.bits for s in enumerate_k_subsets(p.ground, p.k)), 2)
+    labels = [f"{s.bits:#x}" for s in enumerate_k_subsets(p.ground, p.k)]
+    return neighborhood_geometry(kneser_graph(p), labels)

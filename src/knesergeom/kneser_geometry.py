@@ -7,15 +7,12 @@ disjoint.  The rank-2 case is the neighborhood geometry of KG(n, k); every
 rank-2 residue of the general case is isomorphic to that geometry, which is
 what the closed-form diagram below encodes.
 
-Element indexing is type-major with colex order within a type, so every
-derived certificate is byte-reproducible.  This module is the only one that
-knows that layout: other layers read an element's type and subset through
-type_of, subset_of and masks, and otherwise see the IncidenceSystem.
-Its incidence graph is the tensor product K_r x KG(m, k), m = n + k(r-2):
-incidence_system hands the per-type subset masks to
-kneser.disjointness_geometry, which checks the Kneser factor KG(m, k) and
-takes the product of that checked graph, so no pair of elements is visited
-and no edge list is made.
+Element indexing is type-major with colex order within a type, (t, i) at
+t*C(m, k) + i, so every derived certificate is byte-reproducible.  The
+incidence graph is the tensor product K_r x KG(m, k), m = n + k(r-2): the
+geometry keeps the factor KG(m, k) on one type's subsets, checked once by
+Graph.from_masks, and incidence_system is kneser.typed_copies of it, so no
+pair of elements is visited and no edge list is made.
 """
 
 from __future__ import annotations
@@ -30,11 +27,13 @@ from .incidence import (
     NEITHER,
     RankTwoSummary,
 )
+from .graphs import Graph
 from .kneser import (
     KneserParams,
-    disjointness_geometry,
+    disjointness_table,
     predicted_diameter,
     predicted_gonality,
+    typed_copies,
 )
 from .subsets import GroundSet, KSubset, enumerate_k_subsets
 
@@ -79,16 +78,16 @@ class GeometryParams:
 
 
 class KneserGeometry:
-    """The built geometry: subsets per element, O(1) incidence, and the
-    IncidenceSystem, built on first use."""
+    """The built geometry: one type's subsets in colex order, each element's
+    subset, O(1) incidence, and the factor and IncidenceSystem, built once."""
 
-    __slots__ = ("params", "masks", "_system")
+    __slots__ = ("params", "subsets", "masks", "_factor", "_system")
 
     def __init__(self, params: GeometryParams):
         self.params = params
-        per_type = [s.bits for s in enumerate_k_subsets(params.ground, params.k)]
-        self.masks = tuple(per_type * params.r)
-        self._system = None
+        self.subsets = tuple(s.bits for s in enumerate_k_subsets(params.ground, params.k))
+        self.masks = self.subsets * params.r
+        self._factor = self._system = None
 
     @property
     def n_elements(self) -> int:
@@ -106,9 +105,17 @@ class KneserGeometry:
             return True
         return self.type_of(x) != self.type_of(y) and self.masks[x] & self.masks[y] == 0
 
+    @property
+    def factor(self) -> Graph:
+        """KG(m, k) on one type's subsets, checked by Graph.from_masks."""
+        if self._factor is None:
+            self._factor = Graph.from_masks(disjointness_table(self.subsets))
+        return self._factor
+
     def incidence_system(self) -> IncidenceSystem:
         if self._system is None:
-            self._system = disjointness_geometry(self.masks[: self.params.per_type], self.params.r)
+            labels = [f"{m:#x}" for m in self.subsets]
+            self._system = typed_copies(self.factor, self.params.r, labels)
         return self._system
 
     def __repr__(self):

@@ -5,19 +5,15 @@ vertex is isomorphic to X.  Every verdict rests on an isomorphism search of
 N(v) against X, run in place on the graph's own neighbor masks (no
 neighborhood graph is built): a returned bijection is edge-verified, and a
 failed search is certified by refinement.  Given automorphism tables are
-each verified once on the whole graph, and a searched verdict, pass or
-fail, is copied around the orbit of its vertex under the verified tables,
-since an automorphism t maps N(u) isomorphically onto N(t[u]).  A table
-that is not an automorphism is dropped, so it can cost searches but never
-decides a verdict.
+each verified once on the whole graph, unless they come in a SymmetryWitness
+of this very graph, and a searched verdict, pass or fail, is copied around
+the orbit of its vertex under the verified tables, since an automorphism t
+maps N(u) isomorphically onto N(t[u]).  A table that is not an automorphism
+is dropped, so it can cost searches but never decides a verdict.
 
 With no tables given, as for a graph read from a graph6 file, the tables
-are discovered: whole-graph searches of g against itself, with two vertices
-individualized, return edge-checked automorphisms that carry one match
-around an orbit.  Discovery runs only when X is large next to g
-(x.n ** 2 > g.n), since one whole-graph search costs about
-(g.n / x.n) ** 2 neighborhood searches, and it gives up for good at the
-first search that finds nothing.
+are discovered by whole-graph searches of g against itself (is_locally_x
+says when).
 """
 
 from __future__ import annotations
@@ -26,9 +22,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, graph_digest, induced_subgraph
+from .group_action import SymmetryWitness
 from .isomorphism import _search, is_automorphism
-from .incidence import residue
-from .kneser_geometry import KneserGeometry
+from .kneser_geometry import GeometryParams, KneserGeometry, build_geometry
 
 
 @dataclass(frozen=True)
@@ -74,8 +70,9 @@ def _automorphism(g: Graph, root: int, v: int):
 def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     """Check every vertex of g.
 
-    Each table in `automorphisms` must be a permutation of g's vertices
-    (ValueError otherwise); those that are not automorphisms of g, by one
+    The tables of a SymmetryWitness whose graph is g are taken as they are.
+    Any other table must be a permutation of g's vertices (ValueError
+    otherwise), and those that are not automorphisms of g, by one
     whole-graph edge check each, are dropped.  Vertices are taken in
     ascending order.  One without a verdict gets an isomorphism search of
     N(v) against X, in place on g's masks, whose refinement certifies a
@@ -96,11 +93,14 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     rests on a search of an orbit mate, so the report does not depend on
     the tables or on whether discovery ran.
     """
-    given = list(automorphisms)
-    for t in given:
-        if len(t) != g.n or set(t) != set(range(g.n)):
-            raise ValueError("every table must be a permutation of the vertices of g")
-    tables = [t for t in given if is_automorphism(g, t)]
+    witness = isinstance(automorphisms, SymmetryWitness)
+    given = list(automorphisms.tables if witness else automorphisms)
+    verified = witness and automorphisms.graph is g
+    if not verified:
+        for t in given:
+            if len(t) != g.n or set(t) != set(range(g.n)):
+                raise ValueError("every table must be a permutation of the vertices of g")
+    tables = given if verified else [t for t in given if is_automorphism(g, t)]
     masks, uncolored = g.neighbor_masks, (0,) * x.n
     matched: list[Optional[bool]] = [None] * g.n
     discover, root = not given and x.n ** 2 > g.n, None
@@ -142,11 +142,11 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
 
 
 def residue_reference_graph(geom: KneserGeometry) -> Graph:
-    """The canonical reference X for the incidence graph of the built rank-r
-    geometry: the incidence graph of the residue of the first element of
-    type 0.  Needs r >= 3; at r = 2 the rank-1 residues are edgeless and
-    the locally-X question degenerates."""
-    if geom.params.r < 3:
+    """The paper's X for the incidence graph of the built rank-r geometry:
+    the incidence graph of the rank-(r-1) geometry of (n, k), equal index for
+    index to that of the residue of element 0.  Needs r >= 3; at r = 2 the
+    rank-1 residues are edgeless and the locally-X question degenerates."""
+    p = geom.params
+    if p.r < 3:
         raise ValueError("reference residue needs rank r >= 3")
-    sub, _ = residue(geom.incidence_system(), (0,))
-    return sub.graph
+    return build_geometry(GeometryParams(p.n, p.k, p.r - 1)).incidence_system().graph

@@ -174,28 +174,28 @@ def preserves_incidence_oracle(incident, n, mapping):
 
 
 def colex_point_table(geom, pi):
-    """Element table of a ground-set Permutation computed through the
-    element layout: the image of e is its type's offset plus the colex rank
-    of the pointwise image of its subset."""
+    """Element table of a ground-set permutation, an image tuple, computed
+    through the element layout: the image of e is its type's offset plus
+    the colex rank of the pointwise image of its subset."""
     ground, per = geom.params.ground, geom.params.per_type
     return tuple(
         geom.type_of(e) * per
-        + colex_rank(ground, KSubset.from_elements(pi(x) for x in geom.subset_of(e).elements()))
+        + colex_rank(ground, KSubset.from_elements(pi[x] for x in geom.subset_of(e).elements()))
         for e in range(geom.n_elements)
     )
 
 
 def tuple_orbit_group_order(gens):
-    """Order of the group generated by Permutations, as the orbit size of
+    """Order of the group generated by image tuples, as the orbit size of
     the identity tuple under composition: the action on tuples is regular,
     so the orbit is the whole group.  Only for small degree."""
-    start = tuple(range(gens[0].m))
+    start = tuple(range(len(gens[0])))
     seen = {start}
     queue = deque([start])
     while queue:
         t = queue.popleft()
         for pi in gens:
-            img = tuple(pi(x) for x in t)
+            img = tuple(pi[x] for x in t)
             if img not in seen:
                 seen.add(img)
                 queue.append(img)

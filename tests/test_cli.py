@@ -247,31 +247,34 @@ def _recording(results, fn):
 
 
 def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
-    from knesergeom import cli, graphs, incidence, isomorphism, locally_x
+    from knesergeom import cli, graphs, group_action, incidence, isomorphism, locally_x
 
-    searches, table_checks, tables_in_check, subgraphs, edge_checks = [], [], [], [], []
+    searches, whole_checks, tables_in_check, subgraphs, edge_checks = [], [], [], [], []
     monkeypatch.setattr(locally_x, "_search", _recording(searches, locally_x._search))
     monkeypatch.setattr(locally_x, "is_automorphism",
                         _recording(tables_in_check, locally_x.is_automorphism))
-    monkeypatch.setattr(cli, "is_type_preserving_automorphism",
-                        _recording(table_checks, cli.is_type_preserving_automorphism))
+    monkeypatch.setattr(group_action, "is_type_preserving_automorphism",
+                        _recording(whole_checks, group_action.is_type_preserving_automorphism))
     for module in (graphs, incidence, locally_x):  # every name it is called by
         monkeypatch.setattr(module, "induced_subgraph",
                             _recording(subgraphs, graphs.induced_subgraph))
     edge_check = isomorphism._edge_check
 
     def recorded_edge_check(masks, domain, *args):
-        edge_checks.append(domain == (1 << len(masks)) - 1)  # True: whole graph
-        return edge_check(masks, domain, *args)
+        ok = edge_check(masks, domain, *args)
+        # (rows, whole graph, verdict)
+        edge_checks.append((len(masks), domain == (1 << len(masks)) - 1, ok))
+        return ok
 
     monkeypatch.setattr(isomorphism, "_edge_check", recorded_edge_check)
     in_check = []
     check_locally_x = cli.is_locally_x
 
     def counted(*args):
-        before = len(subgraphs), len(edge_checks)
+        before = len(subgraphs), len(edge_checks), len(tables_in_check)
         report = check_locally_x(*args)
-        in_check.append((len(subgraphs) - before[0], edge_checks[before[1]:]))
+        in_check.append((len(subgraphs) - before[0], edge_checks[before[1]:],
+                         len(tables_in_check) - before[2]))
         return report
 
     monkeypatch.setattr(cli, "is_locally_x", counted)
@@ -282,17 +285,20 @@ def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
     assert check["pass"]
     assert check["details"]["total"] == check["details"]["passed"] == 84
     # one in-place search per type; the other 81 vertices copy a verdict
-    # along the verified tables, with no edge check of their own: the only
+    # along the witness's tables, with no edge check of their own: the only
     # neighborhood edge checks are the three searches' leaves
     assert len(searches) == 3 and all(m is not None for m in searches)
-    [(subgraphs_in_check, checks_in_check)] = in_check
+    [(subgraphs_in_check, checks_in_check, tables_checked_in_check)] = in_check
     assert subgraphs_in_check == 0
-    assert checks_in_check.count(False) == len(searches)
-    # flag-transitivity verifies the 7 adjacent-transposition tables of the
-    # 8 ground points, and locally-x verifies each of them once more
-    assert len(table_checks) == 7 and all(table_checks)
-    assert len(tables_in_check) == 7 and all(tables_in_check)
-    assert checks_in_check.count(True) == 7
+    assert [whole for _, whole, _ in checks_in_check] == [False] * len(searches)
+    # the witness verifies the 7 adjacent-transposition tables of the 8
+    # ground points once, each on the 28-row KG(8,2) factor, and is_locally_x
+    # takes them as they are; the only whole-graph checks are the 2 type swaps
+    assert tables_checked_in_check == 0 and tables_in_check == []
+    assert whole_checks == []
+    whole = [(rows, ok) for rows, whole, ok in edge_checks if whole]
+    assert whole == [(math.comb(8, 2), True)] * 7 + [(84, True)] * 2
+    assert len(edge_checks) == len(whole) + len(searches)
 
 
 def test_verify_all_enumerates_no_flag_orbit(monkeypatch, tmp_path):
@@ -323,13 +329,13 @@ def test_verify_all_enumerates_no_flag_orbit(monkeypatch, tmp_path):
 
 
 def test_dropped_generator_leaves_a_counter_witness(monkeypatch, tmp_path):
-    from knesergeom import Permutation, cli
+    from knesergeom import cli
 
     # without (1 2) the tables generate Sym{0,1} x Sym{2..6}, which fixes the
     # first element {0,1} of every type: level 0 covers 1 of 21 candidates
-    dropped = Permutation.transposition(7, 1, 2)
-    real = cli.point_tables
-    monkeypatch.setattr(cli, "point_tables",
+    dropped = (0, 2, 1, 3, 4, 5, 6)
+    real = cli.symmetry_witness
+    monkeypatch.setattr(cli, "symmetry_witness",
                         lambda geom, perms: real(geom, [p for p in perms if p != dropped]))
     out = tmp_path / "cert.json"
     code = cli.main(["verify", "--n", "5", "--k", "2", "--r", "3", "--check", "diagram",
@@ -388,6 +394,7 @@ def test_odd_girth_mismatch_witness_builds_kneser_graph_once(monkeypatch, tmp_pa
         built.append(g)
         return g
 
+    cli._kneser_graph.cache_clear()
     monkeypatch.setattr(cli, "kneser_graph", counted)
     monkeypatch.setattr(cli, "predicted_odd_girth", lambda kp: 3)
     out = tmp_path / "cert.json"
@@ -400,6 +407,30 @@ def test_odd_girth_mismatch_witness_builds_kneser_graph_once(monkeypatch, tmp_pa
     assert len(cyc) == 7 == len(set(cyc))
     for i in range(len(cyc)):
         assert g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)])
+
+
+def test_kneser_checks_share_one_checked_kneser_graph(monkeypatch, tmp_path):
+    from knesergeom import Graph, cli
+
+    rows = []
+    from_masks = Graph.from_masks
+
+    def recording(cls, masks):
+        masks = tuple(masks)
+        rows.append(len(masks))
+        return from_masks(masks)
+
+    cli._kneser_graph.cache_clear()
+    cli._neighborhood_summary.cache_clear()
+    monkeypatch.setattr(Graph, "from_masks", classmethod(recording))
+    out = tmp_path / "cert.json"
+    code = cli.main(["verify", "--n", "12", "--k", "5", "--r", "2", "--check", "odd-girth",
+                     "--check", "gonality", "--check", "diameter", "--out", str(out)])
+    assert code == 0
+    assert rows == [math.comb(12, 5)]  # 792 rows, checked once
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d9bbfa01d1f1ba47e8471fb896e16dcf03efa109d5af07b38ad640a24320238e"
+    )
 
 
 def test_thickness_reports_computed_minimum():
@@ -501,6 +532,13 @@ GOLDEN_OUTPUTS = [
      "114eb85f871a83282eaa7011ab61fd6a1c932aae483a8610583ed1e10d58a7d5"),
     (("build", "--format", "json", "--n", "9", "--k", "4", "--r", "3"), 0,
      "0cca6cb106a08367ed2d1c5313b999753e46d120ba780f240431cbd9ce1a4a05"),
+    # the three checks that read the symmetry witness, at the frontier
+    (("verify", "--n", "9", "--k", "4", "--r", "3", "--check", "locally-x",
+      "--check", "flag-transitivity", "--check", "diagram"), 0,
+     "362a6186fdda792cdc830439fba47266ac50012f6115bba67b11f8025214fc77"),
+    (("verify", "--n", "7", "--k", "3", "--r", "4", "--check", "locally-x",
+      "--check", "flag-transitivity", "--check", "diagram"), 0,
+     "d58b914dc8ace208c7c9b3221aba528b7d5fbf973cebd60e5ae1bad340a984be"),
 ]
 
 

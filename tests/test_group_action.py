@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from knesergeom import (
     GeometryParams,
     KSubset,
-    Permutation,
     adjacent_transpositions,
     IncidenceSystem,
     build_geometry,
@@ -21,8 +20,10 @@ from knesergeom import (
     level_orbits,
     permutation_group_order,
     point_tables,
+    symmetry_witness,
     type_swap_map,
 )
+from knesergeom.group_action import _is_block_automorphism
 from helpers import (
     colex_point_table,
     labelled_typed_systems,
@@ -33,30 +34,37 @@ from helpers import (
 )
 
 
-def test_permutation_validation():
-    Permutation([1, 0, 2])
-    with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
-    with pytest.raises(ValueError):
-        Permutation([0, 2])
+def _transposition(m, i, j):
+    images = list(range(m))
+    images[i], images[j] = j, i
+    return tuple(images)
 
 
-def test_apply_to_mask():
-    pi = Permutation.transposition(5, 0, 1)
-    assert pi.apply_to_mask(0b00101) == 0b00110
+def test_image_tuples_must_be_permutations():
+    # ground-set permutations are image tuples; point_tables and
+    # permutation_group_order reject one that is not a permutation
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    assert permutation_group_order([(1, 0, 2)]) == 2
+    for bad in [(0, 0, 1, 3, 4, 5, 6), (0, 2, 3, 4, 5, 6, 7)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            point_tables(geom, [bad])
+    for bad in [(0, 0, 1), (0, 2)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            permutation_group_order([bad])
+    assert adjacent_transpositions(4) == [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
 
 
 def test_point_tables_map_subsets():
     geom = build_geometry(GeometryParams(5, 2, 3))
-    (ident,) = point_tables(geom, [Permutation.identity(7)])
+    (ident,) = point_tables(geom, [tuple(range(7))])
     assert ident == tuple(range(63))
-    (swap,) = point_tables(geom, [Permutation.transposition(7, 0, 1)])
+    (swap,) = point_tables(geom, [_transposition(7, 0, 1)])
     for e in range(63):
         assert geom.type_of(swap[e]) == geom.type_of(e)
     e = next(e for e in range(21) if geom.subset_of(e) == KSubset.from_elements([0, 2]))
     assert geom.subset_of(swap[e]) == KSubset.from_elements([1, 2])
     with pytest.raises(ValueError):
-        point_tables(geom, [Permutation.identity(6)])
+        point_tables(geom, [tuple(range(6))])
 
 
 def test_point_tables_match_colex_oracle():
@@ -68,13 +76,13 @@ def test_point_tables_match_colex_oracle():
         for _ in range(5):
             images = list(range(m))
             rng.shuffle(images)
-            perms.append(Permutation(images))
+            perms.append(tuple(images))
         assert point_tables(geom, perms) == [colex_point_table(geom, pi) for pi in perms]
 
 
 def test_incidence_preserved_under_action():
     geom = build_geometry(GeometryParams(5, 2, 3))
-    (table,) = point_tables(geom, [Permutation.transposition(7, 2, 5)])
+    (table,) = point_tables(geom, [_transposition(7, 2, 5)])
     for x in range(0, 63, 5):
         for y in range(x + 1, 63, 7):
             assert geom.incident(x, y) == geom.incident(table[x], table[y])
@@ -85,6 +93,78 @@ def test_generators_are_automorphisms():
     sys_ = geom.incidence_system()
     for table in point_tables(geom, adjacent_transpositions(7)):
         assert is_type_preserving_automorphism(sys_, table)
+
+
+_BLOCK_GEOMETRIES = {
+    params: build_geometry(params)
+    for params in [GeometryParams(5, 2, 2), GeometryParams(5, 2, 3), GeometryParams(4, 1, 3),
+                   GeometryParams(6, 2, 3)]
+}
+
+
+@st.composite
+def element_tables(draw):
+    """A built geometry and an element table of one of four kinds: a block
+    table, (t, v) -> (t, pi v), with pi from a ground-set permutation or a
+    random permutation of one type; a different pi in one block; a table
+    that moves the types; and a non-permutation."""
+    params = draw(st.sampled_from(list(_BLOCK_GEOMETRIES)))
+    geom = _BLOCK_GEOMETRIES[params]
+    per, r = params.per_type, params.r
+
+    def block_pi():
+        if draw(st.booleans()):
+            ground = draw(st.permutations(range(params.ground_size)))
+            return list(point_tables(geom, [ground])[0][:per])
+        return draw(st.permutations(range(per)))
+
+    pis = [block_pi()] * r
+    kind = draw(st.sampled_from(["block", "per-block", "type-changing", "non-permutation"]))
+    if kind == "per-block":
+        pis[draw(st.integers(1, r - 1))] = block_pi()
+    shift = draw(st.integers(1, r - 1)) if kind == "type-changing" else 0
+    table = [(t + shift) % r * per + x for t in range(r) for x in pis[t]]
+    if kind == "non-permutation":
+        a, b = draw(st.lists(st.integers(0, len(table) - 1), min_size=2, max_size=2, unique=True))
+        table[a] = table[b]
+    return geom, kind, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_tables())
+def test_block_form_and_factor_check_match_whole_graph_check_property(case):
+    geom, kind, table = case
+    verdict = _is_block_automorphism(geom.factor, geom.params.r, table)
+    assert verdict == is_type_preserving_automorphism(geom.incidence_system(), table)
+    assert not verdict or kind in ("block", "per-block")
+
+
+def test_symmetry_witness_fields():
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    sys_ = geom.incidence_system()
+    perms = adjacent_transpositions(7)
+    witness = symmetry_witness(geom, perms)
+    assert witness.graph is sys_.graph
+    assert witness.tables == tuple(point_tables(geom, perms))
+    assert list(witness.levels) == [J for size in (1, 2, 3)
+                                    for J in itertools.combinations(range(3), size)]
+    for J, levels in witness.levels.items():
+        assert levels == level_orbits(sys_, witness.tables, J)
+        assert all(orbit == count for orbit, count in levels)
+
+
+def test_symmetry_witness_checks_the_block_form(monkeypatch):
+    from knesergeom import group_action
+
+    # block 0 carries the (0 1) table and block 1 the (1 2) table: both are
+    # automorphisms of the factor, but the mixed table is no automorphism
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    per = geom.params.per_type
+    first, second = point_tables(geom, adjacent_transpositions(7)[:2])
+    mixed = first[:per] + second[per : 2 * per] + first[2 * per :]
+    assert not is_type_preserving_automorphism(geom.incidence_system(), mixed)
+    monkeypatch.setattr(group_action, "point_tables", lambda geom, perms: [first, mixed])
+    assert symmetry_witness(geom, adjacent_transpositions(7)[:2]) is None
 
 
 def test_chamber_orbit_sizes():
@@ -101,7 +181,7 @@ def test_chamber_orbit_sizes():
     tables2 = point_tables(geom2, adjacent_transpositions(5))
     assert chamber_orbit_size(sys2, tables2, start2) == 30
 
-    ident_only = point_tables(geom, [Permutation.identity(7)])
+    ident_only = point_tables(geom, [tuple(range(7))])
     assert chamber_orbit_size(sys_, ident_only, start) == 1
 
 
@@ -241,7 +321,7 @@ def test_full_levels_certify_one_flag_orbit_property(data):
     adjacent = adjacent_transpositions(m)
     dropped = data.draw(st.sets(st.integers(0, m - 2)))
     perms = [pi for i, pi in enumerate(adjacent) if i not in dropped]
-    perms += [Permutation(p) for p in data.draw(st.lists(st.permutations(range(m)), max_size=1))]
+    perms += [tuple(p) for p in data.draw(st.lists(st.permutations(range(m)), max_size=1))]
     tables = point_tables(geom, perms)
     size = data.draw(st.integers(1, params.r))
     J = data.draw(st.sampled_from(list(itertools.combinations(range(params.r), size))))
@@ -259,7 +339,7 @@ def test_adjacent_type_swaps_decide_every_type_swap_property(sys_):
     def all_valid(sigmas):
         return all(type_swap_map(sys_, sigma)[1] for sigma in sigmas)
 
-    adjacent = [t.images for t in adjacent_transpositions(sys_.rank)]
+    adjacent = adjacent_transpositions(sys_.rank)
     assert all_valid(adjacent) == all_valid(itertools.permutations(range(sys_.rank)))
 
 
@@ -288,14 +368,14 @@ def test_type_swap_unequal_sizes_invalid():
 def test_group_order_by_orbit():
     for m in range(2, 9):
         assert permutation_group_order(adjacent_transpositions(m)) == math.factorial(m)
-    assert permutation_group_order([Permutation.identity(4)]) == 1
+    assert permutation_group_order([tuple(range(4))]) == 1
 
 
 def _cycle(m, points):
     images = list(range(m))
     for a, b in zip(points, points[1:] + points[:1]):
         images[a] = b
-    return Permutation(images)
+    return tuple(images)
 
 
 def _generator_sets(rng):
@@ -305,24 +385,23 @@ def _generator_sets(rng):
     lists of random permutations, transpositions and 3-cycles."""
     sets = []
     for m in range(1, 13):
-        ident = Permutation.identity(m)
+        ident = tuple(range(m))
         rot = _cycle(m, list(range(m)))
         sets.append([ident])
         sets.append([rot])
         if m >= 3:
-            reflection = Permutation([(-i) % m for i in range(m)])
+            reflection = tuple((-i) % m for i in range(m))
             sets.append([rot, reflection])  # dihedral, order 2m
             sets.append([_cycle(m, [0, 1, i]) for i in range(2, m)])  # alternating
             sets.append(adjacent_transpositions(m))
         if m >= 4:
             # intransitive: Sym on the first half, a cycle on the rest
             h = m // 2
-            sets.append([Permutation.transposition(m, i, i + 1) for i in range(h - 1)]
+            sets.append([_transposition(m, i, i + 1) for i in range(h - 1)]
                         + [_cycle(m, list(range(h, m)))])
         if m % 2 == 0 and m >= 4:
             # imprimitive: C2 wr C(m/2) on the blocks {2i, 2i+1}
-            sets.append([Permutation([(i + 2) % m for i in range(m)]),
-                         Permutation.transposition(m, 0, 1)])
+            sets.append([tuple((i + 2) % m for i in range(m)), _transposition(m, 0, 1)])
     for m in range(1, 13):
         for _ in range(12):
             gens = []
@@ -331,14 +410,14 @@ def _generator_sets(rng):
                 if kind == 0 or m < 3:
                     images = list(range(m))
                     rng.shuffle(images)
-                    gens.append(Permutation(images))
+                    gens.append(tuple(images))
                 elif kind == 1:
-                    gens.append(Permutation.transposition(m, *rng.sample(range(m), 2)))
+                    gens.append(_transposition(m, *rng.sample(range(m), 2)))
                 else:
                     gens.append(_cycle(m, rng.sample(range(m), 3)))
             sets.append(gens)
     for gens in sets[::5]:
-        sets.append(gens + gens[:1] + [Permutation.identity(gens[0].m)])
+        sets.append(gens + gens[:1] + [tuple(range(len(gens[0])))])
     return sets
 
 
@@ -348,15 +427,15 @@ def test_group_order_matches_sympy():
     sets = _generator_sets(random.Random(20181128))
     orders = set()
     for gens in sets:
-        expected = PermutationGroup([SympyPermutation(list(g.images)) for g in gens]).order()
-        assert permutation_group_order(gens) == expected, [g.images for g in gens]
+        expected = PermutationGroup([SympyPermutation(list(g)) for g in gens]).order()
+        assert permutation_group_order(gens) == expected, gens
         orders.add(expected)
     assert len(sets) >= 180 and {1, 2, math.factorial(12), math.factorial(12) // 2} <= orders
 
 
 def test_group_order_matches_tuple_orbit():
     for gens in _generator_sets(random.Random(7)):
-        if gens[0].m <= 7:
+        if len(gens[0]) <= 7:
             assert permutation_group_order(gens) == tuple_orbit_group_order(gens)
 
 
@@ -364,7 +443,7 @@ def test_group_order_rejects_bad_generators():
     with pytest.raises(ValueError):
         permutation_group_order([])
     with pytest.raises(ValueError):
-        permutation_group_order([Permutation.identity(3), Permutation.identity(4)])
+        permutation_group_order([tuple(range(3)), tuple(range(4))])
 
 
 def _candidate_maps(geom, rng):
@@ -376,8 +455,7 @@ def _candidate_maps(geom, rng):
     for _ in range(6):
         images = list(range(7))
         rng.shuffle(images)
-        pi = Permutation(images)
-        table = list(point_tables(geom, [pi])[0])
+        table = list(point_tables(geom, [images])[0])
         maps.append(table)
         a, b = rng.sample(range(per), 2)
         t = rng.randrange(3) * per

@@ -21,7 +21,9 @@ from knesergeom import (
     kneser_graph,
     neighborhood_graph,
     point_tables,
+    residue,
     residue_reference_graph,
+    symmetry_witness,
 )
 from knesergeom.subsets import GroundSet, enumerate_k_subsets
 
@@ -160,6 +162,40 @@ def test_carried_maps_are_edge_checked():
     plain = is_locally_x(damaged, x)
     assert plain.failures == (0, 26, 56, 61, 62)
     assert is_locally_x(damaged, x, tables).failures == plain.failures
+
+
+def test_witness_tables_are_checked_unless_on_their_own_graph(monkeypatch):
+    from knesergeom import locally_x
+
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    g, x = geom.incidence_system().graph, residue_reference_graph(geom)
+    witness = symmetry_witness(geom, adjacent_transpositions(7))
+    plain = is_locally_x(g, x)
+    checked = []
+    is_automorphism = locally_x.is_automorphism
+    monkeypatch.setattr(locally_x, "is_automorphism",
+                        lambda h, t: checked.append(h) or is_automorphism(h, t))
+    # on its own graph the witness's tables are taken as they are
+    assert is_locally_x(g, x, witness) == plain and checked == []
+    # an equal graph that is another object, and a damaged one, check each
+    # table on themselves; the damaged graph fails as with no tables
+    copy = Graph(g.n, g.edges())
+    assert is_locally_x(copy, x, witness).to_json() == plain.to_json()
+    assert checked == [copy] * 6
+    damaged = Graph(g.n, g.edges()[1:])
+    assert is_locally_x(damaged, x, witness).failures == (0, 26, 56, 61, 62)
+    assert checked[6:] == [damaged] * 6
+
+
+@pytest.mark.parametrize(
+    "n, k, r", [(5, 2, 3), (6, 2, 3), (6, 2, 4), (7, 3, 3), (5, 2, 5), (9, 4, 3), (7, 3, 4)]
+)
+def test_reference_is_the_rank_below_geometry(n, k, r):
+    # X = Γ(KG(n,k), r-1), built directly, is the residue of element 0 index
+    # for index
+    geom = build_geometry(GeometryParams(n, k, r))
+    sub, _ = residue(geom.incidence_system(), (0,))
+    assert residue_reference_graph(geom) == sub.graph
 
 
 def test_tables_must_be_permutations():
