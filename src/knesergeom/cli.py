@@ -65,6 +65,10 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# one incidence pair as _dump lays it out inside a geometry document
+_PAIR = "[\n        %d,\n        %d\n      ]"
+
+
 def _write(text, out_path) -> int:
     data = text if isinstance(text, bytes) else text.encode()
     try:
@@ -100,12 +104,18 @@ def cmd_build(args) -> int:
     if args.format == "dot":
         diagram = buekenhout_diagram(geom.incidence_system())
         return _write(diagram_to_dot(diagram), args.out)
+    geometry = system_to_json(geom.incidence_system())
+    pairs, geometry["incidences"] = geometry["incidences"], []
     doc = {
         "schema": "geometry/1",
         "params": {"n": params.n, "k": params.k, "r": params.r},
-        "geometry": system_to_json(geom.incidence_system()),
+        "geometry": geometry,
     }
-    return _write(_dump(doc), args.out)
+    text = _dump(doc)
+    if pairs:  # the same bytes without json's pure-Python pass over each pair
+        body = ",\n      ".join([_PAIR % pair for pair in pairs])
+        text = text.replace('"incidences": []', f'"incidences": [\n      {body}\n    ]', 1)
+    return _write(text, args.out)
 
 
 # ---------------------------------------------------------------------------

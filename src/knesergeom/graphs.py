@@ -15,14 +15,14 @@ Girth runs one BFS per source over per-vertex neighbor bitmasks and stops
 at the first source that reaches 3, or 4 on a bipartite graph;
 eccentricities and odd girth run one synchronous sweep that grows a
 bitmask per vertex for every source at once, so the inner loops stay in
-word operations.  graph6 packs and unpacks six-bit digits with binascii's
-base64 codec and one byte translation.  Infinity is represented by math.inf.
+word operations.  graph6 is encoded from one integer holding the columns,
+bit-reversed a byte at a time, and both ways cut six-bit digits with
+binascii's base64 codec and one byte translation.  Infinity is math.inf.
 """
 
 from __future__ import annotations
 
 import binascii
-import hashlib
 import math
 from collections import deque
 
@@ -135,6 +135,8 @@ def graph_digest(g: Graph) -> str:
     """Deterministic identity digest of (n, edge set); not isomorphism-invariant.
     The text hashed is n followed by ",u-v" for every edge u < v in
     ascending order, built one row at a time."""
+    import hashlib  # here, so that only callers of a digest load OpenSSL
+
     rows = [str(g.n)]
     for u, m in enumerate(g.neighbor_masks):
         if high := m >> u + 1 << u + 1:
@@ -424,11 +426,8 @@ class Graph6Error(ValueError):
 def _g6_encode_n(n: int) -> bytes:
     if n <= 62:
         return bytes([n + 63])
-    if n <= 258047:
-        chunks = [(n >> 12) & 63, (n >> 6) & 63, n & 63]
-        return bytes([126] + [c + 63 for c in chunks])
-    chunks = [(n >> (6 * i)) & 63 for i in range(5, -1, -1)]
-    return bytes([126, 126] + [c + 63 for c in chunks])
+    head, digits = (b"~", 3) if n <= 258047 else (b"~~", 6)
+    return head + bytes((n >> 6 * i & 63) + 63 for i in reversed(range(digits)))
 
 
 # base64 digits in value order, and the same values offset by 63
@@ -436,25 +435,32 @@ _B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/
 _G6_DIGITS = bytes(range(63, 127))
 _B64_TO_G6 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
 _G6_TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
 def graph6_encode(g: Graph) -> bytes:
     """Standard header-less graph6: N(n) then the upper triangle in
     column-major order, packed 6 bits per byte, each byte offset by 63.
 
-    The column bits form one bit string; base64 cuts it into six-bit
-    digits, highest first, once it is padded to whole 24-bit groups, and
-    a translation moves the digits onto bytes 63..126."""
-    if g.n > _G6_MAX_N:
+    Column j, bits 0..j-1 of vertex j's mask, sits at bit offset j(j-1)/2
+    of one integer Z, built by merging adjacent columns pairwise.  Z's
+    bytes, lowest first, each with its bits reversed, are the bit string in
+    order, zero-padded to whole 24-bit groups; base64 cuts them into
+    six-bit digits and a translation moves those onto bytes 63..126."""
+    n = g.n
+    if n > _G6_MAX_N:
         raise ValueError(f"graph6 supports at most {_G6_MAX_N} vertices")
-    masks = g.neighbor_masks
-    # column j lists bits 0..j-1 of vertex j's mask, lowest first
-    bits = "".join(format(masks[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
-    ndigits = -(-len(bits) // 6)
+    columns = [m & (1 << j) - 1 for j, m in enumerate(g.neighbor_masks)] or [0]
+    offsets = [j * (j - 1) // 2 for j in range(n)]
+    while len(columns) > 1:
+        pairs = zip(columns[::2], columns[1::2], offsets[::2], offsets[1::2])
+        merged = [lo | hi << b - a for lo, hi, a, b in pairs]
+        columns, offsets = merged + columns[2 * len(merged):], offsets[::2]
+    ndigits = -(-(n * (n - 1) // 2) // 6)
     groups = -(-ndigits // 4)
-    packed = int(bits or "0", 2) << 24 * groups - len(bits)
-    b64 = binascii.b2a_base64(packed.to_bytes(3 * groups, "big"), newline=False)
-    return _g6_encode_n(g.n) + b64[:ndigits].translate(_B64_TO_G6)
+    packed = columns[0].to_bytes(3 * groups, "little").translate(_REV8)
+    b64 = binascii.b2a_base64(packed, newline=False)
+    return _g6_encode_n(n) + b64[:ndigits].translate(_B64_TO_G6)
 
 
 def graph6_decode(data) -> Graph:

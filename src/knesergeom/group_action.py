@@ -21,7 +21,7 @@ the group's elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .graphs import Graph, _iter_bits
@@ -57,14 +57,21 @@ def point_tables(geom: KneserGeometry, perms) -> list[tuple[int, ...]]:
     return [tuple([off + i for off in offsets for i in block]) for block in blocks]
 
 
-@dataclass(frozen=True)
-class SymmetryWitness:
-    """Tables verified as type-preserving automorphisms of graph, with their
-    level_orbits for every nonempty type set; only symmetry_witness builds one."""
+class SymmetryWitness(namedtuple("SymmetryWitness", "graph tables levels")):
+    """Type-preserving automorphism tables of graph, with their level_orbits
+    for every nonempty type set.  Only one that symmetry_witness returned
+    has verified tables; one built by hand is checked like plain tables."""
 
-    graph: Graph
-    tables: tuple[tuple[int, ...], ...]
-    levels: dict
+    __slots__ = ()
+
+
+class _VerifiedWitness(SymmetryWitness):
+    """What symmetry_witness returns; an edited copy is a plain witness."""
+
+    __slots__ = ()
+
+    def _replace(self, **fields):
+        return SymmetryWitness(*self)._replace(**fields)
 
 
 def _is_block_automorphism(factor: Graph, r: int, table) -> bool:
@@ -91,7 +98,7 @@ def symmetry_witness(geom: KneserGeometry, perms) -> SymmetryWitness | None:
         return None
     types = [J for size in range(1, r + 1) for J in combinations(sys_.types, size)]
     levels = {J: level_orbits(sys_, tables, J) for J in types}
-    return SymmetryWitness(sys_.graph, tuple(tables), levels)
+    return _VerifiedWitness(sys_.graph, tuple(tables), levels)
 
 
 def is_type_preserving_automorphism(sys: IncidenceSystem, table) -> bool:

@@ -15,14 +15,14 @@ group is transitive on those flags, which group_action.level_orbits
 certifies; the other predicates visit every flag.
 
 All counts are exact integers; math.inf only ever appears as a gonality or
-diameter of degenerate systems.
+diameter of degenerate systems.  Results are namedtuples (GeometryCheck,
+RankTwoSummary, BuekenhoutDiagram, ...) that unpack and compare as tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple, Optional
 
 from .graphs import (
     Graph,
@@ -153,13 +153,10 @@ class IncidenceSystem:
         return f"IncidenceSystem(rank={self.rank}, elements={self.n_elements})"
 
 
-@dataclass(frozen=True)
-class TypedIncidenceGraph:
+class TypedIncidenceGraph(namedtuple("TypedIncidenceGraph", "graph type_colors types")):
     """Incidence graph plus the vertex -> type-index coloring."""
 
-    graph: Graph
-    type_colors: tuple[int, ...]
-    types: tuple[int, ...]
+    __slots__ = ()
 
 
 def incidence_graph(sys: IncidenceSystem) -> TypedIncidenceGraph:
@@ -224,11 +221,7 @@ def _cotype(sys: IncidenceSystem, J) -> tuple[int, ...]:
     return tuple(t for t in sys.types if t not in J)
 
 
-class GeometryCheck(NamedTuple):
-    ok: bool
-    # the first non-chamber flag with an empty residue (so a maximal
-    # non-chamber flag), if any
-    witness: Optional[tuple[int, ...]]
+GeometryCheck = namedtuple("GeometryCheck", "ok witness")
 
 
 def is_geometry(sys: IncidenceSystem) -> GeometryCheck:
@@ -288,9 +281,7 @@ def truncation(sys: IncidenceSystem, J) -> IncidenceSystem:
     return _restriction(sys, keep, tuple(sorted(J)))
 
 
-class ResidualConnectivityCheck(NamedTuple):
-    ok: bool
-    failing_flag: Optional[tuple[int, ...]]
+ResidualConnectivityCheck = namedtuple("ResidualConnectivityCheck", "ok failing_flag")
 
 
 def is_residually_connected(sys: IncidenceSystem) -> ResidualConnectivityCheck:
@@ -326,15 +317,11 @@ def is_thick(sys: IncidenceSystem) -> bool:
 # rank-2 classification and summaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankTwoSummary:
+class RankTwoSummary(namedtuple("RankTwoSummary", "types gonality diameters classification")):
     """Gonality, per-type diameters, and the digon/linear-space verdict of a
     rank-2 geometry; diameters are aligned with the types pair."""
 
-    types: tuple[int, int]
-    gonality: float
-    diameters: tuple[float, float]
-    classification: str
+    __slots__ = ()
 
 
 def _classify(sys: IncidenceSystem, cand: int, pair) -> str:
@@ -393,10 +380,7 @@ def rank2_summary(sys: IncidenceSystem) -> RankTwoSummary:
     )
 
 
-class Ip2Check(NamedTuple):
-    ok: bool
-    failing_pair: Optional[tuple[int, int]]
-    failing_flag: Optional[tuple[int, ...]]
+Ip2Check = namedtuple("Ip2Check", "ok failing_pair failing_flag")
 
 
 def satisfies_ip2(sys: IncidenceSystem) -> Ip2Check:
@@ -417,16 +401,12 @@ def satisfies_ip2(sys: IncidenceSystem) -> Ip2Check:
 # Buekenhout diagram
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BuekenhoutDiagram:
-    """Per-type orders and element counts, plus a rank-2 summary for every
-    type pair whose residues are not generalised digons (digon edges are
-    omitted, as usual)."""
+class BuekenhoutDiagram(namedtuple("BuekenhoutDiagram", "types orders counts edges")):
+    """Per-type orders and element counts, and edges: (i, j), i < j ->
+    RankTwoSummary for every type pair whose residues are not generalised
+    digons (digon edges are omitted, as usual)."""
 
-    types: tuple[int, ...]
-    orders: dict
-    counts: dict
-    edges: dict  # (i, j) with i < j -> RankTwoSummary
+    __slots__ = ()
 
 
 def buekenhout_diagram(sys: IncidenceSystem) -> BuekenhoutDiagram:
@@ -479,6 +459,7 @@ def _jsonable(x):
 
 
 def system_to_json(sys: IncidenceSystem) -> dict:
+    """The incidences are Graph.edges' (a, b) tuples, which json writes as arrays."""
     return {
         "rank": sys.rank,
         "types": list(sys.types),
@@ -486,7 +467,7 @@ def system_to_json(sys: IncidenceSystem) -> dict:
             {"id": e, "type": sys.type_of[e], "label": sys.label_of(e)}
             for e in range(sys.n_elements)
         ],
-        "incidences": [[a, b] for a, b in sys.graph.edges()],
+        "incidences": sys.graph.edges(),
     }
 
 

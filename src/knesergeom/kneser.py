@@ -22,27 +22,26 @@ is its rank-2 case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import Graph, _iter_bits, complete_tensor
 from .incidence import IncidenceSystem
 from .subsets import GroundSet, KSubset, enumerate_k_subsets, validate_subset
 
 
-@dataclass(frozen=True)
-class KneserParams:
+class KneserParams(namedtuple("KneserParams", "n k")):
     """Parameters with n >= 2k+1, so disjoint k-subsets always exist and
     every closed form below divides by n-2k."""
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, n: int, k: int):
+        if k < 1:
             raise ValueError("k must be at least 1")
-        if self.n <= 2 * self.k:
-            raise ValueError(f"n must exceed 2k (got n={self.n}, k={self.k})")
-        GroundSet(self.n)  # enforces n <= 64
+        if n <= 2 * k:
+            raise ValueError(f"n must exceed 2k (got n={n}, k={k})")
+        GroundSet(n)  # enforces n <= 64
+        return tuple.__new__(cls, (n, k))
 
     @property
     def ground(self) -> GroundSet:

@@ -18,7 +18,7 @@ pair of elements is visited and no edge list is made.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .incidence import (
     BuekenhoutDiagram,
@@ -38,23 +38,20 @@ from .kneser import (
 from .subsets import GroundSet, KSubset, enumerate_k_subsets
 
 
-@dataclass(frozen=True)
-class GeometryParams:
+class GeometryParams(namedtuple("GeometryParams", "n k r")):
     """(n, k) Kneser parameters plus the rank r >= 2; the ground set has
     n + k(r-2) points and must fit in one word."""
 
-    n: int
-    k: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        KneserParams(self.n, self.k)  # n >= 2k+1, k >= 1
-        if self.r < 2:
+    def __new__(cls, n: int, k: int, r: int):
+        KneserParams(n, k)  # n >= 2k+1, k >= 1
+        if r < 2:
             raise ValueError("rank r must be at least 2")
+        self = tuple.__new__(cls, (n, k, r))
         if self.ground_size > 64:
-            raise ValueError(
-                f"ground set needs {self.ground_size} points; at most 64 supported"
-            )
+            raise ValueError(f"ground set needs {self.ground_size} points; at most 64 supported")
+        return self
 
     @property
     def ground_size(self) -> int:

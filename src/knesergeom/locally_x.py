@@ -5,11 +5,12 @@ vertex is isomorphic to X.  Every verdict rests on an isomorphism search of
 N(v) against X, run in place on the graph's own neighbor masks (no
 neighborhood graph is built): a returned bijection is edge-verified, and a
 failed search is certified by refinement.  Given automorphism tables are
-each verified once on the whole graph, unless they come in a SymmetryWitness
-of this very graph, and a searched verdict, pass or fail, is copied around
-the orbit of its vertex under the verified tables, since an automorphism t
-maps N(u) isomorphically onto N(t[u]).  A table that is not an automorphism
-is dropped, so it can cost searches but never decides a verdict.
+each verified once on the whole graph, unless symmetry_witness returned
+them for this very graph, and a searched verdict, pass or fail, is copied
+around the orbit of its vertex under the verified tables, since an
+automorphism t maps N(u) isomorphically onto N(t[u]).  A table that is not
+an automorphism is dropped, so it can cost searches but never decides a
+verdict.
 
 With no tables given, as for a graph read from a graph6 file, the tables
 are discovered by whole-graph searches of g against itself (is_locally_x
@@ -18,22 +19,20 @@ says when).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .graphs import Graph, graph_digest, induced_subgraph
-from .group_action import SymmetryWitness
+from .group_action import SymmetryWitness, _VerifiedWitness
 from .isomorphism import _search, is_automorphism
 from .kneser_geometry import GeometryParams, KneserGeometry, build_geometry
 
 
-@dataclass(frozen=True)
-class LocallyXReport:
-    graph_digest: str
-    reference_digest: str
-    total: int
-    passed: int
-    failures: tuple[int, ...]
+class LocallyXReport(
+    namedtuple("LocallyXReport", "graph_digest reference_digest total passed failures")
+):
+    """Digests of g and X, vertex counts and the failing vertices, ascending."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -70,11 +69,11 @@ def _automorphism(g: Graph, root: int, v: int):
 def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     """Check every vertex of g.
 
-    The tables of a SymmetryWitness whose graph is g are taken as they are.
-    Any other table must be a permutation of g's vertices (ValueError
-    otherwise), and those that are not automorphisms of g, by one
-    whole-graph edge check each, are dropped.  Vertices are taken in
-    ascending order.  One without a verdict gets an isomorphism search of
+    The tables of a witness that symmetry_witness returned for g are taken
+    as they are.  Any other table, a hand-built SymmetryWitness's too, must
+    be a permutation of g's vertices (ValueError otherwise), and those that
+    are not automorphisms of g, by one whole-graph edge check each, are
+    dropped.  Vertices are taken in ascending order.  One without a verdict gets an isomorphism search of
     N(v) against X, in place on g's masks, whose refinement certifies a
     mismatch and whose returned bijection is edge-verified.  Its verdict,
     pass or fail, is copied to every vertex reached from v along the kept
@@ -95,14 +94,14 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     """
     witness = isinstance(automorphisms, SymmetryWitness)
     given = list(automorphisms.tables if witness else automorphisms)
-    verified = witness and automorphisms.graph is g
+    verified = type(automorphisms) is _VerifiedWitness and automorphisms.graph is g
     if not verified:
         for t in given:
             if len(t) != g.n or set(t) != set(range(g.n)):
                 raise ValueError("every table must be a permutation of the vertices of g")
     tables = given if verified else [t for t in given if is_automorphism(g, t)]
     masks, uncolored = g.neighbor_masks, (0,) * x.n
-    matched: list[Optional[bool]] = [None] * g.n
+    matched = [None] * g.n  # per vertex: None until a verdict, then True or False
     discover, root = not given and x.n ** 2 > g.n, None
 
     def spread(frontier: list) -> None:

@@ -3,39 +3,40 @@
 Subsets live in one machine word (ground sets are capped at 64 elements) and
 are ordered colexicographically, which for bitmasks is plain ascending numeric
 order.  Ranks follow the combinadic bijection, so list index == rank
-everywhere downstream.
+everywhere downstream.  GroundSet and KSubset are namedtuples checked on
+construction, so KSubset(5) == (5,) and both hash as tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(namedtuple("GroundSet", "m")):
     """The set {0, ..., m-1} with 1 <= m <= 64."""
 
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.m, int) or not 1 <= self.m <= 64:
-            raise ValueError(f"ground set size must be an int in 1..64, got {self.m!r}")
+    def __new__(cls, m: int):
+        if not isinstance(m, int) or not 1 <= m <= 64:
+            raise ValueError(f"ground set size must be an int in 1..64, got {m!r}")
+        return tuple.__new__(cls, (m,))
 
     @property
     def full_mask(self) -> int:
         return (1 << self.m) - 1
 
 
-@dataclass(frozen=True)
-class KSubset:
+class KSubset(namedtuple("KSubset", "bits")):
     """A subset of the ground set stored as a bitmask; k is the popcount."""
 
-    bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bits < 0:
+    def __new__(cls, bits: int):
+        if bits < 0:
             raise ValueError("subset bitmask must be nonnegative")
+        return tuple.__new__(cls, (bits,))
 
     @property
     def k(self) -> int:

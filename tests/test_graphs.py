@@ -413,6 +413,24 @@ def test_graph6_matches_column_packing_and_networkx_up_to_70():
             assert graph6_decode(enc) == g
 
 
+# n(n-1)/2 mod 24 has period 48 in n, so n = 0..47 gives every length mod 24
+# that a graph6 bit string can have (16 of the 24): every padding of the
+# last six-bit digit, base64 group and byte; 62, 63 and 64 switch the size
+# field
+_G6_SIZES = sorted(set(range(48)) | {62, 63, 64})
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+def test_graph6_encode_matches_oracle_property(seed, p):
+    lengths = {n * (n - 1) // 2 % 24 for n in _G6_SIZES}
+    assert lengths == {n * (n - 1) // 2 % 24 for n in range(480)} and len(lengths) == 16
+    rng = random.Random(seed)
+    for n in _G6_SIZES:
+        g = random_graph(rng, n, p)
+        assert graph6_encode(g) == graph6_encode_oracle(g), n
+
+
 def test_graph6_extended_size_header():
     g = Graph(63, [(0, 1), (10, 50), (61, 62)])
     enc = graph6_encode(g)

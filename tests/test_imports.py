@@ -1,7 +1,10 @@
 """The package's modules import one another without a cycle, counting the
-relative imports inside function bodies too."""
+relative imports inside function bodies too, and importing the CLI loads
+none of the standard modules that cost a process most of its start-up."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import knesergeom
@@ -55,3 +58,13 @@ def test_package_import_graph_is_acyclic():
     graph = import_graph()
     assert "kneser" in graph["kneser_geometry"]  # the parse sees the imports
     assert find_cycle(graph) is None, " -> ".join(find_cycle(graph))
+
+
+def test_cli_import_loads_no_costly_modules():
+    # -S skips site, whose .pth hooks may import typing on their own
+    costly = ("dataclasses", "inspect", "typing", "hashlib")
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import knesergeom.cli; "
+            f"print(*[m for m in {costly!r} if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []

@@ -25,6 +25,7 @@ from knesergeom import (
     residue_reference_graph,
     symmetry_witness,
 )
+from knesergeom.group_action import SymmetryWitness
 from knesergeom.subsets import GroundSet, enumerate_k_subsets
 
 
@@ -185,6 +186,24 @@ def test_witness_tables_are_checked_unless_on_their_own_graph(monkeypatch):
     damaged = Graph(g.n, g.edges()[1:])
     assert is_locally_x(damaged, x, witness).failures == (0, 26, 56, 61, 62)
     assert checked[6:] == [damaged] * 6
+
+
+def test_hand_built_witness_tables_are_checked():
+    # a SymmetryWitness built by hand, or edited from a verified one, is
+    # checked like plain tables: the cyclic shift is no automorphism of the
+    # damaged graph, so it is dropped and the 5 failures stand (not all 63)
+    sys_, x, _ = _geometry_523()
+    per = sys_.n_elements // sys_.rank
+    shift = tuple(e - e % per + (e + 1) % per for e in range(sys_.n_elements))
+    damaged = Graph(sys_.graph.n, sys_.graph.edges()[1:])
+    plain = is_locally_x(damaged, x)
+    assert plain.failures == (0, 26, 56, 61, 62)
+    assert is_locally_x(damaged, x, SymmetryWitness(damaged, (shift,), {})) == plain
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    edited = symmetry_witness(geom, adjacent_transpositions(7))._replace(
+        graph=damaged, tables=(shift,))
+    assert type(edited) is SymmetryWitness
+    assert is_locally_x(damaged, x, edited) == plain
 
 
 @pytest.mark.parametrize(
