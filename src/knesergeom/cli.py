@@ -122,8 +122,15 @@ def cmd_build(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
+def _symmetry_witness(params, geom):
+    """symmetry_witness of the ground set's adjacent transpositions, memoised
+    so that every check that reads it, the residue checks too, shares it."""
+    return symmetry_witness(geom, adjacent_transpositions(params.ground_size))
+
+
 def _check_geometry(params, geom):
-    ok, witness = is_geometry(geom.incidence_system())
+    ok, witness = is_geometry(geom.incidence_system(), _symmetry_witness(params, geom))
     details = {"elements": geom.n_elements, "per_type": params.per_type}
     if witness is not None:
         details["witness_flag"] = list(witness)
@@ -131,7 +138,7 @@ def _check_geometry(params, geom):
 
 
 def _check_residual_connectivity(params, geom):
-    ok, failing = is_residually_connected(geom.incidence_system())
+    ok, failing = is_residually_connected(geom.incidence_system(), _symmetry_witness(params, geom))
     details = {}
     if failing is not None:
         details["failing_flag"] = list(failing)
@@ -141,28 +148,18 @@ def _check_residual_connectivity(params, geom):
 def _check_thickness(params, geom):
     """Thick iff every rank-1 residue has at least three elements; reports
     the smallest size found."""
-    smallest = min(size for _, size in _rank1_residue_sizes(geom.incidence_system()))
+    sizes = _rank1_residue_sizes(geom.incidence_system(), _symmetry_witness(params, geom))
+    smallest = min(size for _, size in sizes)
     thick = smallest >= 3
     return thick, {"rank1_residue_size": smallest, "thick": thick}
 
 
-@functools.lru_cache(maxsize=1)
-def _symmetry_witness(params, geom):
-    """symmetry_witness of the ground set's adjacent transpositions, memoised
-    so that the diagram, flag-transitivity and locally-x checks share it."""
-    return symmetry_witness(geom, adjacent_transpositions(params.ground_size))
-
-
 def _check_diagram(params, geom):
     witness = _symmetry_witness(params, geom)
-    # the first residue of each kind stands for all when the verified group
-    # is transitive on the flags of every corank-1 and corank-2 type set
-    # (the empty type set has one flag)
-    certified = witness is not None and all(
-        s == c
-        for J, lv in witness.levels.items() if params.r - 2 <= len(J) < params.r
-        for s, c in lv
-    )
+    # the diagram's first residues stand for all where the witness is transitive
+    certified = witness is not None and witness.transitive >= {
+        J for J in witness.levels if params.r - 2 <= len(J) < params.r
+    }
     computed = buekenhout_diagram(geom.incidence_system())
     predicted = predicted_diagram(params)
     details = {
@@ -176,7 +173,7 @@ def _check_diagram(params, geom):
 
 
 def _check_ip2(params, geom):
-    ok, pair, flag = satisfies_ip2(geom.incidence_system())
+    ok, pair, flag = satisfies_ip2(geom.incidence_system(), _symmetry_witness(params, geom))
     details = {"closed_form_predicts": params.n == 2 * params.k + 1}
     if pair is not None:
         details["failing_pair"] = list(pair)
@@ -193,11 +190,10 @@ def _check_flag_transitivity(params, geom):
     total = chamber_count(params)
     # (type set, level, orbit size, candidates) of each level not filled
     gaps = [(J, i, s, c) for J, lv in levels.items() for i, (s, c) in enumerate(lv) if s != c]
-    uncovered = {gap[0] for gap in gaps}
     # with every level full, the chambers number the product of the chamber
     # type's level orbits
     orbit = math.prod(size for size, _ in levels[tuple(range(params.r))])
-    transitive = orbit == total and not gaps
+    transitive, covered = orbit == total and not gaps, witness.transitive
     # label-pairing maps compose, so the adjacent type transpositions are
     # valid exactly when every type permutation is
     sys_ = geom.incidence_system()
@@ -208,7 +204,7 @@ def _check_flag_transitivity(params, geom):
         "transitive": transitive,
         "generators_checked": len(gens),
         "flag_orbit_counts": {
-            ",".join(map(str, J)): None if J in uncovered else 1 for J in levels
+            ",".join(map(str, J)): 1 if J in covered else None for J in levels
         },
         "type_swaps_valid": swaps_ok,
         "verified_subgroup_order": math.factorial(params.ground_size)

@@ -63,6 +63,7 @@ class SymmetryWitness(namedtuple("SymmetryWitness", "graph tables levels")):
     has verified tables; one built by hand is checked like plain tables."""
 
     __slots__ = ()
+    transitive = frozenset()  # type sets proved transitive: none unless verified
 
 
 class _VerifiedWitness(SymmetryWitness):
@@ -72,6 +73,11 @@ class _VerifiedWitness(SymmetryWitness):
 
     def _replace(self, **fields):
         return SymmetryWitness(*self)._replace(**fields)
+
+    @property
+    def transitive(self) -> frozenset:
+        """() and every type set whose levels are all full."""
+        return frozenset([(), *(J for J, lv in self.levels.items() if all(s == c for s, c in lv))])
 
 
 def _is_block_automorphism(factor: Graph, r: int, table) -> bool:

@@ -9,10 +9,11 @@ residual connectedness, firmness/thickness, rank-2 classification
 intersection property, and Buekenhout diagram extraction.  All of them read
 one walk, _residues, which yields every flag of a type together with the
 bitmask of its residue; a non-chamber flag with an empty residue is a
-maximal non-chamber flag.  The diagram reads only the first residue of each
-cotype: it stands for every residue of that cotype when an automorphism
-group is transitive on those flags, which group_action.level_orbits
-certifies; the other predicates visit every flag.
+maximal non-chamber flag.  A type-preserving automorphism maps residues
+onto isomorphic ones, so where such a group is transitive on the flags of
+a type set the first residue stands for all.  The diagram reads only that
+first residue; the other predicates read _walk, which skips the rest only
+where a verified witness of the system's own graph proves transitivity.
 
 All counts are exact integers; math.inf only ever appears as a gonality or
 diameter of degenerate systems.  Results are namedtuples (GeometryCheck,
@@ -22,7 +23,7 @@ RankTwoSummary, BuekenhoutDiagram, ...) that unpack and compare as tuples.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, islice
 
 from .graphs import (
     Graph,
@@ -171,19 +172,11 @@ def incidence_graph(sys: IncidenceSystem) -> TypedIncidenceGraph:
 # ---------------------------------------------------------------------------
 
 def is_flag(sys: IncidenceSystem, elements) -> bool:
-    elems = sorted(set(elements))
-    seen_types = set()
-    for e in elems:
-        if not 0 <= e < sys.n_elements:
-            return False
-        t = sys.type_of[e]
-        if t in seen_types:
-            return False
-        seen_types.add(t)
-    for a, b in combinations(elems, 2):
-        if not sys.incident(a, b):
-            return False
-    return True
+    """Elements in range and pairwise incident; two of one type never are."""
+    elems = set(elements)
+    return all(0 <= e < sys.n_elements for e in elems) and all(
+        sys.graph.has_edge(a, b) for a, b in combinations(elems, 2)
+    )
 
 
 def _residues(sys: IncidenceSystem, J):
@@ -211,6 +204,18 @@ def _residues(sys: IncidenceSystem, J):
     yield from extend(0, (), (1 << sys.n_elements) - 1)
 
 
+def _walk(sys: IncidenceSystem, sizes, witness=None):
+    """Yield (J, flag, residue mask) for each type set J of each size in
+    sizes, ascending, and every flag of J in _residues order, or only the
+    first if J is in witness.transitive and witness is of this very graph."""
+    transitive = witness.transitive if witness is not None and witness.graph is sys.graph else ()
+    for size in sizes:
+        for J in combinations(sys.types, size):
+            residues = _residues(sys, J)
+            for flag, cand in islice(residues, 1) if J in transitive else residues:
+                yield J, flag, cand
+
+
 def flags_of_type(sys: IncidenceSystem, J):
     """Every flag of type J as a sorted element tuple, depth-first in
     ascending type order."""
@@ -224,18 +229,16 @@ def _cotype(sys: IncidenceSystem, J) -> tuple[int, ...]:
 GeometryCheck = namedtuple("GeometryCheck", "ok witness")
 
 
-def is_geometry(sys: IncidenceSystem) -> GeometryCheck:
+def is_geometry(sys: IncidenceSystem, witness=None) -> GeometryCheck:
     """True iff every flag extends to a chamber, i.e. no flag of size below
-    the rank has an empty residue.  The witness is the first such flag, by
-    size, then type, then the flag walk's order; it is a maximal
-    non-chamber flag."""
+    the rank has an empty residue.  The witness flag is the first such flag
+    by size, then type, then walk order (_walk, which a symmetry witness
+    thins); it is a maximal non-chamber flag."""
     if sys.rank < 1:
         raise ValueError("geometry test needs rank >= 1")
-    for size in range(sys.rank):
-        for J in combinations(sys.types, size):
-            for flag, cand in _residues(sys, J):
-                if cand == 0:
-                    return GeometryCheck(False, flag)
+    for _, flag, cand in _walk(sys, range(sys.rank), witness):
+        if cand == 0:
+            return GeometryCheck(False, flag)
     return GeometryCheck(True, None)
 
 
@@ -284,25 +287,22 @@ def truncation(sys: IncidenceSystem, J) -> IncidenceSystem:
 ResidualConnectivityCheck = namedtuple("ResidualConnectivityCheck", "ok failing_flag")
 
 
-def is_residually_connected(sys: IncidenceSystem) -> ResidualConnectivityCheck:
+def is_residually_connected(sys: IncidenceSystem, witness=None) -> ResidualConnectivityCheck:
     """Every residue of rank >= 2 (the empty flag included) has a connected
     incidence graph.  Only flags of corank >= 2 matter; smaller residues are
-    vacuous."""
+    vacuous.  The flags read are _walk's."""
     masks = sys.element_masks
-    for size in range(0, max(sys.rank - 1, 0)):
-        for J in combinations(sys.types, size):
-            for flag, cand in _residues(sys, J):
-                start = (cand & -cand).bit_length() - 1
-                if cand and component_mask(masks, start, cand) != cand:
-                    return ResidualConnectivityCheck(False, flag)
+    for _, flag, cand in _walk(sys, range(sys.rank - 1), witness):
+        start = (cand & -cand).bit_length() - 1
+        if cand and component_mask(masks, start, cand) != cand:
+            return ResidualConnectivityCheck(False, flag)
     return ResidualConnectivityCheck(True, None)
 
 
-def _rank1_residue_sizes(sys: IncidenceSystem):
-    """(flag, residue size) for every flag of corank 1."""
-    for i in sys.types:
-        for flag, cand in _residues(sys, _cotype(sys, (i,))):
-            yield flag, cand.bit_count()
+def _rank1_residue_sizes(sys: IncidenceSystem, witness=None):
+    """(flag, residue size) for every flag of corank 1 that _walk reads."""
+    for _, flag, cand in _walk(sys, range(max(sys.rank - 1, 0), sys.rank), witness):
+        yield flag, cand.bit_count()
 
 
 def is_firm(sys: IncidenceSystem) -> bool:
@@ -383,17 +383,17 @@ def rank2_summary(sys: IncidenceSystem) -> RankTwoSummary:
 Ip2Check = namedtuple("Ip2Check", "ok failing_pair failing_flag")
 
 
-def satisfies_ip2(sys: IncidenceSystem) -> Ip2Check:
+def satisfies_ip2(sys: IncidenceSystem, witness=None) -> Ip2Check:
     """True iff every rank-2 residue is a partial linear space or a
-    generalised digon.  All residues are checked; flag-transitivity is not
-    assumed."""
+    generalised digon.  With no witness every residue is classified;
+    otherwise one per type pair on which the witness proves the group
+    transitive (_walk), and every residue of any other pair."""
     if sys.rank < 2:
         return Ip2Check(True, None, None)
-    for J in combinations(sys.types, sys.rank - 2):
+    for J, flag, cand in _walk(sys, (sys.rank - 2,), witness):
         pair = _cotype(sys, J)
-        for flag, cand in _residues(sys, J):
-            if _classify(sys, cand, pair) == NEITHER:
-                return Ip2Check(False, pair, flag)
+        if _classify(sys, cand, pair) == NEITHER:
+            return Ip2Check(False, pair, flag)
     return Ip2Check(True, None, None)
 
 
@@ -414,21 +414,19 @@ def buekenhout_diagram(sys: IncidenceSystem) -> BuekenhoutDiagram:
 
     Orders come from the first rank-1 residue of each cotype, pair labels
     from the first rank-2 residue of each type pair.  The diagram describes
-    every residue when the geometry is flag-transitive, which
-    group_action.level_orbits certifies for verified automorphisms.
+    every residue when the geometry is flag-transitive on those type sets,
+    which SymmetryWitness.transitive certifies for verified automorphisms.
     """
     counts = {t: len(sys.elements_of_type(t)) for t in sys.types}
-
-    def first_residue(cotype):
-        for _, cand in _residues(sys, _cotype(sys, cotype)):
-            return cand
-        raise ValueError(f"no flag of cotype {set(cotype)}; not a geometry")
-
-    orders = {i: first_residue((i,)).bit_count() - 1 for i in sys.types}
+    cotypes = [*combinations(sys.types, 1), *combinations(sys.types, 2)]
+    first = {c: next(_residues(sys, _cotype(sys, c)), (None, None))[1] for c in cotypes}
+    missing = [c for c in cotypes if first[c] is None]
+    if missing:
+        raise ValueError(f"no flag of cotype {set(missing[0])}; not a geometry")
+    orders = {i: first[(i,)].bit_count() - 1 for i in sys.types}
     edges = {}
     for pair in combinations(sys.types, 2):
-        cand = first_residue(pair)
-        summary = rank2_summary(_restriction(sys, list(_iter_bits(cand)), pair))
+        summary = rank2_summary(_restriction(sys, list(_iter_bits(first[pair])), pair))
         if summary.classification != DIGON:
             edges[pair] = summary
     return BuekenhoutDiagram(sys.types, orders, counts, edges)

@@ -368,7 +368,10 @@ def flags_oracle(g, type_of, J):
 def residue_oracle(g, flag):
     """The elements outside the flag incident to every flag element, on the
     networkx incidence graph g."""
-    return {e for e in g if e not in flag and all(g.has_edge(e, f) for f in flag)}
+    res = set(g)
+    for f in flag:
+        res &= set(g[f])
+    return res - set(flag)
 
 
 def classify_oracle(g, type_of, elements, pair):

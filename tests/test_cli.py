@@ -18,6 +18,7 @@ from knesergeom import (
     KneserParams,
     rank2_summary,
 )
+from knesergeom.group_action import adjacent_transpositions, symmetry_witness
 
 
 # the child process imports the same package as the tests, whether it
@@ -433,18 +434,109 @@ def test_kneser_checks_share_one_checked_kneser_graph(monkeypatch, tmp_path):
     )
 
 
-def test_thickness_reports_computed_minimum():
+def test_thickness_reports_computed_minimum(monkeypatch):
     from types import SimpleNamespace
 
     from knesergeom import Graph, cli, vertex_edge_geometry
 
-    # the vertex-edge geometry of a path: an end vertex lies on one edge, so
-    # the smallest rank-1 residue has one element (C(n-k,k) = 3 here)
-    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    # the vertex-edge geometry of the path 1-0-2-3: an end vertex lies on one
+    # edge, so the smallest rank-1 residue has one element (C(n-k,k) = 3
+    # here), though the first residue of each cotype has two
+    path = Graph(4, [(0, 1), (0, 2), (2, 3)])
     stand_in = SimpleNamespace(incidence_system=lambda: vertex_edge_geometry(path))
-    ok, details = cli._check_thickness(GeometryParams(5, 2, 3), stand_in)
+    # the only witness at hand is the verified one of the real (5,2,3)
+    # geometry, transitive on every type set but of another graph: every
+    # flag of the stand-in is read
+    params = GeometryParams(5, 2, 3)
+    witness = symmetry_witness(build_geometry(params), adjacent_transpositions(params.ground_size))
+    assert {(0,), (1,)} <= witness.transitive
+    monkeypatch.setattr(cli, "_symmetry_witness", lambda params, geom: witness)
+    ok, details = cli._check_thickness(params, stand_in)
     assert ok is False
     assert details == {"rank1_residue_size": 1, "thick": False}
+
+
+_RESIDUE_CHECKS = ("geometry", "residual-connectivity", "thickness", "ip2")
+
+
+def test_residue_checks_read_one_flag_per_type_set(monkeypatch):
+    from knesergeom import cli, incidence
+
+    residues, read = incidence._residues, []
+
+    def counted(sys_, J):
+        for item in residues(sys_, J):
+            read.append(tuple(J))
+            yield item
+
+    monkeypatch.setattr(incidence, "_residues", counted)
+    singles, pairs = [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]
+    for n, ip2_reads in [(5, singles), (6, singles[:1])]:
+        params = GeometryParams(n, 2, 3)
+        geom = build_geometry(params)
+        # built before the reads are counted, which are each check's own
+        assert cli._symmetry_witness(params, geom).transitive >= {(), *singles, *pairs}
+        per_check = {}
+        for name in _RESIDUE_CHECKS:
+            del read[:]
+            ok, _ = cli._CHECKS[name](params, geom)
+            per_check[name] = (ok, list(read))
+        # 7 + 4 + 3 + 3 flags, one per type set; at (6,2,3) ip2 fails, as
+        # predicted, at the first flag of its first type set
+        assert per_check == {
+            "geometry": (True, [(), *singles, *pairs]),
+            "residual-connectivity": (True, [(), *singles]),
+            "thickness": (True, pairs),
+            "ip2": (n == 5, ip2_reads),
+        }
+
+
+def _cycle_and_transposition(geom, perms):
+    """The cycle (0 1 ... m-1) and (0 1): they generate the whole symmetric
+    group, so every level 0 is full, but only (0 1) fixes the first subset
+    {0, 1}, and it fixes every subset disjoint from it, so no deeper level
+    is."""
+    m = len(perms[0])
+    return symmetry_witness(geom, [tuple((p + 1) % m for p in range(m)), perms[0]])
+
+
+def test_partial_witness_certificates_equal_the_full_walk(monkeypatch, tmp_path):
+    from knesergeom import cli
+    from helpers import residue_verdicts_oracle
+
+    out = tmp_path / "cert.json"
+    argv = [arg for name in _RESIDUE_CHECKS for arg in ("--check", name)]
+
+    def certificate(params, witness):
+        monkeypatch.setattr(cli, "symmetry_witness", witness)
+        code = cli.main(["verify", "--n", str(params.n), "--k", str(params.k),
+                         "--r", str(params.r), *argv, "--out", str(out)])
+        return code, out.read_bytes()
+
+    def dropping(i):
+        return lambda geom, perms: symmetry_witness(geom, perms[:i] + perms[i + 1:])
+
+    witnesses = (dropping(0), dropping(1), _cycle_and_transposition)
+    for params in [GeometryParams(5, 2, 3), GeometryParams(6, 2, 3), GeometryParams(5, 2, 4)]:
+        # with generator 0 or 1 dropped only the empty type set is covered;
+        # with the cycle and (0 1) the single types are, and no larger set
+        geom = build_geometry(params)
+        perms = adjacent_transpositions(params.ground_size)
+        singles = [(t,) for t in range(params.r)]
+        assert [sorted(w(geom, perms).transitive) for w in witnesses] == [
+            [()], [()], [(), *singles]
+        ]
+        full = certificate(params, lambda geom, perms: None)  # no witness: every flag
+        for witness in witnesses:
+            assert certificate(params, witness) == full, params
+        want = residue_verdicts_oracle(geom.incidence_system())
+        checks = {c["name"]: c for c in json.loads(full[1])["checks"]}
+        assert checks["geometry"]["pass"] == want["geometry"]
+        assert checks["residual-connectivity"]["pass"] == want["residually_connected"]
+        assert checks["ip2"]["pass"] == want["ip2"]
+        assert checks["thickness"]["pass"] == want["thick"]
+        smallest = min(size for _, size in want["rank1_sizes"])
+        assert checks["thickness"]["details"]["rank1_residue_size"] == smallest
 
 
 def test_verify_all_builds_the_geometry_once(monkeypatch, tmp_path):
@@ -493,6 +585,10 @@ GOLDEN_VERIFY_ALL = [
     ("5", "2", "4", 0, "846b918fa3263dc4f338014d5cedb851e7a8b0f4bff9702a367f29d6bb2538a5"),
     ("6", "2", "4", 1, "c18bdc2098fb9e4dc939dff0f37cfb552a9d1cccd30d2ff4d6174035c1fe8864"),
     ("7", "3", "3", 0, "1708ba2818c5a796a2c09813ce5289396f45f4700874f3fdc634148dc84c36ab"),
+    # the frontier, where every residue check reads one flag per type set
+    ("5", "2", "5", 0, "befa05ac1e098e34b01c7871c06b2fa40db6925ff3e033926b181011c3b1896e"),
+    ("9", "4", "3", 0, "cb616c38547e7afe59af5299087d1270b3a62f82d7a77aa072ebd2cd99aafbf9"),
+    ("7", "3", "4", 0, "9caf1473ff7b731c4a889ac22077411eab43ca7d8c6a98d63d13e2f73e7029ec"),
 ]
 
 

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from knesergeom import (
     DIGON,
     FlagError,
+    GeometryParams,
     Graph,
     IncidenceSystem,
     KneserParams,
     NEITHER,
     PARTIAL_LINEAR_SPACE,
+    adjacent_transpositions,
     buekenhout_diagram,
+    build_geometry,
     incidence_graph,
     is_firm,
     is_geometry,
@@ -25,12 +28,15 @@ from knesergeom import (
     residue,
     residue_mask,
     satisfies_ip2,
+    symmetry_witness,
     truncation,
     vertex_edge_geometry,
 )
+from knesergeom.group_action import SymmetryWitness, _VerifiedWitness
 from knesergeom.incidence import (
     DisconnectedGeometryError,
     _rank1_residue_sizes,
+    _walk,
     classify_rank2,
     diagram_to_dot,
     flags_of_type,
@@ -316,6 +322,46 @@ def test_diagram_nonuniform_path_is_not_certified():
     d = buekenhout_diagram(sys_)
     assert d.orders == {0: 1, 1: 0}
     assert residue_diagram_mismatches(sys_, d) == [((1,), 1)]
+
+
+def test_walk_trusts_only_a_verified_witness_of_its_own_graph():
+    params = GeometryParams(5, 2, 3)
+    geom = build_geometry(params)
+    sys_ = geom.incidence_system()
+    witness = symmetry_witness(geom, adjacent_transpositions(params.ground_size))
+    sizes = range(sys_.rank + 1)
+    type_sets = [J for size in sizes for J in combinations(sys_.types, size)]
+    assert witness.transitive == frozenset(type_sets)
+    every = list(_walk(sys_, sizes))
+    assert len(every) == sum(1 for J in type_sets for _ in flags_of_type(sys_, J))
+    # verified for this graph: the first flag of each type set
+    firsts = [next((J, f, c) for J2, f, c in every if J2 == J) for J in type_sets]
+    assert list(_walk(sys_, sizes, witness)) == firsts
+    # the same fields, full levels included, built by hand or edited: every flag
+    hand_built = SymmetryWitness(*witness)
+    edited = witness._replace(tables=witness.tables)
+    for untrusted in (hand_built, edited):
+        assert untrusted.transitive == frozenset()
+        assert list(_walk(sys_, sizes, untrusted)) == every
+    # a verified witness of another build: an equal graph, not the same one
+    other = build_geometry(params).incidence_system()
+    assert other.graph == sys_.graph and other.graph is not sys_.graph
+    assert list(_walk(other, sizes, witness)) == every
+    assert is_geometry(other, witness) == is_geometry(sys_) == (True, None)
+
+
+def test_hand_built_witness_does_not_decide_a_verdict():
+    # the vertex-edge geometry of the path 1-0-2-3: the first residue of
+    # each cotype has two elements, an end vertex's has one
+    sys_ = vertex_edge_geometry(Graph(4, [(0, 1), (0, 2), (2, 3)]))
+    false_levels = {(0,): [(4, 4)], (1,): [(3, 3)], (0, 1): [(4, 4), (2, 2)]}
+    # a verified witness is taken at its word: one flag per cotype
+    trusted = _VerifiedWitness(sys_.graph, (), false_levels)
+    assert sorted(size for _, size in _rank1_residue_sizes(sys_, trusted)) == [2, 2]
+    # the same levels in a hand-built one decide nothing
+    hand_built = SymmetryWitness(sys_.graph, (), false_levels)
+    assert sorted(_rank1_residue_sizes(sys_, hand_built)) == sorted(_rank1_residue_sizes(sys_))
+    assert min(size for _, size in _rank1_residue_sizes(sys_, hand_built)) == 1
 
 
 def test_system_json_shape():
