@@ -18,9 +18,9 @@ import sys
 from . import __version__
 from .graphs import (
     Graph6Error,
+    cover_walk_metrics,
     graph6_decode,
     graph6_encode,
-    odd_girth,
     shortest_odd_cycle,
 )
 from .group_action import (
@@ -36,14 +36,13 @@ from .incidence import (
     diagram_to_json,
     is_geometry,
     is_residually_connected,
-    rank2_summary,
     satisfies_ip2,
     summary_to_json,
     system_to_json,
 )
 from .kneser import (
     kneser_graph,
-    neighborhood_geometry,
+    neighborhood_summary,
     predicted_diameter,
     predicted_gonality,
     predicted_odd_girth,
@@ -233,22 +232,30 @@ def _kneser_graph(kp):
     return kneser_graph(kp)
 
 
+@functools.lru_cache(maxsize=1)
+def _kneser_walks(kp):
+    """cover_walk_metrics of the shared KG(n,k): its odd girth and the
+    eccentricities of K_2 x KG, from the one walk sweep that the odd-girth,
+    gonality and diameter checks share."""
+    return cover_walk_metrics(_kneser_graph(kp))
+
+
 def _check_odd_girth(params, geom):
     kp = params.kneser
     predicted = predicted_odd_girth(kp)
-    g = _kneser_graph(kp)
-    computed = odd_girth(g)
+    computed = _kneser_walks(kp)[0]
     details = {"predicted": predicted, "computed": computed if computed != math.inf else "inf"}
     if computed != predicted:
-        details["witness_cycle"] = shortest_odd_cycle(g)
+        details["witness_cycle"] = shortest_odd_cycle(_kneser_graph(kp))
     return computed == predicted, details
 
 
 @functools.lru_cache(maxsize=1)
 def _neighborhood_summary(kp):
-    """rank2_summary of the neighborhood geometry of the shared KG(n,k);
-    memoised so that the gonality and diameter checks share one build."""
-    return rank2_summary(neighborhood_geometry(_kneser_graph(kp)))
+    """The rank-2 summary of the neighborhood geometry of the shared
+    KG(n,k), with its diameters from the shared walk sweep; memoised so
+    that the gonality and diameter checks share one build."""
+    return neighborhood_summary(_kneser_graph(kp), _kneser_walks(kp)[1])
 
 
 def _check_gonality(params, geom):

@@ -13,9 +13,13 @@ residue checks; bipartiteness is one bitmask layer sweep per component.
 Induced subgraphs move each row's kept bits into place one at a time.
 Girth runs one BFS per source over per-vertex neighbor bitmasks and stops
 at the first source that reaches 3, or 4 on a bipartite graph;
-eccentricities and odd girth run one synchronous sweep that grows a
-bitmask per vertex for every source at once, so the inner loops stay in
-word operations.  graph6 is encoded from one integer holding the columns,
+eccentricities run one synchronous sweep that grows a bitmask ball per
+vertex for every source at once, so the inner loops stay in word
+operations.  Odd girth reads the one exact-length walk sweep, _walks,
+which holds for every vertex the endpoints of its walks of length L; the
+same sweep gives, through cover_walk_metrics, the odd girth together with
+every eccentricity of the double cover K_2 x G, without building the cover
+or sweeping it.  graph6 is encoded from one integer holding the columns,
 bit-reversed a byte at a time, and both ways cut six-bit digits with
 binascii's base64 codec and one byte translation.  Infinity is math.inf.
 """
@@ -302,35 +306,90 @@ def girth(g: Graph):
     return best
 
 
+def _walks(g: Graph):
+    """Yield (L, W_L) for L = 0, 1, 2, ... without end: W_L[v] is the
+    bitmask of the endpoints of the walks of exactly length L from v.
+
+    One synchronous sweep for all sources at once: W_0[v] is v alone, W_1[v]
+    its neighbor mask, and W_{L+1}[v] the or of W_L[w] over the neighbors w
+    of v.  Each W_L is a new list that is never changed afterwards, so a
+    reader may keep earlier ones.
+    """
+    yield 0, [1 << v for v in range(g.n)]
+    walk = list(g.neighbor_masks)
+    yield 1, walk
+    adj, length = g.adj, 1
+    while True:
+        prev = walk
+        walk = []
+        for row in adj:
+            b = 0
+            for w in row:
+                b |= prev[w]
+            walk.append(b)
+        length += 1
+        yield length, walk
+
+
 def _shortest_odd_closed_walk(g: Graph):
     """(L, v) with L the odd girth and v the lowest vertex on an odd cycle
     of length L; None iff the graph is bipartite.
 
-    One synchronous sweep for all sources at once: walk[v] is the bitmask of
-    the endpoints of walks of exactly length L from v, and a step sets
-    walk_{L+1}[v] to the or of walk_L[w] over the neighbors w of v.  The
-    sweep stops at the first odd L with v in walk[v] for some v; a minimal
-    odd closed walk is an odd cycle, and a non-bipartite graph has one of
-    length at most n, so the sweep ends.
+    The first odd L of _walks with v in W_L[v] for some v: a minimal odd
+    closed walk is an odd cycle, and a non-bipartite graph has one of length
+    at most n, so the sweep ends.
     """
     if is_bipartite(g):
         return None
-    adj = g.adj
-    walk = list(g.neighbor_masks)
-    length = 1
-    while True:
-        for v, m in enumerate(walk):
-            if m >> v & 1:
-                return length, v
-        for _ in range(2):
-            prev = walk
-            walk = []
-            for row in adj:
-                b = 0
-                for w in row:
-                    b |= prev[w]
-                walk.append(b)
-        length += 2
+    for length, walk in _walks(g):
+        if length & 1:
+            for v, m in enumerate(walk):
+                if m >> v & 1:
+                    return length, v
+
+
+def cover_walk_metrics(g: Graph):
+    """(odd girth of g, eccentricities of K_2 x g), from one sweep of g's
+    walk sets; entry v of the list is the eccentricity of both (v,0) and
+    (v,1), which the swap of the two halves exchanges.
+
+    In a direct product, d((v,s),(u,t)) is the length of the shortest v-u
+    walk of parity s+t (Hammack, Imrich & Klavzar, Handbook of Product
+    Graphs, 2nd ed., 2011, distance in direct products).  Lemma: if v is not
+    isolated, W_L[v] is contained in W_{L+2}[v] (go out along an edge and
+    back), so the ball of radius L about (v,0) is W_L[v] at parity L and
+    W_{L-1}[v] at parity L-1, and ecc(v,0) is the least L with W_L[v] and
+    W_{L-1}[v] both equal to V(g).  Once W_L[v] == W_{L-2}[v] short of
+    that, W_{L+1}[v] = N(W_L[v]) = N(W_{L-2}[v]) = W_{L-1}[v], so v's sets
+    repeat with period 2, never both fill, and v gets math.inf.  W_{-1} and
+    W_{-2} are empty, so an isolated v, whose W_L is empty for every L >= 1,
+    gets math.inf at L = 1.
+
+    The odd girth is the first odd L with v in W_L[v] for some v.  The
+    sweep stops once every vertex is settled: a finite ecc(v,0) = L puts v
+    in W_L[v] or W_{L-1}[v], whichever is odd, and a periodic vertex has
+    shown both parities already, so no odd closed walk appears later and
+    the odd girth is math.inf if none was found by then.
+    """
+    full = (1 << g.n) - 1
+    ecc = [INF] * g.n
+    odd = INF
+    unsettled = range(g.n)
+    before = last = [0] * g.n  # W_{L-2}, W_{L-1}
+    for length, walk in _walks(g):
+        if odd == INF and length & 1 and any(m >> v & 1 for v, m in enumerate(walk)):
+            odd = length
+        still = []
+        for v in unsettled:
+            m = walk[v]
+            if m == full and last[v] == full:
+                ecc[v] = length
+            elif m != before[v]:
+                still.append(v)
+        if not still:
+            return odd, ecc
+        unsettled = still
+        before, last = last, walk
 
 
 def odd_girth(g: Graph):

@@ -332,20 +332,25 @@ def _classify(sys: IncidenceSystem, cand: int, pair) -> str:
     A generalised digon is a complete bipartite incidence with at least two
     elements on each side (so gonality and both diameters equal 2); a
     partial linear space has no 4-cycle, i.e. no two elements of one side
-    sharing two common neighbors.  A 4-cycle has two elements on each side,
-    so scanning the pairs of one side finds every one.  A complete
-    bipartite system with a singleton side has no 4-cycle and lands in the
-    linear-space class.
+    sharing two common neighbors.  A 4-cycle a-b-a'-b' has two elements on
+    each side, so one pass over each element a of the first side finds
+    every one: the first-side neighbors other than a of a's neighbors b,
+    or'ed one b at a time, meet again exactly when some a' shares two
+    neighbors with a.  A complete bipartite system with a singleton side
+    has no 4-cycle and lands in the linear-space class.
     """
     masks = sys.element_masks
     a_mask, b_mask = cand & sys.type_mask(pair[0]), cand & sys.type_mask(pair[1])
-    side = [masks[e] & b_mask for e in range(sys.n_elements) if a_mask >> e & 1]
-    if len(side) >= 2 and b_mask.bit_count() >= 2 and all(m == b_mask for m in side):
+    side = list(_iter_bits(a_mask))
+    if len(side) >= 2 and b_mask.bit_count() >= 2 and all(masks[a] & b_mask == b_mask for a in side):
         return DIGON
-    for i, mi in enumerate(side):
-        for mj in side[i + 1:]:
-            if (mi & mj).bit_count() >= 2:
+    for a in side:
+        others, seen = a_mask ^ 1 << a, 0
+        for b in _iter_bits(masks[a] & b_mask):
+            back = masks[b] & others
+            if back & seen:
                 return NEITHER
+            seen |= back
     return PARTIAL_LINEAR_SPACE
 
 
@@ -360,7 +365,12 @@ def rank2_summary(sys: IncidenceSystem) -> RankTwoSummary:
     type's elements), and the classification of a connected rank-2 system."""
     if sys.rank != 2:
         raise ValueError("rank2_summary needs a rank-2 system")
-    ecc = eccentricities(sys.graph)
+    return _summary_of(sys, eccentricities(sys.graph))
+
+
+def _summary_of(sys: IncidenceSystem, ecc) -> RankTwoSummary:
+    """rank2_summary of the rank-2 system sys, given the eccentricity of
+    each element in its incidence graph."""
     if INF in ecc:  # some element is unreachable from another
         comps = connected_components(sys.graph)
         raise DisconnectedGeometryError(

@@ -17,7 +17,8 @@ re-verified before being returned.
 typed_copies is the one constructor of the geometries here: r typed copies
 of a graph's vertices, incident across types along its edges, so that the
 incidence graph is K_r x g for a graph checked once; neighborhood_geometry
-is its rank-2 case.
+is its rank-2 case, and neighborhood_summary its rank-2 summary with the
+diameters read from g's own walk sweep instead of a sweep of K_2 x g.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .graphs import Graph, _iter_bits, complete_tensor
-from .incidence import IncidenceSystem
+from .incidence import IncidenceSystem, RankTwoSummary, _summary_of
 from .subsets import GroundSet, KSubset, enumerate_k_subsets, validate_subset
 
 
@@ -195,6 +196,15 @@ def neighborhood_geometry(g: Graph, labels=None) -> IncidenceSystem:
     """The rank-2 typed copies of g: (p,0) at index p is incident to (q,1)
     at n+q iff p ~ q, along the edges of the bipartite double cover K_2 x g."""
     return typed_copies(g, 2, labels)
+
+
+def neighborhood_summary(g: Graph, cover_eccentricities) -> RankTwoSummary:
+    """rank2_summary(neighborhood_geometry(g)), given the eccentricities of
+    K_2 x g that graphs.cover_walk_metrics reads from g's walk sweep, one
+    per vertex of g for both of its copies; gonality and classification
+    read the geometry's masks, so the cover's adjacency lists are never
+    built and the cover is never swept."""
+    return _summary_of(neighborhood_geometry(g), list(cover_eccentricities) * 2)
 
 
 def kneser_neighborhood_geometry(p: KneserParams) -> IncidenceSystem:

@@ -11,7 +11,8 @@ and the geometry test (maximal cliques) by networkx, diagram uniformity by
 building every corank-1 and corank-2 residue with residue(), Kneser graphs
 and disjointness geometries by a loop over pairs of subsets into an edge
 list, the tensor K_r x G by a loop over pairs of typed vertices, graph6
-by packing each six-bit slice of the column bit string.
+by packing each six-bit slice of the column bit string, and the 4-cycle
+test of a rank-2 residue by comparing every pair of one side.
 """
 
 import itertools
@@ -386,6 +387,66 @@ def classify_oracle(g, type_of, elements, pair):
             if len(set(g[x]) & set(g[y]) & set(elements)) >= 2:
                 return NEITHER
     return PARTIAL_LINEAR_SPACE
+
+
+def classify_pairwise_oracle(sys, cand, pair):
+    """incidence._classify by the pairwise scan: digon / partial linear
+    space / neither for the elements of the bitmask cand, whose types are
+    pair, where a 4-cycle is two elements of the first side whose
+    neighbour masks within cand share two bits."""
+    masks = sys.element_masks
+    a_mask, b_mask = cand & sys.type_mask(pair[0]), cand & sys.type_mask(pair[1])
+    side = [masks[e] & b_mask for e in range(sys.n_elements) if a_mask >> e & 1]
+    if len(side) >= 2 and b_mask.bit_count() >= 2 and all(m == b_mask for m in side):
+        return DIGON
+    for i, mi in enumerate(side):
+        for mj in side[i + 1:]:
+            if (mi & mj).bit_count() >= 2:
+                return NEITHER
+    return PARTIAL_LINEAR_SPACE
+
+
+@st.composite
+def bipartite_systems(draw, max_side=6):
+    """A rank-2 system of 0 to max_side elements of each of two drawn type
+    labels, incident along every cross pair, all but a few, a drawn subset
+    of them, or a few, so digons, partial linear spaces and 4-cycles all
+    occur."""
+    types = draw(st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True))
+    sizes = draw(st.lists(st.integers(0, max_side), min_size=2, max_size=2))
+    type_of = [types[0]] * sizes[0] + [types[1]] * sizes[1]
+    pairs = [(x, y) for x in range(sizes[0]) for y in range(sizes[0], len(type_of))]
+    mode = draw(st.sampled_from(["all", "all_but", "subset", "few"]))
+    if mode == "all" or not pairs:
+        incid = pairs
+    elif mode == "subset":
+        bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+        incid = [pair for b, pair in enumerate(pairs) if bits >> b & 1]
+    else:
+        drawn = set(draw(st.lists(st.sampled_from(pairs), max_size=max_side)))
+        incid = sorted(set(pairs) - drawn) if mode == "all_but" else sorted(drawn)
+    return IncidenceSystem(types, type_of, incid)
+
+
+@st.composite
+def small_graphs(draw, max_n=12):
+    """A graph on 0 to max_n vertices, any or with every edge across a drawn
+    two-colouring (so bipartite), with each vertex pair drawn or only a few
+    edges: connected, disconnected and isolated-vertex cases all occur."""
+    n = draw(st.integers(0, max_n))
+    colouring = draw(st.integers(0, (1 << n) - 1)) if draw(st.booleans()) else None
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if colouring is None or (colouring >> i ^ colouring >> j) & 1
+    ]
+    if not pairs:
+        return Graph(n)
+    if draw(st.booleans()):
+        bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+        return Graph(n, [e for b, e in enumerate(pairs) if bits >> b & 1])
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=n + 2)))
 
 
 def residue_verdicts_oracle(sys):

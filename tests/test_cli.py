@@ -16,7 +16,6 @@ from knesergeom import (
     incidence_graph,
     kneser_graph,
     KneserParams,
-    rank2_summary,
 )
 from knesergeom.group_action import adjacent_transpositions, symmetry_witness
 
@@ -365,24 +364,33 @@ def test_assume_transitive_is_an_unknown_argument(capsys):
 
 
 def test_gonality_and_diameter_share_one_rank2_summary(monkeypatch, tmp_path):
-    from knesergeom import cli
+    from knesergeom import cli, graphs, kneser
 
-    calls = []
-
-    def counted(sys_):
-        calls.append(sys_)
-        return rank2_summary(sys_)
-
-    cli._neighborhood_summary.cache_clear()
-    monkeypatch.setattr(cli, "rank2_summary", counted)
+    # the bench's rank2-metrics op: one walk sweep of KG(12,5) serves the
+    # odd girth and both diameters, and the one summary the gonality and
+    # diameter checks share never builds the cover's adjacency lists, so it
+    # is never swept
+    sweeps, summaries, covers = [], [], []
+    walks = graphs._walks
+    monkeypatch.setattr(graphs, "_walks", lambda g: (sweeps.append(g), walks(g))[1])
+    monkeypatch.setattr(cli, "neighborhood_summary",
+                        _recording(summaries, cli.neighborhood_summary))
+    monkeypatch.setattr(kneser, "neighborhood_geometry",
+                        _recording(covers, kneser.neighborhood_geometry))
+    for memo in (cli._kneser_graph, cli._kneser_walks, cli._neighborhood_summary):
+        memo.cache_clear()
     out = tmp_path / "cert.json"
-    code = cli.main([
-        "verify", "--n", "7", "--k", "3", "--r", "2",
-        "--check", "gonality", "--check", "diameter", "--out", str(out),
-    ])
-    assert code == 0 and len(calls) == 1
-    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
-    assert names == ["gonality", "diameter"]
+    code = cli.main(["verify", "--n", "12", "--k", "5", "--r", "2", "--check", "odd-girth",
+                     "--check", "gonality", "--check", "diameter", "--out", str(out)])
+    assert code == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == ["odd-girth", "gonality", "diameter"]
+    kg = cli._kneser_graph(KneserParams(12, 5))
+    assert sweeps == [kg] and sweeps[0] is kg and kg.n == math.comb(12, 5)
+    assert len(summaries) == 1 and checks[1]["details"]["summary"] == checks[2]["details"]["summary"]
+    [cover] = covers
+    assert cover.graph.n == 2 * kg.n == 1584
+    assert cover.graph._adj is None
 
 
 def test_odd_girth_mismatch_witness_builds_kneser_graph_once(monkeypatch, tmp_path):
@@ -422,6 +430,7 @@ def test_kneser_checks_share_one_checked_kneser_graph(monkeypatch, tmp_path):
         return from_masks(masks)
 
     cli._kneser_graph.cache_clear()
+    cli._kneser_walks.cache_clear()
     cli._neighborhood_summary.cache_clear()
     monkeypatch.setattr(Graph, "from_masks", classmethod(recording))
     out = tmp_path / "cert.json"

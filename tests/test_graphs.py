@@ -3,7 +3,7 @@ from unittest import mock
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knesergeom import (
     Graph,
@@ -24,7 +24,12 @@ from knesergeom import (
     shortest_odd_cycle,
 )
 from knesergeom import graphs
-from knesergeom.graphs import complete_tensor, connected_components, eccentricities
+from knesergeom.graphs import (
+    complete_tensor,
+    connected_components,
+    cover_walk_metrics,
+    eccentricities,
+)
 from helpers import (
     complete_tensor_oracle,
     girth_oracle,
@@ -35,6 +40,7 @@ from helpers import (
     per_source_eccentricities,
     per_source_odd_girth,
     random_graph,
+    small_graphs,
 )
 
 TRIANGLE = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -346,6 +352,32 @@ def sparse_graphs(draw, max_n=20):
 def test_sweeps_match_per_source_bfs_property(g):
     assert eccentricities(g) == per_source_eccentricities(g)
     assert odd_girth(g) == per_source_odd_girth(g) == odd_girth_oracle(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_graphs(), sparse_graphs()))
+@example(Graph(0))
+@example(Graph(1))
+@example(Graph(3, [(0, 1)]))  # bipartite, with an isolated vertex
+@example(disjoint_union(cycle(5), cycle(4)))  # an odd and an even component
+@example(disjoint_union(cycle(7), cycle(3)))  # two odd components
+def test_cover_walk_metrics_match_sweeps_of_the_cover_property(g):
+    odd, ecc = cover_walk_metrics(g)
+    cover = bipartite_double_cover(g)
+    # (v,0) at index v and (v,1) at n+v: both halves read entry v
+    assert eccentricities(cover) == per_source_eccentricities(cover) == ecc + ecc
+    assert odd == odd_girth(g) == per_source_odd_girth(g)
+
+
+def test_cover_walk_metrics_fixtures(petersen):
+    # the Desargues graph K_2 x Petersen has diameter 5, as has the geometry
+    assert cover_walk_metrics(petersen) == (5, [5] * 10)
+    # C_4's cover is two C_4s, and an isolated vertex is its own component
+    assert cover_walk_metrics(C4) == (INF, [INF] * 4)
+    assert cover_walk_metrics(Graph(1)) == (INF, [INF])
+    assert cover_walk_metrics(Graph(0)) == (INF, [])
+    # K_3's cover is C_6
+    assert cover_walk_metrics(TRIANGLE) == (3, [3] * 3)
 
 
 def test_shortest_odd_cycle(petersen):

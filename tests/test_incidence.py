@@ -2,7 +2,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from knesergeom import (
     DIGON,
@@ -35,6 +35,7 @@ from knesergeom import (
 from knesergeom.group_action import SymmetryWitness, _VerifiedWitness
 from knesergeom.incidence import (
     DisconnectedGeometryError,
+    _classify,
     _rank1_residue_sizes,
     _walk,
     classify_rank2,
@@ -44,7 +45,9 @@ from knesergeom.incidence import (
     system_to_json,
 )
 from helpers import (
+    bipartite_systems,
     classify_oracle,
+    classify_pairwise_oracle,
     flags_oracle,
     nx_incidence_graph,
     residue_diagram_mismatches,
@@ -277,6 +280,20 @@ def test_classify_degenerate_star():
     # one line through every point: no 4-cycle, so a partial linear space
     star = IncidenceSystem((0, 1), [0, 0, 0, 1], [(0, 3), (1, 3), (2, 3)])
     assert classify_rank2(star) == PARTIAL_LINEAR_SPACE
+
+
+@settings(max_examples=400, deadline=None)
+@given(bipartite_systems(), st.data())
+def test_classify_one_pass_matches_pairwise_scan_property(sys_, data):
+    # a drawn candidate mask, often the whole system, and both side orders
+    everything = (1 << sys_.n_elements) - 1
+    cand = data.draw(st.sampled_from([everything, data.draw(st.integers(0, everything))]))
+    g = nx_incidence_graph(sys_)
+    elements = [e for e in range(sys_.n_elements) if cand >> e & 1]
+    for pair in (sys_.types, sys_.types[::-1]):
+        got = _classify(sys_, cand, pair)
+        assert got == classify_pairwise_oracle(sys_, cand, pair)
+        assert got == classify_oracle(g, sys_.type_of, elements, pair)
 
 
 def test_ip2():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings
 
 from knesergeom import (
     Graph,
@@ -17,7 +18,11 @@ from knesergeom import (
     predicted_odd_girth,
     rank2_summary,
 )
+from knesergeom.graphs import cover_walk_metrics, eccentricities
+from knesergeom.incidence import DisconnectedGeometryError
+from knesergeom.kneser import neighborhood_summary
 from knesergeom.subsets import GroundSet, enumerate_k_subsets
+from helpers import small_graphs
 
 
 def ceil_div(a, b):
@@ -154,6 +159,38 @@ def test_gonality_diameter_vs_oracle_small():
         s = rank2_summary(kneser_neighborhood_geometry(p))
         assert s.gonality == predicted_gonality(p)
         assert s.diameters == (predicted_diameter(p),) * 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+@example(Graph(0))
+@example(Graph(1))
+@example(Graph(4, [(0, 1), (1, 2), (2, 0)]))  # a triangle and an isolated vertex
+def test_neighborhood_summary_matches_rank2_summary_property(g):
+    ecc = cover_walk_metrics(g)[1]
+    try:
+        expected = rank2_summary(neighborhood_geometry(g))
+    except DisconnectedGeometryError as exc:
+        with pytest.raises(DisconnectedGeometryError) as got:
+            neighborhood_summary(g, ecc)
+        assert str(got.value) == str(exc)
+        assert got.value.components == exc.components
+    else:
+        assert neighborhood_summary(g, ecc) == expected
+
+
+def test_neighborhood_summary_ladder():
+    for n, k in [(5, 2), (7, 3), (8, 3), (9, 4), (12, 5)]:
+        p = KneserParams(n, k)
+        g = kneser_graph(p)
+        odd, ecc = cover_walk_metrics(g)
+        cover = neighborhood_geometry(g)
+        assert ecc == eccentricities(cover.graph)[:g.n] == eccentricities(cover.graph)[g.n:]
+        assert odd == odd_girth(g) == predicted_odd_girth(p)
+        s = neighborhood_summary(g, ecc)
+        assert s == rank2_summary(cover)
+        assert s.diameters == (predicted_diameter(p),) * 2
+        assert s.gonality == predicted_gonality(p)
 
 
 def test_path_endpoints_must_be_k_subsets():
