@@ -12,16 +12,16 @@ Connectivity is one bitmask search, component_mask, which also serves the
 residue checks; bipartiteness is one bitmask layer sweep per component.
 Induced subgraphs move each row's kept bits into place one at a time.
 Girth runs one BFS per source over per-vertex neighbor bitmasks and stops
-at the first source that reaches 3, or 4 on a bipartite graph;
-eccentricities run one synchronous sweep that grows a bitmask ball per
-vertex for every source at once, so the inner loops stay in word
-operations.  Odd girth reads the one exact-length walk sweep, _walks,
-which holds for every vertex the endpoints of its walks of length L; the
-same sweep gives, through cover_walk_metrics, the odd girth together with
-every eccentricity of the double cover K_2 x G, without building the cover
-or sweeping it.  graph6 is encoded from one integer holding the columns,
-bit-reversed a byte at a time, and both ways cut six-bit digits with
-binascii's base64 codec and one byte translation.  Infinity is math.inf.
+at the first source that reaches 3, or 4 on a bipartite graph.  Every
+other distance reads the one all-sources sweep, _walks, which holds for
+every vertex the endpoints of its walks of each exact length L:
+eccentricities from the balls W_L | W_{L-1}, and, through
+cover_walk_metrics, the odd girth together with every eccentricity of the
+double cover K_2 x G, without building the cover or sweeping it; the
+shortest odd cycle is walked back on its first vertex's walk sets.  graph6
+is encoded from one integer holding the columns, bit-reversed a byte at a
+time, and both ways cut six-bit digits with binascii's base64 codec and one
+byte translation.  Infinity is math.inf.
 """
 
 from __future__ import annotations
@@ -168,43 +168,30 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 def eccentricities(g: Graph):
     """Per-vertex eccentricity; math.inf where some vertex is unreachable.
 
-    One synchronous sweep for all sources at once: ball[v] is the bitmask of
-    the vertices within distance d of v, and ball_{d+1}[v] is ball_d[v] or'ed
-    with ball_d[w] for every neighbor w.  Each round reads only the previous
-    round's list, so no ball mixes two radii.  ecc(v) is the first d at which
-    ball[v] is full; a ball that stops growing short of full is v's whole
-    component, so v gets math.inf.
+    Read from the one walk sweep, _walks.  If v has a neighbor, W_{L-2}[v]
+    is contained in W_L[v] (go out along an edge and back), so the ball of
+    radius L about v is W_L[v] | W_{L-1}[v], and ecc(v) is the least L at
+    which that is full, with W_{-1} empty.  Once W_L[v] == W_{L-2}[v] short
+    of that, v's sets repeat with period 2 (see cover_walk_metrics), so its
+    ball has stopped growing short of full and v gets math.inf; so does an
+    isolated v, whose W_1 is empty, when n > 1.
     """
-    n = g.n
-    if n <= 1:
-        return [0] * n
-    adj = g.adj
-    full = (1 << n) - 1
-    ball = [m | 1 << v for v, m in enumerate(g.neighbor_masks)]
-    out = [INF] * n
-    still_open = []
-    for v in range(n):
-        if ball[v] == full:
-            out[v] = 1
-        else:
-            still_open.append(v)
-    d = 1
-    while still_open:
-        d += 1
-        grown = ball[:]
-        growing = []
-        for v in still_open:
-            b = ball[v]
-            for w in adj[v]:
-                b |= ball[w]
-            if b == full:
-                out[v] = d
-            elif b != ball[v]:
-                growing.append(v)
-            grown[v] = b
-        ball = grown
-        still_open = growing
-    return out
+    full = (1 << g.n) - 1
+    ecc = [INF] * g.n
+    unsettled = range(g.n)
+    before = last = [0] * g.n  # W_{L-2}, W_{L-1}
+    for length, walk in _walks(g):
+        still = []
+        for v in unsettled:
+            m = walk[v]
+            if m | last[v] == full:
+                ecc[v] = length
+            elif m != before[v]:
+                still.append(v)
+        if not still:
+            return ecc
+        unsettled = still
+        before, last = last, walk
 
 
 def diameter(g: Graph):
@@ -331,23 +318,6 @@ def _walks(g: Graph):
         yield length, walk
 
 
-def _shortest_odd_closed_walk(g: Graph):
-    """(L, v) with L the odd girth and v the lowest vertex on an odd cycle
-    of length L; None iff the graph is bipartite.
-
-    The first odd L of _walks with v in W_L[v] for some v: a minimal odd
-    closed walk is an odd cycle, and a non-bipartite graph has one of length
-    at most n, so the sweep ends.
-    """
-    if is_bipartite(g):
-        return None
-    for length, walk in _walks(g):
-        if length & 1:
-            for v, m in enumerate(walk):
-                if m >> v & 1:
-                    return length, v
-
-
 def cover_walk_metrics(g: Graph):
     """(odd girth of g, eccentricities of K_2 x g), from one sweep of g's
     walk sets; entry v of the list is the eccentricity of both (v,0) and
@@ -394,38 +364,32 @@ def cover_walk_metrics(g: Graph):
 
 def odd_girth(g: Graph):
     """Length of the shortest odd cycle; math.inf iff the graph is bipartite."""
-    found = _shortest_odd_closed_walk(g)
-    return INF if found is None else found[0]
+    return cover_walk_metrics(g)[0]
 
 
 def shortest_odd_cycle(g: Graph):
     """An explicit odd cycle of length odd_girth(g), or None if bipartite.
 
-    Plain parent-tracking BFS on the parity-layered graph from the lowest
-    vertex s on a shortest odd cycle: (s, odd) is first reached at depth
-    odd_girth(g), and a closed walk that short is simple, hence a cycle.
+    The first odd L of _walks with s in W_L[s], for the lowest such s, is
+    the odd girth: a minimal odd closed walk is an odd cycle, and a
+    non-bipartite graph has one of length at most n, so the sweep ends.
+    The cycle is walked back on s's own sets: walks are symmetric, so a
+    vertex with a walk of length j+1 to s has a neighbor in W_j[s], and the
+    lowest such neighbor is the next step.
     """
-    found = _shortest_odd_closed_walk(g)
-    if found is None:
+    if is_bipartite(g):
         return None
-    n, s = g.n, found[1]
-    target = s + n
-    parent = {s: -1}
-    layer = [s]
-    while target not in parent:
-        nxt = []
-        for x in layer:
-            shift = n if x < n else 0  # a step flips the parity
-            for w in g.adj[x % n]:
-                if w + shift not in parent:
-                    parent[w + shift] = x
-                    nxt.append(w + shift)
-        layer = nxt
-    cycle, x = [], parent[target]
-    while x != -1:
-        cycle.append(x % n)
-        x = parent[x]
-    return cycle[::-1]  # s, ..., the vertex before the return to s
+    walks = []
+    for length, walk in _walks(g):
+        walks.append(walk)
+        if length & 1 and any(m >> v & 1 for v, m in enumerate(walk)):
+            break
+    s = next(v for v, m in enumerate(walk) if m >> v & 1)
+    masks, cycle = g.neighbor_masks, [s]
+    for j in range(length - 1, 0, -1):
+        step = masks[cycle[-1]] & walks[j][s]
+        cycle.append((step & -step).bit_length() - 1)
+    return cycle  # s, ..., the vertex before the return to s
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
@@ -455,9 +419,11 @@ def complete_tensor(g: Graph, r: int) -> Graph:
     t != u and v ~ w.  Its row is v's row of g in every block but block t,
     so it is simple whenever g is: every bit is in range, no row reaches
     its own block, and (t != u and v ~ w) is symmetric."""
-    n = g.n
-    blocks = sum(1 << u * n for u in range(r))  # m * blocks puts m in every block
-    return Graph._derived([m * blocks ^ m << t * n for t in range(r) for m in g.neighbor_masks])
+    n, masks = g.n, g.neighbor_masks
+    tiled = masks  # each row in every block, by r - 1 shifted copies
+    for u in range(1, r):
+        tiled = [row | m << u * n for row, m in zip(tiled, masks)]
+    return Graph._derived([row ^ m << t * n for t in range(r) for row, m in zip(tiled, masks)])
 
 
 def bipartite_double_cover(g: Graph) -> Graph:

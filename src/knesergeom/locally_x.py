@@ -73,12 +73,13 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     as they are.  Any other table, a hand-built SymmetryWitness's too, must
     be a permutation of g's vertices (ValueError otherwise), and those that
     are not automorphisms of g, by one whole-graph edge check each, are
-    dropped.  Vertices are taken in ascending order.  One without a verdict gets an isomorphism search of
-    N(v) against X, in place on g's masks, whose refinement certifies a
-    mismatch and whose returned bijection is edge-verified.  Its verdict,
-    pass or fail, is copied to every vertex reached from v along the kept
-    tables: an automorphism t maps N(u) isomorphically onto N(t[u]).  So
-    the check runs one search per orbit of the kept tables.
+    dropped.  Vertices are taken in ascending order.  One without a
+    verdict gets an isomorphism search of N(v) against X, in place on g's
+    masks, whose refinement certifies a mismatch and whose returned
+    bijection is edge-verified.  Its verdict, pass or fail, is copied to
+    every vertex reached from v along the kept tables: an automorphism t
+    maps N(u) isomorphically onto N(t[u]).  So the check runs one search
+    per orbit of the kept tables.
 
     With no tables given, g's automorphisms are discovered instead.  Once
     a first vertex `root` has matched, a v without a verdict gets one

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from knesergeom import (
+    GeometryParams,
     Graph,
     Graph6Error,
     INF,
     KneserParams,
     bfs_distances,
     bipartite_double_cover,
+    build_geometry,
     diameter,
     girth,
     graph6_decode,
@@ -21,6 +23,8 @@ from knesergeom import (
     is_connected,
     kneser_graph,
     odd_girth,
+    rank2_summary,
+    residue,
     shortest_odd_cycle,
 )
 from knesergeom import graphs
@@ -362,6 +366,7 @@ def test_sweeps_match_per_source_bfs_property(g):
 @example(disjoint_union(cycle(5), cycle(4)))  # an odd and an even component
 @example(disjoint_union(cycle(7), cycle(3)))  # two odd components
 def test_cover_walk_metrics_match_sweeps_of_the_cover_property(g):
+    assert eccentricities(g) == per_source_eccentricities(g)
     odd, ecc = cover_walk_metrics(g)
     cover = bipartite_double_cover(g)
     # (v,0) at index v and (v,1) at n+v: both halves read entry v
@@ -380,25 +385,42 @@ def test_cover_walk_metrics_fixtures(petersen):
     assert cover_walk_metrics(TRIANGLE) == (3, [3] * 3)
 
 
-def test_shortest_odd_cycle(petersen):
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(), sparse_graphs()))
+@example(with_pendant_paths(cycle(11), [2, 3]))
+@example(disjoint_union(cycle(6), cycle(9)))
+@example(kneser_graph(KneserParams(7, 3)))  # odd girth 7
+def test_shortest_odd_cycle(petersen, drawn):
     cyc = shortest_odd_cycle(petersen)
     assert len(cyc) == 5
     assert len(set(cyc)) == 5
     for i in range(5):
         assert petersen.has_edge(cyc[i], cyc[(i + 1) % 5])
     assert shortest_odd_cycle(C4) is None
-    # a simple cycle of length odd_girth, also where a source's BFS is cut off
+    # a simple cycle of length odd_girth, or None iff the graph is bipartite
     rng = random.Random(31)
-    graphs = [with_pendant_paths(cycle(11), [2, 3]), disjoint_union(cycle(6), cycle(9))]
-    graphs += [kneser_graph(KneserParams(7, 3))]  # odd girth 7
-    graphs += [random_graph(rng, rng.randrange(3, 20), 0.15) for _ in range(40)]
-    for g in graphs:
+    for g in [drawn] + [random_graph(rng, rng.randrange(3, 20), 0.15) for _ in range(40)]:
         cyc = shortest_odd_cycle(g)
+        assert (cyc is None) == is_bipartite(g)
         if cyc is None:
             assert odd_girth(g) == INF
             continue
         assert len(cyc) == odd_girth(g) == len(set(cyc))
         assert all(g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))
+
+
+def test_each_distance_runs_one_walk_sweep(monkeypatch, petersen):
+    sweeps = []
+    walks = graphs._walks
+    monkeypatch.setattr(graphs, "_walks", lambda g: (sweeps.append(g), walks(g))[1])
+    for metric in (eccentricities, odd_girth, shortest_odd_cycle):
+        sweeps.clear()
+        metric(petersen)
+        assert sweeps == [petersen], metric.__name__
+    sweeps.clear()
+    res = residue(build_geometry(GeometryParams(5, 2, 3)).incidence_system(), (0,))[0]
+    assert rank2_summary(res).diameters == (5, 5)
+    assert sweeps == [res.graph]
 
 
 # ---------------------------------------------------------------------------
