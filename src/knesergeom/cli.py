@@ -25,9 +25,9 @@ from .graphs import (
 )
 from .group_action import (
     adjacent_transpositions,
+    is_block_type_swap,
     permutation_group_order,
     symmetry_witness,
-    type_swap_map,
 )
 from .incidence import (
     _rank1_residue_sizes,
@@ -194,9 +194,11 @@ def _check_flag_transitivity(params, geom):
     orbit = math.prod(size for size, _ in levels[tuple(range(params.r))])
     transitive, covered = orbit == total and not gaps, witness.transitive
     # label-pairing maps compose, so the adjacent type transpositions are
-    # valid exactly when every type permutation is
+    # valid exactly when every type permutation is; each is checked to be
+    # the block map (t, v) -> (sigma t, v) of K_r x KG(m, k), which the
+    # direct product makes an automorphism with no edge read
     sys_ = geom.incidence_system()
-    swaps_ok = all(type_swap_map(sys_, t)[1] for t in adjacent_transpositions(params.r))
+    swaps_ok = all(is_block_type_swap(sys_, t) for t in adjacent_transpositions(params.r))
     details = {
         "orbit_size": orbit,
         "total": total,

@@ -12,16 +12,18 @@ Connectivity is one bitmask search, component_mask, which also serves the
 residue checks; bipartiteness is one bitmask layer sweep per component.
 Induced subgraphs move each row's kept bits into place one at a time.
 Girth runs one BFS per source over per-vertex neighbor bitmasks and stops
-at the first source that reaches 3, or 4 on a bipartite graph.  Every
-other distance reads the one all-sources sweep, _walks, which holds for
-every vertex the endpoints of its walks of each exact length L:
-eccentricities from the balls W_L | W_{L-1}, and, through
-cover_walk_metrics, the odd girth together with every eccentricity of the
-double cover K_2 x G, without building the cover or sweeping it; the
-shortest odd cycle is walked back on its first vertex's walk sets.  graph6
-is encoded from one integer holding the columns, bit-reversed a byte at a
-time, and both ways cut six-bit digits with binascii's base64 codec and one
-byte translation.  Infinity is math.inf.
+at the first source that reaches 3, or 4 on a bipartite graph (_girth
+takes a higher floor from a caller that knows one).  Every other distance
+reads the one all-sources sweep, _walks, which holds for every vertex the
+endpoints of its walks of each exact length L: eccentricities from the
+balls W_L | W_{L-1}; the odd girth at the first odd closed walk; and,
+through cover_walk_metrics, the odd girth together with every eccentricity
+of the double cover K_2 x G, without building the cover or sweeping it;
+the shortest odd cycle is walked back on its first vertex's walk sets.
+graph6 is encoded from one integer holding the columns, bit-reversed a
+byte at a time, and both ways cut six-bit digits with binascii's base64
+codec and one byte translation.  graph_digest streams its text into sha256
+a row at a time.  Infinity is math.inf.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import binascii
 import math
 from collections import deque
+from itertools import compress
 
 INF = math.inf
 _CHECK_CHARS = 1 << 20  # bits per block of Graph.from_masks's symmetry check
@@ -128,6 +131,9 @@ class Graph:
         return f"Graph(n={self.n}, m={self.n_edges})"
 
 
+_SELECT = bytes.maketrans(b"01", b"\x00\x01")  # a bit string as compress selectors
+
+
 def _iter_bits(x: int):
     while x:
         b = x & -x
@@ -137,16 +143,25 @@ def _iter_bits(x: int):
 
 def graph_digest(g: Graph) -> str:
     """Deterministic identity digest of (n, edge set); not isomorphism-invariant.
-    The text hashed is n followed by ",u-v" for every edge u < v in
-    ascending order, built one row at a time."""
-    import hashlib  # here, so that only callers of a digest load OpenSSL
 
-    rows = [str(g.n)]
+    The text hashed is n followed by ",u-v" for every edge u < v in
+    ascending order.  It is fed to sha256 one row at a time and never held
+    whole: row u's neighbours above u are picked out of the vertex names by
+    one C-level pass over the row's bits (the reversed bit string, with
+    '0' and '1' translated to the bytes 0 and 1, as compress's selectors)."""
+    try:  # hashlib loads OpenSSL; the stdlib's random tries the lean module too
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+    digest = sha256(b"%d" % g.n)
+    names = [b"%d" % v for v in range(g.n)]
     for u, m in enumerate(g.neighbor_masks):
         if high := m >> u + 1 << u + 1:
-            sep = f",{u}-"
-            rows.append(sep + sep.join(map(str, _iter_bits(high))))
-    return hashlib.sha256("".join(rows).encode()).hexdigest()
+            sep, bits = b",%d-" % u, format(high, "b").encode()[::-1]
+            digest.update(sep)
+            digest.update(sep.join(compress(names, bits.translate(_SELECT))))
+    return digest.hexdigest()
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -174,13 +189,18 @@ def eccentricities(g: Graph):
     which that is full, with W_{-1} empty.  Once W_L[v] == W_{L-2}[v] short
     of that, v's sets repeat with period 2 (see cover_walk_metrics), so its
     ball has stopped growing short of full and v gets math.inf; so does an
-    isolated v, whose W_1 is empty, when n > 1.
+    isolated v, whose W_1 is empty, when n > 1.  With n > 1 no ball of
+    radius 0 is full and every W_0[v] differs from the empty W_{-2}[v], so
+    the sweep is read from L = 1.
     """
+    if g.n <= 1:
+        return [0] * g.n
     full = (1 << g.n) - 1
     ecc = [INF] * g.n
     unsettled = range(g.n)
-    before = last = [0] * g.n  # W_{L-2}, W_{L-1}
-    for length, walk in _walks(g):
+    walks = _walks(g)
+    before, (_, last) = [0] * g.n, next(walks)  # W_{L-2}, W_{L-1}
+    for length, walk in walks:
         still = []
         for v in unsettled:
             m = walk[v]
@@ -260,8 +280,13 @@ def girth(g: Graph):
     are attained, so the minimum is exact.  The sources stop once a cycle
     as short as any the graph can have is found: 3, or 4 if it is bipartite.
     """
+    return _girth(g, 4 if is_bipartite(g) else 3)
+
+
+def _girth(g: Graph, floor: int):
+    """girth(g), given a floor that no cycle of g is shorter than: the
+    first source on a cycle of that length ends the search."""
     masks = g.neighbor_masks
-    floor = 4 if is_bipartite(g) else 3
     best = INF
     for s in range(g.n):
         visited = 1 << s
@@ -347,7 +372,7 @@ def cover_walk_metrics(g: Graph):
     unsettled = range(g.n)
     before = last = [0] * g.n  # W_{L-2}, W_{L-1}
     for length, walk in _walks(g):
-        if odd == INF and length & 1 and any(m >> v & 1 for v, m in enumerate(walk)):
+        if odd == INF and _closes_odd(length, walk):
             odd = length
         still = []
         for v in unsettled:
@@ -362,9 +387,20 @@ def cover_walk_metrics(g: Graph):
         before, last = last, walk
 
 
+def _closes_odd(length: int, walk) -> bool:
+    """Is there an odd closed walk of this length: L odd, v in W_L[v]?"""
+    return length & 1 == 1 and any(m >> v & 1 for v, m in enumerate(walk))
+
+
 def odd_girth(g: Graph):
-    """Length of the shortest odd cycle; math.inf iff the graph is bipartite."""
-    return cover_walk_metrics(g)[0]
+    """Length of the shortest odd cycle; math.inf iff the graph is bipartite.
+
+    A bipartite graph is settled by one is_bipartite pass.  Otherwise the
+    first odd L of _walks with v in W_L[v] is the odd girth, as a minimal
+    odd closed walk is an odd cycle, and the sweep stops there."""
+    if is_bipartite(g):
+        return INF
+    return next(length for length, walk in _walks(g) if _closes_odd(length, walk))
 
 
 def shortest_odd_cycle(g: Graph):
@@ -382,7 +418,7 @@ def shortest_odd_cycle(g: Graph):
     walks = []
     for length, walk in _walks(g):
         walks.append(walk)
-        if length & 1 and any(m >> v & 1 for v, m in enumerate(walk)):
+        if _closes_odd(length, walk):
             break
     s = next(v for v, m in enumerate(walk) if m >> v & 1)
     masks, cycle = g.neighbor_masks, [s]

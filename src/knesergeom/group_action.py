@@ -3,9 +3,15 @@ orders.
 
 Ground-set permutations and element tables are both image tuples.  Point
 permutations act on elements by mapping subsets pointwise inside each type,
-type permutations by relabeling the copies.  symmetry_witness verifies the
-block-form point_tables once, on the Kneser factor of K_r x KG(m, k); its
-SymmetryWitness is what every symmetry shortcut reads.
+type permutations by relabeling the copies.  The incidence graph is
+K_r x KG(m, k), so neither kind is checked edge by edge: symmetry_witness
+verifies the block-form point_tables once, each against its ground-set
+permutation on the subset masks (the direct-product and mask lemmas in its
+docstring), and its SymmetryWitness is what every symmetry shortcut reads;
+is_block_type_swap checks that a type swap's label pairing is the block
+map (t, v) -> (sigma t, v), which the direct product makes an automorphism.
+type_swap_map and is_type_preserving_automorphism are the whole-graph
+checks for any system, and serve as test oracles.
 Every orbit is closed once, by one BFS over table images inside a pool that
 it consumes, _orbit.  level_orbits certifies transitivity on the flags of a
 type set from one flag, level by level through stabilisers, so one flag or
@@ -24,7 +30,7 @@ import math
 from collections import namedtuple
 from itertools import combinations
 
-from .graphs import Graph, _iter_bits
+from .graphs import _iter_bits
 from .incidence import IncidenceSystem, flags_of_type, residue_mask
 from .isomorphism import is_automorphism
 from .kneser_geometry import KneserGeometry
@@ -80,27 +86,46 @@ class _VerifiedWitness(SymmetryWitness):
         return frozenset([(), *(J for J, lv in self.levels.items() if all(s == c for s, c in lv))])
 
 
-def _is_block_automorphism(factor: Graph, r: int, table) -> bool:
-    """Is the table of K_r x factor, (t, v) at t*factor.n + v, of block form
-    (t, v) -> (t, pi v) with pi an automorphism of the factor?"""
-    pi = list(table[: factor.n])
-    blocks = [off + x for off in range(0, r * factor.n, factor.n) for x in pi]
-    return list(table) == blocks and is_automorphism(factor, pi)
+def _is_block_automorphism(geom: KneserGeometry, perm, table) -> bool:
+    """Is the table of K_r x KG(m, k), (t, i) at t*N + i, of block form
+    (t, i) -> (t, pi i), with pi a permutation of the N subsets that sends
+    each S_i to perm S_i?  Then it is an automorphism (symmetry_witness)."""
+    subsets = geom.subsets
+    n = len(subsets)
+    pi = list(table[:n])
+    if list(table) != [off + x for off in range(0, geom.n_elements, n) for x in pi]:
+        return False
+    if sorted(pi) != list(range(n)):
+        return False
+    bit = [1 << q for q in perm]
+    return all(subsets[j] == sum([bit[p] for p in _iter_bits(s)]) for s, j in zip(subsets, pi))
 
 
 def symmetry_witness(geom: KneserGeometry, perms) -> SymmetryWitness | None:
     """The point tables of the ground-set permutations, verified, and their
     level_orbits for every nonempty type set; None if a table fails.
 
-    The incidence graph is K_r x G for the checked factor G = KG(m, k).  For
-    r >= 2 a block table (t, v) -> (t, pi v), which fixes every type, is an
-    automorphism of K_r x G exactly when pi is one of G, since (s, v) ~ (t, w)
-    iff s != t and v ~ w (the direct product; Hammack, Imrich and Klavzar,
-    Handbook of Product Graphs, 2011).  So each table's block form is checked
-    over every element, and pi edge by edge on the factor only."""
+    The incidence graph is K_r x G, where G = KG(m, k) is the factor that
+    kneser.disjointness_table builds on the distinct subsets S_0..S_{N-1}:
+    row i of G is {j : S_j and S_i are disjoint}.  Two lemmas make a table
+    an automorphism with no edge read, so each table is checked on its
+    image tuple and the subset masks only.
+
+    Direct product: for r >= 2 a block table (t, v) -> (t, pi v), which
+    fixes every type, is an automorphism of K_r x G exactly when pi is one
+    of G, since (s, v) ~ (t, w) iff s != t and v ~ w (Hammack, Imrich and
+    Klavzar, Handbook of Product Graphs, 2011).
+
+    Masks: let perm be a permutation of the points and pi a permutation of
+    the subsets with S_{pi i} = perm S_i for every i; equivalently, pi maps
+    star(p), the subsets that hold p, onto star(perm p) for every point p.
+    Then pi is an automorphism of G, since perm S_j and perm S_i meet in
+    perm(S_j and S_i), which is empty exactly when S_j and S_i are disjoint.
+    """
+    perms = [_permutation(pi) for pi in perms]
     sys_, r = geom.incidence_system(), geom.params.r
     tables = point_tables(geom, perms)
-    if not all(_is_block_automorphism(geom.factor, r, t) for t in tables):
+    if not all(_is_block_automorphism(geom, pi, t) for pi, t in zip(perms, tables)):
         return None
     types = [J for size in range(1, r + 1) for J in combinations(sys_.types, size)]
     levels = {J: level_orbits(sys_, tables, J) for J in types}
@@ -178,16 +203,10 @@ def level_orbits(sys: IncidenceSystem, tables, J) -> list[tuple[int, int]]:
     return levels
 
 
-def type_swap_map(sys: IncidenceSystem, sigma) -> tuple[tuple[int, ...] | None, bool]:
-    """The element bijection induced by a permutation sigma of the types,
-    pairing elements with equal labels across types; returns (mapping,
-    valid) where valid means the map exists and preserves incidence.
-
-    For the disjointness geometries the labels are the subset masks, so the
-    map is (type i, S) -> (sigma(i), S) and is an automorphism for every
-    sigma; for a general labeled system it is invalid whenever some label
-    has no partner of the target type.
-    """
+def _label_pairing(sys: IncidenceSystem, sigma) -> tuple[int, ...] | None:
+    """The element map (type i, label) -> (type sigma(i), label), or None
+    when the labels of some type repeat or lack a partner of the target
+    type."""
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(sys.rank)):
         raise ValueError("sigma is not a permutation of the types")
@@ -196,18 +215,44 @@ def type_swap_map(sys: IncidenceSystem, sigma) -> tuple[tuple[int, ...] | None, 
     for e in range(sys.n_elements):
         key = (sys.type_of[e], sys.label_of(e))
         if key in by_type_label:
-            return None, False  # ambiguous labels; no canonical pairing
+            return None  # ambiguous labels; no canonical pairing
         by_type_label[key] = e
     mapping = []
     for e in range(sys.n_elements):
         key = (tmap[sys.type_of[e]], sys.label_of(e))
         if key not in by_type_label:
-            return None, False
+            return None
         mapping.append(by_type_label[key])
-    mapping = tuple(mapping)
-    if not is_automorphism(sys.graph, mapping):
+    return tuple(mapping)
+
+
+def type_swap_map(sys: IncidenceSystem, sigma) -> tuple[tuple[int, ...] | None, bool]:
+    """The element bijection induced by a permutation sigma of the types,
+    pairing elements with equal labels across types; returns (mapping,
+    valid) where valid means the map exists and preserves incidence, by
+    one whole-graph edge check.
+
+    For the disjointness geometries the labels are the subset masks, so the
+    map is (type i, S) -> (sigma(i), S) and is an automorphism for every
+    sigma; for a general labeled system it is invalid whenever some label
+    has no partner of the target type.
+    """
+    mapping = _label_pairing(sys, sigma)
+    if mapping is None or not is_automorphism(sys.graph, mapping):
         return None, False
     return mapping, True
+
+
+def is_block_type_swap(sys: IncidenceSystem, sigma) -> bool:
+    """Is sigma's label-pairing map the block map (t, v) -> (sigma t, v),
+    element (t, v) at t*n + v with n elements per type?
+
+    On a system that kneser.typed_copies builds, whose incidence graph is
+    K_r x G, such a map is an automorphism with no edge read: (s, v) ~
+    (t, w) iff s != t and v ~ w, and sigma s != sigma t iff s != t (the
+    direct product, as in symmetry_witness)."""
+    sigma, n = tuple(sigma), sys.n_elements // sys.rank
+    return _label_pairing(sys, sigma) == tuple([s * n + v for s in sigma for v in range(n)])
 
 
 def _compose(a, b):

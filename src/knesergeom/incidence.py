@@ -14,6 +14,9 @@ onto isomorphic ones, so where such a group is transitive on the flags of
 a type set the first residue stands for all.  The diagram reads only that
 first residue; the other predicates read _walk, which skips the rest only
 where a verified witness of the system's own graph proves transitivity.
+A rank-2 summary classifies first: its incidence graph is bipartite, and
+a partial linear space has no 4-cycle, so its girth search takes the
+floor 6 and ends at the first source on a 6-cycle.
 
 All counts are exact integers; math.inf only ever appears as a gonality or
 diameter of degenerate systems.  Results are namedtuples (GeometryCheck,
@@ -28,6 +31,7 @@ from itertools import combinations, islice
 from .graphs import (
     Graph,
     INF,
+    _girth,
     _iter_bits,
     component_mask,
     connected_components,
@@ -376,7 +380,13 @@ def _summary_of(sys: IncidenceSystem, ecc) -> RankTwoSummary:
         raise DisconnectedGeometryError(
             f"incidence graph has {len(comps)} components", comps
         )
-    gv = girth(sys.graph)
+    classification = classify_rank2(sys)
+    # the incidence graph is bipartite, and a partial linear space has no
+    # 4-cycle, so its girth is at least 6
+    if classification == PARTIAL_LINEAR_SPACE:
+        gv = _girth(sys.graph, 6)
+    else:
+        gv = girth(sys.graph)
     gon = INF if gv == INF else gv // 2
     dias = []
     for t in sys.types:
@@ -386,7 +396,7 @@ def _summary_of(sys: IncidenceSystem, ecc) -> RankTwoSummary:
         types=(sys.types[0], sys.types[1]),
         gonality=gon,
         diameters=(dias[0], dias[1]),
-        classification=classify_rank2(sys),
+        classification=classification,
     )
 
 

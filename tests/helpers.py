@@ -11,10 +11,13 @@ and the geometry test (maximal cliques) by networkx, diagram uniformity by
 building every corank-1 and corank-2 residue with residue(), Kneser graphs
 and disjointness geometries by a loop over pairs of subsets into an edge
 list, the tensor K_r x G by a loop over pairs of typed vertices, graph6
-by packing each six-bit slice of the column bit string, and the 4-cycle
-test of a rank-2 residue by comparing every pair of one side.
+by packing each six-bit slice of the column bit string, the 4-cycle
+test of a rank-2 residue by comparing every pair of one side, block
+automorphisms by a pairwise check of the factor, and graph digests by
+hashlib over the whole text in one string.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -582,3 +585,20 @@ def induced_subgraph_oracle(g, vertices):
     vs = sorted(set(vertices))
     pos = {old: new for new, old in enumerate(vs)}
     return Graph(len(vs), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])
+
+
+def block_automorphism_oracle(factor, r, table):
+    """Is the table of K_r x factor, (t, v) at t*factor.n + v, of block
+    form (t, v) -> (t, pi v) with pi an automorphism of the factor, the
+    factor checked pair by pair?"""
+    n = factor.n
+    pi = list(table[:n])
+    blocks = [off + x for off in range(0, r * n, n) for x in pi]
+    return list(table) == blocks and preserves_incidence_oracle(factor.has_edge, n, pi)
+
+
+def graph_digest_oracle(g):
+    """sha256 of the whole digest text, built in one string: n followed by
+    ",u-v" for every edge u < v in ascending order."""
+    text = str(g.n) + "".join(f",{u}-{v}" for u, v in sorted(g.edges()))
+    return hashlib.sha256(text.encode()).hexdigest()

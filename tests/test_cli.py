@@ -292,19 +292,20 @@ def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
     assert subgraphs_in_check == 0
     assert [whole for _, whole, _ in checks_in_check] == [False] * len(searches)
     # the witness verifies the 7 adjacent-transposition tables of the 8
-    # ground points once, each on the 28-row KG(8,2) factor, and is_locally_x
-    # takes them as they are; the only whole-graph checks are the 2 type swaps
+    # ground points once, on the subset masks of KG(8,2), and is_locally_x
+    # takes them as they are; the 2 type swaps are checked in block form, so
+    # no whole-graph edge check runs at all
     assert tables_checked_in_check == 0 and tables_in_check == []
     assert whole_checks == []
     whole = [(rows, ok) for rows, whole, ok in edge_checks if whole]
-    assert whole == [(math.comb(8, 2), True)] * 7 + [(84, True)] * 2
+    assert whole == []
     assert len(edge_checks) == len(whole) + len(searches)
 
 
 def test_verify_all_enumerates_no_flag_orbit(monkeypatch, tmp_path):
     from knesergeom import cli, group_action, incidence
 
-    orbit_counts, orbit_sizes, summaries, swaps = [], [], [], []
+    orbit_counts, orbit_sizes, summaries, swaps, whole_swaps = [], [], [], [], []
     for module in (cli, group_action):
         for name, calls in [("flag_orbit_count", orbit_counts),
                             ("chamber_orbit_size", orbit_sizes)]:
@@ -312,7 +313,9 @@ def test_verify_all_enumerates_no_flag_orbit(monkeypatch, tmp_path):
                 monkeypatch.setattr(module, name, _recording(calls, getattr(module, name)))
     monkeypatch.setattr(incidence, "rank2_summary",
                         _recording(summaries, incidence.rank2_summary))
-    monkeypatch.setattr(cli, "type_swap_map", _recording(swaps, cli.type_swap_map))
+    monkeypatch.setattr(cli, "is_block_type_swap", _recording(swaps, cli.is_block_type_swap))
+    monkeypatch.setattr(group_action, "type_swap_map",
+                        _recording(whole_swaps, group_action.type_swap_map))
     out = tmp_path / "cert.json"
     code = cli.main(["verify", "--n", "6", "--k", "2", "--r", "3", "--all", "--out", str(out)])
     assert code == 1  # ip2 fails at n > 2k+1
@@ -322,10 +325,54 @@ def test_verify_all_enumerates_no_flag_orbit(monkeypatch, tmp_path):
     assert checks["diagram"]["pass"]
     # the level witness replaces every flag partition and chamber closure;
     # the diagram summarises the first residue of each of the 3 type pairs,
-    # and the r - 1 = 2 adjacent type transpositions stand for all 3! swaps
+    # and the r - 1 = 2 adjacent type transpositions stand for all 3! swaps,
+    # each checked in block form with no whole-graph check
     assert orbit_counts == [] and orbit_sizes == []
     assert len(summaries) == 3
-    assert len(swaps) == 2 and all(ok for _, ok in swaps)
+    assert swaps == [True, True] and whole_swaps == []
+
+
+def test_verify_all_builds_no_adjacency_lists_of_the_geometry(monkeypatch, tmp_path):
+    from knesergeom import cli, graphs
+
+    built = []
+    adj = graphs.Graph.adj
+    monkeypatch.setattr(graphs.Graph, "adj",
+                        property(lambda g: (built.append(g.n), adj.fget(g))[1]))
+    out = tmp_path / "cert.json"
+    code = cli.main(["verify", "--n", "6", "--k", "2", "--r", "4", "--all", "--out", str(out)])
+    assert code == 1  # ip2 fails at n > 2k+1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    ft = checks["flag-transitivity"]
+    assert ft["pass"] and ft["details"]["type_swaps_valid"] and checks["locally-x"]["pass"]
+    # no symmetry check reads the 180-vertex incidence graph K_4 x KG(10,2)
+    # or its 45-vertex factor edge by edge; lists are built for the walk
+    # sweeps of the diagram's 30-vertex rank-2 residues (and of KG(6,2) and
+    # the 84-vertex reference X, unless memoised by an earlier test)
+    assert 30 in built and set(built) <= {15, 30, 84}
+
+
+def test_type_swap_that_moves_a_vertex_fails(monkeypatch, tmp_path):
+    from knesergeom import cli, group_action
+    from knesergeom.isomorphism import is_automorphism
+
+    pairing, moved = group_action._label_pairing, []
+
+    def moving(sys_, sigma):
+        mapping = list(pairing(sys_, sigma))
+        mapping[0], mapping[1] = mapping[1], mapping[0]
+        moved.append((sys_, mapping))
+        return tuple(mapping)
+
+    monkeypatch.setattr(group_action, "_label_pairing", moving)
+    out = tmp_path / "cert.json"
+    code = cli.main(["verify", "--n", "5", "--k", "2", "--r", "3",
+                     "--check", "flag-transitivity", "--out", str(out)])
+    assert code == 1
+    [check] = json.loads(out.read_text())["checks"]
+    assert not check["pass"] and check["details"]["type_swaps_valid"] is False
+    sys_, mapping = moved[0]
+    assert not is_automorphism(sys_.graph, mapping)
 
 
 def test_dropped_generator_leaves_a_counter_witness(monkeypatch, tmp_path):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 from unittest import mock
 
 import networkx as nx
@@ -33,11 +35,13 @@ from knesergeom.graphs import (
     connected_components,
     cover_walk_metrics,
     eccentricities,
+    graph_digest,
 )
 from helpers import (
     complete_tensor_oracle,
     girth_oracle,
     graph6_encode_oracle,
+    graph_digest_oracle,
     graph_from_nx,
     induced_subgraph_oracle,
     odd_girth_oracle,
@@ -421,6 +425,56 @@ def test_each_distance_runs_one_walk_sweep(monkeypatch, petersen):
     res = residue(build_geometry(GeometryParams(5, 2, 3)).incidence_system(), (0,))[0]
     assert rank2_summary(res).diameters == (5, 5)
     assert sweeps == [res.graph]
+
+
+def test_odd_girth_stops_at_the_first_odd_closed_walk(monkeypatch, petersen):
+    lengths, walks = [], graphs._walks
+
+    def counted(g):
+        for length, walk in walks(g):
+            lengths.append(length)
+            yield length, walk
+
+    monkeypatch.setattr(graphs, "_walks", counted)
+    assert odd_girth(petersen) == 5 and lengths == [0, 1, 2, 3, 4, 5]
+    lengths.clear()
+    # a bipartite graph is settled by is_bipartite alone
+    assert odd_girth(C4) == odd_girth(bipartite_double_cover(petersen)) == INF
+    assert odd_girth(Graph(0)) == odd_girth(Graph(3)) == INF
+    assert lengths == []
+
+
+# ---------------------------------------------------------------------------
+# digests
+# ---------------------------------------------------------------------------
+
+def _digest_corpus():
+    rng = random.Random(20261019)
+    corpus = [Graph(0), Graph(1), Graph(2), Graph(9), PATH3, TRIANGLE]
+    corpus += [Graph(n, itertools.combinations(range(n), 2)) for n in (2, 5, 70)]
+    corpus.append(kneser_graph(KneserParams(7, 2)))
+    corpus += [random_graph(rng, rng.randrange(0, 90), rng.choice([0.05, 0.3, 0.8]))
+               for _ in range(60)]
+    return corpus
+
+
+def test_graph_digest_matches_whole_text_oracle():
+    for g in _digest_corpus():
+        assert graph_digest(g) == graph_digest_oracle(g), g
+    assert graph_digest(Graph(0)) != graph_digest(Graph(1)) != graph_digest(Graph(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=20))
+def test_graph_digest_matches_whole_text_oracle_property(g):
+    assert graph_digest(g) == graph_digest_oracle(g)
+
+
+def test_graph_digest_falls_back_to_hashlib(monkeypatch):
+    corpus = _digest_corpus()
+    lean = [graph_digest(g) for g in corpus]
+    monkeypatch.setitem(sys.modules, "_sha256", None)  # the import now fails
+    assert [graph_digest(g) for g in corpus] == lean
 
 
 # ---------------------------------------------------------------------------

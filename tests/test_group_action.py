@@ -14,6 +14,7 @@ from knesergeom import (
     chamber_orbit_size,
     flag_orbit_count,
     flags_of_type,
+    is_block_type_swap,
     is_type_preserving_automorphism,
     kneser_neighborhood_geometry,
     KneserParams,
@@ -23,12 +24,15 @@ from knesergeom import (
     symmetry_witness,
     type_swap_map,
 )
+from knesergeom.graphs import complete_tensor
 from knesergeom.group_action import _is_block_automorphism
 from helpers import (
+    block_automorphism_oracle,
     colex_point_table,
     labelled_typed_systems,
     preserves_incidence_oracle,
     restricted_orbits_oracle,
+    small_graphs,
     tuple_orbit_group_order,
     typed_systems,
 )
@@ -104,19 +108,30 @@ _BLOCK_GEOMETRIES = {
 
 @st.composite
 def element_tables(draw):
-    """A built geometry and an element table of one of four kinds: a block
-    table, (t, v) -> (t, pi v), with pi from a ground-set permutation or a
-    random permutation of one type; a different pi in one block; a table
-    that moves the types; and a non-permutation."""
+    """A built geometry, a ground-set permutation and an element table of
+    one of four kinds: a block table, (t, v) -> (t, pi v), with pi the
+    permutation's own subset map, that map with two images swapped, the
+    subset map of another ground-set permutation or a random permutation
+    of one type; a different pi in one block; a table that moves the
+    types; and a non-permutation."""
     params = draw(st.sampled_from(list(_BLOCK_GEOMETRIES)))
     geom = _BLOCK_GEOMETRIES[params]
     per, r = params.per_type, params.r
+    ground = draw(st.permutations(range(params.ground_size)))
 
     def block_pi():
-        if draw(st.booleans()):
-            ground = draw(st.permutations(range(params.ground_size)))
-            return list(point_tables(geom, [ground])[0][:per])
-        return draw(st.permutations(range(per)))
+        source = draw(st.sampled_from(["own", "swapped", "other", "random"]))
+        if source == "random":
+            return draw(st.permutations(range(per)))
+        if source == "other":
+            ground_pi = draw(st.permutations(range(params.ground_size)))
+        else:
+            ground_pi = ground
+        pi = list(point_tables(geom, [ground_pi])[0][:per])
+        if source == "swapped":
+            a, b = draw(st.lists(st.integers(0, per - 1), min_size=2, max_size=2, unique=True))
+            pi[a], pi[b] = pi[b], pi[a]
+        return pi
 
     pis = [block_pi()] * r
     kind = draw(st.sampled_from(["block", "per-block", "type-changing", "non-permutation"]))
@@ -127,16 +142,23 @@ def element_tables(draw):
     if kind == "non-permutation":
         a, b = draw(st.lists(st.integers(0, len(table) - 1), min_size=2, max_size=2, unique=True))
         table[a] = table[b]
-    return geom, kind, table
+    return geom, kind, ground, table
 
 
 @settings(max_examples=300, deadline=None)
 @given(element_tables())
 def test_block_form_and_factor_check_match_whole_graph_check_property(case):
-    geom, kind, table = case
-    verdict = _is_block_automorphism(geom.factor, geom.params.r, table)
-    assert verdict == is_type_preserving_automorphism(geom.incidence_system(), table)
+    geom, kind, ground, table = case
+    verdict = _is_block_automorphism(geom, ground, table)
+    whole = is_type_preserving_automorphism(geom.incidence_system(), table)
+    # the mask lemma: a table that passes is an automorphism, and it passes
+    # exactly when it is the block table of its ground-set permutation
+    assert not verdict or whole
+    assert verdict == (tuple(table) == colex_point_table(geom, ground))
     assert not verdict or kind in ("block", "per-block")
+    # the direct-product lemma behind the block form, with the factor
+    # checked pair by pair
+    assert block_automorphism_oracle(geom.factor, geom.params.r, table) == whole
 
 
 def test_symmetry_witness_fields():
@@ -165,6 +187,27 @@ def test_symmetry_witness_checks_the_block_form(monkeypatch):
     assert not is_type_preserving_automorphism(geom.incidence_system(), mixed)
     monkeypatch.setattr(group_action, "point_tables", lambda geom, perms: [first, mixed])
     assert symmetry_witness(geom, adjacent_transpositions(7)[:2]) is None
+
+
+def test_symmetry_witness_checks_each_table_against_its_permutation(monkeypatch):
+    from knesergeom import group_action
+
+    # two images swapped in every block keep the block form, so only the
+    # mask check of each table against its ground-set permutation sees it
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    per, perms = geom.params.per_type, adjacent_transpositions(7)
+    tables = point_tables(geom, perms)
+    swapped = list(tables[2])
+    for off in range(0, geom.n_elements, per):
+        swapped[off + 3], swapped[off + 7] = swapped[off + 7], swapped[off + 3]
+    assert swapped != list(tables[2])
+    assert symmetry_witness(geom, perms) is not None
+    monkeypatch.setattr(group_action, "point_tables",
+                        lambda geom, perms: tables[:2] + [tuple(swapped)] + tables[3:])
+    assert symmetry_witness(geom, perms) is None
+    # a table checked against another generator's permutation fails too
+    monkeypatch.setattr(group_action, "point_tables", lambda geom, perms: tables[::-1])
+    assert symmetry_witness(geom, perms) is None
 
 
 def test_chamber_orbit_sizes():
@@ -341,6 +384,33 @@ def test_adjacent_type_swaps_decide_every_type_swap_property(sys_):
 
     adjacent = adjacent_transpositions(sys_.rank)
     assert all_valid(adjacent) == all_valid(itertools.permutations(range(sys_.rank)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_block_type_swap_is_an_automorphism_property(data):
+    # typed copies K_r x G whose labels agree across types, or are permuted
+    # or repeated in one type: a swap that passes the block check passes
+    # the whole-graph check with the block map, and with shared labels
+    # every swap passes
+    g = data.draw(small_graphs(max_n=6))
+    r = data.draw(st.integers(2, 4))
+    labels = [str(v) for v in range(g.n)]
+    per_type = [labels] * r
+    kind = data.draw(st.sampled_from(["shared", "permuted", "repeated"]))
+    if kind != "shared" and g.n >= 2:
+        other = list(data.draw(st.permutations(labels)))
+        if kind == "repeated":
+            other[0] = other[1]
+        per_type[data.draw(st.integers(0, r - 1))] = other
+    sys_ = IncidenceSystem.from_graph(range(r), [t for t in range(r) for _ in range(g.n)],
+                                      complete_tensor(g, r), [x for ls in per_type for x in ls])
+    for sigma in itertools.permutations(range(r)):
+        block = tuple(s * g.n + v for s in sigma for v in range(g.n))
+        mapping, valid = type_swap_map(sys_, sigma)
+        assert not is_block_type_swap(sys_, sigma) or (valid and mapping == block)
+    if all(ls == labels for ls in per_type):
+        assert all(is_block_type_swap(sys_, sigma) for sigma in adjacent_transpositions(r))
 
 
 def test_type_swap_on_geometry():

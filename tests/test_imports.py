@@ -1,6 +1,7 @@
 """The package's modules import one another without a cycle, counting the
-relative imports inside function bodies too, and importing the CLI loads
-none of the standard modules that cost a process most of its start-up."""
+relative imports inside function bodies too, importing the CLI loads none
+of the standard modules that cost a process most of its start-up, and the
+commands that print a digest never load hashlib or OpenSSL."""
 
 import ast
 import subprocess
@@ -68,3 +69,24 @@ def test_cli_import_loads_no_costly_modules():
     res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == []
+
+
+def test_digests_load_no_openssl(tmp_path):
+    # graph_digest takes sha256 from the built-in _sha256 module; hashlib
+    # would load _hashlib and libcrypto, about 3.6 MB of resident memory
+    g6, x6 = tmp_path / "g.g6", tmp_path / "x.g6"
+    runs = [
+        ["verify", "--all", "--n", "6", "--k", "2", "--r", "3", "--out", str(tmp_path / "v")],
+        ["build", "--format", "graph6", "--n", "5", "--k", "2", "--r", "4", "--out", str(g6)],
+        ["build", "--format", "graph6", "--n", "5", "--k", "2", "--r", "3", "--out", str(x6)],
+        ["locally-x", str(g6), str(x6), "--out", str(tmp_path / "l")],
+    ]
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import knesergeom.cli; "
+            f"print(*[knesergeom.cli.main(a) for a in {runs!r}]); "
+            f"print(*[m for m in ('hashlib', '_hashlib') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    codes, loaded = res.stdout.split("\n")[:2]
+    assert codes.split() == ["1", "0", "0", "0"]  # ip2 fails at n > 2k+1
+    assert loaded.split() == []
+    assert '"reference":' in (tmp_path / "l").read_text()

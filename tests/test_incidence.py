@@ -9,6 +9,7 @@ from knesergeom import (
     FlagError,
     GeometryParams,
     Graph,
+    INF,
     IncidenceSystem,
     KneserParams,
     NEITHER,
@@ -49,6 +50,7 @@ from helpers import (
     classify_oracle,
     classify_pairwise_oracle,
     flags_oracle,
+    girth_oracle,
     nx_incidence_graph,
     residue_diagram_mismatches,
     residue_oracle,
@@ -261,6 +263,31 @@ def test_rank2_summary_fixtures(petersen):
 
     s = rank2_summary(kneser_neighborhood_geometry(KneserParams(6, 2)))
     assert (s.gonality, s.diameters, s.classification) == (2, (3, 3), NEITHER)
+
+
+def test_partial_linear_space_girth_search_starts_at_six(monkeypatch, petersen):
+    from knesergeom import incidence
+
+    # the incidence graph of a rank-2 system is bipartite, and a partial
+    # linear space has no 4-cycle: its girth search gets the floor 6
+    floors, real = [], incidence._girth
+    monkeypatch.setattr(incidence, "_girth",
+                        lambda g, floor: (floors.append(floor), real(g, floor))[1])
+    assert rank2_summary(kneser_neighborhood_geometry(KneserParams(5, 2))).gonality == 3
+    assert rank2_summary(vertex_edge_geometry(petersen)).gonality == 5  # girth 10 > 6
+    assert rank2_summary(kneser_neighborhood_geometry(KneserParams(6, 2))).gonality == 2
+    assert floors == [6, 6]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_systems())
+def test_rank2_gonality_matches_girth_oracle_property(sys_):
+    try:
+        s = rank2_summary(sys_)
+    except DisconnectedGeometryError:
+        return
+    cycle = girth_oracle(sys_.graph)
+    assert s.gonality == (INF if cycle == INF else cycle // 2)
 
 
 def test_rank2_summary_digon():
