@@ -2,9 +2,11 @@
 run locally-X checks on graph6 files.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
-3 I/O error.  Results go to stdout (or --out); diagnostics to stderr.
-Certificates are JSON with sorted keys and fixed element order, so a given
-invocation is byte-reproducible.
+3 I/O error (stdout closed, or a write failing partway).  Every result goes
+through one writer to stdout (or --out), a piece at a time as it is made, so
+build never holds a whole export; diagnostics go to stderr.  Certificates
+are JSON with sorted keys and fixed element order, so a given invocation is
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
 
 from . import __version__
 from .graphs import (
     Graph6Error,
+    _upper_rows,
     cover_walk_metrics,
     graph6_decode,
-    graph6_encode,
+    graph6_pieces,
     shortest_odd_cycle,
 )
 from .group_action import (
@@ -64,22 +68,23 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-# one incidence pair as _dump lays it out inside a geometry document
-_PAIR = "[\n        %d,\n        %d\n      ]"
-
-
-def _write(text, out_path) -> int:
-    data = text if isinstance(text, bytes) else text.encode()
+def _write(output, out_path) -> int:
+    """Write output, a str, bytes or an iterable of byte pieces, to out_path
+    or stdout, each piece as it comes; exit 3 if it cannot be written."""
+    if isinstance(output, (str, bytes)):
+        output = (output if isinstance(output, bytes) else output.encode(),)
     try:
-        if out_path is None:
-            if hasattr(sys.stdout, "buffer"):
-                sys.stdout.buffer.write(data)
-            else:  # captured/redirected text stream
-                sys.stdout.write(data.decode("utf-8", errors="replace"))
-            sys.stdout.flush()
-        else:
+        if out_path is not None:
             with open(out_path, "wb") as fh:
-                fh.write(data)
+                fh.writelines(output)
+            return EXIT_OK
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError("stdout is closed")
+        if hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.writelines(output)
+        else:  # captured/redirected text stream
+            sys.stdout.writelines(p.decode("utf-8", errors="replace") for p in output)
+        sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -98,23 +103,31 @@ def cmd_build(args) -> int:
         return EXIT_USAGE
     geom = build_geometry(params)
     if args.format == "graph6":
-        payload = graph6_encode(geom.incidence_system().graph) + b"\n"
-        return _write(payload, args.out)
+        return _write(chain(graph6_pieces(geom.incidence_system().graph), (b"\n",)), args.out)
     if args.format == "dot":
         diagram = buekenhout_diagram(geom.incidence_system())
         return _write(diagram_to_dot(diagram), args.out)
-    geometry = system_to_json(geom.incidence_system())
-    pairs, geometry["incidences"] = geometry["incidences"], []
+    sys_ = geom.incidence_system()
     doc = {
         "schema": "geometry/1",
         "params": {"n": params.n, "k": params.k, "r": params.r},
-        "geometry": geometry,
+        "geometry": dict(system_to_json(sys_), incidences=[]),
     }
-    text = _dump(doc)
-    if pairs:  # the same bytes without json's pure-Python pass over each pair
-        body = ",\n      ".join([_PAIR % pair for pair in pairs])
-        text = text.replace('"incidences": []', f'"incidences": [\n      {body}\n    ]', 1)
-    return _write(text, args.out)
+    return _write(_with_incidences(_dump(doc), sys_.graph), args.out)
+
+
+# an incidence pair as _dump lays it out, with the comma before it, cut in two
+_PAIR_HEAD, _PAIR_TAIL = b",\n      [\n        %d,\n        ", b"%d\n      ]"
+
+
+def _with_incidences(text, g):
+    """text, a dumped geometry document, with its empty incidence list filled
+    by g's edges u < v (a geometry has one), row by row, as _dump would."""
+    head, tail = text.encode().split(b'"incidences": []')
+    rows = _upper_rows(g, [_PAIR_TAIL % v for v in range(g.n)], _PAIR_HEAD)
+    yield head + b'"incidences": [' + next(rows)[1:]  # the first pair without its comma
+    yield from rows
+    yield b"\n    ]" + tail
 
 
 # ---------------------------------------------------------------------------

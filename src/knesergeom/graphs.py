@@ -20,10 +20,10 @@ balls W_L | W_{L-1}; the odd girth at the first odd closed walk; and,
 through cover_walk_metrics, the odd girth together with every eccentricity
 of the double cover K_2 x G, without building the cover or sweeping it;
 the shortest odd cycle is walked back on its first vertex's walk sets.
-graph6 is encoded from one integer holding the columns, bit-reversed a
-byte at a time, and both ways cut six-bit digits with binascii's base64
-codec and one byte translation.  graph_digest streams its text into sha256
-a row at a time.  Infinity is math.inf.
+graph6 is encoded in pieces, one window of columns merged into an integer
+at a time, and both ways cut six-bit digits with binascii's base64 codec
+and one byte translation.  graph_digest streams its text into sha256 a row
+at a time.  Infinity is math.inf.
 """
 
 from __future__ import annotations
@@ -141,26 +141,30 @@ def _iter_bits(x: int):
         x ^= b
 
 
+def _upper_rows(g: Graph, names, sep: bytes):
+    """For each vertex u with a neighbour v > u: sep % u, then names[v] for
+    every such v, ascending, joined by sep % u.  One C-level pass of compress
+    picks them, with the row's reversed bit string as 0/1 selector bytes."""
+    for u, m in enumerate(g.neighbor_masks):
+        if high := m >> u + 1 << u + 1:
+            s = sep % u
+            yield s + s.join(compress(names, format(high, "b").encode()[::-1].translate(_SELECT)))
+
+
 def graph_digest(g: Graph) -> str:
     """Deterministic identity digest of (n, edge set); not isomorphism-invariant.
 
     The text hashed is n followed by ",u-v" for every edge u < v in
-    ascending order.  It is fed to sha256 one row at a time and never held
-    whole: row u's neighbours above u are picked out of the vertex names by
-    one C-level pass over the row's bits (the reversed bit string, with
-    '0' and '1' translated to the bytes 0 and 1, as compress's selectors)."""
+    ascending order.  It is fed to sha256 one _upper_rows row at a time and
+    never held whole."""
     try:  # hashlib loads OpenSSL; the stdlib's random tries the lean module too
         from _sha256 import sha256
     except ImportError:
         from hashlib import sha256
 
     digest = sha256(b"%d" % g.n)
-    names = [b"%d" % v for v in range(g.n)]
-    for u, m in enumerate(g.neighbor_masks):
-        if high := m >> u + 1 << u + 1:
-            sep, bits = b",%d-" % u, format(high, "b").encode()[::-1]
-            digest.update(sep)
-            digest.update(sep.join(compress(names, bits.translate(_SELECT))))
+    for row in _upper_rows(g, [b"%d" % v for v in range(g.n)], b",%d-"):
+        digest.update(row)
     return digest.hexdigest()
 
 
@@ -499,29 +503,42 @@ _G6_TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
-def graph6_encode(g: Graph) -> bytes:
-    """Standard header-less graph6: N(n) then the upper triangle in
-    column-major order, packed 6 bits per byte, each byte offset by 63.
+_G6_WINDOW = 3 << 15  # bits per graph6 piece: whole 24-bit groups, 16 KiB of digits
 
-    Column j, bits 0..j-1 of vertex j's mask, sits at bit offset j(j-1)/2
-    of one integer Z, built by merging adjacent columns pairwise.  Z's
-    bytes, lowest first, each with its bits reversed, are the bit string in
-    order, zero-padded to whole 24-bit groups; base64 cuts them into
-    six-bit digits and a translation moves those onto bytes 63..126."""
+
+def graph6_encode(g: Graph) -> bytes:
+    """graph6_pieces(g) joined."""
+    return b"".join(graph6_pieces(g))
+
+
+def graph6_pieces(g: Graph):
+    """Standard header-less graph6 in pieces: N(n), then the upper triangle
+    in column-major order, 6 bits per byte, each byte offset by 63.  Column
+    j is bits 0..j-1 of vertex j's mask.  The bits the last window left
+    over and the columns that fill _G6_WINDOW bits with them are merged
+    pairwise into one integer; its whole windows, or at the end all of it
+    padded to 24-bit groups, go out lowest byte first, each bit-reversed,
+    cut into six-bit digits by base64 and moved onto bytes 63..126."""
     n = g.n
     if n > _G6_MAX_N:
         raise ValueError(f"graph6 supports at most {_G6_MAX_N} vertices")
-    columns = [m & (1 << j) - 1 for j, m in enumerate(g.neighbor_masks)] or [0]
-    offsets = [j * (j - 1) // 2 for j in range(n)]
-    while len(columns) > 1:
-        pairs = zip(columns[::2], columns[1::2], offsets[::2], offsets[1::2])
-        merged = [lo | hi << b - a for lo, hi, a, b in pairs]
-        columns, offsets = merged + columns[2 * len(merged):], offsets[::2]
-    ndigits = -(-(n * (n - 1) // 2) // 6)
-    groups = -(-ndigits // 4)
-    packed = columns[0].to_bytes(3 * groups, "little").translate(_REV8)
-    b64 = binascii.b2a_base64(packed, newline=False)
-    return _g6_encode_n(n) + b64[:ndigits].translate(_B64_TO_G6)
+    yield _g6_encode_n(n)
+    masks, carry, width, j = g.neighbor_masks, 0, 0, 1
+    while j < n or width > 0:
+        columns, offsets = [carry], [0]
+        while j < n and width < _G6_WINDOW:
+            columns.append(masks[j] & (1 << j) - 1)
+            offsets.append(width)
+            width, j = width + j, j + 1
+        while len(columns) > 1:
+            pairs = zip(columns[::2], columns[1::2], offsets[::2], offsets[1::2])
+            merged = [lo | hi << b - a for lo, hi, a, b in pairs]
+            columns, offsets = merged + columns[2 * len(merged):], offsets[::2]
+        whole = -(-width // 24) * 24 if j >= n else width - width % _G6_WINDOW
+        packed = (columns[0] & (1 << whole) - 1).to_bytes(whole // 8, "little")
+        b64 = binascii.b2a_base64(packed.translate(_REV8), newline=False)
+        yield b64[: -(-width // 6)].translate(_B64_TO_G6)
+        carry, width = columns[0] >> whole, width - whole
 
 
 def graph6_decode(data) -> Graph:

@@ -477,7 +477,8 @@ def _jsonable(x):
 
 
 def system_to_json(sys: IncidenceSystem) -> dict:
-    """The incidences are Graph.edges' (a, b) tuples, which json writes as arrays."""
+    """The rank, types and elements; the incidences, the edges of
+    sys.graph, are left for the writer to stream a row at a time."""
     return {
         "rank": sys.rank,
         "types": list(sys.types),
@@ -485,7 +486,6 @@ def system_to_json(sys: IncidenceSystem) -> dict:
             {"id": e, "type": sys.type_of[e], "label": sys.label_of(e)}
             for e in range(sys.n_elements)
         ],
-        "incidences": sys.graph.edges(),
     }
 
 

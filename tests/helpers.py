@@ -13,12 +13,14 @@ and disjointness geometries by a loop over pairs of subsets into an edge
 list, the tensor K_r x G by a loop over pairs of typed vertices, graph6
 by packing each six-bit slice of the column bit string, the 4-cycle
 test of a rank-2 residue by comparing every pair of one side, block
-automorphisms by a pairwise check of the factor, and graph digests by
-hashlib over the whole text in one string.
+automorphisms by a pairwise check of the factor, graph digests by
+hashlib over the whole text in one string, and the build command's
+geometry JSON by one json.dumps with every incidence pair spliced in.
 """
 
 import hashlib
 import itertools
+import json
 import math
 import random
 from collections import deque
@@ -35,6 +37,7 @@ from knesergeom import (
     Graph,
     IncidenceSystem,
     KSubset,
+    build_geometry,
     colex_rank,
     enumerate_k_subsets,
     flags_of_type,
@@ -602,3 +605,27 @@ def graph_digest_oracle(g):
     ",u-v" for every edge u < v in ascending order."""
     text = str(g.n) + "".join(f",{u}-{v}" for u, v in sorted(g.edges()))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+# one incidence pair as json.dumps(indent=2) lays it out in a geometry document
+_PAIR = "[\n        %d,\n        %d\n      ]"
+
+
+def geometry_json_oracle(n, k, r):
+    """The build command's geometry/1 document for (n, k, r), built whole:
+    json.dumps of the document with an empty incidence list, that list then
+    replaced by every edge (a, b), a < b, of Graph.edges as one string."""
+    sys = build_geometry(GeometryParams(n, k, r)).incidence_system()
+    geometry = {
+        "rank": sys.rank,
+        "types": list(sys.types),
+        "elements": [
+            {"id": e, "type": sys.type_of[e], "label": sys.label_of(e)}
+            for e in range(sys.n_elements)
+        ],
+        "incidences": [],
+    }
+    doc = {"schema": "geometry/1", "params": {"n": n, "k": k, "r": r}, "geometry": geometry}
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    body = ",\n      ".join([_PAIR % pair for pair in sys.graph.edges()])
+    return text.replace('"incidences": []', f'"incidences": [\n      {body}\n    ]', 1).encode()

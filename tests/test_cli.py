@@ -1,11 +1,16 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 import knesergeom
 from knesergeom import (
@@ -18,6 +23,8 @@ from knesergeom import (
     KneserParams,
 )
 from knesergeom.group_action import adjacent_transpositions, symmetry_witness
+
+from helpers import geometry_json_oracle
 
 
 # the child process imports the same package as the tests, whether it
@@ -691,6 +698,13 @@ GOLDEN_OUTPUTS = [
     (("verify", "--n", "7", "--k", "3", "--r", "4", "--check", "locally-x",
       "--check", "flag-transitivity", "--check", "diagram"), 0,
      "d58b914dc8ace208c7c9b3221aba528b7d5fbf973cebd60e5ae1bad340a984be"),
+    # streamed exports, against the bytes of the whole-payload writer
+    (("build", "--format", "json", "--n", "5", "--k", "2", "--r", "2"), 0,
+     "7a72ad35100470f7e65c2a25c9c421ea367ae5ec635b081f7a8cb05fc9de0f13"),
+    (("build", "--format", "graph6", "--n", "6", "--k", "2", "--r", "4"), 0,
+     "52a8e146445f108ec4d8ee455d6e60233c54eb89c2fdc03dc103e8003d31dc83"),
+    (("build", "--format", "json", "--n", "7", "--k", "3", "--r", "3"), 0,
+     "2973c8250e3b8bf27da4cc5f2020f9fb9da96e2b3fadd118927092b3544acdb2"),
 ]
 
 
@@ -705,11 +719,11 @@ def test_build_graph6_goes_from_masks_to_bytes(monkeypatch, tmp_path):
     from knesergeom import Graph, cli
 
     # the export builds no graph from an edge list and never the adjacency
-    # tuples of the one it encodes
+    # tuples of the one it streams
     edge_lists, encoded_graphs = [], []
     monkeypatch.setattr(Graph, "__init__", _recording(edge_lists, Graph.__init__))
-    encode = cli.graph6_encode
-    monkeypatch.setattr(cli, "graph6_encode", lambda g: encoded_graphs.append(g) or encode(g))
+    pieces = cli.graph6_pieces
+    monkeypatch.setattr(cli, "graph6_pieces", lambda g: encoded_graphs.append(g) or pieces(g))
     out = tmp_path / "943.g6"
     code = cli.main(["build", "--format", "graph6", "--n", "9", "--k", "4", "--r", "3",
                      "--out", str(out)])
@@ -720,6 +734,112 @@ def test_build_graph6_goes_from_masks_to_bytes(monkeypatch, tmp_path):
     assert edge_lists == []
     (g,) = encoded_graphs
     assert g.n == 2145 and g._adj is None
+
+
+def test_build_json_matches_whole_document_oracle(tmp_path):
+    from knesergeom import cli
+
+    out = tmp_path / "geometry.json"
+    for n, k, r in ((5, 2, 2), (5, 2, 3), (6, 2, 4)):
+        assert cli.main(["build", "--n", str(n), "--k", str(k), "--r", str(r),
+                         "--out", str(out)]) == 0
+        expected = geometry_json_oracle(n, k, r)
+        assert out.read_bytes() == expected, (n, k, r)
+        # the spliced pairs are json's own layout
+        assert cli._dump(json.loads(expected)).encode() == expected
+
+
+def test_build_out_bytes_equal_stdout(tmp_path):
+    for fmt in ("json", "graph6"):
+        argv = ("build", "--format", fmt, "--n", "7", "--k", "3", "--r", "3")
+        out = tmp_path / f"733.{fmt}"
+        piped, written = run_cli(*argv), run_cli(*argv, "--out", str(out))
+        assert piped.returncode == written.returncode == 0 and written.stdout == b""
+        assert out.read_bytes() == piped.stdout, fmt
+
+
+def test_build_exports_stream_in_bounded_memory(monkeypatch, tmp_path):
+    from knesergeom import cli
+
+    # graph6 is 383 KB and the json 11.8 MB at (9,4,3); the whole-payload
+    # writer's export phase peaked at about 2.0 and 62 MB above the geometry
+    tracemalloc.start()
+    try:
+        geom = build_geometry(GeometryParams(9, 4, 3))
+        geom.incidence_system()
+        monkeypatch.setattr(cli, "build_geometry", lambda params: geom)
+        for fmt, bound, digest in (
+            ("graph6", 512 << 10, "114eb85f871a83282eaa7011ab61fd6a1c932aae483a8610583ed1e10d58a7d5"),
+            ("json", 4 << 20, "0cca6cb106a08367ed2d1c5313b999753e46d120ba780f240431cbd9ce1a4a05"),
+        ):
+            out = tmp_path / f"943.{fmt}"
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code = cli.main(["build", "--format", fmt, "--n", "9", "--k", "4", "--r", "3",
+                             "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1] - held
+            assert code == 0
+            assert peak < bound, (fmt, peak)
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, fmt
+    finally:
+        tracemalloc.stop()
+
+
+def test_closed_stdout_exit3():
+    # sh closes the child's stdout, so Python starts with sys.stdout None
+    for argv in (("verify", "--all", "--n", "5", "--k", "2", "--r", "3"),
+                 ("build", "--n", "5", "--k", "2", "--r", "3")):
+        res = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m knesergeom.cli "$@" >&-', sys.executable, *argv],
+            capture_output=True, timeout=300, env=_CHILD_ENV,
+        )
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith(b"error: cannot write output"), res.stderr
+
+
+class _FullAfter(io.RawIOBase):
+    """A raw stream that takes `room` writes, then fails each with ENOSPC."""
+
+    def __init__(self, room):
+        self.room, self.taken = room, []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if len(self.taken) == self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.taken.append(bytes(data))
+        return len(data)
+
+
+def test_write_error_midstream_stops_the_stream_exit3(monkeypatch, capsys):
+    from knesergeom import cli
+
+    made = []
+
+    def pieces():
+        for i in range(6):
+            made.append(i)
+            yield b"%02d" % i * 8
+
+    raw = _FullAfter(2)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(raw, 4)))
+    assert cli._write(pieces(), None) == cli.EXIT_IO
+    # each piece went out as it was made, and none was made past the failure
+    assert raw.taken == [b"00" * 8, b"01" * 8] and made == [0, 1, 2]
+    assert capsys.readouterr().err.startswith("error: cannot write output")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_build_to_a_full_device_exit3():
+    argv = ("build", "--format", "graph6", "--n", "9", "--k", "4", "--r", "3")
+    with open("/dev/full", "wb") as full:
+        piped = subprocess.run([sys.executable, "-m", "knesergeom.cli", *argv], stdout=full,
+                               stderr=subprocess.PIPE, timeout=300, env=_CHILD_ENV)
+    written = run_cli(*argv, "--out", "/dev/full")
+    for res in (piped, written):
+        assert res.returncode == 3 and res.stderr.startswith(b"error: cannot write output")
 
 
 def test_locally_x_second_graph6_line_exit2(tmp_path):

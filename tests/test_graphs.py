@@ -539,6 +539,45 @@ def test_graph6_encode_matches_oracle_property(seed, p):
         assert graph6_encode(g) == graph6_encode_oracle(g), n
 
 
+# n(n-1)/2 runs through every length mod 24 (see above), and windows of one
+# or two 24-bit groups put many window boundaries inside each graph
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([24, 48]),
+    st.integers(0, 70),
+    st.integers(0, 2**30),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+@example(24, 0, 0, 0.0)
+@example(24, 1, 0, 0.0)
+@example(24, 2, 0, 1.0)
+@example(24, 62, 1, 1.0)
+@example(24, 63, 1, 0.0)
+@example(24, 63, 1, 1.0)
+def test_graph6_pieces_in_small_windows_match_oracle_property(window, n, seed, p):
+    g = random_graph(random.Random(seed), n, p)
+    with mock.patch.object(graphs, "_G6_WINDOW", window):
+        pieces = list(graphs.graph6_pieces(g))
+        assert graph6_encode(g) == b"".join(pieces)
+    assert b"".join(pieces) == graph6_encode_oracle(g)
+    # the size field, then whole windows, then the last bits
+    assert all(len(piece) % (window // 6) == 0 for piece in pieces[1:-1])
+
+
+def test_graph6_window_is_whole_24_bit_groups(monkeypatch):
+    assert graphs._G6_WINDOW % 24 == 0
+    complete = [Graph(n, itertools.combinations(range(n), 2)) for n in range(2, 30)]
+    for window in (6, 12, 30, 32, 36, 40, 60):
+        monkeypatch.setattr(graphs, "_G6_WINDOW", window)
+        wrong = 0
+        for g in complete:
+            try:
+                wrong += graph6_encode(g) != graph6_encode_oracle(g)
+            except OverflowError:
+                wrong += 1
+        assert wrong, window
+
+
 def test_graph6_extended_size_header():
     g = Graph(63, [(0, 1), (10, 50), (61, 62)])
     enc = graph6_encode(g)

@@ -414,4 +414,4 @@ def test_system_json_shape():
     assert doc["rank"] == 2
     assert len(doc["elements"]) == 20
     assert doc["elements"][0]["label"].startswith("0x")
-    assert all(a < b for a, b in doc["incidences"])
+    assert "incidences" not in doc  # the build command streams them a row at a time
