@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
+from itertools import chain, combinations
 
 from . import __version__
 from .graphs import (
@@ -168,10 +168,8 @@ def _check_thickness(params, geom):
 
 def _check_diagram(params, geom):
     witness = _symmetry_witness(params, geom)
-    # the diagram's first residues stand for all where the witness is transitive
-    certified = witness is not None and witness.transitive >= {
-        J for J in witness.levels if params.r - 2 <= len(J) < params.r
-    }
+    # first residues stand for all once the type sets of r - 1 types are covered
+    certified = witness is not None and witness.covered >= params.r - 1
     computed = buekenhout_diagram(geom.incidence_system())
     predicted = predicted_diagram(params)
     details = {
@@ -198,14 +196,10 @@ def _check_flag_transitivity(params, geom):
     witness = _symmetry_witness(params, geom)
     if witness is None:
         return False, {"generators_checked": len(gens), "automorphisms": False}
-    levels = witness.levels
-    total = chamber_count(params)
-    # (type set, level, orbit size, candidates) of each level not filled
-    gaps = [(J, i, s, c) for J, lv in levels.items() for i, (s, c) in enumerate(lv) if s != c]
-    # with every level full, the chambers number the product of the chamber
-    # type's level orbits
-    orbit = math.prod(size for size, _ in levels[tuple(range(params.r))])
-    transitive, covered = orbit == total and not gaps, witness.transitive
+    covered, total = witness.covered, chamber_count(params)
+    # with every level full, the chambers number the product of the orbits
+    orbit = math.prod(size for size, _ in witness.levels)
+    transitive = orbit == total and covered == params.r
     # label-pairing maps compose, so the adjacent type transpositions are
     # valid exactly when every type permutation is; each is checked to be
     # the block map (t, v) -> (sigma t, v) of K_r x KG(m, k), which the
@@ -218,7 +212,8 @@ def _check_flag_transitivity(params, geom):
         "transitive": transitive,
         "generators_checked": len(gens),
         "flag_orbit_counts": {
-            ",".join(map(str, J)): 1 if J in covered else None for J in levels
+            ",".join(map(str, J)): 1 if size <= covered else None
+            for size in range(1, params.r + 1) for J in combinations(range(params.r), size)
         },
         "type_swaps_valid": swaps_ok,
         "verified_subgroup_order": math.factorial(params.ground_size)
@@ -226,9 +221,10 @@ def _check_flag_transitivity(params, geom):
         "aut_lower_bound_only": True,
         "point_group_order": permutation_group_order(gens),
     }
-    if gaps:
-        keys = ("types", "level", "orbit_size", "candidates")
-        details["uncovered_level"] = dict(zip(keys, gaps[0]))
+    if covered < params.r:
+        # the first type set with a level not full is the prefix 0..covered
+        keys, gap = ("types", "level", "orbit_size", "candidates"), witness.levels[covered]
+        details["uncovered_level"] = dict(zip(keys, (list(range(covered + 1)), covered, *gap)))
     return transitive and swaps_ok, details
 
 

@@ -14,9 +14,9 @@ type_swap_map and is_type_preserving_automorphism are the whole-graph
 checks for any system, and serve as test oracles.
 Every orbit is closed once, by one BFS over table images inside a pool that
 it consumes, _orbit.  level_orbits certifies transitivity on the flags of a
-type set from one flag, level by level through stabilisers, so one flag or
-residue stands for all of them; flag_orbit_count and chamber_orbit_size
-enumerate every flag and serve as test oracles.
+type set from one flag, level by level through stabilisers, and the witness
+runs it once, as every type set's levels are a prefix of the chamber type's;
+flag_orbit_count and chamber_orbit_size enumerate every flag, as oracles.
 Label-pairing type swaps compose, so they are valid for the adjacent type
 transpositions exactly when they are valid for every type permutation.  The
 order of a group of ground-set permutations is computed exactly from a base
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import combinations
 
 from .graphs import _iter_bits
 from .incidence import IncidenceSystem, flags_of_type, residue_mask
@@ -64,12 +63,11 @@ def point_tables(geom: KneserGeometry, perms) -> list[tuple[int, ...]]:
 
 
 class SymmetryWitness(namedtuple("SymmetryWitness", "graph tables levels")):
-    """Type-preserving automorphism tables of graph, with their level_orbits
-    for every nonempty type set.  Only one that symmetry_witness returned
-    has verified tables; one built by hand is checked like plain tables."""
+    """Automorphism tables of graph and the chamber type's level_orbits.
+    Only symmetry_witness's are verified; hand-built ones are checked."""
 
     __slots__ = ()
-    transitive = frozenset()  # type sets proved transitive: none unless verified
+    covered = 0  # type sets proved transitive have at most this many types
 
 
 class _VerifiedWitness(SymmetryWitness):
@@ -81,9 +79,9 @@ class _VerifiedWitness(SymmetryWitness):
         return SymmetryWitness(*self)._replace(**fields)
 
     @property
-    def transitive(self) -> frozenset:
-        """() and every type set whose levels are all full."""
-        return frozenset([(), *(J for J, lv in self.levels.items() if all(s == c for s, c in lv))])
+    def covered(self) -> int:
+        """Leading full levels: J is proved transitive iff len(J) <= covered."""
+        return next((i for i, (s, c) in enumerate(self.levels) if s != c), len(self.levels))
 
 
 def _is_block_automorphism(geom: KneserGeometry, perm, table) -> bool:
@@ -103,7 +101,7 @@ def _is_block_automorphism(geom: KneserGeometry, perm, table) -> bool:
 
 def symmetry_witness(geom: KneserGeometry, perms) -> SymmetryWitness | None:
     """The point tables of the ground-set permutations, verified, and their
-    level_orbits for every nonempty type set; None if a table fails.
+    level_orbits on the chamber type; None if a table fails.
 
     The incidence graph is K_r x G, where G = KG(m, k) is the factor that
     kneser.disjointness_table builds on the distinct subsets S_0..S_{N-1}:
@@ -121,14 +119,19 @@ def symmetry_witness(geom: KneserGeometry, perms) -> SymmetryWitness | None:
     star(p), the subsets that hold p, onto star(perm p) for every point p.
     Then pi is an automorphism of G, since perm S_j and perm S_i meet in
     perm(S_j and S_i), which is empty exactly when S_j and S_i are disjoint.
+
+    Prefix: J = (j_0 < ... < j_{s-1}) has the chamber type's levels cut to
+    s.  _residues picks in each type the lowest subset disjoint from those
+    picked, so the first flags of J and of the chamber type hold the same
+    S_{a_0}..S_{a_{s-1}}; a block table fixes (j, S_a) iff pi fixes a, and
+    in K_r x G level i's candidates are, in any type, the subsets disjoint
+    from S_{a_0}..S_{a_{i-1}}.  So level i of both closes S_{a_i} alike.
     """
     perms = [_permutation(pi) for pi in perms]
-    sys_, r = geom.incidence_system(), geom.params.r
-    tables = point_tables(geom, perms)
+    sys_, tables = geom.incidence_system(), point_tables(geom, perms)
     if not all(_is_block_automorphism(geom, pi, t) for pi, t in zip(perms, tables)):
         return None
-    types = [J for size in range(1, r + 1) for J in combinations(sys_.types, size)]
-    levels = {J: level_orbits(sys_, tables, J) for J in types}
+    levels = tuple(level_orbits(sys_, tables, sys_.types))
     return _VerifiedWitness(sys_.graph, tuple(tables), levels)
 
 

@@ -211,12 +211,12 @@ def _residues(sys: IncidenceSystem, J):
 def _walk(sys: IncidenceSystem, sizes, witness=None):
     """Yield (J, flag, residue mask) for each type set J of each size in
     sizes, ascending, and every flag of J in _residues order, or only the
-    first if J is in witness.transitive and witness is of this very graph."""
-    transitive = witness.transitive if witness is not None and witness.graph is sys.graph else ()
+    first if len(J) <= witness.covered and witness is of this very graph."""
+    covered = witness.covered if witness is not None and witness.graph is sys.graph else 0
     for size in sizes:
         for J in combinations(sys.types, size):
             residues = _residues(sys, J)
-            for flag, cand in islice(residues, 1) if J in transitive else residues:
+            for flag, cand in islice(residues, 1) if size <= covered else residues:
                 yield J, flag, cand
 
 
@@ -435,7 +435,7 @@ def buekenhout_diagram(sys: IncidenceSystem) -> BuekenhoutDiagram:
     Orders come from the first rank-1 residue of each cotype, pair labels
     from the first rank-2 residue of each type pair.  The diagram describes
     every residue when the geometry is flag-transitive on those type sets,
-    which SymmetryWitness.transitive certifies for verified automorphisms.
+    which SymmetryWitness.covered certifies for verified automorphisms.
     """
     counts = {t: len(sys.elements_of_type(t)) for t in sys.types}
     cotypes = [*combinations(sys.types, 1), *combinations(sys.types, 2)]

@@ -408,6 +408,30 @@ def test_dropped_generator_leaves_a_counter_witness(monkeypatch, tmp_path):
     assert set(ft["flag_orbit_counts"].values()) == {None} and len(ft["flag_orbit_counts"]) == 7
 
 
+def test_gap_at_level_one_leaves_a_counter_witness(monkeypatch, tmp_path):
+    from knesergeom import cli
+
+    # x -> x + 1 and x -> 3x mod 7 generate AGL(1,7), which is 2-transitive
+    # on the points, so level 0 is full; neither generator fixes {0, 1}, so
+    # level 1 covers 1 of 10 candidates and only the single types are covered
+    agl = [tuple((x + 1) % 7 for x in range(7)), tuple(3 * x % 7 for x in range(7))]
+    real = cli.symmetry_witness
+    monkeypatch.setattr(cli, "symmetry_witness", lambda geom, perms: real(geom, agl))
+    out = tmp_path / "cert.json"
+    code = cli.main(["verify", "--n", "5", "--k", "2", "--r", "3", "--check", "diagram",
+                     "--check", "flag-transitivity", "--out", str(out)])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert not checks["diagram"]["pass"]
+    assert checks["diagram"]["details"]["uniformity_certified"] is False
+    ft = checks["flag-transitivity"]["details"]
+    assert not checks["flag-transitivity"]["pass"] and not ft["transitive"]
+    assert ft["uncovered_level"] == {"types": [0, 1], "level": 1, "orbit_size": 1, "candidates": 10}
+    assert ft["flag_orbit_counts"] == {"0": 1, "1": 1, "2": 1,
+                                       "0,1": None, "0,2": None, "1,2": None, "0,1,2": None}
+    assert (ft["orbit_size"], ft["total"]) == (21, 630)
+
+
 def test_assume_transitive_is_an_unknown_argument(capsys):
     from knesergeom import cli
 
@@ -512,7 +536,7 @@ def test_thickness_reports_computed_minimum(monkeypatch):
     # flag of the stand-in is read
     params = GeometryParams(5, 2, 3)
     witness = symmetry_witness(build_geometry(params), adjacent_transpositions(params.ground_size))
-    assert {(0,), (1,)} <= witness.transitive
+    assert witness.covered >= 1
     monkeypatch.setattr(cli, "_symmetry_witness", lambda params, geom: witness)
     ok, details = cli._check_thickness(params, stand_in)
     assert ok is False
@@ -538,7 +562,7 @@ def test_residue_checks_read_one_flag_per_type_set(monkeypatch):
         params = GeometryParams(n, 2, 3)
         geom = build_geometry(params)
         # built before the reads are counted, which are each check's own
-        assert cli._symmetry_witness(params, geom).transitive >= {(), *singles, *pairs}
+        assert cli._symmetry_witness(params, geom).covered >= 2  # singles and pairs
         per_check = {}
         for name in _RESIDUE_CHECKS:
             del read[:]
@@ -585,10 +609,7 @@ def test_partial_witness_certificates_equal_the_full_walk(monkeypatch, tmp_path)
         # with the cycle and (0 1) the single types are, and no larger set
         geom = build_geometry(params)
         perms = adjacent_transpositions(params.ground_size)
-        singles = [(t,) for t in range(params.r)]
-        assert [sorted(w(geom, perms).transitive) for w in witnesses] == [
-            [()], [()], [(), *singles]
-        ]
+        assert [w(geom, perms).covered for w in witnesses] == [0, 0, 1]
         full = certificate(params, lambda geom, perms: None)  # no witness: every flag
         for witness in witnesses:
             assert certificate(params, witness) == full, params
@@ -652,6 +673,8 @@ GOLDEN_VERIFY_ALL = [
     ("5", "2", "5", 0, "befa05ac1e098e34b01c7871c06b2fa40db6925ff3e033926b181011c3b1896e"),
     ("9", "4", "3", 0, "cb616c38547e7afe59af5299087d1270b3a62f82d7a77aa072ebd2cd99aafbf9"),
     ("7", "3", "4", 0, "9caf1473ff7b731c4a889ac22077411eab43ca7d8c6a98d63d13e2f73e7029ec"),
+    # 255 type sets, each covered by the chamber type's levels
+    ("5", "2", "8", 0, "163838c0141a628c522577b81ce679b3ce6e348d9df5dac2cca3d033cad5b303"),
 ]
 
 

@@ -168,11 +168,89 @@ def test_symmetry_witness_fields():
     witness = symmetry_witness(geom, perms)
     assert witness.graph is sys_.graph
     assert witness.tables == tuple(point_tables(geom, perms))
-    assert list(witness.levels) == [J for size in (1, 2, 3)
-                                    for J in itertools.combinations(range(3), size)]
-    for J, levels in witness.levels.items():
-        assert levels == level_orbits(sys_, witness.tables, J)
-        assert all(orbit == count for orbit, count in levels)
+    # the chamber type's levels, all full, so every type set is covered
+    assert witness.levels == tuple(level_orbits(sys_, witness.tables, (0, 1, 2)))
+    assert witness.levels == ((21, 21), (10, 10), (3, 3))
+    assert witness.covered == 3
+    for size in (1, 2, 3):
+        for J in itertools.combinations(range(3), size):
+            levels = level_orbits(sys_, witness.tables, J)
+            assert all(orbit == count for orbit, count in levels)
+
+
+def _generators(kind, m):
+    """Ground-set generators: the adjacent transpositions, all of them or
+    with (0 1) or (1 2) dropped; the cycle (0 1 ... m-1) with (0 1); or,
+    for m = 7, the cycle with x -> 3x, which generate AGL(1,7)."""
+    adjacent = adjacent_transpositions(m)
+    cycle = tuple((p + 1) % m for p in range(m))
+    return {
+        "adjacent": adjacent,
+        "drop (0 1)": adjacent[1:],
+        "drop (1 2)": adjacent[:1] + adjacent[2:],
+        "cycle and (0 1)": [cycle, adjacent[0]],
+        "AGL(1,7)": [cycle, tuple(3 * x % m for x in range(m))],
+    }[kind]
+
+
+_PARTIAL = [
+    (params, kind, covered)
+    for params in [GeometryParams(5, 2, 3), GeometryParams(6, 2, 3), GeometryParams(5, 2, 4)]
+    # without (0 1) or (1 2) level 0 is not full; the cycle and (0 1) fill
+    # level 0, but only (0 1) fixes {0, 1}, and it fixes every subset
+    # disjoint from it, so level 1 is not full
+    for kind, covered in [("drop (0 1)", 0), ("drop (1 2)", 0), ("cycle and (0 1)", 1)]
+]
+
+
+@pytest.mark.parametrize("params, kind, covered", [
+    (GeometryParams(5, 2, 5), "adjacent", 5),
+    (GeometryParams(7, 3, 4), "adjacent", 4),
+    (GeometryParams(9, 4, 3), "adjacent", 3),
+    (GeometryParams(5, 2, 8), "adjacent", 8),
+    # AGL(1,7) is 2-transitive on the points, so level 0 is full, but no
+    # generator fixes {0, 1}: the gap is at level 1
+    (GeometryParams(5, 2, 3), "AGL(1,7)", 1),
+    *_PARTIAL,
+])
+def test_every_type_set_levels_are_a_prefix_of_the_chamber_levels(params, kind, covered):
+    # the prefix lemma in symmetry_witness, against level_orbits of each
+    # type set on its own first flag
+    geom = build_geometry(params)
+    sys_ = geom.incidence_system()
+    witness = symmetry_witness(geom, _generators(kind, params.ground_size))
+    assert witness.covered == covered
+    for size in range(1, params.r + 1):
+        for J in itertools.combinations(range(params.r), size):
+            assert tuple(level_orbits(sys_, witness.tables, J)) == witness.levels[:size], J
+
+
+def test_symmetry_witness_computes_the_levels_once(monkeypatch):
+    from knesergeom import group_action
+
+    calls, real = [], group_action.level_orbits
+    monkeypatch.setattr(group_action, "level_orbits",
+                        lambda sys_, tables, J: (calls.append(tuple(J)), real(sys_, tables, J))[1])
+    witness = symmetry_witness(build_geometry(GeometryParams(5, 2, 4)), adjacent_transpositions(9))
+    assert calls == [(0, 1, 2, 3)]
+    assert witness.covered == 4
+
+
+def test_verified_witness_levels_cannot_be_edited():
+    from knesergeom.group_action import _VerifiedWitness
+
+    witness = symmetry_witness(build_geometry(GeometryParams(5, 2, 3)), _generators("AGL(1,7)", 7))
+    assert witness.levels == ((21, 21), (1, 10), (1, 3)) and witness.covered == 1
+    # a claim of a full level 1, by type set or by level, cannot be written in
+    with pytest.raises(TypeError):
+        witness.levels[(0, 1)] = [(21, 21), (10, 10)]
+    with pytest.raises(TypeError):
+        witness.levels[1] = (10, 10)
+    with pytest.raises(TypeError):
+        witness.levels[1][0] = 10
+    with pytest.raises(AttributeError):
+        witness.covered = 3
+    assert witness.covered == 1 and type(witness) is _VerifiedWitness
 
 
 def test_symmetry_witness_checks_the_block_form(monkeypatch):

@@ -375,7 +375,7 @@ def test_walk_trusts_only_a_verified_witness_of_its_own_graph():
     witness = symmetry_witness(geom, adjacent_transpositions(params.ground_size))
     sizes = range(sys_.rank + 1)
     type_sets = [J for size in sizes for J in combinations(sys_.types, size)]
-    assert witness.transitive == frozenset(type_sets)
+    assert witness.covered == sys_.rank  # every type set
     every = list(_walk(sys_, sizes))
     assert len(every) == sum(1 for J in type_sets for _ in flags_of_type(sys_, J))
     # verified for this graph: the first flag of each type set
@@ -385,7 +385,7 @@ def test_walk_trusts_only_a_verified_witness_of_its_own_graph():
     hand_built = SymmetryWitness(*witness)
     edited = witness._replace(tables=witness.tables)
     for untrusted in (hand_built, edited):
-        assert untrusted.transitive == frozenset()
+        assert untrusted.covered == 0
         assert list(_walk(sys_, sizes, untrusted)) == every
     # a verified witness of another build: an equal graph, not the same one
     other = build_geometry(params).incidence_system()
@@ -398,7 +398,7 @@ def test_hand_built_witness_does_not_decide_a_verdict():
     # the vertex-edge geometry of the path 1-0-2-3: the first residue of
     # each cotype has two elements, an end vertex's has one
     sys_ = vertex_edge_geometry(Graph(4, [(0, 1), (0, 2), (2, 3)]))
-    false_levels = {(0,): [(4, 4)], (1,): [(3, 3)], (0, 1): [(4, 4), (2, 2)]}
+    false_levels = ((4, 4), (2, 2))
     # a verified witness is taken at its word: one flag per cotype
     trusted = _VerifiedWitness(sys_.graph, (), false_levels)
     assert sorted(size for _, size in _rank1_residue_sizes(sys_, trusted)) == [2, 2]

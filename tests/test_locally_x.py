@@ -198,7 +198,7 @@ def test_hand_built_witness_tables_are_checked():
     damaged = Graph(sys_.graph.n, sys_.graph.edges()[1:])
     plain = is_locally_x(damaged, x)
     assert plain.failures == (0, 26, 56, 61, 62)
-    assert is_locally_x(damaged, x, SymmetryWitness(damaged, (shift,), {})) == plain
+    assert is_locally_x(damaged, x, SymmetryWitness(damaged, (shift,), ())) == plain
     geom = build_geometry(GeometryParams(5, 2, 3))
     edited = symmetry_witness(geom, adjacent_transpositions(7))._replace(
         graph=damaged, tables=(shift,))
