@@ -22,13 +22,14 @@ from . import __version__
 from .graphs import (
     Graph6Error,
     _upper_rows,
-    cover_walk_metrics,
     graph6_decode,
     graph6_pieces,
     shortest_odd_cycle,
+    walk_metrics_from,
 )
 from .group_action import (
     adjacent_transpositions,
+    factor_is_vertex_transitive,
     is_block_type_swap,
     permutation_group_order,
     symmetry_witness,
@@ -45,7 +46,6 @@ from .incidence import (
     system_to_json,
 )
 from .kneser import (
-    kneser_graph,
     neighborhood_summary,
     predicted_diameter,
     predicted_gonality,
@@ -237,41 +237,53 @@ def _check_locally_x(params, geom):
 
 
 @functools.lru_cache(maxsize=1)
-def _kneser_graph(kp):
-    """KG(n,k), memoised so that the odd-girth, gonality and diameter checks
-    share one checked graph."""
-    return kneser_graph(kp)
+def _rank2_geometry(kp):
+    """The rank-2 geometry of (n, k) for the rank-2 checks at r > 2,
+    memoised so that they share one build."""
+    return build_geometry(GeometryParams(kp.n, kp.k, 2))
+
+
+def _kneser(params, geom):
+    """The rank-2 KneserGeometry of (n, k), whose factor is KG(n, k) on its
+    subsets: geom itself at r = 2, so a rank-2 verify builds KG once."""
+    return geom if params.r == 2 else _rank2_geometry(params.kneser)
 
 
 @functools.lru_cache(maxsize=1)
-def _kneser_walks(kp):
-    """cover_walk_metrics of the shared KG(n,k): its odd girth and the
-    eccentricities of K_2 x KG, from the one walk sweep that the odd-girth,
-    gonality and diameter checks share."""
-    return cover_walk_metrics(_kneser_graph(kp))
+def _kneser_walks(kgeom):
+    """The odd girth of KG(n,k) and the eccentricities of K_2 x KG, shared
+    by the odd-girth, gonality and diameter checks: the factor is proved
+    vertex-transitive on its subset masks, so vertex 0's walk sets decide
+    every vertex.  A failed proof raises, so no certificate is written
+    from one vertex of a factor that is not known to be transitive."""
+    factor = kgeom.factor
+    if not factor_is_vertex_transitive(kgeom):
+        raise RuntimeError("KG(n,k) failed its vertex-transitivity check")
+    odd, ecc = walk_metrics_from(factor, 0)
+    return odd, [ecc] * factor.n
 
 
 def _check_odd_girth(params, geom):
-    kp = params.kneser
-    predicted = predicted_odd_girth(kp)
-    computed = _kneser_walks(kp)[0]
+    kgeom = _kneser(params, geom)
+    predicted = predicted_odd_girth(params.kneser)
+    computed = _kneser_walks(kgeom)[0]
     details = {"predicted": predicted, "computed": computed if computed != math.inf else "inf"}
     if computed != predicted:
-        details["witness_cycle"] = shortest_odd_cycle(_kneser_graph(kp))
+        details["witness_cycle"] = shortest_odd_cycle(kgeom.factor)
     return computed == predicted, details
 
 
 @functools.lru_cache(maxsize=1)
-def _neighborhood_summary(kp):
-    """The rank-2 summary of the neighborhood geometry of the shared
-    KG(n,k), with its diameters from the shared walk sweep; memoised so
-    that the gonality and diameter checks share one build."""
-    return neighborhood_summary(_kneser_graph(kp), _kneser_walks(kp)[1])
+def _neighborhood_summary(kgeom):
+    """The rank-2 summary of the neighborhood geometry of KG(n,k), with its
+    diameters from the shared walk metrics; memoised so that the gonality
+    and diameter checks share one build."""
+    return neighborhood_summary(kgeom.factor, _kneser_walks(kgeom)[1])
 
 
 def _check_gonality(params, geom):
     kp = params.kneser
-    s = _neighborhood_summary(kp)
+    s = _neighborhood_summary(_kneser(params, geom))
     predicted = predicted_gonality(kp)
     return s.gonality == predicted, {
         "predicted": predicted,
@@ -281,7 +293,7 @@ def _check_gonality(params, geom):
 
 def _check_diameter(params, geom):
     kp = params.kneser
-    s = _neighborhood_summary(kp)
+    s = _neighborhood_summary(_kneser(params, geom))
     predicted = predicted_diameter(kp)
     ok = s.diameters == (predicted, predicted)
     return ok, {"predicted": predicted, "summary": summary_to_json(s)}

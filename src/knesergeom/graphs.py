@@ -14,12 +14,15 @@ Induced subgraphs move each row's kept bits into place one at a time.
 Girth runs one BFS per source over per-vertex neighbor bitmasks and stops
 at the first source that reaches 3, or 4 on a bipartite graph (_girth
 takes a higher floor from a caller that knows one).  Every other distance
-reads the one all-sources sweep, _walks, which holds for every vertex the
-endpoints of its walks of each exact length L: eccentricities from the
+reads walk sets: W_L[v], the endpoints of the walks of exact length L
+from v.  The all-sources sweep, _walks, gives eccentricities from the
 balls W_L | W_{L-1}; the odd girth at the first odd closed walk; and,
 through cover_walk_metrics, the odd girth together with every eccentricity
 of the double cover K_2 x G, without building the cover or sweeping it;
 the shortest odd cycle is walked back on its first vertex's walk sets.
+walk_metrics_from reads the same two values off one vertex's walk sets
+alone, which decide every vertex of a vertex-transitive graph; the CLI
+reads those, and cover_walk_metrics, exact on any graph, is their oracle.
 graph6 is encoded in pieces, one window of columns merged into an integer
 at a time, and both ways cut six-bit digits with binascii's base64 codec
 and one byte translation.  graph_digest streams its text into sha256 a row
@@ -31,7 +34,9 @@ from __future__ import annotations
 import binascii
 import math
 from collections import deque
+from functools import reduce
 from itertools import compress
+from operator import or_
 
 INF = math.inf
 _CHECK_CHARS = 1 << 20  # bits per block of Graph.from_masks's symmetry check
@@ -389,6 +394,37 @@ def cover_walk_metrics(g: Graph):
             return odd, ecc
         unsettled = still
         before, last = last, walk
+
+
+def walk_metrics_from(g: Graph, v: int):
+    """(length of the shortest odd closed walk through v, eccentricity of
+    (v,0) in K_2 x g), math.inf where there is none, from v's own walk sets.
+
+    W_0 is v alone and W_{L+1} = N(W_L), the vertices whose rows meet W_L,
+    which by symmetry is the or of the rows of W_L's vertices, picked in one
+    C-level pass by compress.  The rules are cover_walk_metrics's for the
+    one vertex v: ecc(v,0) is the least L with W_L and W_{L-1} both full;
+    once W_L == W_{L-2} short of that the sets repeat with period 2, and v
+    gets math.inf.  Either way v has shown an odd closed walk by then if it
+    lies on one, so the sweep stops there.  On a vertex-transitive g the
+    first value is the odd girth and the second every cover eccentricity.
+    """
+    if not 0 <= v < g.n:
+        raise ValueError("vertex out of range")
+    masks, full = g.neighbor_masks, (1 << g.n) - 1
+    odd, length = INF, 0
+    before = last = 0  # W_{L-2}, W_{L-1}
+    walk = 1 << v
+    while True:
+        if length & 1 and odd == INF and walk >> v & 1:
+            odd = length
+        if walk == full and last == full:
+            return odd, length
+        if walk == before:
+            return odd, INF
+        rows = compress(masks, format(walk, "b").encode()[::-1].translate(_SELECT))
+        before, last, walk = last, walk, reduce(or_, rows, 0)
+        length += 1
 
 
 def _closes_odd(length: int, walk) -> bool:

@@ -10,6 +10,9 @@ permutation on the subset masks (the direct-product and mask lemmas in its
 docstring), and its SymmetryWitness is what every symmetry shortcut reads;
 is_block_type_swap checks that a type swap's label pairing is the block
 map (t, v) -> (sigma t, v), which the direct product makes an automorphism.
+factor_is_vertex_transitive proves the factor KG(m, k) vertex-transitive
+by the same mask lemma, closing one subset's orbit under two generators of
+S_m, so that one vertex's walk sets give the rank-2 metrics.
 type_swap_map and is_type_preserving_automorphism are the whole-graph
 checks for any system, and serve as test oracles.
 Every orbit is closed once, by one BFS over table images inside a pool that
@@ -133,6 +136,42 @@ def symmetry_witness(geom: KneserGeometry, perms) -> SymmetryWitness | None:
         return None
     levels = tuple(level_orbits(sys_, tables, sys_.types))
     return _VerifiedWitness(sys_.graph, tuple(tables), levels)
+
+
+def factor_is_vertex_transitive(geom: KneserGeometry) -> bool:
+    """Is the factor KG(m, k) of geom vertex-transitive, by a check on its
+    subset masks alone: is the orbit of S_0 under the transposition (0 1)
+    and the m-cycle p -> p+1 mod m exactly the distinct masks S_0..S_{N-1}?
+
+    Both act on a mask by O(1) bit operations.  They generate S_m, so a
+    family that is one orbit is S_m-invariant, and each g in S_m gives a
+    permutation pi of the subsets with S_{pi i} = g S_i.  The factor is
+    disjointness_table of the subsets, by construction, so by the mask
+    lemma of symmetry_witness each such pi is an automorphism of it; and as
+    every S_i is g S_0 for some g, they are transitive on its vertices.
+    No element table is built.
+    """
+    subsets, m = geom.subsets, geom.params.ground_size
+    distinct = set(subsets)
+    if not subsets or subsets[0] >> m or len(distinct) != len(subsets):
+        return False
+    full = (1 << m) - 1
+
+    def swap01(s):
+        x = (s ^ s >> 1) & 1
+        return s ^ (x | x << 1)
+
+    def shift(s):
+        return (s << 1 & full) | s >> (m - 1)
+
+    orbit, queue = {subsets[0]}, [subsets[0]]
+    for s in queue:  # grows while it is scanned
+        for move in (swap01, shift):
+            t = move(s)
+            if t not in orbit:
+                orbit.add(t)
+                queue.append(t)
+    return orbit == distinct
 
 
 def is_type_preserving_automorphism(sys: IncidenceSystem, table) -> bool:

@@ -14,9 +14,10 @@ onto isomorphic ones, so where such a group is transitive on the flags of
 a type set the first residue stands for all.  The diagram reads only that
 first residue; the other predicates read _walk, which skips the rest only
 where a verified witness of the system's own graph proves transitivity.
-A rank-2 summary classifies first: its incidence graph is bipartite, and
-a partial linear space has no 4-cycle, so its girth search takes the
-floor 6 and ends at the first source on a 6-cycle.
+A rank-2 summary classifies first: its incidence graph is bipartite, since
+no two elements of one type are incident, so its girth search takes the
+floor 4, or 6 for a partial linear space, which has no 4-cycle, and ends
+at the first source on a cycle of the floor's length.
 
 All counts are exact integers; math.inf only ever appears as a gonality or
 diameter of degenerate systems.  Results are namedtuples (GeometryCheck,
@@ -36,7 +37,6 @@ from .graphs import (
     component_mask,
     connected_components,
     eccentricities,
-    girth,
     induced_subgraph,
 )
 
@@ -381,12 +381,10 @@ def _summary_of(sys: IncidenceSystem, ecc) -> RankTwoSummary:
             f"incidence graph has {len(comps)} components", comps
         )
     classification = classify_rank2(sys)
-    # the incidence graph is bipartite, and a partial linear space has no
+    # the incidence graph is bipartite, as no two elements of one type are
+    # incident, so its girth is at least 4; a partial linear space has no
     # 4-cycle, so its girth is at least 6
-    if classification == PARTIAL_LINEAR_SPACE:
-        gv = _girth(sys.graph, 6)
-    else:
-        gv = girth(sys.graph)
+    gv = _girth(sys.graph, 6 if classification == PARTIAL_LINEAR_SPACE else 4)
     gon = INF if gv == INF else gv // 2
     dias = []
     for t in sys.types:

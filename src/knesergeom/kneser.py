@@ -18,7 +18,9 @@ typed_copies is the one constructor of the geometries here: r typed copies
 of a graph's vertices, incident across types along its edges, so that the
 incidence graph is K_r x g for a graph checked once; neighborhood_geometry
 is its rank-2 case, and neighborhood_summary its rank-2 summary with the
-diameters read from g's own walk sweep instead of a sweep of K_2 x g.
+diameters read from g's own walk sets instead of a sweep of K_2 x g (the
+CLI reads them from one vertex, graphs.walk_metrics_from, once the factor
+is proved vertex-transitive on its subset masks in group_action).
 """
 
 from __future__ import annotations
@@ -199,9 +201,10 @@ def neighborhood_geometry(g: Graph, labels=None) -> IncidenceSystem:
 
 
 def neighborhood_summary(g: Graph, cover_eccentricities) -> RankTwoSummary:
-    """rank2_summary(neighborhood_geometry(g)), given the eccentricities of
-    K_2 x g that graphs.cover_walk_metrics reads from g's walk sweep, one
-    per vertex of g for both of its copies; gonality and classification
+    """rank2_summary(neighborhood_geometry(g)), given the eccentricity in
+    K_2 x g of each vertex of g, for both of its copies, whatever computed
+    it: graphs.walk_metrics_from on a vertex-transitive g, or
+    graphs.cover_walk_metrics on any g; gonality and classification
     read the geometry's masks, so the cover's adjacency lists are never
     built and the cover is never swept."""
     return _summary_of(neighborhood_geometry(g), list(cover_eccentricities) * 2)

@@ -442,47 +442,75 @@ def test_assume_transitive_is_an_unknown_argument(capsys):
 
 
 def test_gonality_and_diameter_share_one_rank2_summary(monkeypatch, tmp_path):
-    from knesergeom import cli, graphs, kneser
+    from knesergeom import cli, graphs, kneser, kneser_geometry, subsets
 
-    # the bench's rank2-metrics op: one walk sweep of KG(12,5) serves the
-    # odd girth and both diameters, and the one summary the gonality and
-    # diameter checks share never builds the cover's adjacency lists, so it
-    # is never swept
-    sweeps, summaries, covers = [], [], []
+    # the bench's rank2-metrics op: KG(12,5) is proved vertex-transitive on
+    # its subset masks, so vertex 0's walk sets give the odd girth and both
+    # diameters with no all-source sweep; the rank-2 checks read the geom
+    # that verify built, so the subsets are enumerated and the factor is
+    # checked once; the one summary the gonality and diameter checks share
+    # never builds the adjacency lists of the factor or of the cover
+    sweeps, sources, summaries, covers, enumerations, factors = [], [], [], [], [], []
     walks = graphs._walks
     monkeypatch.setattr(graphs, "_walks", lambda g: (sweeps.append(g), walks(g))[1])
+    monkeypatch.setattr(cli, "walk_metrics_from", _recording(sources, cli.walk_metrics_from))
     monkeypatch.setattr(cli, "neighborhood_summary",
                         _recording(summaries, cli.neighborhood_summary))
     monkeypatch.setattr(kneser, "neighborhood_geometry",
                         _recording(covers, kneser.neighborhood_geometry))
-    for memo in (cli._kneser_graph, cli._kneser_walks, cli._neighborhood_summary):
-        memo.cache_clear()
+    monkeypatch.setattr(kneser_geometry, "enumerate_k_subsets",
+                        _recording(enumerations, subsets.enumerate_k_subsets))
+    from_masks = graphs.Graph.from_masks
+    monkeypatch.setattr(graphs.Graph, "from_masks",
+                        classmethod(lambda cls, masks: (factors.append(from_masks(masks)),
+                                                        factors[-1])[1]))
+    monkeypatch.setattr(kneser, "enumerate_k_subsets",
+                        lambda *a: pytest.fail("a second enumeration of the subsets"))
     out = tmp_path / "cert.json"
     code = cli.main(["verify", "--n", "12", "--k", "5", "--r", "2", "--check", "odd-girth",
                      "--check", "gonality", "--check", "diameter", "--out", str(out)])
     assert code == 0
     checks = json.loads(out.read_text())["checks"]
     assert [c["name"] for c in checks] == ["odd-girth", "gonality", "diameter"]
-    kg = cli._kneser_graph(KneserParams(12, 5))
-    assert sweeps == [kg] and sweeps[0] is kg and kg.n == math.comb(12, 5)
+    assert sweeps == [] and sources == [(7, 7)]
+    assert len(enumerations) == 1 and len(enumerations[0]) == math.comb(12, 5)
+    [kg] = factors
+    assert kg.n == 792 and kg._adj is None
     assert len(summaries) == 1 and checks[1]["details"]["summary"] == checks[2]["details"]["summary"]
     [cover] = covers
     assert cover.graph.n == 2 * kg.n == 1584
     assert cover.graph._adj is None
 
 
-def test_odd_girth_mismatch_witness_builds_kneser_graph_once(monkeypatch, tmp_path):
+def test_rank2_checks_fail_closed_without_the_transitivity_proof(monkeypatch, tmp_path):
     from knesergeom import cli
 
-    built = []
+    # the rank-2 metrics are read from vertex 0 only because KG(n,k) is
+    # proved vertex-transitive; a failed proof stops verify before any
+    # certificate is written, at r = 2 and through the rank-2 geometry at r = 3
+    monkeypatch.setattr(cli, "factor_is_vertex_transitive", lambda geom: False)
+    for n, k, r in [(12, 5, 2), (7, 3, 2), (6, 2, 3)]:
+        for check in ("odd-girth", "gonality", "diameter"):
+            cli._rank2_geometry.cache_clear()
+            out = tmp_path / f"{n}-{k}-{r}-{check}.json"
+            with pytest.raises(RuntimeError, match="vertex-transitivity"):
+                cli.main(["verify", "--n", str(n), "--k", str(k), "--r", str(r),
+                          "--check", check, "--out", str(out)])
+            assert not out.exists()
 
-    def counted(kp):
-        g = kneser_graph(kp)
+
+def test_odd_girth_mismatch_witness_builds_kneser_graph_once(monkeypatch, tmp_path):
+    from knesergeom import Graph, cli
+
+    built = []
+    from_masks = Graph.from_masks
+
+    def counted(cls, masks):
+        g = from_masks(masks)
         built.append(g)
         return g
 
-    cli._kneser_graph.cache_clear()
-    monkeypatch.setattr(cli, "kneser_graph", counted)
+    monkeypatch.setattr(Graph, "from_masks", classmethod(counted))
     monkeypatch.setattr(cli, "predicted_odd_girth", lambda kp: 3)
     out = tmp_path / "cert.json"
     code = cli.main(["verify", "--n", "7", "--k", "3", "--r", "2", "--check", "odd-girth",
@@ -491,6 +519,7 @@ def test_odd_girth_mismatch_witness_builds_kneser_graph_once(monkeypatch, tmp_pa
     details = json.loads(out.read_text())["checks"][0]["details"]
     assert details["predicted"] == 3 and details["computed"] == 7
     cyc, g = details["witness_cycle"], built[0]
+    assert g == kneser_graph(KneserParams(7, 3))
     assert len(cyc) == 7 == len(set(cyc))
     for i in range(len(cyc)):
         assert g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)])
@@ -507,9 +536,6 @@ def test_kneser_checks_share_one_checked_kneser_graph(monkeypatch, tmp_path):
         rows.append(len(masks))
         return from_masks(masks)
 
-    cli._kneser_graph.cache_clear()
-    cli._kneser_walks.cache_clear()
-    cli._neighborhood_summary.cache_clear()
     monkeypatch.setattr(Graph, "from_masks", classmethod(recording))
     out = tmp_path / "cert.json"
     code = cli.main(["verify", "--n", "12", "--k", "5", "--r", "2", "--check", "odd-girth",

@@ -36,6 +36,7 @@ from knesergeom.graphs import (
     cover_walk_metrics,
     eccentricities,
     graph_digest,
+    walk_metrics_from,
 )
 from helpers import (
     complete_tensor_oracle,
@@ -369,6 +370,7 @@ def test_sweeps_match_per_source_bfs_property(g):
 @example(Graph(3, [(0, 1)]))  # bipartite, with an isolated vertex
 @example(disjoint_union(cycle(5), cycle(4)))  # an odd and an even component
 @example(disjoint_union(cycle(7), cycle(3)))  # two odd components
+@example(with_pendant_paths(cycle(5), [3]))  # odd closed walks of several lengths
 def test_cover_walk_metrics_match_sweeps_of_the_cover_property(g):
     assert eccentricities(g) == per_source_eccentricities(g)
     odd, ecc = cover_walk_metrics(g)
@@ -376,6 +378,14 @@ def test_cover_walk_metrics_match_sweeps_of_the_cover_property(g):
     # (v,0) at index v and (v,1) at n+v: both halves read entry v
     assert eccentricities(cover) == per_source_eccentricities(cover) == ecc + ecc
     assert odd == odd_girth(g) == per_source_odd_girth(g)
+    # one vertex's walk sets give its own entry, and the shortest odd closed
+    # walk through it, a shortest path from (v,0) to (v,1) in the cover
+    per_vertex = [walk_metrics_from(g, v) for v in range(g.n)]
+    assert [e for _, e in per_vertex] == ecc
+    assert min((o for o, _ in per_vertex), default=INF) == odd
+    for v, (o, _) in enumerate(per_vertex):
+        d = bfs_distances(cover, v)[g.n + v]
+        assert o == (INF if d < 0 else d)
 
 
 def test_cover_walk_metrics_fixtures(petersen):
@@ -387,6 +397,9 @@ def test_cover_walk_metrics_fixtures(petersen):
     assert cover_walk_metrics(Graph(0)) == (INF, [])
     # K_3's cover is C_6
     assert cover_walk_metrics(TRIANGLE) == (3, [3] * 3)
+    assert walk_metrics_from(TRIANGLE, 2) == (3, 3)
+    with pytest.raises(ValueError):
+        walk_metrics_from(TRIANGLE, 3)
 
 
 @settings(max_examples=150, deadline=None)

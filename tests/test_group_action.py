@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,7 @@ from knesergeom import (
     type_swap_map,
 )
 from knesergeom.graphs import complete_tensor
-from knesergeom.group_action import _is_block_automorphism
+from knesergeom.group_action import _is_block_automorphism, factor_is_vertex_transitive
 from helpers import (
     block_automorphism_oracle,
     colex_point_table,
@@ -286,6 +287,84 @@ def test_symmetry_witness_checks_each_table_against_its_permutation(monkeypatch)
     # a table checked against another generator's permutation fails too
     monkeypatch.setattr(group_action, "point_tables", lambda geom, perms: tables[::-1])
     assert symmetry_witness(geom, perms) is None
+
+
+def _with_subsets(params, subsets):
+    geom = build_geometry(params)
+    geom.subsets = tuple(subsets)
+    return geom
+
+
+def _is_vertex_transitive_oracle(g) -> bool:
+    """Does some automorphism map vertex 0 to each vertex?  By VF2 on the
+    networkx graph with 0 and the target marked."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    match = nx.algorithms.isomorphism.categorical_node_match("mark", False)
+    source = h.copy()
+    nx.set_node_attributes(source, {0: True}, "mark")
+    for v in range(g.n):
+        target = h.copy()
+        nx.set_node_attributes(target, {v: True}, "mark")
+        if not nx.is_isomorphic(source, target, node_match=match):
+            return False
+    return True
+
+
+def test_factor_transitivity_on_the_ladder():
+    for params in [GeometryParams(5, 2, 2), GeometryParams(5, 2, 3), GeometryParams(12, 5, 2),
+                   GeometryParams(7, 3, 4), GeometryParams(4, 1, 3)]:
+        assert factor_is_vertex_transitive(build_geometry(params))
+    # any order of the subsets is one orbit too
+    params = GeometryParams(7, 3, 2)
+    shuffled = list(build_geometry(params).subsets)
+    random.Random(5).shuffle(shuffled)
+    assert factor_is_vertex_transitive(_with_subsets(params, shuffled))
+
+
+def test_factor_transitivity_rejects_families_that_are_not_one_orbit():
+    params = GeometryParams(6, 2, 2)
+    subsets = build_geometry(params).subsets  # the 15 2-subsets of 6 points
+    families = {
+        "a subset removed": subsets[:7] + subsets[8:],
+        "mixed popcounts": subsets[:-1] + (0b111,),
+        "a foreign mask": subsets[:-1] + (1 << 6 | 1,),
+        "a foreign first mask": (1 << 6 | 1,) + subsets[1:],
+        "a repeated mask": subsets + subsets[:1],
+        "no subsets": (),
+    }
+    for name, family in families.items():
+        assert not factor_is_vertex_transitive(_with_subsets(params, family)), name
+    # with a subset removed the factor is not vertex-transitive at all: the
+    # subsets disjoint from the removed one lose a neighbour, the rest not
+    assert not _is_vertex_transitive_oracle(
+        _with_subsets(params, families["a subset removed"]).factor
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_factor_transitivity_is_sound_property(data):
+    # a family the check accepts has a vertex-transitive disjointness graph
+    m = data.draw(st.integers(3, 6))
+    k = data.draw(st.integers(1, (m - 1) // 2))
+    layer = [s for s in range(1, 1 << m) if s.bit_count() == k]
+    kind = data.draw(st.sampled_from(["layer", "subfamily", "any"]))
+    if kind == "layer":
+        family = data.draw(st.permutations(layer))
+    elif kind == "subfamily":
+        family = data.draw(st.lists(st.sampled_from(layer), min_size=1, unique=True))
+    else:
+        family = data.draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=12,
+                                    unique=True))
+    geom = _with_subsets(GeometryParams(m, k, 2), family)
+    verdict = factor_is_vertex_transitive(geom)
+    # one orbit of S_m is one whole layer of subsets of a popcount
+    size = family[0].bit_count()
+    assert verdict == (sorted(family) == [s for s in range(1 << m) if s.bit_count() == size])
+    if verdict:
+        assert _is_vertex_transitive_oracle(geom.factor)
 
 
 def test_chamber_orbit_sizes():

@@ -266,17 +266,19 @@ def test_rank2_summary_fixtures(petersen):
 
 
 def test_partial_linear_space_girth_search_starts_at_six(monkeypatch, petersen):
-    from knesergeom import incidence
+    from knesergeom import graphs, incidence
 
-    # the incidence graph of a rank-2 system is bipartite, and a partial
-    # linear space has no 4-cycle: its girth search gets the floor 6
+    # the incidence graph of a rank-2 system is bipartite by construction,
+    # so its girth search gets the floor 4 with no bipartiteness pass, and a
+    # partial linear space has no 4-cycle, so it gets the floor 6
     floors, real = [], incidence._girth
     monkeypatch.setattr(incidence, "_girth",
                         lambda g, floor: (floors.append(floor), real(g, floor))[1])
+    monkeypatch.setattr(graphs, "is_bipartite", lambda g: pytest.fail("bipartiteness pass"))
     assert rank2_summary(kneser_neighborhood_geometry(KneserParams(5, 2))).gonality == 3
     assert rank2_summary(vertex_edge_geometry(petersen)).gonality == 5  # girth 10 > 6
     assert rank2_summary(kneser_neighborhood_geometry(KneserParams(6, 2))).gonality == 2
-    assert floors == [6, 6]
+    assert floors == [6, 6, 4]
 
 
 @settings(max_examples=300, deadline=None)
