@@ -170,7 +170,10 @@ def _check_diagram(params, geom):
     witness = _symmetry_witness(params, geom)
     # first residues stand for all once the type sets of r - 1 types are covered
     certified = witness is not None and witness.covered >= params.r - 1
-    computed = buekenhout_diagram(geom.incidence_system())
+    # at r = 2 the one pair's only residue is the whole geometry, the
+    # typed_copies of KG(n,k), whose summary the rank-2 checks share
+    known = {(0, 1): _neighborhood_summary(geom)} if params.r == 2 else None
+    computed = buekenhout_diagram(geom.incidence_system(), known)
     predicted = predicted_diagram(params)
     details = {
         "computed": diagram_to_json(computed),
@@ -276,9 +279,11 @@ def _check_odd_girth(params, geom):
 @functools.lru_cache(maxsize=1)
 def _neighborhood_summary(kgeom):
     """The rank-2 summary of the neighborhood geometry of KG(n,k), with its
-    diameters from the shared walk metrics; memoised so that the gonality
-    and diameter checks share one build."""
-    return neighborhood_summary(kgeom.factor, _kneser_walks(kgeom)[1])
+    diameters from the shared walk metrics, which hold the factor's proof
+    of vertex-transitivity, so vertex 0 stands for every vertex in the
+    4-cycle scan and girth search too; memoised so that the gonality,
+    diameter and rank-2 diagram checks share one summary."""
+    return neighborhood_summary(kgeom.factor, _kneser_walks(kgeom)[1], transitive=True)
 
 
 def _check_gonality(params, geom):

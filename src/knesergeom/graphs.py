@@ -3,7 +3,9 @@
 A Graph stores one neighbor bitmask per vertex and nothing else; `adj`, the
 sorted neighbor tuples, is a view built from the masks on first use and
 cached.  Graph.from_masks takes masks and checks them on bit strings, so
-builders that think in masks never make an edge list.
+builders that think in masks never make an edge list; masks that are
+simple by construction (an induced subgraph, complete_tensor, a graph6
+decode, kneser.disjointness_table) skip the check through Graph._derived.
 
 Everything here is deterministic and exact: BFS distances, girth, odd girth,
 diameter, connectivity, bipartiteness, induced subgraphs, the tensor
@@ -13,16 +15,19 @@ residue checks; bipartiteness is one bitmask layer sweep per component.
 Induced subgraphs move each row's kept bits into place one at a time.
 Girth runs one BFS per source over per-vertex neighbor bitmasks and stops
 at the first source that reaches 3, or 4 on a bipartite graph (_girth
-takes a higher floor from a caller that knows one).  Every other distance
-reads walk sets: W_L[v], the endpoints of the walks of exact length L
-from v.  The all-sources sweep, _walks, gives eccentricities from the
-balls W_L | W_{L-1}; the odd girth at the first odd closed walk; and,
-through cover_walk_metrics, the odd girth together with every eccentricity
-of the double cover K_2 x G, without building the cover or sweeping it;
-the shortest odd cycle is walked back on its first vertex's walk sets.
-walk_metrics_from reads the same two values off one vertex's walk sets
-alone, which decide every vertex of a vertex-transitive graph; the CLI
-reads those, and cover_walk_metrics, exact on any graph, is their oracle.
+takes a higher floor, and fewer sources, from a caller that knows them,
+and reads its rows through one argument, so that the double cover's can
+be _CoverRows, made from the graph's own as they are read).  Every other
+distance reads walk sets: W_L[v], the endpoints of the walks of exact
+length L from v.  The all-sources sweep, _walks, gives eccentricities
+from the balls W_L | W_{L-1}; the odd girth at the first odd closed
+walk; and, through cover_walk_metrics, the odd girth together with every
+eccentricity of the double cover K_2 x G, without building the cover or
+sweeping it; the shortest odd cycle is walked back on its first vertex's
+walk sets.  walk_metrics_from reads the same two values off one vertex's
+walk sets alone, which decide every vertex of a vertex-transitive graph;
+the CLI reads those, and cover_walk_metrics, exact on any graph, is their
+oracle.
 graph6 is encoded in pieces, one window of columns merged into an integer
 at a time, and both ways cut six-bit digits with binascii's base64 codec
 and one byte translation.  graph_digest streams its text into sha256 a row
@@ -98,7 +103,8 @@ class Graph:
         """from_masks without its checks, for masks that are simple by
         construction: cut from a Graph's own (an induced subgraph, or the
         complete_tensor or bipartite_double_cover of a simple graph, is
-        simple) or decoded from graph6."""
+        simple), decoded from graph6, or a disjointness_table of nonempty
+        subsets (see its docstring)."""
         g = cls.__new__(cls)
         g.n, g.neighbor_masks, g._adj = len(masks), tuple(masks), None
         return g
@@ -289,15 +295,18 @@ def girth(g: Graph):
     are attained, so the minimum is exact.  The sources stop once a cycle
     as short as any the graph can have is found: 3, or 4 if it is bipartite.
     """
-    return _girth(g, 4 if is_bipartite(g) else 3)
+    return _girth(g.neighbor_masks, range(g.n), 4 if is_bipartite(g) else 3)
 
 
-def _girth(g: Graph, floor: int):
-    """girth(g), given a floor that no cycle of g is shorter than: the
-    first source on a cycle of that length ends the search."""
-    masks = g.neighbor_masks
+def _girth(masks, sources, floor: int):
+    """The girth of the graph in which vertex v has the neighbor bitmask
+    masks[v], by girth's BFS from each of the sources in turn, given a
+    floor that no cycle is shorter than: the first source on a cycle of
+    that length ends the search.  A BFS from a vertex of a shortest cycle
+    attains the girth, and no source finds less, so the sources need only
+    hold a vertex of some shortest cycle; every vertex always will."""
     best = INF
-    for s in range(g.n):
+    for s in sources:
         visited = 1 << s
         cur = visited
         d = 0
@@ -500,6 +509,20 @@ def complete_tensor(g: Graph, r: int) -> Graph:
     for u in range(1, r):
         tiled = [row | m << u * n for row, m in zip(tiled, masks)]
     return Graph._derived([row ^ m << t * n for t in range(r) for row, m in zip(tiled, masks)])
+
+
+class _CoverRows:
+    """The neighbor masks of K_2 x g, complete_tensor(g, 2), each made from
+    g's own as it is read: (v,0) at v has v's row moved onto block 1, and
+    (v,1) at n+v has v's row.  Nothing of the cover is held."""
+
+    __slots__ = ("masks", "n")
+
+    def __init__(self, g: Graph):
+        self.masks, self.n = g.neighbor_masks, g.n
+
+    def __getitem__(self, v: int) -> int:
+        return self.masks[v] << self.n if v < self.n else self.masks[v - self.n]
 
 
 def bipartite_double_cover(g: Graph) -> Graph:

@@ -30,7 +30,9 @@ the group's elements.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
+from itertools import pairwise
 
 from .graphs import _iter_bits
 from .incidence import IncidenceSystem, flags_of_type, residue_mask
@@ -149,11 +151,12 @@ def factor_is_vertex_transitive(geom: KneserGeometry) -> bool:
     disjointness_table of the subsets, by construction, so by the mask
     lemma of symmetry_witness each such pi is an automorphism of it; and as
     every S_i is g S_0 for some g, they are transitive on its vertices.
-    No element table is built.
+    No element table is built, and no set: the orbit is found by binary
+    search in a sorted copy of the masks, marked in one byte per subset.
     """
     subsets, m = geom.subsets, geom.params.ground_size
-    distinct = set(subsets)
-    if not subsets or subsets[0] >> m or len(distinct) != len(subsets):
+    ordered = sorted(subsets)
+    if not subsets or subsets[0] >> m or any(a >= b for a, b in pairwise(ordered)):
         return False
     full = (1 << m) - 1
 
@@ -164,14 +167,18 @@ def factor_is_vertex_transitive(geom: KneserGeometry) -> bool:
     def shift(s):
         return (s << 1 & full) | s >> (m - 1)
 
-    orbit, queue = {subsets[0]}, [subsets[0]]
+    seen, queue = bytearray(len(ordered)), [subsets[0]]
+    seen[bisect_left(ordered, subsets[0])] = 1
     for s in queue:  # grows while it is scanned
         for move in (swap01, shift):
             t = move(s)
-            if t not in orbit:
-                orbit.add(t)
-                queue.append(t)
-    return orbit == distinct
+            i = bisect_left(ordered, t)
+            if i == len(ordered) or ordered[i] != t:
+                return False  # the orbit leaves the family
+            if not seen[i]:
+                seen[i] = 1
+                queue.append(ordered[i])
+    return len(queue) == len(ordered)
 
 
 def is_type_preserving_automorphism(sys: IncidenceSystem, table) -> bool:

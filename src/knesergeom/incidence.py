@@ -16,8 +16,11 @@ first residue; the other predicates read _walk, which skips the rest only
 where a verified witness of the system's own graph proves transitivity.
 A rank-2 summary classifies first: its incidence graph is bipartite, since
 no two elements of one type are incident, so its girth search takes the
-floor 4, or 6 for a partial linear space, which has no 4-cycle, and ends
-at the first source on a cycle of the floor's length.
+floor 4, or 6 for a partial linear space, which has no 4-cycle, starts
+from one side only and ends at the first source on a cycle of the floor's
+length.  Both read the incidence rows through one argument, so
+kneser.neighborhood_summary runs the same two loops on rows of the double
+cover made from its factor's.
 
 All counts are exact integers; math.inf only ever appears as a gonality or
 diameter of degenerate systems.  Results are namedtuples (GeometryCheck,
@@ -328,10 +331,10 @@ class RankTwoSummary(namedtuple("RankTwoSummary", "types gonality diameters clas
     __slots__ = ()
 
 
-def _classify(sys: IncidenceSystem, cand: int, pair) -> str:
-    """Digon / partial linear space / neither for the rank-2 system on the
-    elements of the bitmask cand, whose types are pair, without assuming
-    connectivity.
+def _classify(masks, a_mask: int, b_mask: int, scan=None) -> str:
+    """Digon / partial linear space / neither for the rank-2 system with
+    the first side a_mask and the second b_mask, in which element e has
+    the incidence bitmask masks[e], without assuming connectivity.
 
     A generalised digon is a complete bipartite incidence with at least two
     elements on each side (so gonality and both diameters equal 2); a
@@ -342,13 +345,19 @@ def _classify(sys: IncidenceSystem, cand: int, pair) -> str:
     or'ed one b at a time, meet again exactly when some a' shares two
     neighbors with a.  A complete bipartite system with a singleton side
     has no 4-cycle and lands in the linear-space class.
+
+    scan, a bitmask within the first side, is the elements passed over, all
+    of it by default.  A caller may pass fewer when automorphisms that keep
+    the sides carry every element of the first side into scan, as they
+    then carry every 4-cycle onto one through scan.
     """
-    masks = sys.element_masks
-    a_mask, b_mask = cand & sys.type_mask(pair[0]), cand & sys.type_mask(pair[1])
-    side = list(_iter_bits(a_mask))
-    if len(side) >= 2 and b_mask.bit_count() >= 2 and all(masks[a] & b_mask == b_mask for a in side):
+    if (
+        a_mask.bit_count() >= 2
+        and b_mask.bit_count() >= 2
+        and all(masks[a] & b_mask == b_mask for a in _iter_bits(a_mask))
+    ):
         return DIGON
-    for a in side:
+    for a in _iter_bits(a_mask if scan is None else scan):
         others, seen = a_mask ^ 1 << a, 0
         for b in _iter_bits(masks[a] & b_mask):
             back = masks[b] & others
@@ -361,7 +370,7 @@ def _classify(sys: IncidenceSystem, cand: int, pair) -> str:
 def classify_rank2(sys: IncidenceSystem) -> str:
     if sys.rank != 2:
         raise ValueError("classification needs a rank-2 system")
-    return _classify(sys, (1 << sys.n_elements) - 1, sys.types)
+    return _classify(sys.element_masks, *map(sys.type_mask, sys.types))
 
 
 def rank2_summary(sys: IncidenceSystem) -> RankTwoSummary:
@@ -376,26 +385,37 @@ def _summary_of(sys: IncidenceSystem, ecc) -> RankTwoSummary:
     """rank2_summary of the rank-2 system sys, given the eccentricity of
     each element in its incidence graph."""
     if INF in ecc:  # some element is unreachable from another
-        comps = connected_components(sys.graph)
-        raise DisconnectedGeometryError(
-            f"incidence graph has {len(comps)} components", comps
-        )
-    classification = classify_rank2(sys)
-    # the incidence graph is bipartite, as no two elements of one type are
-    # incident, so its girth is at least 4; a partial linear space has no
-    # 4-cycle, so its girth is at least 6
-    gv = _girth(sys.graph, 6 if classification == PARTIAL_LINEAR_SPACE else 4)
-    gon = INF if gv == INF else gv // 2
-    dias = []
-    for t in sys.types:
-        elems = sys.elements_of_type(t)
-        dias.append(max((ecc[e] for e in elems), default=0))
+        raise _disconnected(sys.graph)
+    sides = [sys.type_mask(t) for t in sys.types]
+    diameters = [max((ecc[e] for e in _iter_bits(side)), default=0) for side in sides]
+    return _rank2(sys.types, sys.element_masks, *sides, diameters)
+
+
+def _rank2(types, masks, a_mask: int, b_mask: int, diameters, scan=None) -> RankTwoSummary:
+    """The summary of a connected rank-2 system of the given types, sides,
+    incidence bitmasks and per-type diameters: one _classify and one _girth.
+
+    The incidence graph is bipartite, as no two elements of one type are
+    incident, so its girth is at least 4; a partial linear space has no
+    4-cycle, so its girth is at least 6.  Every cycle has elements of both
+    sides, so the girth search starts only from the first side, or from
+    scan, as in _classify: the automorphisms that let scan stand for the
+    first side carry a shortest cycle onto one through scan too."""
+    classification = _classify(masks, a_mask, b_mask, scan)
+    floor = 6 if classification == PARTIAL_LINEAR_SPACE else 4
+    gv = _girth(masks, _iter_bits(a_mask if scan is None else scan), floor)
     return RankTwoSummary(
-        types=(sys.types[0], sys.types[1]),
-        gonality=gon,
-        diameters=(dias[0], dias[1]),
+        types=(types[0], types[1]),
+        gonality=INF if gv == INF else gv // 2,
+        diameters=(diameters[0], diameters[1]),
         classification=classification,
     )
+
+
+def _disconnected(graph: Graph) -> DisconnectedGeometryError:
+    """The error for a disconnected incidence graph, naming its components."""
+    comps = connected_components(graph)
+    return DisconnectedGeometryError(f"incidence graph has {len(comps)} components", comps)
 
 
 Ip2Check = namedtuple("Ip2Check", "ok failing_pair failing_flag")
@@ -408,9 +428,10 @@ def satisfies_ip2(sys: IncidenceSystem, witness=None) -> Ip2Check:
     transitive (_walk), and every residue of any other pair."""
     if sys.rank < 2:
         return Ip2Check(True, None, None)
+    masks = sys.element_masks
     for J, flag, cand in _walk(sys, (sys.rank - 2,), witness):
         pair = _cotype(sys, J)
-        if _classify(sys, cand, pair) == NEITHER:
+        if _classify(masks, *(cand & sys.type_mask(t) for t in pair)) == NEITHER:
             return Ip2Check(False, pair, flag)
     return Ip2Check(True, None, None)
 
@@ -427,14 +448,17 @@ class BuekenhoutDiagram(namedtuple("BuekenhoutDiagram", "types orders counts edg
     __slots__ = ()
 
 
-def buekenhout_diagram(sys: IncidenceSystem) -> BuekenhoutDiagram:
+def buekenhout_diagram(sys: IncidenceSystem, summaries=None) -> BuekenhoutDiagram:
     """Extract the diagram from the first residue of each kind.
 
     Orders come from the first rank-1 residue of each cotype, pair labels
-    from the first rank-2 residue of each type pair.  The diagram describes
-    every residue when the geometry is flag-transitive on those type sets,
-    which SymmetryWitness.covered certifies for verified automorphisms.
+    from the first rank-2 residue of each type pair, or from summaries, a
+    dict of the type pairs whose first residue's rank2_summary the caller
+    already holds.  The diagram describes every residue when the geometry
+    is flag-transitive on those type sets, which SymmetryWitness.covered
+    certifies for verified automorphisms.
     """
+    summaries = summaries or {}
     counts = {t: len(sys.elements_of_type(t)) for t in sys.types}
     cotypes = [*combinations(sys.types, 1), *combinations(sys.types, 2)]
     first = {c: next(_residues(sys, _cotype(sys, c)), (None, None))[1] for c in cotypes}
@@ -444,7 +468,9 @@ def buekenhout_diagram(sys: IncidenceSystem) -> BuekenhoutDiagram:
     orders = {i: first[(i,)].bit_count() - 1 for i in sys.types}
     edges = {}
     for pair in combinations(sys.types, 2):
-        summary = rank2_summary(_restriction(sys, list(_iter_bits(first[pair])), pair))
+        summary = summaries.get(pair)
+        if summary is None:
+            summary = rank2_summary(_restriction(sys, list(_iter_bits(first[pair])), pair))
         if summary.classification != DIGON:
             edges[pair] = summary
     return BuekenhoutDiagram(sys.types, orders, counts, edges)

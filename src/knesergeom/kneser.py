@@ -14,21 +14,25 @@ and an odd walk of length exactly 2*ceil(c/(n-2k)) + 1, by swapping
 padding from the complement of A union B.  Every constructed walk is
 re-verified before being returned.
 
+KG(n, k) is disjointness_table of its subsets, simple by construction
+(the lemma is in its docstring), so it is built with no symmetry check.
 typed_copies is the one constructor of the geometries here: r typed copies
 of a graph's vertices, incident across types along its edges, so that the
-incidence graph is K_r x g for a graph checked once; neighborhood_geometry
-is its rank-2 case, and neighborhood_summary its rank-2 summary with the
-diameters read from g's own walk sets instead of a sweep of K_2 x g (the
-CLI reads them from one vertex, graphs.walk_metrics_from, once the factor
-is proved vertex-transitive on its subset masks in group_action).
+incidence graph is K_r x g for a simple g; neighborhood_geometry is its
+rank-2 case.  neighborhood_summary is that case's rank-2 summary with no
+cover built: the diameters come from g's own walk sets (the CLI reads them
+from one vertex, graphs.walk_metrics_from, once the factor is proved
+vertex-transitive on its subset masks in group_action), and the class and
+gonality from incidence's one 4-cycle scan and one girth search, run on
+rows of K_2 x g made from g's masks as they are read.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .graphs import Graph, _iter_bits, complete_tensor
-from .incidence import IncidenceSystem, RankTwoSummary, _summary_of
+from .graphs import INF, Graph, _CoverRows, _iter_bits, complete_tensor
+from .incidence import IncidenceSystem, RankTwoSummary, _disconnected, _rank2
 from .subsets import GroundSet, KSubset, enumerate_k_subsets, validate_subset
 
 
@@ -55,9 +59,17 @@ def disjointness_table(subsets) -> list[int]:
     """For nonempty subset bitmasks S_0..S_{N-1}, D[i] is the bitmask of
     the j with S_j disjoint from S_i: the AND over the points p of S_i of
     the subsets avoiding p, taken as the complement of the OR of the
-    subsets that hold p.  S_i holds its own points, so i is not in D[i]."""
+    subsets that hold p.  Raises ValueError on an empty subset.
+
+    Lemma: D is the neighbor masks of a simple graph, so Graph._derived
+    takes it with no check.  j is in D[i] iff S_i & S_j == 0, which is
+    symmetric in i and j; S_i is nonempty and holds its own points, so i
+    is not in D[i]; and D[i] is everything minus some bits, so every bit
+    lies in 0..N-1."""
     holding = {}
     for i, s in enumerate(subsets):
+        if not s:
+            raise ValueError(f"subset {i} is empty")
         for p in _iter_bits(s):
             holding[p] = holding.get(p, 0) | 1 << i
     everything = (1 << len(subsets)) - 1
@@ -73,7 +85,7 @@ def disjointness_table(subsets) -> list[int]:
 def kneser_graph(p: KneserParams) -> Graph:
     """KG(n,k): C(n,k) vertices indexed by colex rank, edge iff disjoint."""
     subsets = [s.bits for s in enumerate_k_subsets(p.ground, p.k)]
-    return Graph.from_masks(disjointness_table(subsets))
+    return Graph._derived(disjointness_table(subsets))
 
 
 def typed_copies(g: Graph, r: int, labels=None) -> IncidenceSystem:
@@ -200,14 +212,30 @@ def neighborhood_geometry(g: Graph, labels=None) -> IncidenceSystem:
     return typed_copies(g, 2, labels)
 
 
-def neighborhood_summary(g: Graph, cover_eccentricities) -> RankTwoSummary:
+def neighborhood_summary(g: Graph, cover_eccentricities, transitive=False) -> RankTwoSummary:
     """rank2_summary(neighborhood_geometry(g)), given the eccentricity in
     K_2 x g of each vertex of g, for both of its copies, whatever computed
     it: graphs.walk_metrics_from on a vertex-transitive g, or
-    graphs.cover_walk_metrics on any g; gonality and classification
-    read the geometry's masks, so the cover's adjacency lists are never
-    built and the cover is never swept."""
-    return _summary_of(neighborhood_geometry(g), list(cover_eccentricities) * 2)
+    graphs.cover_walk_metrics on any g.
+
+    The class and gonality are incidence's one 4-cycle scan and one girth
+    search, run on _CoverRows(g), so neither the geometry nor the cover is
+    built; an infinite eccentricity alone builds the cover, to name its
+    components in the error.  (v,0) is never incident to (v,1), so K_2 x g
+    is never a digon, and a 4-cycle (a,0)-(b,1)-(a',0)-(b',1) is two
+    vertices a != a' of g with two common neighbours b != b'.  Both loops
+    start from side 0 only, which holds a vertex of every cycle.  With
+    transitive, a caller's proof that g is vertex-transitive, they start
+    from (0,0) alone: an automorphism h of g gives h x id on K_2 x g, which
+    carries any (a,0) to (0,0) and keeps the sides.
+    """
+    ecc = list(cover_eccentricities)
+    if INF in ecc:
+        raise _disconnected(complete_tensor(g, 2))
+    side = (1 << g.n) - 1
+    diameter = max(ecc, default=0)
+    scan = side & 1 if transitive else None
+    return _rank2((0, 1), _CoverRows(g), side, side << g.n, (diameter, diameter), scan)
 
 
 def kneser_neighborhood_geometry(p: KneserParams) -> IncidenceSystem:

@@ -10,8 +10,9 @@ what the closed-form diagram below encodes.
 Element indexing is type-major with colex order within a type, (t, i) at
 t*C(m, k) + i, so every derived certificate is byte-reproducible.  The
 incidence graph is the tensor product K_r x KG(m, k), m = n + k(r-2): the
-geometry keeps the factor KG(m, k) on one type's subsets, checked once by
-Graph.from_masks, and incidence_system is kneser.typed_copies of it, so no
+geometry keeps the factor KG(m, k) on one type's subsets, the
+kneser.disjointness_table of them, simple by construction and so built with
+no symmetry check, and incidence_system is kneser.typed_copies of it, so no
 pair of elements is visited and no edge list is made.
 """
 
@@ -104,9 +105,10 @@ class KneserGeometry:
 
     @property
     def factor(self) -> Graph:
-        """KG(m, k) on one type's subsets, checked by Graph.from_masks."""
+        """KG(m, k) on one type's subsets: their disjointness_table, whose
+        docstring proves it simple, so Graph._derived takes it unchecked."""
         if self._factor is None:
-            self._factor = Graph.from_masks(disjointness_table(self.subsets))
+            self._factor = Graph._derived(disjointness_table(self.subsets))
         return self._factor
 
     def incidence_system(self) -> IncidenceSystem:

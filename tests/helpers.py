@@ -8,10 +8,11 @@ injections, group order by listing every element, colour refinement by
 recomputing every vertex's neighbour-colour multiset each round, flags by
 itertools.product over the per-type element lists, residue connectivity
 and the geometry test (maximal cliques) by networkx, diagram uniformity by
-building every corank-1 and corank-2 residue with residue(), Kneser graphs
-and disjointness geometries by a loop over pairs of subsets into an edge
-list, the tensor K_r x G by a loop over pairs of typed vertices, graph6
-by packing each six-bit slice of the column bit string, the 4-cycle
+building every corank-1 and corank-2 residue with residue(), Kneser graphs,
+disjointness tables and disjointness geometries by a loop over pairs of
+subsets, the rank-2 summary of a neighborhood geometry on the built
+double cover, the tensor K_r x G by a loop over pairs of typed vertices,
+graph6 by packing each six-bit slice of the column bit string, the 4-cycle
 test of a rank-2 residue by comparing every pair of one side, block
 automorphisms by a pairwise check of the factor, graph digests by
 hashlib over the whole text in one string, and the build command's
@@ -535,6 +536,24 @@ def kneser_graph_oracle(n, k):
         if masks[i] & masks[j] == 0
     ]
     return Graph(len(masks), edges)
+
+
+def neighborhood_summary_oracle(g, cover_eccentricities):
+    """kneser.neighborhood_summary by the cover path: the rank-2 summary of
+    the built neighborhood geometry, typed_copies of g on K_2 x g, given
+    each vertex's cover eccentricity for both of its copies."""
+    from knesergeom.incidence import _summary_of
+    from knesergeom.kneser import neighborhood_geometry
+
+    return _summary_of(neighborhood_geometry(g), list(cover_eccentricities) * 2)
+
+
+def disjointness_table_oracle(subsets):
+    """Each subset's neighbour mask by a pairwise disjointness test."""
+    return [
+        sum(1 << j for j, t in enumerate(subsets) if s & t == 0)
+        for s in subsets
+    ]
 
 
 def incidence_system_oracle(n, k, r):

@@ -245,8 +245,8 @@ def test_build_out_io_error_exit3(tmp_path):
 
 
 def _recording(results, fn):
-    def recorded(*args):
-        result = fn(*args)
+    def recorded(*args, **kwargs):
+        result = fn(*args, **kwargs)
         results.append(result)
         return result
 
@@ -447,23 +447,22 @@ def test_gonality_and_diameter_share_one_rank2_summary(monkeypatch, tmp_path):
     # the bench's rank2-metrics op: KG(12,5) is proved vertex-transitive on
     # its subset masks, so vertex 0's walk sets give the odd girth and both
     # diameters with no all-source sweep; the rank-2 checks read the geom
-    # that verify built, so the subsets are enumerated and the factor is
-    # checked once; the one summary the gonality and diameter checks share
-    # never builds the adjacency lists of the factor or of the cover
+    # that verify built, so the subsets are enumerated and the factor's
+    # disjointness table is made once; the one summary the gonality and
+    # diameter checks share builds no cover and no adjacency lists
     sweeps, sources, summaries, covers, enumerations, factors = [], [], [], [], [], []
     walks = graphs._walks
     monkeypatch.setattr(graphs, "_walks", lambda g: (sweeps.append(g), walks(g))[1])
     monkeypatch.setattr(cli, "walk_metrics_from", _recording(sources, cli.walk_metrics_from))
+    summary = cli.neighborhood_summary
     monkeypatch.setattr(cli, "neighborhood_summary",
-                        _recording(summaries, cli.neighborhood_summary))
+                        lambda g, *a, **kw: (summaries.append(g), summary(g, *a, **kw))[1])
     monkeypatch.setattr(kneser, "neighborhood_geometry",
                         _recording(covers, kneser.neighborhood_geometry))
     monkeypatch.setattr(kneser_geometry, "enumerate_k_subsets",
                         _recording(enumerations, subsets.enumerate_k_subsets))
-    from_masks = graphs.Graph.from_masks
-    monkeypatch.setattr(graphs.Graph, "from_masks",
-                        classmethod(lambda cls, masks: (factors.append(from_masks(masks)),
-                                                        factors[-1])[1]))
+    monkeypatch.setattr(kneser_geometry, "disjointness_table",
+                        _recording(factors, kneser.disjointness_table))
     monkeypatch.setattr(kneser, "enumerate_k_subsets",
                         lambda *a: pytest.fail("a second enumeration of the subsets"))
     out = tmp_path / "cert.json"
@@ -474,12 +473,11 @@ def test_gonality_and_diameter_share_one_rank2_summary(monkeypatch, tmp_path):
     assert [c["name"] for c in checks] == ["odd-girth", "gonality", "diameter"]
     assert sweeps == [] and sources == [(7, 7)]
     assert len(enumerations) == 1 and len(enumerations[0]) == math.comb(12, 5)
-    [kg] = factors
+    [table], [kg] = factors, summaries
     assert kg.n == 792 and kg._adj is None
-    assert len(summaries) == 1 and checks[1]["details"]["summary"] == checks[2]["details"]["summary"]
-    [cover] = covers
-    assert cover.graph.n == 2 * kg.n == 1584
-    assert cover.graph._adj is None
+    assert graphs.Graph.from_masks(table) == kg  # the checked constructor as oracle
+    assert checks[1]["details"]["summary"] == checks[2]["details"]["summary"]
+    assert covers == []
 
 
 def test_rank2_checks_fail_closed_without_the_transitivity_proof(monkeypatch, tmp_path):
@@ -500,25 +498,19 @@ def test_rank2_checks_fail_closed_without_the_transitivity_proof(monkeypatch, tm
 
 
 def test_odd_girth_mismatch_witness_builds_kneser_graph_once(monkeypatch, tmp_path):
-    from knesergeom import Graph, cli
+    from knesergeom import Graph, cli, kneser, kneser_geometry
 
-    built = []
-    from_masks = Graph.from_masks
-
-    def counted(cls, masks):
-        g = from_masks(masks)
-        built.append(g)
-        return g
-
-    monkeypatch.setattr(Graph, "from_masks", classmethod(counted))
+    tables = []
+    monkeypatch.setattr(kneser_geometry, "disjointness_table",
+                        _recording(tables, kneser.disjointness_table))
     monkeypatch.setattr(cli, "predicted_odd_girth", lambda kp: 3)
     out = tmp_path / "cert.json"
     code = cli.main(["verify", "--n", "7", "--k", "3", "--r", "2", "--check", "odd-girth",
                      "--out", str(out)])
-    assert code == 1 and len(built) == 1
+    assert code == 1 and len(tables) == 1
     details = json.loads(out.read_text())["checks"][0]["details"]
     assert details["predicted"] == 3 and details["computed"] == 7
-    cyc, g = details["witness_cycle"], built[0]
+    cyc, g = details["witness_cycle"], Graph.from_masks(tables[0])  # checked, as oracle
     assert g == kneser_graph(KneserParams(7, 3))
     assert len(cyc) == 7 == len(set(cyc))
     for i in range(len(cyc)):
@@ -526,25 +518,116 @@ def test_odd_girth_mismatch_witness_builds_kneser_graph_once(monkeypatch, tmp_pa
 
 
 def test_kneser_checks_share_one_checked_kneser_graph(monkeypatch, tmp_path):
-    from knesergeom import Graph, cli
+    from knesergeom import Graph, cli, kneser, kneser_geometry
 
-    rows = []
-    from_masks = Graph.from_masks
-
-    def recording(cls, masks):
-        masks = tuple(masks)
-        rows.append(len(masks))
-        return from_masks(masks)
-
-    monkeypatch.setattr(Graph, "from_masks", classmethod(recording))
+    tables = []
+    monkeypatch.setattr(kneser_geometry, "disjointness_table",
+                        _recording(tables, kneser.disjointness_table))
     out = tmp_path / "cert.json"
     code = cli.main(["verify", "--n", "12", "--k", "5", "--r", "2", "--check", "odd-girth",
                      "--check", "gonality", "--check", "diameter", "--out", str(out)])
     assert code == 0
-    assert rows == [math.comb(12, 5)]  # 792 rows, checked once
+    assert [len(t) for t in tables] == [math.comb(12, 5)]  # 792 rows, made once
+    assert Graph.from_masks(tables[0]) == kneser_graph(KneserParams(12, 5))  # checked oracle
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "d9bbfa01d1f1ba47e8471fb896e16dcf03efa109d5af07b38ad640a24320238e"
     )
+
+
+def test_rank2_checks_build_no_cover(monkeypatch, tmp_path):
+    from knesergeom import cli, graphs, incidence, kneser, kneser_geometry
+
+    # the gonality and diameter checks read K_2 x KG(12,5) from KG's own
+    # masks, and the vertex-transitivity proof lets vertex 0 stand for its
+    # side in the one 4-cycle scan and the one girth search
+    for module, name in [(kneser, "typed_copies"), (kneser_geometry, "typed_copies"),
+                         (kneser, "neighborhood_geometry"), (kneser, "complete_tensor"),
+                         (graphs, "complete_tensor")]:
+        monkeypatch.setattr(module, name, lambda *a, _name=name: pytest.fail(f"{_name} called"))
+    scans, sources = [], []
+    classify, girth = incidence._classify, incidence._girth
+    monkeypatch.setattr(incidence, "_classify",
+                        lambda masks, a, b, scan=None: (scans.append(scan),
+                                                        classify(masks, a, b, scan))[1])
+    monkeypatch.setattr(incidence, "_girth",
+                        lambda rows, srcs, floor: (sources.append(list(srcs)),
+                                                   girth(rows, sources[-1], floor))[1])
+    out = tmp_path / "cert.json"
+    code = cli.main(["verify", "--n", "12", "--k", "5", "--r", "2", "--check", "gonality",
+                     "--check", "diameter", "--out", str(out)])
+    assert code == 0
+    assert scans == [1] and sources == [[0]]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b1a190882d68b61f40fbaf1386cb48cb08ed9c5a998b2b143db2ab8f40599bba"
+    )
+
+
+def test_rank2_checks_run_in_bounded_memory(tmp_path):
+    from knesergeom import cli
+
+    # the (12,5) rank-2 checks hold O(C(12,5)) words: the subsets, the
+    # factor's 792 masks and the walk sets of one vertex; checking the
+    # factor's symmetry on bit strings and building the 1,584-vertex cover
+    # peaked at about 1.4 MB
+    out = tmp_path / "cert.json"
+    argv = ["verify", "--n", "12", "--k", "5", "--r", "2", "--check", "odd-girth",
+            "--check", "gonality", "--check", "diameter", "--out", str(out)]
+    assert cli.main(argv) == 0  # first-use imports and caches stay out of the count
+    for memo in (cli._rank2_geometry, cli._kneser_walks, cli._neighborhood_summary):
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 300 << 10, peak
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d9bbfa01d1f1ba47e8471fb896e16dcf03efa109d5af07b38ad640a24320238e"
+    )
+
+
+def test_rank2_diagram_reads_the_shared_summary(monkeypatch, tmp_path):
+    from knesergeom import cli, incidence
+
+    # at r = 2 the diagram's one edge is the summary of the whole geometry,
+    # which the gonality and diameter checks share; no all-source sweep of
+    # the cover and no restriction is made
+    summaries = []
+    summary = cli.neighborhood_summary
+    monkeypatch.setattr(cli, "neighborhood_summary",
+                        lambda *a, **kw: (summaries.append(a[0].n), summary(*a, **kw))[1])
+    for name in ("rank2_summary", "eccentricities", "_restriction"):
+        monkeypatch.setattr(incidence, name, lambda *a, _name=name: pytest.fail(f"{_name} called"))
+    out = tmp_path / "all.json"
+    code = cli.main(["verify", "--all", "--n", "12", "--k", "5", "--r", "2", "--out", str(out)])
+    assert code == 1  # ip2 fails off n = 2k + 1, as the paper predicts
+    assert summaries == [792]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "00769702fe802c068739332d6777ca8718487363fbac84b69a959aa94829f8fc"
+    )
+
+
+def test_uncertified_rank2_diagram_summarises_the_geometry(monkeypatch, tmp_path):
+    from knesergeom import cli
+
+    # at r = 2 the one residue is the whole geometry whatever the witness
+    # covers, so a witness that covers no type still reads the shared
+    # summary; the check fails only because uniformity is not certified
+    certified = tmp_path / "certified.json"
+    assert cli.main(["verify", "--n", "7", "--k", "3", "--r", "2", "--check", "diagram",
+                     "--out", str(certified)]) == 0
+    dropped = (0, 2, 1, 3, 4, 5, 6)  # leaves Sym{0,1} x Sym{2..6}: 5 of 35 subsets at level 0
+    real = cli.symmetry_witness
+    monkeypatch.setattr(cli, "symmetry_witness",
+                        lambda geom, perms: real(geom, [p for p in perms if p != dropped]))
+    out = tmp_path / "cert.json"
+    assert cli.main(["verify", "--n", "7", "--k", "3", "--r", "2", "--check", "diagram",
+                     "--out", str(out)]) == 1
+    [got], [want] = (json.loads(p.read_text())["checks"] for p in (out, certified))
+    assert got["details"]["uniformity_certified"] is False
+    assert got["details"]["computed"] == want["details"]["computed"]
 
 
 def test_thickness_reports_computed_minimum(monkeypatch):

@@ -197,6 +197,9 @@ def test_complete_tensor_matches_pair_loop_and_passes_the_checks(g, r):
     assert Graph.from_masks(t.neighbor_masks) == t
     if r == 2:
         assert t == bipartite_double_cover(g)
+        # the cover's rows as the rank-2 summary reads them, made from g's
+        rows = graphs._CoverRows(g)
+        assert [rows[v] for v in range(t.n)] == list(t.neighbor_masks)
 
 
 def test_double_cover_connectivity_criterion():

@@ -273,7 +273,8 @@ def test_partial_linear_space_girth_search_starts_at_six(monkeypatch, petersen):
     # partial linear space has no 4-cycle, so it gets the floor 6
     floors, real = [], incidence._girth
     monkeypatch.setattr(incidence, "_girth",
-                        lambda g, floor: (floors.append(floor), real(g, floor))[1])
+                        lambda rows, sources, floor: (floors.append(floor),
+                                                      real(rows, sources, floor))[1])
     monkeypatch.setattr(graphs, "is_bipartite", lambda g: pytest.fail("bipartiteness pass"))
     assert rank2_summary(kneser_neighborhood_geometry(KneserParams(5, 2))).gonality == 3
     assert rank2_summary(vertex_edge_geometry(petersen)).gonality == 5  # girth 10 > 6
@@ -320,7 +321,7 @@ def test_classify_one_pass_matches_pairwise_scan_property(sys_, data):
     g = nx_incidence_graph(sys_)
     elements = [e for e in range(sys_.n_elements) if cand >> e & 1]
     for pair in (sys_.types, sys_.types[::-1]):
-        got = _classify(sys_, cand, pair)
+        got = _classify(sys_.element_masks, *(cand & sys_.type_mask(t) for t in pair))
         assert got == classify_pairwise_oracle(sys_, cand, pair)
         assert got == classify_oracle(g, sys_.type_of, elements, pair)
 

@@ -1,5 +1,7 @@
+from unittest import mock
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from knesergeom import (
     Graph,
@@ -20,9 +22,10 @@ from knesergeom import (
 )
 from knesergeom.graphs import cover_walk_metrics, eccentricities
 from knesergeom.incidence import DisconnectedGeometryError
-from knesergeom.kneser import neighborhood_summary
+from knesergeom import kneser
+from knesergeom.kneser import disjointness_table, neighborhood_summary
 from knesergeom.subsets import GroundSet, enumerate_k_subsets
-from helpers import small_graphs
+from helpers import disjointness_table_oracle, neighborhood_summary_oracle, small_graphs
 
 
 def ceil_div(a, b):
@@ -177,6 +180,84 @@ def test_neighborhood_summary_matches_rank2_summary_property(g):
         assert got.value.components == exc.components
     else:
         assert neighborhood_summary(g, ecc) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, (1 << 10) - 1), max_size=24))
+@example([])
+@example([1])
+@example([0b11, 0b11, 0b100])  # a repeated subset
+def test_disjointness_table_matches_pairwise_oracle_property(subsets):
+    # the lemma that lets the factor skip from_masks's symmetry check: the
+    # table is the pairwise disjointness relation, and the checked
+    # constructor accepts it
+    table = disjointness_table(subsets)
+    assert table == disjointness_table_oracle(subsets)
+    assert Graph.from_masks(table).neighbor_masks == tuple(table)
+
+
+def test_disjointness_table_rejects_an_empty_subset():
+    with pytest.raises(ValueError, match="subset 1 is empty"):
+        disjointness_table([0b1, 0, 0b10])
+
+
+def complete_graph(n):
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def cycle_graph(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def ladder_graph(rungs):
+    """Two paths of the given length joined rung by rung: (i, 0) at 2i."""
+    edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+    edges += [(2 * i + s, 2 * i + 2 + s) for i in range(rungs - 1) for s in (0, 1)]
+    return Graph(2 * rungs, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+@example(Graph(0))
+@example(Graph(1))
+@example(Graph(2))  # two isolated vertices
+@example(Graph(2, [(0, 1)]))
+@example(Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]))  # disconnected
+@example(cycle_graph(6))  # bipartite
+@example(kneser_graph(KneserParams(5, 2)))  # Petersen
+@example(complete_graph(3))
+@example(complete_graph(5))
+@example(ladder_graph(4))
+def test_cover_free_neighborhood_summary_matches_the_cover_path_property(g):
+    # the class and gonality read from g's masks equal the summary of the
+    # built cover; only the disconnected error builds the cover, to name
+    # its components
+    ecc = cover_walk_metrics(g)[1]
+    try:
+        expected = neighborhood_summary_oracle(g, ecc)
+    except DisconnectedGeometryError as exc:
+        with pytest.raises(DisconnectedGeometryError) as got:
+            neighborhood_summary(g, ecc)
+        assert str(got.value) == str(exc)
+        assert got.value.components == exc.components
+        return
+    built = AssertionError("the cover was built")
+    with mock.patch.object(kneser, "complete_tensor", side_effect=built), \
+            mock.patch.object(kneser, "typed_copies", side_effect=built):
+        assert neighborhood_summary(g, ecc) == expected
+
+
+def test_transitive_neighborhood_summary_reads_vertex_zero():
+    # on vertex-transitive graphs vertex 0 stands for every vertex in the
+    # 4-cycle scan and the girth search, and the summary is the cover's;
+    # none is bipartite, as a bipartite graph's cover is disconnected
+    graphs = [Graph(0), complete_graph(3), complete_graph(5), cycle_graph(7)]
+    circular = ladder_graph(5).edges() + [(0, 8), (1, 9)]  # the pentagonal prism
+    graphs.append(Graph(10, circular))
+    graphs += [kneser_graph(KneserParams(n, k)) for n, k in [(5, 2), (6, 2), (7, 3), (9, 4)]]
+    for g in graphs:
+        ecc = cover_walk_metrics(g)[1]
+        assert neighborhood_summary(g, ecc, transitive=True) == neighborhood_summary_oracle(g, ecc)
 
 
 def test_neighborhood_summary_ladder():

@@ -63,18 +63,27 @@ def test_rank2_case_is_neighborhood_geometry():
 
 
 def test_incidence_system_checks_only_the_kneser_factor(monkeypatch):
-    rows = []
-    from_masks = Graph.from_masks
+    from knesergeom import kneser, kneser_geometry
 
-    def recording(cls, masks):
-        masks = tuple(masks)
-        rows.append(len(masks))
-        return from_masks(masks)
+    # one disjointness table, of the factor's 28 subsets, and no other rows:
+    # the factor is simple by the table's lemma, so neither it nor the
+    # 84-row K_3 x KG(8,2) goes through from_masks, the checked constructor,
+    # which accepts the table as the oracle once the patch is undone
+    tables = []
+    table = kneser.disjointness_table
 
-    monkeypatch.setattr(Graph, "from_masks", classmethod(recording))
-    sys_ = build_geometry(GeometryParams(6, 2, 3)).incidence_system()
+    def no_check(masks):
+        raise AssertionError(f"from_masks ran on {len(masks)} rows")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kneser_geometry, "disjointness_table",
+                      lambda subsets: (tables.append(table(subsets)), tables[-1])[1])
+        patch.setattr(Graph, "from_masks", no_check)
+        geom = build_geometry(GeometryParams(6, 2, 3))
+        sys_ = geom.incidence_system()
     assert sys_.n_elements == 3 * 28
-    assert rows == [math.comb(8, 2)]
+    assert [len(t) for t in tables] == [math.comb(8, 2)]
+    assert Graph.from_masks(tables[0]) == geom.factor == kneser_graph(KneserParams(8, 2))
 
 
 def test_element_indexing():
