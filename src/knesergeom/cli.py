@@ -35,6 +35,7 @@ from .group_action import (
     symmetry_witness,
 )
 from .incidence import (
+    NEITHER,
     _rank1_residue_sizes,
     buekenhout_diagram,
     diagram_to_dot,
@@ -186,7 +187,11 @@ def _check_diagram(params, geom):
 
 
 def _check_ip2(params, geom):
-    ok, pair, flag = satisfies_ip2(geom.incidence_system(), _symmetry_witness(params, geom))
+    if params.r == 2:  # the one rank-2 residue, of the empty flag, is the shared summary's
+        ok = _neighborhood_summary(geom).classification != NEITHER
+        pair, flag = (None, None) if ok else ((0, 1), ())
+    else:
+        ok, pair, flag = satisfies_ip2(geom.incidence_system(), _symmetry_witness(params, geom))
     details = {"closed_form_predicts": params.n == 2 * params.k + 1}
     if pair is not None:
         details["failing_pair"] = list(pair)

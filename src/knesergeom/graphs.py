@@ -1,11 +1,11 @@
 """Finite simple undirected graphs with exact metric algorithms.
 
-A Graph stores one neighbor bitmask per vertex and nothing else; `adj`, the
-sorted neighbor tuples, is a view built from the masks on first use and
-cached.  Graph.from_masks takes masks and checks them on bit strings, so
-builders that think in masks never make an edge list; masks that are
-simple by construction (an induced subgraph, complete_tensor, a graph6
-decode, kneser.disjointness_table) skip the check through Graph._derived.
+A Graph stores one neighbor bitmask per vertex and nothing else; every
+algorithm reads the masks, and a row's items are picked by _picked.
+Graph.from_masks takes masks and checks them on bit strings, so builders
+that think in masks never make an edge list; masks that are simple by
+construction (an induced subgraph, complete_tensor, a graph6 decode,
+kneser.disjointness_table) skip the check through Graph._derived.
 
 Everything here is deterministic and exact: BFS distances, girth, odd girth,
 diameter, connectivity, bipartiteness, induced subgraphs, the tensor
@@ -50,7 +50,7 @@ _CHECK_CHARS = 1 << 20  # bits per block of Graph.from_masks's symmetry check
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "neighbor_masks", "_adj")
+    __slots__ = ("n", "neighbor_masks")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -65,7 +65,6 @@ class Graph:
             masks[v] |= 1 << u
         self.n = n
         self.neighbor_masks = tuple(masks)
-        self._adj = None
 
     @classmethod
     def from_masks(cls, masks) -> "Graph":
@@ -106,14 +105,8 @@ class Graph:
         simple), decoded from graph6, or a disjointness_table of nonempty
         subsets (see its docstring)."""
         g = cls.__new__(cls)
-        g.n, g.neighbor_masks, g._adj = len(masks), tuple(masks), None
+        g.n, g.neighbor_masks = len(masks), tuple(masks)
         return g
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        if self._adj is None:
-            self._adj = tuple(tuple(_iter_bits(m)) for m in self.neighbor_masks)
-        return self._adj
 
     @property
     def n_edges(self) -> int:
@@ -152,14 +145,19 @@ def _iter_bits(x: int):
         x ^= b
 
 
+def _picked(items, mask: int):
+    """The items at mask's bits, ascending: one C-level compress pass with
+    the mask's reversed bit string as 0/1 selector bytes."""
+    return compress(items, format(mask, "b").encode()[::-1].translate(_SELECT))
+
+
 def _upper_rows(g: Graph, names, sep: bytes):
     """For each vertex u with a neighbour v > u: sep % u, then names[v] for
-    every such v, ascending, joined by sep % u.  One C-level pass of compress
-    picks them, with the row's reversed bit string as 0/1 selector bytes."""
+    every such v, ascending, joined by sep % u, picked by _picked."""
     for u, m in enumerate(g.neighbor_masks):
         if high := m >> u + 1 << u + 1:
             s = sep % u
-            yield s + s.join(compress(names, format(high, "b").encode()[::-1].translate(_SELECT)))
+            yield s + s.join(_picked(names, high))
 
 
 def graph_digest(g: Graph) -> str:
@@ -188,7 +186,7 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     q = deque([source])
     while q:
         u = q.popleft()
-        for w in g.adj[u]:
+        for w in _iter_bits(g.neighbor_masks[u]):
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 q.append(w)
@@ -342,17 +340,17 @@ def _walks(g: Graph):
 
     One synchronous sweep for all sources at once: W_0[v] is v alone, W_1[v]
     its neighbor mask, and W_{L+1}[v] the or of W_L[w] over the neighbors w
-    of v.  Each W_L is a new list that is never changed afterwards, so a
-    reader may keep earlier ones.
+    of v, read from neighbor lists made for this sweep alone.  Each W_L is
+    a new list, never changed afterwards, so a reader may keep earlier ones.
     """
     yield 0, [1 << v for v in range(g.n)]
     walk = list(g.neighbor_masks)
     yield 1, walk
-    adj, length = g.adj, 1
+    rows, length = [tuple(_iter_bits(m)) for m in walk], 1
     while True:
         prev = walk
         walk = []
-        for row in adj:
+        for row in rows:
             b = 0
             for w in row:
                 b |= prev[w]
@@ -410,11 +408,11 @@ def walk_metrics_from(g: Graph, v: int):
     (v,0) in K_2 x g), math.inf where there is none, from v's own walk sets.
 
     W_0 is v alone and W_{L+1} = N(W_L), the vertices whose rows meet W_L,
-    which by symmetry is the or of the rows of W_L's vertices, picked in one
-    C-level pass by compress.  The rules are cover_walk_metrics's for the
-    one vertex v: ecc(v,0) is the least L with W_L and W_{L-1} both full;
-    once W_L == W_{L-2} short of that the sets repeat with period 2, and v
-    gets math.inf.  Either way v has shown an odd closed walk by then if it
+    which by symmetry is the or of the rows of W_L's vertices, picked by
+    _picked.  The rules are cover_walk_metrics's for the one vertex v:
+    ecc(v,0) is the least L with W_L and W_{L-1} both full; once W_L ==
+    W_{L-2} short of that the sets repeat with period 2, and v gets
+    math.inf.  Either way v has shown an odd closed walk by then if it
     lies on one, so the sweep stops there.  On a vertex-transitive g the
     first value is the odd girth and the second every cover eccentricity.
     """
@@ -431,8 +429,7 @@ def walk_metrics_from(g: Graph, v: int):
             return odd, length
         if walk == before:
             return odd, INF
-        rows = compress(masks, format(walk, "b").encode()[::-1].translate(_SELECT))
-        before, last, walk = last, walk, reduce(or_, rows, 0)
+        before, last, walk = last, walk, reduce(or_, _picked(masks, walk), 0)
         length += 1
 
 

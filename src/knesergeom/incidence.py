@@ -69,8 +69,8 @@ class IncidenceSystem:
     elements of equal type is rejected at construction, by one AND of each
     element's mask with its type's mask.  The incidence relation is held
     once, as `graph` (vertex e is element e), given as pairs or, through
-    from_graph, as a Graph; `adj`, `element_masks` and `incident` read
-    from it.
+    from_graph, as a Graph; `element_masks`, its neighbor bitmasks, and
+    `incident` read from it.
     """
 
     __slots__ = ("types", "type_of", "labels", "graph", "_type_masks")
@@ -127,10 +127,6 @@ class IncidenceSystem:
     @property
     def n_elements(self) -> int:
         return len(self.type_of)
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        return self.graph.adj
 
     @property
     def element_masks(self) -> tuple[int, ...]:

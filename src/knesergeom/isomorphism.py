@@ -16,8 +16,9 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from operator import or_
 
-from .graphs import Graph, _iter_bits
+from .graphs import Graph, _iter_bits, _picked
 
 
 def normalize_colors(colors, n: int) -> tuple[int, ...]:
@@ -95,15 +96,15 @@ def _refine(masks, cells, queue, expected=None):
     return None if expected is not None and len(trace) != len(expected) else trace
 
 
-def color_refine(adj, colors) -> tuple[int, ...]:
-    """Coarsest equitable refinement of the given coloring (the stable 1-WL
-    partition) as each vertex's cell index, with every color class as a
-    first splitter.  Cell indices depend only on the isomorphism class, so
-    corresponding cells of isomorphic colored graphs get the same ids."""
-    cells = _color_partition(normalize_colors(colors, len(adj)))
-    _refine([sum(1 << u for u in row) for row in adj], cells, list(range(len(cells))))
+def color_refine(masks, colors) -> tuple[int, ...]:
+    """Coarsest equitable refinement (the stable 1-WL partition) of a
+    coloring of the graph of neighbor bitmasks masks, as each vertex's cell
+    index, every color class a first splitter.  Cell indices depend only on
+    the isomorphism class, so isomorphic colored graphs share cell ids."""
+    cells = _color_partition(normalize_colors(colors, len(masks)))
+    _refine(masks, cells, list(range(len(cells))))
     ids = {v: i for i, cell in enumerate(cells) for v in _iter_bits(cell)}
-    return tuple(ids[v] for v in range(len(adj)))
+    return tuple(ids[v] for v in range(len(masks)))
 
 
 class _ReferencePath:
@@ -147,7 +148,7 @@ def wl_signature(g: Graph, colors=None) -> tuple:
     Unequal signatures certify non-isomorphism; equal signatures decide
     nothing and callers must fall back to a full search.
     """
-    refined = color_refine(g.adj, normalize_colors(colors, g.n))
+    refined = color_refine(g.neighbor_masks, colors)
     profile = tuple(sorted(Counter(refined).items()))
     return (g.n, g.n_edges, profile)
 
@@ -167,17 +168,15 @@ def _edge_check(masks, domain, h, mapping) -> bool:
     if domain.bit_count() != n or len(mapping) != n or set(mapping) != set(range(n)):
         return False
     # a bijection does that iff its inverse maps each neighborhood of h onto
-    # that of the preimage; reading h's lists reuses the adjacency a fixed
-    # reference builds once
+    # that of the preimage: each of h's mask rows goes through the
+    # preimage bits of its vertices, picked by one _picked pass
     preimage, rest = [0] * n, domain  # preimage[a]: the bit of a's preimage
     for a in mapping:
         b = rest & -rest
         rest ^= b
         preimage[a] = b
-    for a, row in enumerate(h.adj):
-        img = 0
-        for b in row:
-            img |= preimage[b]
+    for a, row in enumerate(h.neighbor_masks):
+        img = functools.reduce(or_, _picked(preimage, row), 0)
         if img != masks[preimage[a].bit_length() - 1] & domain:
             return False
     return True

@@ -79,29 +79,29 @@ class KneserGeometry:
     """The built geometry: one type's subsets in colex order, each element's
     subset, O(1) incidence, and the factor and IncidenceSystem, built once."""
 
-    __slots__ = ("params", "subsets", "masks", "_factor", "_system")
+    __slots__ = ("params", "subsets", "_factor", "_system")
 
     def __init__(self, params: GeometryParams):
         self.params = params
         self.subsets = tuple(s.bits for s in enumerate_k_subsets(params.ground, params.k))
-        self.masks = self.subsets * params.r
         self._factor = self._system = None
 
     @property
     def n_elements(self) -> int:
-        return len(self.masks)
+        return self.params.n_elements
 
     def type_of(self, e: int) -> int:
         return e // self.params.per_type
 
     def subset_of(self, e: int) -> KSubset:
-        return KSubset(self.masks[e])
+        return KSubset(self.subsets[e % self.params.per_type])
 
     def incident(self, x: int, y: int) -> bool:
         """x * y iff the types differ and the subsets are disjoint."""
         if x == y:
             return True
-        return self.type_of(x) != self.type_of(y) and self.masks[x] & self.masks[y] == 0
+        (s, i), (t, j) = divmod(x, self.params.per_type), divmod(y, self.params.per_type)
+        return s != t and self.subsets[i] & self.subsets[j] == 0
 
     @property
     def factor(self) -> Graph:

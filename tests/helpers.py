@@ -15,8 +15,10 @@ double cover, the tensor K_r x G by a loop over pairs of typed vertices,
 graph6 by packing each six-bit slice of the column bit string, the 4-cycle
 test of a rank-2 residue by comparing every pair of one side, block
 automorphisms by a pairwise check of the factor, graph digests by
-hashlib over the whole text in one string, and the build command's
-geometry JSON by one json.dumps with every incidence pair spliced in.
+hashlib over the whole text in one string, the build command's
+geometry JSON by one json.dumps with every incidence pair spliced in, and
+the edge check of a map by or'ing its preimages along neighbour lists made
+from the edge list.
 """
 
 import hashlib
@@ -58,6 +60,15 @@ def graph_from_nx(nxg):
     return Graph(len(nodes), [(pos[u], pos[v]) for u, v in nxg.edges()])
 
 
+def adjacency(g):
+    """Each vertex's neighbours as an ascending tuple, from the edge list."""
+    rows = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        rows[u].append(v)
+        rows[v].append(u)
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
 def bfs_dist_oracle(adj, src, skip_edge=None):
     n = len(adj)
     dist = [-1] * n
@@ -77,9 +88,9 @@ def bfs_dist_oracle(adj, src, skip_edge=None):
 def girth_oracle(g):
     """Shortest cycle through each edge: delete the edge, find the distance
     between its endpoints, add one."""
-    best = math.inf
+    best, adj = math.inf, adjacency(g)
     for u, v in g.edges():
-        d = bfs_dist_oracle(g.adj, u, skip_edge=(u, v))[v]
+        d = bfs_dist_oracle(adj, u, skip_edge=(u, v))[v]
         if d >= 0:
             best = min(best, d + 1)
     return best
@@ -230,6 +241,27 @@ def wl_refine_oracle(adj, colors):
         if len(ids) == ncls:
             return tuple(new)
         colors, ncls = new, len(ids)
+
+
+def edge_check_oracle(masks, domain, h, mapping):
+    """isomorphism._edge_check as a loop over h's neighbour lists: the
+    bijection's inverse must map each neighbourhood of h onto that of the
+    preimage, read as masks[u] & domain."""
+    n = h.n
+    if domain.bit_count() != n or len(mapping) != n or set(mapping) != set(range(n)):
+        return False
+    preimage, rest = [0] * n, domain
+    for a in mapping:
+        b = rest & -rest
+        rest ^= b
+        preimage[a] = b
+    for a, row in enumerate(adjacency(h)):
+        img = 0
+        for b in row:
+            img |= preimage[b]
+        if img != masks[preimage[a].bit_length() - 1] & domain:
+            return False
+    return True
 
 
 def brute_force_isomorphism(g, h):

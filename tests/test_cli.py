@@ -342,21 +342,21 @@ def test_verify_all_enumerates_no_flag_orbit(monkeypatch, tmp_path):
 def test_verify_all_builds_no_adjacency_lists_of_the_geometry(monkeypatch, tmp_path):
     from knesergeom import cli, graphs
 
+    # graphs._walks is the one place that makes neighbour lists of a graph
     built = []
-    adj = graphs.Graph.adj
-    monkeypatch.setattr(graphs.Graph, "adj",
-                        property(lambda g: (built.append(g.n), adj.fget(g))[1]))
+    walks = graphs._walks
+    monkeypatch.setattr(graphs, "_walks", lambda g: (built.append(g.n), walks(g))[1])
     out = tmp_path / "cert.json"
     code = cli.main(["verify", "--n", "6", "--k", "2", "--r", "4", "--all", "--out", str(out)])
     assert code == 1  # ip2 fails at n > 2k+1
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     ft = checks["flag-transitivity"]
     assert ft["pass"] and ft["details"]["type_swaps_valid"] and checks["locally-x"]["pass"]
-    # no symmetry check reads the 180-vertex incidence graph K_4 x KG(10,2)
-    # or its 45-vertex factor edge by edge; lists are built for the walk
-    # sweeps of the diagram's 30-vertex rank-2 residues (and of KG(6,2) and
-    # the 84-vertex reference X, unless memoised by an earlier test)
-    assert 30 in built and set(built) <= {15, 30, 84}
+    # no check reads the 180-vertex incidence graph K_4 x KG(10,2), its
+    # 45-vertex factor, KG(6,2) or the 84-vertex reference X through lists;
+    # they are made only for the walk sweeps of the diagram's 30-vertex
+    # rank-2 residues
+    assert set(built) == {30}
 
 
 def test_type_swap_that_moves_a_vertex_fails(monkeypatch, tmp_path):
@@ -474,7 +474,7 @@ def test_gonality_and_diameter_share_one_rank2_summary(monkeypatch, tmp_path):
     assert sweeps == [] and sources == [(7, 7)]
     assert len(enumerations) == 1 and len(enumerations[0]) == math.comb(12, 5)
     [table], [kg] = factors, summaries
-    assert kg.n == 792 and kg._adj is None
+    assert kg.n == 792
     assert graphs.Graph.from_masks(table) == kg  # the checked constructor as oracle
     assert checks[1]["details"]["summary"] == checks[2]["details"]["summary"]
     assert covers == []
@@ -588,6 +588,27 @@ def test_rank2_checks_run_in_bounded_memory(tmp_path):
     )
 
 
+def test_locally_x_check_runs_in_bounded_memory():
+    from knesergeom import cli, isomorphism
+
+    # at (5,2,8) the 1,088-vertex incidence graph is searched against the
+    # 952-vertex X on their masks alone; edge-checking through neighbour
+    # lists of X, cached on the Graph, peaked at about 10 MB
+    params = GeometryParams(5, 2, 8)
+    geom = build_geometry(params)
+    geom.incidence_system()
+    cli._symmetry_witness(params, geom)  # memoised; the residue checks share it
+    isomorphism._reference_path.cache_clear()  # X is refined inside the count
+    tracemalloc.start()
+    try:
+        ok, details = cli._check_locally_x(params, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and details["total"] == details["passed"] == 1088
+    assert peak < 3 << 20, peak
+
+
 def test_rank2_diagram_reads_the_shared_summary(monkeypatch, tmp_path):
     from knesergeom import cli, incidence
 
@@ -607,6 +628,25 @@ def test_rank2_diagram_reads_the_shared_summary(monkeypatch, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "00769702fe802c068739332d6777ca8718487363fbac84b69a959aa94829f8fc"
     )
+
+
+@pytest.mark.parametrize("n, k", [(7, 3), (12, 5)])
+def test_rank2_ip2_reads_the_shared_summary(monkeypatch, tmp_path, n, k):
+    from knesergeom import cli
+    from knesergeom.incidence import satisfies_ip2
+
+    # at r = 2 the one rank-2 residue is the whole geometry, whose class the
+    # shared summary holds; scanning every element of one side is the oracle
+    expected = satisfies_ip2(build_geometry(GeometryParams(n, k, 2)).incidence_system())
+    monkeypatch.setattr(cli, "satisfies_ip2", lambda *a: pytest.fail("ip2 scanned the geometry"))
+    out = tmp_path / "ip2.json"
+    code = cli.main(["verify", "--n", str(n), "--k", str(k), "--r", "2", "--check", "ip2",
+                     "--out", str(out)])
+    [check] = json.loads(out.read_text())["checks"]
+    assert code == (0 if expected.ok else 1) and check["pass"] == expected.ok == (n == 2 * k + 1)
+    details = check["details"]
+    assert details.get("failing_pair") == (None if expected.ok else list(expected.failing_pair))
+    assert details.get("failing_flag") == (None if expected.ok else list(expected.failing_flag))
 
 
 def test_uncertified_rank2_diagram_summarises_the_geometry(monkeypatch, tmp_path):
@@ -865,7 +905,7 @@ def test_build_graph6_goes_from_masks_to_bytes(monkeypatch, tmp_path):
     )
     assert edge_lists == []
     (g,) = encoded_graphs
-    assert g.n == 2145 and g._adj is None
+    assert g.n == 2145
 
 
 def test_build_json_matches_whole_document_oracle(tmp_path):

@@ -12,6 +12,7 @@ from knesergeom import (
     Graph,
     Graph6Error,
     INF,
+    IncidenceSystem,
     KneserParams,
     bfs_distances,
     bipartite_double_cover,
@@ -39,6 +40,7 @@ from knesergeom.graphs import (
     walk_metrics_from,
 )
 from helpers import (
+    adjacency,
     complete_tensor_oracle,
     girth_oracle,
     graph6_encode_oracle,
@@ -81,7 +83,7 @@ def test_from_masks_matches_edges_and_rejects_bad_bits(n, seed, p, check_chars):
     masks = list(g.neighbor_masks)
     with mock.patch.object(graphs, "_CHECK_CHARS", check_chars):
         assert Graph.from_masks(masks) == g
-        assert Graph.from_masks(masks).adj == g.adj
+        assert Graph.from_masks(masks).edges() == g.edges()
         for u in range(n):
             for v in range(n):
                 if u != v:  # one flipped bit leaves v~u and u~v disagreeing
@@ -96,11 +98,25 @@ def test_from_masks_matches_edges_and_rejects_bad_bits(n, seed, p, check_chars):
                 Graph.from_masks(masks[:u] + [-1 - masks[u]] + masks[u + 1:])
 
 
-def test_adj_is_a_cached_view():
+def test_graph_holds_only_its_neighbor_masks():
+    # the masks are the one representation: no adjacency view is cached on
+    # a Graph or offered by an IncidenceSystem
     g = Graph.from_masks([0b110, 0b101, 0b011])
-    assert g._adj is None and g.n_edges == 3 and g.edges() == [(0, 1), (0, 2), (1, 2)]
-    assert g._adj is None
-    assert g.adj == ((1, 2), (0, 2), (0, 1)) and g.adj is g.adj
+    assert Graph.__slots__ == ("n", "neighbor_masks")
+    assert not hasattr(g, "adj") and not hasattr(IncidenceSystem, "adj")
+    assert g.n_edges == 3 and g.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert adjacency(g) == ((1, 2), (0, 2), (0, 1))
+
+
+def test_adj_is_a_cached_view():
+    # a Graph's adjacency is the mask tuple it was given, held as is and
+    # read, never rebuilt or copied into lists, by every query
+    masks = (0b110, 0b101, 0b011)
+    g = Graph.from_masks(masks)
+    assert g.neighbor_masks is masks and g.neighbor_masks is g.neighbor_masks
+    assert g.n_edges == 3 and g.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert [g.degree(v) for v in range(3)] == [2, 2, 2] and g.has_edge(0, 2)
+    assert g.neighbor_masks is masks
 
 
 def test_bfs_distances():
@@ -154,7 +170,7 @@ def test_induced_subgraph(petersen):
     empty, mapping = induced_subgraph(TRIANGLE, [])
     assert empty.n == 0 and mapping == ()
     # Petersen neighborhoods are co-triangles
-    nbhd, _ = induced_subgraph(petersen, petersen.adj[0])
+    nbhd, _ = induced_subgraph(petersen, adjacency(petersen)[0])
     assert nbhd.n == 3 and nbhd.n_edges == 0
 
 

@@ -15,7 +15,9 @@ from knesergeom import (
 )
 from knesergeom.isomorphism import _edge_check, _search, color_refine, wl_signature
 from helpers import (
+    adjacency,
     brute_force_isomorphism,
+    edge_check_oracle,
     graph_from_nx,
     induced_subgraph_oracle,
     random_graph,
@@ -92,10 +94,10 @@ def test_colors_pin_classes():
 
 
 def test_color_refine_stable():
-    colors = color_refine(C6.adj, (0,) * 6)
+    colors = color_refine(C6.neighbor_masks, (0,) * 6)
     assert len(set(colors)) == 1  # vertex-transitive, nothing to split
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    colors = color_refine(star.adj, (0,) * 4)
+    colors = color_refine(star.neighbor_masks, (0,) * 4)
     assert colors[0] != colors[1] and colors[1] == colors[2] == colors[3]
 
 
@@ -179,14 +181,14 @@ def colored_relabelled(draw):
 @given(colored_relabelled())
 def test_color_refine_matches_wl_oracle_property(case):
     g, colors, perm = case
-    ids = color_refine(g.adj, colors)
-    oracle = wl_refine_oracle(g.adj, colors)
+    ids = color_refine(g.neighbor_masks, colors)
+    oracle = wl_refine_oracle(adjacency(g), colors)
     # the same set partition: cell ids and oracle colors correspond 1-1
     assert len(set(zip(ids, oracle))) == len(set(ids)) == len(set(oracle))
     relabelled_colors = [0] * g.n
     for v in range(g.n):
         relabelled_colors[perm[v]] = colors[v]
-    new_ids = color_refine(relabel(g, perm).adj, relabelled_colors)
+    new_ids = color_refine(relabel(g, perm).neighbor_masks, relabelled_colors)
     assert all(new_ids[perm[v]] == ids[v] for v in range(g.n))
 
 
@@ -273,7 +275,7 @@ def test_in_place_search_matches_are_isomorphic_on_neighborhood_property(case):
     # returns exactly what are_isomorphic returns on the built subgraph
     g, rng = case
     for v in range(g.n):
-        nbhd = induced_subgraph_oracle(g, g.adj[v])
+        nbhd = induced_subgraph_oracle(g, adjacency(g)[v])
         perm = list(range(nbhd.n))
         rng.shuffle(perm)
         relabelled = relabel(nbhd, perm)
@@ -295,7 +297,7 @@ def test_in_place_edge_check_rejects_swaps_and_ignores_outside_neighbors():
     assert mapping is not None
     # every vertex of N(0) is adjacent to 0, which lies outside N(0): the
     # check reads masks[u] & domain and still accepts the map
-    vs = g.adj[0]
+    vs = adjacency(g)[0]
     assert all(masks[u] & ~domain for u in vs)
     assert _edge_check(masks, domain, x, mapping)
     # swapping the images of i and j keeps an isomorphism iff i and j are
@@ -309,6 +311,51 @@ def test_in_place_edge_check_rejects_swaps_and_ignores_outside_neighbors():
         assert _edge_check(masks, domain, x, swapped) == twins
         non_twins += not twins
     assert non_twins > 0
+
+
+@st.composite
+def edge_check_cases(draw):
+    """A random graph g, a sub-domain of its vertices (whose members may
+    have neighbours outside it), a graph h on as many vertices and a map:
+    a relabelling of g's induced subgraph with its map, with two images
+    swapped, against a random h, or not a bijection at all."""
+    n = draw(st.integers(0, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [p for p, b in zip(pairs, bits) if b])
+    vs = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else [])
+    domain = sum(1 << v for v in vs)
+    m = len(vs)
+    perm = draw(st.permutations(range(m)))
+    h = Graph(m, [(perm[i], perm[j]) for i, j in combinations(range(m), 2)
+                  if g.has_edge(vs[i], vs[j])])
+    mapping = list(perm)
+    kind = draw(st.sampled_from(["iso", "swap", "random", "repeat", "short", "outside"]))
+    if kind == "swap" and m >= 2:
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        mapping[i], mapping[j] = mapping[j], mapping[i]
+    elif kind == "random":
+        hp = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        hb = draw(st.lists(st.booleans(), min_size=len(hp), max_size=len(hp)))
+        h = Graph(m, [p for p, b in zip(hp, hb) if b])
+    elif kind == "repeat" and m >= 2:
+        mapping[draw(st.integers(1, m - 1))] = mapping[0]
+    elif kind == "short" and m >= 1:
+        mapping.pop()
+    elif kind == "outside" and m >= 1:
+        mapping[draw(st.integers(0, m - 1))] = m
+    return g, domain, h, mapping, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_check_cases())
+def test_mask_row_edge_check_matches_neighbour_list_loop_property(case):
+    g, domain, h, mapping, kind = case
+    masks = g.neighbor_masks
+    found = _edge_check(masks, domain, h, mapping)
+    assert found == edge_check_oracle(masks, domain, h, mapping)
+    if kind == "iso":  # the map that made h from the induced subgraph
+        assert found
 
 
 def test_search_gives_up_past_its_node_cap():

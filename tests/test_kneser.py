@@ -152,7 +152,7 @@ def test_neighborhood_geometry_kg62_counts():
     assert ng.n_elements == 30
     assert len(ng.elements_of_type(0)) == 15
     # each element incident to the C(4,2) = 6 disjoint pairs
-    assert all(len(ng.adj[e]) == 6 for e in range(30))
+    assert all(ng.graph.degree(e) == 6 for e in range(30))
 
 
 def test_gonality_diameter_vs_oracle_small():

@@ -163,7 +163,7 @@ def test_truncation_is_neighborhood_geometry_of_bigger_kneser():
     trunc = truncation(sys_, (0, 1))
     ng = kneser_neighborhood_geometry(KneserParams(7, 2))
     assert trunc.type_of == ng.type_of
-    assert trunc.adj == ng.adj
+    assert trunc.graph == ng.graph
     assert trunc.labels == ng.labels
 
 

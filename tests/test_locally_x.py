@@ -27,6 +27,7 @@ from knesergeom import (
 )
 from knesergeom.group_action import SymmetryWitness
 from knesergeom.subsets import GroundSet, enumerate_k_subsets
+from helpers import adjacency
 
 
 def kneser_like(m, k):
@@ -359,7 +360,7 @@ def _nx_failures(g, x):
     nxx.add_nodes_from(range(x.n))
     return tuple(
         v for v in range(g.n)
-        if not nx.is_isomorphic(nxg.subgraph(g.adj[v]), nxx)
+        if not nx.is_isomorphic(nxg.subgraph(adjacency(g)[v]), nxx)
     )
 
 
@@ -396,7 +397,7 @@ def graph_and_local_x(draw):
     else:
         g = _rook_and_shrikhande()
     v = draw(st.integers(0, g.n - 1))
-    x, _ = induced_subgraph(g, g.adj[v])
+    x, _ = induced_subgraph(g, adjacency(g)[v])
     return g, _relabelled(x, draw(st.randoms(use_true_random=False)))
 
 
@@ -412,7 +413,7 @@ def test_discovery_stops_at_another_orbit(monkeypatch):
     # first Shrikhande vertex, where none exists; every Shrikhande vertex
     # is then searched and fails
     g = _rook_and_shrikhande()
-    x, _ = induced_subgraph(g, g.adj[0])
+    x, _ = induced_subgraph(g, adjacency(g)[0])
     searches = _record_searches(monkeypatch)
     report = is_locally_x(g, x)
     assert report.failures == tuple(range(16, 32)) == _nx_failures(g, x)
@@ -465,7 +466,7 @@ def graph_x_and_tables(draw):
         n = draw(st.integers(3, 14))
         g = _circulant(n, draw(st.sets(st.integers(1, n // 2), min_size=1)))
     v = draw(st.integers(0, g.n - 1))
-    x, _ = induced_subgraph(g, g.adj[v])
+    x, _ = induced_subgraph(g, adjacency(g)[v])
     x = _relabelled(x, draw(st.randoms(use_true_random=False)))
     nxg = nx.Graph(g.edges())
     nxg.add_nodes_from(range(g.n))
