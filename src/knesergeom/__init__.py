@@ -82,7 +82,6 @@ from .group_action import (
     adjacent_transpositions,
     chamber_orbit_size,
     flag_orbit_count,
-    is_block_type_swap,
     is_type_preserving_automorphism,
     level_orbits,
     permutation_group_order,

@@ -4,12 +4,12 @@ orders.
 Ground-set permutations and element tables are both image tuples.  Point
 permutations act on elements by mapping subsets pointwise inside each type,
 type permutations by relabeling the copies.  The incidence graph is
-K_r x KG(m, k), so neither kind is checked edge by edge: symmetry_witness
-verifies the block-form point_tables once, each against its ground-set
-permutation on the subset masks (the direct-product and mask lemmas in its
-docstring), and its SymmetryWitness is what every symmetry shortcut reads;
-is_block_type_swap checks that a type swap's label pairing is the block
-map (t, v) -> (sigma t, v), which the direct product makes an automorphism.
+K_r x KG(m, k), so neither kind is checked edge by edge.  symmetry_witness
+is the one place a symmetry is verified: the block-form point_tables, each
+against its ground-set permutation on the subset masks, and the adjacent
+type swaps, each as a label pairing that is the block map
+(t, v) -> (sigma t, v) (the direct-product and mask lemmas in its
+docstring).  Its SymmetryWitness is what every symmetry shortcut reads.
 factor_is_vertex_transitive proves the factor KG(m, k) vertex-transitive
 by the same mask lemma, closing one subset's orbit under two generators of
 S_m, so that one vertex's walk sets give the rank-2 metrics.
@@ -20,11 +20,9 @@ it consumes, _orbit.  level_orbits certifies transitivity on the flags of a
 type set from one flag, level by level through stabilisers, and the witness
 runs it once, as every type set's levels are a prefix of the chamber type's;
 flag_orbit_count and chamber_orbit_size enumerate every flag, as oracles.
-Label-pairing type swaps compose, so they are valid for the adjacent type
-transpositions exactly when they are valid for every type permutation.  The
-order of a group of ground-set permutations is computed exactly from a base
-and strong generating set (deterministic Schreier-Sims), never by listing
-the group's elements.
+The order of a group of ground-set permutations is computed exactly from a
+base and strong generating set (deterministic Schreier-Sims), never by
+listing the group's elements.
 """
 
 from __future__ import annotations
@@ -105,8 +103,9 @@ def _is_block_automorphism(geom: KneserGeometry, perm, table) -> bool:
 
 
 def symmetry_witness(geom: KneserGeometry, perms) -> SymmetryWitness | None:
-    """The point tables of the ground-set permutations, verified, and their
-    level_orbits on the chamber type; None if a table fails.
+    """The point tables of the ground-set permutations, then the r - 1
+    adjacent type swaps, all verified, and the point tables' level_orbits on
+    the chamber type; None if a table fails.
 
     The incidence graph is K_r x G, where G = KG(m, k) is the factor that
     kneser.disjointness_table builds on the distinct subsets S_0..S_{N-1}:
@@ -117,7 +116,12 @@ def symmetry_witness(geom: KneserGeometry, perms) -> SymmetryWitness | None:
     Direct product: for r >= 2 a block table (t, v) -> (t, pi v), which
     fixes every type, is an automorphism of K_r x G exactly when pi is one
     of G, since (s, v) ~ (t, w) iff s != t and v ~ w (Hammack, Imrich and
-    Klavzar, Handbook of Product Graphs, 2011).
+    Klavzar, Handbook of Product Graphs, 2011).  So is the block table
+    (t, v) -> (sigma t, v) of any permutation sigma of the types, since
+    sigma s != sigma t iff s != t; each adjacent swap is checked to be the
+    label pairing _label_pairing makes, the map that pairs equal subsets
+    across types.  Label pairings compose, so the adjacent swaps stand for
+    every type permutation.
 
     Masks: let perm be a permutation of the points and pi a permutation of
     the subsets with S_{pi i} = perm S_i for every i; equivalently, pi maps
@@ -131,12 +135,20 @@ def symmetry_witness(geom: KneserGeometry, perms) -> SymmetryWitness | None:
     S_{a_0}..S_{a_{s-1}}; a block table fixes (j, S_a) iff pi fixes a, and
     in K_r x G level i's candidates are, in any type, the subsets disjoint
     from S_{a_0}..S_{a_{i-1}}.  So level i of both closes S_{a_i} alike.
+    The levels are closed under the point tables alone, which fix every
+    type, so the swaps change none of them.
     """
     perms = [_permutation(pi) for pi in perms]
     sys_, tables = geom.incidence_system(), point_tables(geom, perms)
     if not all(_is_block_automorphism(geom, pi, t) for pi, t in zip(perms, tables)):
         return None
     levels = tuple(level_orbits(sys_, tables, sys_.types))
+    n = len(geom.subsets)
+    for sigma in adjacent_transpositions(sys_.rank):
+        swap = tuple([s * n + v for s in sigma for v in range(n)])
+        if _label_pairing(sys_, sigma) != swap:
+            return None
+        tables.append(swap)
     return _VerifiedWitness(sys_.graph, tuple(tables), levels)
 
 
@@ -290,18 +302,6 @@ def type_swap_map(sys: IncidenceSystem, sigma) -> tuple[tuple[int, ...] | None, 
     if mapping is None or not is_automorphism(sys.graph, mapping):
         return None, False
     return mapping, True
-
-
-def is_block_type_swap(sys: IncidenceSystem, sigma) -> bool:
-    """Is sigma's label-pairing map the block map (t, v) -> (sigma t, v),
-    element (t, v) at t*n + v with n elements per type?
-
-    On a system that kneser.typed_copies builds, whose incidence graph is
-    K_r x G, such a map is an automorphism with no edge read: (s, v) ~
-    (t, w) iff s != t and v ~ w, and sigma s != sigma t iff s != t (the
-    direct product, as in symmetry_witness)."""
-    sigma, n = tuple(sigma), sys.n_elements // sys.rank
-    return _label_pairing(sys, sigma) == tuple([s * n + v for s in sigma for v in range(n)])
 
 
 def _compose(a, b):

@@ -10,7 +10,9 @@ them for this very graph, and a searched verdict, pass or fail, is copied
 around the orbit of its vertex under the verified tables, since an
 automorphism t maps N(u) isomorphically onto N(t[u]).  A table that is not
 an automorphism is dropped, so it can cost searches but never decides a
-verdict.
+verdict.  symmetry_witness's tables move types as well as points, so for
+generators of S_m they have one orbit on the incidence graph, and one
+search settles every vertex.
 
 With no tables given, as for a graph read from a graph6 file, the tables
 are discovered by whole-graph searches of g against itself (is_locally_x
@@ -79,7 +81,8 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     bijection is edge-verified.  Its verdict, pass or fail, is copied to
     every vertex reached from v along the kept tables: an automorphism t
     maps N(u) isomorphically onto N(t[u]).  So the check runs one search
-    per orbit of the kept tables.
+    per orbit of the kept tables: one in all for symmetry_witness's of
+    generators of S_m, which hold the type swaps too.
 
     With no tables given, g's automorphisms are discovered instead.  Once
     a first vertex `root` has matched, a v without a verdict gets one

@@ -253,7 +253,7 @@ def _recording(results, fn):
     return recorded
 
 
-def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
+def test_verify_locally_x_one_search(monkeypatch, tmp_path):
     from knesergeom import cli, graphs, group_action, incidence, isomorphism, locally_x
 
     searches, whole_checks, tables_in_check, subgraphs, edge_checks = [], [], [], [], []
@@ -291,17 +291,17 @@ def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
     check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["locally-x"]
     assert check["pass"]
     assert check["details"]["total"] == check["details"]["passed"] == 84
-    # one in-place search per type; the other 81 vertices copy a verdict
-    # along the witness's tables, with no edge check of their own: the only
-    # neighborhood edge checks are the three searches' leaves
-    assert len(searches) == 3 and all(m is not None for m in searches)
+    # one in-place search; the other 83 vertices copy its verdict along the
+    # witness's tables, which swap types too, with no edge check of their
+    # own: the only neighborhood edge check is the search's leaf
+    assert len(searches) == 1 and all(m is not None for m in searches)
     [(subgraphs_in_check, checks_in_check, tables_checked_in_check)] = in_check
     assert subgraphs_in_check == 0
     assert [whole for _, whole, _ in checks_in_check] == [False] * len(searches)
     # the witness verifies the 7 adjacent-transposition tables of the 8
-    # ground points once, on the subset masks of KG(8,2), and is_locally_x
-    # takes them as they are; the 2 type swaps are checked in block form, so
-    # no whole-graph edge check runs at all
+    # ground points once, on the subset masks of KG(8,2), and the 2 type
+    # swaps in block form, and is_locally_x takes them as they are, so no
+    # whole-graph edge check runs at all
     assert tables_checked_in_check == 0 and tables_in_check == []
     assert whole_checks == []
     whole = [(rows, ok) for rows, whole, ok in edge_checks if whole]
@@ -309,10 +309,36 @@ def test_verify_locally_x_one_search_per_type(monkeypatch, tmp_path):
     assert len(edge_checks) == len(whole) + len(searches)
 
 
+@pytest.mark.parametrize("n, k, r, code", [(6, 2, 3, 1), (5, 2, 6, 0)])
+def test_verify_all_runs_one_locally_x_search(monkeypatch, tmp_path, n, k, r, code):
+    from knesergeom import cli, isomorphism, locally_x
+
+    searches, whole = [], []
+    monkeypatch.setattr(locally_x, "_search", _recording(searches, locally_x._search))
+    edge_check = isomorphism._edge_check
+
+    def recorded_edge_check(masks, domain, *args):
+        if domain == (1 << len(masks)) - 1:
+            whole.append(len(masks))
+        return edge_check(masks, domain, *args)
+
+    monkeypatch.setattr(isomorphism, "_edge_check", recorded_edge_check)
+    out = tmp_path / "cert.json"
+    assert cli.main(["verify", "--n", str(n), "--k", str(k), "--r", str(r), "--all",
+                     "--out", str(out)]) == code
+    check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["locally-x"]
+    assert check["pass"] and check["details"]["passed"] == check["details"]["total"]
+    # the witness's point tables and type swaps reach every vertex from the
+    # first, so one neighborhood search decides all, and no table or map is
+    # edge-checked on the whole graph
+    assert len(searches) == 1 and searches[0] is not None
+    assert whole == []
+
+
 def test_verify_all_enumerates_no_flag_orbit(monkeypatch, tmp_path):
     from knesergeom import cli, group_action, incidence
 
-    orbit_counts, orbit_sizes, summaries, swaps, whole_swaps = [], [], [], [], []
+    orbit_counts, orbit_sizes, summaries, pairings, whole_swaps = [], [], [], [], []
     for module in (cli, group_action):
         for name, calls in [("flag_orbit_count", orbit_counts),
                             ("chamber_orbit_size", orbit_sizes)]:
@@ -320,7 +346,8 @@ def test_verify_all_enumerates_no_flag_orbit(monkeypatch, tmp_path):
                 monkeypatch.setattr(module, name, _recording(calls, getattr(module, name)))
     monkeypatch.setattr(incidence, "rank2_summary",
                         _recording(summaries, incidence.rank2_summary))
-    monkeypatch.setattr(cli, "is_block_type_swap", _recording(swaps, cli.is_block_type_swap))
+    monkeypatch.setattr(group_action, "_label_pairing",
+                        _recording(pairings, group_action._label_pairing))
     monkeypatch.setattr(group_action, "type_swap_map",
                         _recording(whole_swaps, group_action.type_swap_map))
     out = tmp_path / "cert.json"
@@ -333,10 +360,10 @@ def test_verify_all_enumerates_no_flag_orbit(monkeypatch, tmp_path):
     # the level witness replaces every flag partition and chamber closure;
     # the diagram summarises the first residue of each of the 3 type pairs,
     # and the r - 1 = 2 adjacent type transpositions stand for all 3! swaps,
-    # each checked in block form with no whole-graph check
+    # each checked in block form by the witness, with no whole-graph check
     assert orbit_counts == [] and orbit_sizes == []
     assert len(summaries) == 3
-    assert swaps == [True, True] and whole_swaps == []
+    assert len(pairings) == 2 and whole_swaps == []
 
 
 def test_verify_all_builds_no_adjacency_lists_of_the_geometry(monkeypatch, tmp_path):
@@ -377,7 +404,8 @@ def test_type_swap_that_moves_a_vertex_fails(monkeypatch, tmp_path):
                      "--check", "flag-transitivity", "--out", str(out)])
     assert code == 1
     [check] = json.loads(out.read_text())["checks"]
-    assert not check["pass"] and check["details"]["type_swaps_valid"] is False
+    # the witness checks the swaps, so a bad one leaves no verified symmetry
+    assert not check["pass"] and check["details"]["automorphisms"] is False
     sys_, mapping = moved[0]
     assert not is_automorphism(sys_.graph, mapping)
 

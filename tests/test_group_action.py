@@ -15,7 +15,6 @@ from knesergeom import (
     chamber_orbit_size,
     flag_orbit_count,
     flags_of_type,
-    is_block_type_swap,
     is_type_preserving_automorphism,
     kneser_neighborhood_geometry,
     KneserParams,
@@ -26,7 +25,12 @@ from knesergeom import (
     type_swap_map,
 )
 from knesergeom.graphs import complete_tensor
-from knesergeom.group_action import _is_block_automorphism, factor_is_vertex_transitive
+from knesergeom.isomorphism import is_automorphism
+from knesergeom.group_action import (
+    _is_block_automorphism,
+    _label_pairing,
+    factor_is_vertex_transitive,
+)
 from helpers import (
     block_automorphism_oracle,
     colex_point_table,
@@ -168,15 +172,49 @@ def test_symmetry_witness_fields():
     perms = adjacent_transpositions(7)
     witness = symmetry_witness(geom, perms)
     assert witness.graph is sys_.graph
-    assert witness.tables == tuple(point_tables(geom, perms))
-    # the chamber type's levels, all full, so every type set is covered
-    assert witness.levels == tuple(level_orbits(sys_, witness.tables, (0, 1, 2)))
+    # the point tables, then the block swaps (t, v) -> (sigma t, v) of the
+    # adjacent type transpositions (0 1) and (1 2)
+    tables = point_tables(geom, perms)
+    swaps = [tuple(s * 21 + v for s in sigma for v in range(21))
+             for sigma in ((1, 0, 2), (0, 2, 1))]
+    assert witness.tables == tuple(tables + swaps)
+    # the chamber type's levels under the point tables, all full, so every
+    # type set is covered
+    assert witness.levels == tuple(level_orbits(sys_, tables, (0, 1, 2)))
     assert witness.levels == ((21, 21), (10, 10), (3, 3))
     assert witness.covered == 3
     for size in (1, 2, 3):
         for J in itertools.combinations(range(3), size):
-            levels = level_orbits(sys_, witness.tables, J)
+            levels = level_orbits(sys_, tables, J)
             assert all(orbit == count for orbit, count in levels)
+
+
+@pytest.mark.parametrize("params", [(5, 2, 3), (6, 2, 3), (5, 2, 4)])
+def test_symmetry_witness_tables_are_automorphisms(params):
+    # the whole-graph edge check, which the witness itself never runs
+    geom = build_geometry(GeometryParams(*params))
+    witness = symmetry_witness(geom, adjacent_transpositions(geom.params.ground_size))
+    r, per = geom.params.r, geom.params.per_type
+    assert all(is_automorphism(witness.graph, t) for t in witness.tables)
+    swaps = [tuple(s * per + v for s in sigma for v in range(per))
+             for sigma in adjacent_transpositions(r)]
+    assert list(witness.tables[-(r - 1):]) == swaps
+
+
+def test_symmetry_witness_checks_the_type_swaps(monkeypatch):
+    from knesergeom import group_action
+
+    # a label pairing with two images swapped is no block map
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    pairing = group_action._label_pairing
+
+    def swapped(sys_, sigma):
+        mapping = list(pairing(sys_, sigma))
+        mapping[3], mapping[7] = mapping[7], mapping[3]
+        return tuple(mapping)
+
+    monkeypatch.setattr(group_action, "_label_pairing", swapped)
+    assert symmetry_witness(geom, adjacent_transpositions(7)) is None
 
 
 def _generators(kind, m):
@@ -562,12 +600,13 @@ def test_block_type_swap_is_an_automorphism_property(data):
         per_type[data.draw(st.integers(0, r - 1))] = other
     sys_ = IncidenceSystem.from_graph(range(r), [t for t in range(r) for _ in range(g.n)],
                                       complete_tensor(g, r), [x for ls in per_type for x in ls])
+    shared = all(ls == labels for ls in per_type)
     for sigma in itertools.permutations(range(r)):
         block = tuple(s * g.n + v for s in sigma for v in range(g.n))
         mapping, valid = type_swap_map(sys_, sigma)
-        assert not is_block_type_swap(sys_, sigma) or (valid and mapping == block)
-    if all(ls == labels for ls in per_type):
-        assert all(is_block_type_swap(sys_, sigma) for sigma in adjacent_transpositions(r))
+        is_block = _label_pairing(sys_, sigma) == block
+        assert not is_block or (valid and mapping == block)
+        assert is_block or not shared
 
 
 def test_type_swap_on_geometry():

@@ -183,10 +183,10 @@ def test_witness_tables_are_checked_unless_on_their_own_graph(monkeypatch):
     # table on themselves; the damaged graph fails as with no tables
     copy = Graph(g.n, g.edges())
     assert is_locally_x(copy, x, witness).to_json() == plain.to_json()
-    assert checked == [copy] * 6
+    assert checked == [copy] * 8  # 6 point tables and 2 type swaps
     damaged = Graph(g.n, g.edges()[1:])
     assert is_locally_x(damaged, x, witness).failures == (0, 26, 56, 61, 62)
-    assert checked[6:] == [damaged] * 6
+    assert checked[8:] == [damaged] * 8
 
 
 def test_hand_built_witness_tables_are_checked():
