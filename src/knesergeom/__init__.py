@@ -11,24 +11,18 @@ from .subsets import (
     GroundSet,
     KSubset,
     colex_rank,
-    colex_unrank,
     disjoint,
     enumerate_k_subsets,
-    intersection_size,
 )
 from .graphs import (
     Graph,
     Graph6Error,
     INF,
-    bfs_distances,
-    bipartite_double_cover,
-    diameter,
     girth,
     graph6_decode,
     graph6_encode,
     induced_subgraph,
     is_bipartite,
-    is_connected,
     odd_girth,
     shortest_odd_cycle,
 )
@@ -48,7 +42,6 @@ from .incidence import (
     buekenhout_diagram,
     flags_of_type,
     incidence_graph,
-    is_firm,
     is_geometry,
     is_residually_connected,
     is_thick,
@@ -56,8 +49,6 @@ from .incidence import (
     residue,
     residue_mask,
     satisfies_ip2,
-    truncation,
-    vertex_edge_geometry,
 )
 from .kneser import (
     KneserParams,
@@ -75,7 +66,6 @@ from .kneser_geometry import (
     KneserGeometry,
     build_geometry,
     chamber_count,
-    incidence_graph_degree,
     predicted_diagram,
 )
 from .group_action import (
@@ -92,6 +82,5 @@ from .group_action import (
 from .locally_x import (
     LocallyXReport,
     is_locally_x,
-    neighborhood_graph,
     residue_reference_graph,
 )

@@ -2,11 +2,11 @@
 run locally-X checks on graph6 files.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
-3 I/O error (stdout closed, or a write failing partway).  Every result goes
-through one writer to stdout (or --out), a piece at a time as it is made, so
-build never holds a whole export; diagnostics go to stderr.  Certificates
-are JSON with sorted keys and fixed element order, so a given invocation is
-byte-reproducible.
+3 I/O error (an input file that cannot be read, stdout closed, or a write
+failing partway).  Every result goes through one writer to stdout (or
+--out), a piece at a time as it is made, so build never holds a whole
+export; diagnostics go to stderr.  Certificates are JSON with sorted keys
+and fixed element order, so a given invocation is byte-reproducible.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ that think in masks never make an edge list; masks that are simple by
 construction (an induced subgraph, complete_tensor, a graph6 decode,
 kneser.disjointness_table) skip the check through Graph._derived.
 
-Everything here is deterministic and exact: BFS distances, girth, odd girth,
-diameter, connectivity, bipartiteness, induced subgraphs, the tensor
+Everything here is deterministic and exact: girth, odd girth,
+eccentricities, components, bipartiteness, induced subgraphs, the tensor
 product K_r x G (the bipartite double cover at r = 2), and graph6 I/O.
 Connectivity is one bitmask search, component_mask, which also serves the
 residue checks; bipartiteness is one bitmask layer sweep per component.
@@ -20,14 +20,12 @@ and reads its rows through one argument, so that the double cover's can
 be _CoverRows, made from the graph's own as they are read).  Every other
 distance reads walk sets: W_L[v], the endpoints of the walks of exact
 length L from v.  The all-sources sweep, _walks, gives eccentricities
-from the balls W_L | W_{L-1}; the odd girth at the first odd closed
-walk; and, through cover_walk_metrics, the odd girth together with every
-eccentricity of the double cover K_2 x G, without building the cover or
-sweeping it; the shortest odd cycle is walked back on its first vertex's
-walk sets.  walk_metrics_from reads the same two values off one vertex's
-walk sets alone, which decide every vertex of a vertex-transitive graph;
-the CLI reads those, and cover_walk_metrics, exact on any graph, is their
-oracle.
+from the balls W_L | W_{L-1} and the odd girth at the first odd closed
+walk; the shortest odd cycle is walked back on its first vertex's walk
+sets.  walk_metrics_from reads the shortest odd closed walk through one
+vertex and its eccentricity in the double cover K_2 x G off that vertex's
+walk sets alone, without building the cover; on a vertex-transitive graph
+they decide every vertex, and the CLI reads them there.
 graph6 is encoded in pieces, one window of columns merged into an integer
 at a time, and both ways cut six-bit digits with binascii's base64 codec
 and one byte translation.  graph_digest streams its text into sha256 a row
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 import binascii
 import math
-from collections import deque
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -101,9 +98,8 @@ class Graph:
     def _derived(cls, masks) -> "Graph":
         """from_masks without its checks, for masks that are simple by
         construction: cut from a Graph's own (an induced subgraph, or the
-        complete_tensor or bipartite_double_cover of a simple graph, is
-        simple), decoded from graph6, or a disjointness_table of nonempty
-        subsets (see its docstring)."""
+        complete_tensor of a simple graph, is simple), decoded from graph6,
+        or a disjointness_table of nonempty subsets (see its docstring)."""
         g = cls.__new__(cls)
         g.n, g.neighbor_masks = len(masks), tuple(masks)
         return g
@@ -177,22 +173,6 @@ def graph_digest(g: Graph) -> str:
     return digest.hexdigest()
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Exact shortest-path distances from source; unreachable vertices get -1."""
-    if not 0 <= source < g.n:
-        raise ValueError("source out of range")
-    dist = [-1] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for w in _iter_bits(g.neighbor_masks[u]):
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
-
-
 def eccentricities(g: Graph):
     """Per-vertex eccentricity; math.inf where some vertex is unreachable.
 
@@ -200,7 +180,7 @@ def eccentricities(g: Graph):
     is contained in W_L[v] (go out along an edge and back), so the ball of
     radius L about v is W_L[v] | W_{L-1}[v], and ecc(v) is the least L at
     which that is full, with W_{-1} empty.  Once W_L[v] == W_{L-2}[v] short
-    of that, v's sets repeat with period 2 (see cover_walk_metrics), so its
+    of that, v's sets repeat with period 2 (see walk_metrics_from), so its
     ball has stopped growing short of full and v gets math.inf; so does an
     isolated v, whose W_1 is empty, when n > 1.  With n > 1 no ball of
     radius 0 is full and every W_0[v] differs from the empty W_{-2}[v], so
@@ -227,13 +207,6 @@ def eccentricities(g: Graph):
         before, last = last, walk
 
 
-def diameter(g: Graph):
-    """Max eccentricity; 0 for n <= 1, math.inf when disconnected."""
-    if g.n <= 1:
-        return 0
-    return max(eccentricities(g))
-
-
 def component_mask(masks, start: int, within: int) -> int:
     """Bitmask of the vertices reachable from start inside the vertex set
     within (a bitmask that holds start), given per-vertex neighbor masks."""
@@ -245,11 +218,6 @@ def component_mask(masks, start: int, within: int) -> int:
         cur = nxt & within & ~seen
         seen |= cur
     return seen
-
-
-def is_connected(g: Graph) -> bool:
-    full = (1 << g.n) - 1
-    return g.n == 0 or component_mask(g.neighbor_masks, 0, full) == full
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
@@ -359,62 +327,23 @@ def _walks(g: Graph):
         yield length, walk
 
 
-def cover_walk_metrics(g: Graph):
-    """(odd girth of g, eccentricities of K_2 x g), from one sweep of g's
-    walk sets; entry v of the list is the eccentricity of both (v,0) and
-    (v,1), which the swap of the two halves exchanges.
-
-    In a direct product, d((v,s),(u,t)) is the length of the shortest v-u
-    walk of parity s+t (Hammack, Imrich & Klavzar, Handbook of Product
-    Graphs, 2nd ed., 2011, distance in direct products).  Lemma: if v is not
-    isolated, W_L[v] is contained in W_{L+2}[v] (go out along an edge and
-    back), so the ball of radius L about (v,0) is W_L[v] at parity L and
-    W_{L-1}[v] at parity L-1, and ecc(v,0) is the least L with W_L[v] and
-    W_{L-1}[v] both equal to V(g).  Once W_L[v] == W_{L-2}[v] short of
-    that, W_{L+1}[v] = N(W_L[v]) = N(W_{L-2}[v]) = W_{L-1}[v], so v's sets
-    repeat with period 2, never both fill, and v gets math.inf.  W_{-1} and
-    W_{-2} are empty, so an isolated v, whose W_L is empty for every L >= 1,
-    gets math.inf at L = 1.
-
-    The odd girth is the first odd L with v in W_L[v] for some v.  The
-    sweep stops once every vertex is settled: a finite ecc(v,0) = L puts v
-    in W_L[v] or W_{L-1}[v], whichever is odd, and a periodic vertex has
-    shown both parities already, so no odd closed walk appears later and
-    the odd girth is math.inf if none was found by then.
-    """
-    full = (1 << g.n) - 1
-    ecc = [INF] * g.n
-    odd = INF
-    unsettled = range(g.n)
-    before = last = [0] * g.n  # W_{L-2}, W_{L-1}
-    for length, walk in _walks(g):
-        if odd == INF and _closes_odd(length, walk):
-            odd = length
-        still = []
-        for v in unsettled:
-            m = walk[v]
-            if m == full and last[v] == full:
-                ecc[v] = length
-            elif m != before[v]:
-                still.append(v)
-        if not still:
-            return odd, ecc
-        unsettled = still
-        before, last = last, walk
-
-
 def walk_metrics_from(g: Graph, v: int):
     """(length of the shortest odd closed walk through v, eccentricity of
     (v,0) in K_2 x g), math.inf where there is none, from v's own walk sets.
 
     W_0 is v alone and W_{L+1} = N(W_L), the vertices whose rows meet W_L,
     which by symmetry is the or of the rows of W_L's vertices, picked by
-    _picked.  The rules are cover_walk_metrics's for the one vertex v:
-    ecc(v,0) is the least L with W_L and W_{L-1} both full; once W_L ==
-    W_{L-2} short of that the sets repeat with period 2, and v gets
-    math.inf.  Either way v has shown an odd closed walk by then if it
-    lies on one, so the sweep stops there.  On a vertex-transitive g the
-    first value is the odd girth and the second every cover eccentricity.
+    _picked.  In a direct product, d((v,s),(u,t)) is the length of the
+    shortest v-u walk of parity s+t (Hammack, Imrich & Klavzar, Handbook of
+    Product Graphs, 2nd ed., 2011, distance in direct products).  If v is
+    not isolated, W_L is contained in W_{L+2} (go out along an edge and
+    back), so ecc(v,0) is the least L with W_L and W_{L-1} both full, with
+    W_{-1} empty.  Once W_L == W_{L-2} short of that, W_{L+1} = N(W_L) =
+    N(W_{L-2}) = W_{L-1}, so the sets repeat with period 2, never both fill,
+    and v gets math.inf; so does an isolated v, whose W_1 is empty.  Either
+    way v has shown an odd closed walk by then if it lies on one, so the
+    sweep stops there.  On a vertex-transitive g the first value is the odd
+    girth and the second every cover eccentricity.
     """
     if not 0 <= v < g.n:
         raise ValueError("vertex out of range")
@@ -520,12 +449,6 @@ class _CoverRows:
 
     def __getitem__(self, v: int) -> int:
         return self.masks[v] << self.n if v < self.n else self.masks[v - self.n]
-
-
-def bipartite_double_cover(g: Graph) -> Graph:
-    """K_2 x g: (v,0) at index v, (v,1) at n+v, and an edge {(u,0),(v,1)}
-    for each edge {u,v} of g, both orientations."""
-    return complete_tensor(g, 2)
 
 
 # ---------------------------------------------------------------------------

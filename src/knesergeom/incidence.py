@@ -1,10 +1,10 @@
-"""Typed incidence systems: flags, residues, truncations, and diagrams.
+"""Typed incidence systems: flags, residues, and diagrams.
 
 An IncidenceSystem stores typed elements together with a symmetric
 incidence relation in which distinct incident elements always have distinct
 types, i.e. the incidence graph is rank-partite.  On top of that sit the
 structural predicates: the geometry test (every flag lies in a chamber),
-residual connectedness, firmness/thickness, rank-2 classification
+residual connectedness, thickness, rank-2 classification
 (generalised digon / partial linear space / neither), the rank-2
 intersection property, and Buekenhout diagram extraction.  All of them read
 one walk, _residues, which yields every flag of a type together with the
@@ -64,13 +64,12 @@ class DisconnectedGeometryError(ValueError):
 class IncidenceSystem:
     """Elements 0..n-1, a type label per element, symmetric incidence.
 
-    Type labels are arbitrary ints (kept verbatim by residues and
-    truncations); rank is the number of distinct labels.  Incidence between
-    elements of equal type is rejected at construction, by one AND of each
-    element's mask with its type's mask.  The incidence relation is held
-    once, as `graph` (vertex e is element e), given as pairs or, through
-    from_graph, as a Graph; `element_masks`, its neighbor bitmasks, and
-    `incident` read from it.
+    Type labels are arbitrary ints (kept verbatim by residues); rank is the
+    number of distinct labels.  Incidence between elements of equal type is
+    rejected at construction, by one AND of each element's mask with its
+    type's mask.  The incidence relation is held once, as `graph` (vertex e
+    is element e), given as pairs or, through from_graph, as a Graph;
+    `element_masks`, its neighbor bitmasks, and `incident` read from it.
     """
 
     __slots__ = ("types", "type_of", "labels", "graph", "_type_masks")
@@ -246,7 +245,7 @@ def is_geometry(sys: IncidenceSystem, witness=None) -> GeometryCheck:
 
 
 # ---------------------------------------------------------------------------
-# residues and truncations
+# residues
 # ---------------------------------------------------------------------------
 
 def residue_mask(sys: IncidenceSystem, flag) -> int:
@@ -278,15 +277,6 @@ def residue(sys: IncidenceSystem, flag) -> tuple[IncidenceSystem, tuple[int, ...
     return _restriction(sys, keep, new_types), tuple(keep)
 
 
-def truncation(sys: IncidenceSystem, J) -> IncidenceSystem:
-    """Restriction to the elements whose types lie in J."""
-    J = set(J)
-    if not J <= set(sys.types):
-        raise ValueError(f"types {sorted(J)} not a subset of {sys.types}")
-    keep = [e for e in range(sys.n_elements) if sys.type_of[e] in J]
-    return _restriction(sys, keep, tuple(sorted(J)))
-
-
 ResidualConnectivityCheck = namedtuple("ResidualConnectivityCheck", "ok failing_flag")
 
 
@@ -306,10 +296,6 @@ def _rank1_residue_sizes(sys: IncidenceSystem, witness=None):
     """(flag, residue size) for every flag of corank 1 that _walk reads."""
     for _, flag, cand in _walk(sys, range(max(sys.rank - 1, 0), sys.rank), witness):
         yield flag, cand.bit_count()
-
-
-def is_firm(sys: IncidenceSystem) -> bool:
-    return all(size >= 2 for _, size in _rank1_residue_sizes(sys))
 
 
 def is_thick(sys: IncidenceSystem) -> bool:
@@ -361,12 +347,6 @@ def _classify(masks, a_mask: int, b_mask: int, scan=None) -> str:
                 return NEITHER
             seen |= back
     return PARTIAL_LINEAR_SPACE
-
-
-def classify_rank2(sys: IncidenceSystem) -> str:
-    if sys.rank != 2:
-        raise ValueError("classification needs a rank-2 system")
-    return _classify(sys.element_masks, *map(sys.type_mask, sys.types))
 
 
 def rank2_summary(sys: IncidenceSystem) -> RankTwoSummary:
@@ -473,22 +453,8 @@ def buekenhout_diagram(sys: IncidenceSystem, summaries=None) -> BuekenhoutDiagra
 
 
 # ---------------------------------------------------------------------------
-# construction helpers and serialization
+# serialization
 # ---------------------------------------------------------------------------
-
-def vertex_edge_geometry(g: Graph) -> IncidenceSystem:
-    """The rank-2 geometry of a graph: type 0 = vertices, type 1 = edges,
-    incidence = containment."""
-    edges = g.edges()
-    n = g.n
-    incid = []
-    labels = [f"v{v}" for v in range(n)]
-    for idx, (u, v) in enumerate(edges):
-        incid.append((u, n + idx))
-        incid.append((v, n + idx))
-        labels.append(f"e{u}-{v}")
-    return IncidenceSystem((0, 1), [0] * n + [1] * len(edges), incid, labels)
-
 
 def _jsonable(x):
     if x is INF:

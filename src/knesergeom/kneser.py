@@ -215,8 +215,7 @@ def neighborhood_geometry(g: Graph, labels=None) -> IncidenceSystem:
 def neighborhood_summary(g: Graph, cover_eccentricities, transitive=False) -> RankTwoSummary:
     """rank2_summary(neighborhood_geometry(g)), given the eccentricity in
     K_2 x g of each vertex of g, for both of its copies, whatever computed
-    it: graphs.walk_metrics_from on a vertex-transitive g, or
-    graphs.cover_walk_metrics on any g.
+    it, such as graphs.walk_metrics_from on a vertex-transitive g.
 
     The class and gonality are incidence's one 4-cycle scan and one girth
     search, run on _CoverRows(g), so neither the geometry nor the cover is

@@ -90,18 +90,23 @@ class KneserGeometry:
     def n_elements(self) -> int:
         return self.params.n_elements
 
+    def _split(self, e: int) -> tuple[int, int]:
+        """(type, index in the type) of element e; ValueError outside
+        0..n_elements-1."""
+        if not 0 <= e < self.n_elements:
+            raise ValueError(f"element {e} out of range 0..{self.n_elements - 1}")
+        return divmod(e, self.params.per_type)
+
     def type_of(self, e: int) -> int:
-        return e // self.params.per_type
+        return self._split(e)[0]
 
     def subset_of(self, e: int) -> KSubset:
-        return KSubset(self.subsets[e % self.params.per_type])
+        return KSubset(self.subsets[self._split(e)[1]])
 
     def incident(self, x: int, y: int) -> bool:
         """x * y iff the types differ and the subsets are disjoint."""
-        if x == y:
-            return True
-        (s, i), (t, j) = divmod(x, self.params.per_type), divmod(y, self.params.per_type)
-        return s != t and self.subsets[i] & self.subsets[j] == 0
+        (s, i), (t, j) = self._split(x), self._split(y)
+        return x == y or s != t and self.subsets[i] & self.subsets[j] == 0
 
     @property
     def factor(self) -> Graph:
@@ -134,12 +139,6 @@ def chamber_count(params: GeometryParams) -> int:
     for t in range(params.r):
         total *= math.comb(m - t * k, k)
     return total
-
-
-def incidence_graph_degree(params: GeometryParams) -> int:
-    """Degree of every vertex of the incidence graph: (r-1) choices of type
-    times the C(m-k, k) subsets disjoint from a fixed one."""
-    return (params.r - 1) * math.comb(params.ground_size - params.k, params.k)
 
 
 def predicted_diagram(params: GeometryParams) -> BuekenhoutDiagram:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .graphs import Graph, _iter_bits, graph_digest, induced_subgraph
+from .graphs import Graph, graph_digest
 from .group_action import SymmetryWitness, _VerifiedWitness
 from .isomorphism import _search, is_automorphism
 from .kneser_geometry import GeometryParams, KneserGeometry, build_geometry
@@ -48,14 +48,6 @@ class LocallyXReport(
             "passed": self.passed,
             "failed": list(self.failures),
         }
-
-
-def neighborhood_graph(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """Graph induced on the neighbors of v, with the mapping back to the
-    original vertex labels; is_locally_x searches N(v) in place instead."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return induced_subgraph(g, _iter_bits(g.neighbor_masks[v]))
 
 
 def _automorphism(g: Graph, root: int, v: int):

@@ -98,27 +98,5 @@ def colex_rank(ground: GroundSet, s: KSubset) -> int:
     return r
 
 
-def colex_unrank(ground: GroundSet, k: int, rank: int) -> KSubset:
-    """Inverse of colex_rank: the rank-th k-subset in colex order."""
-    if not 0 <= k <= ground.m:
-        raise ValueError(f"k must be in 0..{ground.m}")
-    if not 0 <= rank < math.comb(ground.m, k):
-        raise ValueError("rank out of range")
-    bits = 0
-    rest = rank
-    for i in range(k, 0, -1):
-        # largest c with C(c, i) <= rest
-        c = i - 1
-        while math.comb(c + 1, i) <= rest:
-            c += 1
-        bits |= 1 << c
-        rest -= math.comb(c, i)
-    return KSubset(bits)
-
-
 def disjoint(a: KSubset, b: KSubset) -> bool:
     return a.bits & b.bits == 0
-
-
-def intersection_size(a: KSubset, b: KSubset) -> int:
-    return (a.bits & b.bits).bit_count()

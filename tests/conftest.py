@@ -11,11 +11,8 @@ settings.load_profile("deterministic")
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from knesergeom import (
-    KneserParams,
-    bipartite_double_cover,
-    kneser_graph,
-)
+from knesergeom import KneserParams, kneser_graph
+from knesergeom.graphs import complete_tensor
 
 
 @pytest.fixture(scope="session")
@@ -25,4 +22,4 @@ def petersen():
 
 @pytest.fixture(scope="session")
 def desargues(petersen):
-    return bipartite_double_cover(petersen)
+    return complete_tensor(petersen, 2)

@@ -1,4 +1,5 @@
-"""Independent oracles and corpus generators shared across the tests.
+"""Independent oracles, corpus generators and fixture geometries shared
+across the tests.
 
 Every oracle here deliberately avoids the code paths it is used to check:
 girth by edge-deletion BFS, odd girth by boolean adjacency powers,
@@ -11,7 +12,8 @@ and the geometry test (maximal cliques) by networkx, diagram uniformity by
 building every corank-1 and corank-2 residue with residue(), Kneser graphs,
 disjointness tables and disjointness geometries by a loop over pairs of
 subsets, the rank-2 summary of a neighborhood geometry on the built
-double cover, the tensor K_r x G by a loop over pairs of typed vertices,
+double cover, the tensor K_r x G by a loop over pairs of typed vertices
+and its eccentricities at r = 2 by one BFS per source on it,
 graph6 by packing each six-bit slice of the column bit string, the 4-cycle
 test of a rank-2 residue by comparing every pair of one side, block
 automorphisms by a pairwise check of the factor, graph digests by
@@ -47,6 +49,7 @@ from knesergeom import (
     rank2_summary,
     residue,
 )
+from knesergeom.incidence import _restriction
 
 
 def random_graph(rng, n, p):
@@ -491,7 +494,7 @@ def small_graphs(draw, max_n=12):
 def residue_verdicts_oracle(sys):
     """Brute-force verdicts of the residue checks: geometry (every maximal
     clique of the incidence graph is a chamber), residual connectivity,
-    ip2, firmness and thickness, plus the sorted (flag, size) list of the
+    ip2 and thickness, plus the sorted (flag, size) list of the
     rank-1 residues."""
     g = nx_incidence_graph(sys)
     types, rank = sys.types, sys.rank
@@ -516,7 +519,6 @@ def residue_verdicts_oracle(sys):
         "geometry": bool(cliques) and all(len(c) == rank for c in cliques),
         "residually_connected": connected,
         "ip2": ip2,
-        "firm": all(size >= 2 for _, size in rank1),
         "thick": all(size >= 3 for _, size in rank1),
         "rank1_sizes": rank1,
     }
@@ -634,6 +636,12 @@ def complete_tensor_oracle(g, r):
     return Graph(r * n, edges)
 
 
+def cover_eccentricities_oracle(g):
+    """The eccentricity of (v,0) in K_2 x g for each vertex v of g, by one
+    BFS per source on the cover built pair by pair."""
+    return per_source_eccentricities(complete_tensor_oracle(g, 2))[:g.n]
+
+
 def induced_subgraph_oracle(g, vertices):
     """The subgraph induced on vertices by renumbering each edge inside them."""
     vs = sorted(set(vertices))
@@ -680,3 +688,27 @@ def geometry_json_oracle(n, k, r):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     body = ",\n      ".join([_PAIR % pair for pair in sys.graph.edges()])
     return text.replace('"incidences": []', f'"incidences": [\n      {body}\n    ]', 1).encode()
+
+
+def vertex_edge_geometry(g):
+    """The rank-2 geometry of a graph: type 0 = vertices, type 1 = edges,
+    incidence = containment."""
+    edges = g.edges()
+    n = g.n
+    incid = []
+    labels = [f"v{v}" for v in range(n)]
+    for idx, (u, v) in enumerate(edges):
+        incid.append((u, n + idx))
+        incid.append((v, n + idx))
+        labels.append(f"e{u}-{v}")
+    return IncidenceSystem((0, 1), [0] * n + [1] * len(edges), incid, labels)
+
+
+def truncation(sys, J):
+    """Restriction of an incidence system to the elements whose types lie
+    in J, renumbered in ascending order, labels and type labels kept."""
+    J = set(J)
+    if not J <= set(sys.types):
+        raise ValueError(f"types {sorted(J)} not a subset of {sys.types}")
+    keep = [e for e in range(sys.n_elements) if sys.type_of[e] in J]
+    return _restriction(sys, keep, tuple(sorted(J)))

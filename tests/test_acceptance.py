@@ -13,14 +13,12 @@ from knesergeom import (
     KneserParams,
     adjacent_transpositions,
     are_isomorphic,
-    bipartite_double_cover,
     buekenhout_diagram,
     build_geometry,
     chamber_count,
     chamber_orbit_size,
     construct_even_path,
     construct_odd_path,
-    diameter,
     flag_orbit_count,
     flags_of_type,
     girth,
@@ -47,9 +45,14 @@ from knesergeom import (
     shortest_odd_cycle,
     type_swap_map,
     verify_isomorphism,
+)
+from knesergeom.graphs import complete_tensor, eccentricities
+from helpers import (
+    brute_force_isomorphism,
+    isomorphism_corpus,
+    residue_diagram_mismatches,
     vertex_edge_geometry,
 )
-from helpers import brute_force_isomorphism, isomorphism_corpus, residue_diagram_mismatches
 
 
 def report(name, ok, detail=""):
@@ -71,7 +74,7 @@ def test_criterion_01_petersen_fixed_point(petersen):
         and petersen.n_edges == 15
         and girth(petersen) == 5
         and odd_girth(petersen) == 5
-        and diameter(petersen) == 2
+        and max(eccentricities(petersen)) == 2
     )
     d = buekenhout_diagram(vertex_edge_geometry(petersen))
     s = d.edges[(0, 1)]
@@ -209,7 +212,7 @@ def test_criterion_07_locally_x_main_theorem(desargues):
         (GeometryParams(5, 2, 3), desargues, 63),
         (
             GeometryParams(6, 2, 3),
-            bipartite_double_cover(kneser_graph(KneserParams(6, 2))),
+            complete_tensor(kneser_graph(KneserParams(6, 2)), 2),
             84,
         ),
         (GeometryParams(5, 2, 4), None, 144),

@@ -24,7 +24,7 @@ from knesergeom import (
 )
 from knesergeom.group_action import adjacent_transpositions, symmetry_witness
 
-from helpers import geometry_json_oracle
+from helpers import geometry_json_oracle, vertex_edge_geometry
 
 
 # the child process imports the same package as the tests, whether it
@@ -262,7 +262,8 @@ def test_verify_locally_x_one_search(monkeypatch, tmp_path):
                         _recording(tables_in_check, locally_x.is_automorphism))
     monkeypatch.setattr(group_action, "is_type_preserving_automorphism",
                         _recording(whole_checks, group_action.is_type_preserving_automorphism))
-    for module in (graphs, incidence, locally_x):  # every name it is called by
+    assert not hasattr(locally_x, "induced_subgraph")
+    for module in (graphs, incidence):  # every name it is called by
         monkeypatch.setattr(module, "induced_subgraph",
                             _recording(subgraphs, graphs.induced_subgraph))
     edge_check = isomorphism._edge_check
@@ -701,7 +702,7 @@ def test_uncertified_rank2_diagram_summarises_the_geometry(monkeypatch, tmp_path
 def test_thickness_reports_computed_minimum(monkeypatch):
     from types import SimpleNamespace
 
-    from knesergeom import Graph, cli, vertex_edge_geometry
+    from knesergeom import Graph, cli
 
     # the vertex-edge geometry of the path 1-0-2-3: an end vertex lies on one
     # edge, so the smallest rank-1 residue has one element (C(n-k,k) = 3
@@ -913,6 +914,26 @@ def test_golden_outputs():
         res = run_cli(*argv)
         assert res.returncode == code
         assert hashlib.sha256(res.stdout).hexdigest() == digest, argv
+
+
+def test_golden_outputs_in_one_process(capsysbinary):
+    # the memoised witness, rank-2 geometry, walk metrics and summary hold
+    # one entry each, so runs that alternate between parameters, and between
+    # rank 3, rank 4 and rank 2, keep replacing them; each stdout must still
+    # be that of a fresh process
+    from knesergeom import cli
+
+    golden = {("verify", "--n", n, "--k", k, "--r", r, "--all"): (code, digest)
+              for n, k, r, code, digest in GOLDEN_VERIFY_ALL}
+    golden.update((argv, (code, digest)) for argv, code, digest in GOLDEN_OUTPUTS)
+    ladder = [("5", "2", "3"), ("6", "2", "3"), ("5", "2", "3"), ("5", "2", "4"),
+              ("7", "3", "2"), ("5", "2", "3"), ("5", "2", "4")]
+    runs = [("verify", "--n", n, "--k", k, "--r", r, "--all") for n, k, r in ladder]
+    capsysbinary.readouterr()
+    for argv in runs:
+        code = cli.main(list(argv))
+        out = capsysbinary.readouterr().out
+        assert (code, hashlib.sha256(out).hexdigest()) == golden[argv], argv
 
 
 def test_build_graph6_goes_from_masks_to_bytes(monkeypatch, tmp_path):

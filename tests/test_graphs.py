@@ -14,16 +14,12 @@ from knesergeom import (
     INF,
     IncidenceSystem,
     KneserParams,
-    bfs_distances,
-    bipartite_double_cover,
     build_geometry,
-    diameter,
     girth,
     graph6_decode,
     graph6_encode,
     induced_subgraph,
     is_bipartite,
-    is_connected,
     kneser_graph,
     odd_girth,
     rank2_summary,
@@ -34,13 +30,13 @@ from knesergeom import graphs
 from knesergeom.graphs import (
     complete_tensor,
     connected_components,
-    cover_walk_metrics,
     eccentricities,
     graph_digest,
     walk_metrics_from,
 )
 from helpers import (
     adjacency,
+    bfs_dist_oracle,
     complete_tensor_oracle,
     girth_oracle,
     graph6_encode_oracle,
@@ -119,15 +115,10 @@ def test_adj_is_a_cached_view():
     assert g.neighbor_masks is masks
 
 
-def test_bfs_distances():
-    assert bfs_distances(PATH3, 0) == [0, 1, 2]
-    assert bfs_distances(Graph(2), 0) == [0, -1]
-
-
 def test_bfs_petersen_eccentricity(petersen):
+    assert eccentricities(petersen) == [2] * 10
     for v in range(10):
-        dist = bfs_distances(petersen, v)
-        assert max(dist) == 2
+        assert max(bfs_dist_oracle(adjacency(petersen), v)) == 2
 
 
 def test_girth_fixtures():
@@ -147,19 +138,19 @@ def test_odd_girth_fixtures():
 
 
 def test_connected_bipartite_diameter():
-    assert is_connected(C4) and is_bipartite(C4) and diameter(C4) == 2
+    assert connected_components(C4) == [(0, 1, 2, 3)]
+    assert is_bipartite(C4) and max(eccentricities(C4)) == 2
     two_edges = Graph(4, [(0, 1), (2, 3)])
-    assert not is_connected(two_edges)
-    assert diameter(two_edges) == INF
-    assert diameter(Graph(0)) == 0
-    assert diameter(Graph(1)) == 0
-    assert is_connected(Graph(0))
+    assert connected_components(two_edges) == [(0, 1), (2, 3)]
+    assert max(eccentricities(two_edges)) == INF
+    assert eccentricities(Graph(0)) == [] and connected_components(Graph(0)) == []
+    assert eccentricities(Graph(1)) == [0]
 
 
 def test_desargues_metrics(desargues):
-    assert is_connected(desargues)
+    assert len(connected_components(desargues)) == 1
     assert is_bipartite(desargues)
-    assert diameter(desargues) == 5
+    assert max(eccentricities(desargues)) == 5
     assert girth(desargues) == 6
     assert all(desargues.degree(v) == 3 for v in range(20))
 
@@ -189,9 +180,9 @@ def test_induced_subgraph_matches_edge_renumbering(n, seed, p):
 
 def test_double_cover_fixtures():
     k2 = Graph(2, [(0, 1)])
-    dc = bipartite_double_cover(k2)
+    dc = complete_tensor(k2, 2)
     assert dc.n == 4 and sorted(dc.edges()) == [(0, 3), (1, 2)]
-    c6 = bipartite_double_cover(TRIANGLE)
+    c6 = complete_tensor(TRIANGLE, 2)
     assert c6.n == 6 and girth(c6) == 6 and all(c6.degree(v) == 2 for v in range(6))
 
 
@@ -212,7 +203,6 @@ def test_complete_tensor_matches_pair_loop_and_passes_the_checks(g, r):
     # the product skips from_masks's checks; the checked constructor accepts it
     assert Graph.from_masks(t.neighbor_masks) == t
     if r == 2:
-        assert t == bipartite_double_cover(g)
         # the cover's rows as the rank-2 summary reads them, made from g's
         rows = graphs._CoverRows(g)
         assert [rows[v] for v in range(t.n)] == list(t.neighbor_masks)
@@ -222,8 +212,9 @@ def test_double_cover_connectivity_criterion():
     rng = random.Random(5)
     for _ in range(60):
         g = random_graph(rng, rng.randrange(1, 12), rng.choice([0.15, 0.3, 0.6]))
-        dc = bipartite_double_cover(g)
-        assert is_connected(dc) == (is_connected(g) and not is_bipartite(g))
+        dc = complete_tensor(g, 2)
+        connected = len(connected_components(g)) == 1
+        assert (len(connected_components(dc)) == 1) == (connected and not is_bipartite(g))
 
 
 def test_odd_girth_iff_bipartite():
@@ -257,8 +248,8 @@ def test_metric_oracles_on_random_graphs():
         assert odd_girth(g) == odd_girth_oracle(g)
         nxg = nx.empty_graph(g.n)
         nxg.add_edges_from(g.edges())
-        if is_connected(g) and g.n > 1:
-            assert diameter(g) == nx.diameter(nxg)
+        if len(connected_components(g)) == 1 and g.n > 1:
+            assert max(eccentricities(g)) == nx.diameter(nxg)
 
 
 def to_nx(g):
@@ -390,35 +381,36 @@ def test_sweeps_match_per_source_bfs_property(g):
 @example(disjoint_union(cycle(5), cycle(4)))  # an odd and an even component
 @example(disjoint_union(cycle(7), cycle(3)))  # two odd components
 @example(with_pendant_paths(cycle(5), [3]))  # odd closed walks of several lengths
-def test_cover_walk_metrics_match_sweeps_of_the_cover_property(g):
+def test_walk_metrics_from_match_bfs_of_the_cover_property(g):
     assert eccentricities(g) == per_source_eccentricities(g)
-    odd, ecc = cover_walk_metrics(g)
-    cover = bipartite_double_cover(g)
-    # (v,0) at index v and (v,1) at n+v: both halves read entry v
-    assert eccentricities(cover) == per_source_eccentricities(cover) == ecc + ecc
-    assert odd == odd_girth(g) == per_source_odd_girth(g)
-    # one vertex's walk sets give its own entry, and the shortest odd closed
-    # walk through it, a shortest path from (v,0) to (v,1) in the cover
+    # (v,0) at index v and (v,1) at n+v, swapped by an automorphism of the
+    # built cover, so both have v's eccentricity
+    cover = complete_tensor(g, 2)
+    ecc = per_source_eccentricities(cover)
+    assert ecc[:g.n] == ecc[g.n:]
+    # one vertex's walk sets give its cover eccentricity, and the shortest
+    # odd closed walk through it, a shortest path from (v,0) to (v,1)
+    adj = adjacency(cover)
     per_vertex = [walk_metrics_from(g, v) for v in range(g.n)]
-    assert [e for _, e in per_vertex] == ecc
-    assert min((o for o, _ in per_vertex), default=INF) == odd
-    for v, (o, _) in enumerate(per_vertex):
-        d = bfs_distances(cover, v)[g.n + v]
-        assert o == (INF if d < 0 else d)
+    for v, (odd, e) in enumerate(per_vertex):
+        d = bfs_dist_oracle(adj, v)[g.n + v]
+        assert (odd, e) == (INF if d < 0 else d, ecc[v])
+    assert min((odd for odd, _ in per_vertex), default=INF) == odd_girth(g)
+    assert odd_girth(g) == per_source_odd_girth(g)
 
 
-def test_cover_walk_metrics_fixtures(petersen):
+def test_walk_metrics_from_fixtures(petersen):
     # the Desargues graph K_2 x Petersen has diameter 5, as has the geometry
-    assert cover_walk_metrics(petersen) == (5, [5] * 10)
+    assert [walk_metrics_from(petersen, v) for v in range(10)] == [(5, 5)] * 10
     # C_4's cover is two C_4s, and an isolated vertex is its own component
-    assert cover_walk_metrics(C4) == (INF, [INF] * 4)
-    assert cover_walk_metrics(Graph(1)) == (INF, [INF])
-    assert cover_walk_metrics(Graph(0)) == (INF, [])
+    assert [walk_metrics_from(C4, v) for v in range(4)] == [(INF, INF)] * 4
+    assert walk_metrics_from(Graph(1), 0) == (INF, INF)
     # K_3's cover is C_6
-    assert cover_walk_metrics(TRIANGLE) == (3, [3] * 3)
     assert walk_metrics_from(TRIANGLE, 2) == (3, 3)
     with pytest.raises(ValueError):
         walk_metrics_from(TRIANGLE, 3)
+    with pytest.raises(ValueError):
+        walk_metrics_from(Graph(0), 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -471,7 +463,7 @@ def test_odd_girth_stops_at_the_first_odd_closed_walk(monkeypatch, petersen):
     assert odd_girth(petersen) == 5 and lengths == [0, 1, 2, 3, 4, 5]
     lengths.clear()
     # a bipartite graph is settled by is_bipartite alone
-    assert odd_girth(C4) == odd_girth(bipartite_double_cover(petersen)) == INF
+    assert odd_girth(C4) == odd_girth(complete_tensor(petersen, 2)) == INF
     assert odd_girth(Graph(0)) == odd_girth(Graph(3)) == INF
     assert lengths == []
 

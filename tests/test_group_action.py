@@ -40,6 +40,7 @@ from helpers import (
     small_graphs,
     tuple_orbit_group_order,
     typed_systems,
+    vertex_edge_geometry,
 )
 
 
@@ -624,7 +625,7 @@ def test_type_swap_unequal_sizes_invalid():
     sys_ = kneser_neighborhood_geometry(KneserParams(5, 2))
     mapping, ok = type_swap_map(sys_, (1, 0))
     assert ok  # both copies carry the same labels
-    from knesergeom import vertex_edge_geometry, kneser_graph
+    from knesergeom import kneser_graph
 
     uneven = vertex_edge_geometry(kneser_graph(KneserParams(5, 2)))
     mapping, ok = type_swap_map(uneven, (1, 0))

@@ -18,7 +18,6 @@ from knesergeom import (
     buekenhout_diagram,
     build_geometry,
     incidence_graph,
-    is_firm,
     is_geometry,
     is_residually_connected,
     is_thick,
@@ -30,8 +29,6 @@ from knesergeom import (
     residue_mask,
     satisfies_ip2,
     symmetry_witness,
-    truncation,
-    vertex_edge_geometry,
 )
 from knesergeom.group_action import SymmetryWitness, _VerifiedWitness
 from knesergeom.incidence import (
@@ -39,7 +36,6 @@ from knesergeom.incidence import (
     _classify,
     _rank1_residue_sizes,
     _walk,
-    classify_rank2,
     diagram_to_dot,
     flags_of_type,
     is_flag,
@@ -55,7 +51,9 @@ from helpers import (
     residue_diagram_mismatches,
     residue_oracle,
     residue_verdicts_oracle,
+    truncation,
     typed_systems,
+    vertex_edge_geometry,
 )
 
 
@@ -230,7 +228,6 @@ def test_residue_checks_match_brute_force_property(sys_):
         assert pair == tuple(t for t in sys_.types if t not in _flag_type(sys_, flag))
         assert classify_oracle(g, sys_.type_of, residue_oracle(g, flag), pair) == NEITHER
 
-    assert is_firm(sys_) == want["firm"]
     assert is_thick(sys_) == want["thick"]
     assert sorted(_rank1_residue_sizes(sys_)) == want["rank1_sizes"]
 
@@ -239,15 +236,18 @@ def test_residue_checks_match_brute_force_property(sys_):
         pair = tuple(t for t in sys_.types if t not in J)
         for flag in flags_oracle(g, sys_.type_of, J):
             sub, _ = residue(sys_, flag)
-            got = classify_rank2(sub)
+            got = _classify(sub.element_masks, *map(sub.type_mask, sub.types))
             assert got == classify_oracle(g, sys_.type_of, residue_oracle(g, flag), pair)
 
 
 def test_firm_thick():
+    # firm: every rank-1 residue has at least 2 elements; thick: at least 3
     single_chamber = IncidenceSystem((0, 1), [0, 1], [(0, 1)])
-    assert not is_firm(single_chamber)
+    assert [size for _, size in _rank1_residue_sizes(single_chamber)] == [1, 1]
+    assert not is_thick(single_chamber)
     assert is_thick(kneser_neighborhood_geometry(KneserParams(5, 2)))
-    assert is_firm(digon()) and not is_thick(digon())
+    assert {size for _, size in _rank1_residue_sizes(digon())} == {2}
+    assert not is_thick(digon())
     assert is_thick(digon(3, 3))
 
 
@@ -309,7 +309,7 @@ def test_rank2_disconnected_raises():
 def test_classify_degenerate_star():
     # one line through every point: no 4-cycle, so a partial linear space
     star = IncidenceSystem((0, 1), [0, 0, 0, 1], [(0, 3), (1, 3), (2, 3)])
-    assert classify_rank2(star) == PARTIAL_LINEAR_SPACE
+    assert _classify(star.element_masks, *map(star.type_mask, star.types)) == PARTIAL_LINEAR_SPACE
 
 
 @settings(max_examples=400, deadline=None)

@@ -9,10 +9,11 @@ from knesergeom import (
     Graph,
     are_isomorphic,
     build_geometry,
-    neighborhood_graph,
+    induced_subgraph,
     residue_reference_graph,
     verify_isomorphism,
 )
+from knesergeom.graphs import _iter_bits
 from knesergeom.isomorphism import _edge_check, _search, color_refine, wl_signature
 from helpers import (
     adjacency,
@@ -281,11 +282,11 @@ def test_in_place_search_matches_are_isomorphic_on_neighborhood_property(case):
         relabelled = relabel(nbhd, perm)
         found = _search_neighborhood(g, v, relabelled)
         assert found is not None
-        assert found == are_isomorphic(neighborhood_graph(g, v)[0], relabelled)
+        assert found == are_isomorphic(induced_subgraph(g, _iter_bits(g.neighbor_masks[v]))[0], relabelled)
         near = _moved_edge(nbhd, rng)
         if near is not None:
             assert _search_neighborhood(g, v, near) is None
-            assert are_isomorphic(neighborhood_graph(g, v)[0], near) is None
+            assert are_isomorphic(induced_subgraph(g, _iter_bits(g.neighbor_masks[v]))[0], near) is None
 
 
 def test_in_place_edge_check_rejects_swaps_and_ignores_outside_neighbors():

@@ -7,7 +7,6 @@ from knesergeom import (
     Graph,
     KneserParams,
     KSubset,
-    bipartite_double_cover,
     construct_even_path,
     construct_odd_path,
     incidence_graph,
@@ -20,12 +19,17 @@ from knesergeom import (
     predicted_odd_girth,
     rank2_summary,
 )
-from knesergeom.graphs import cover_walk_metrics, eccentricities
+from knesergeom.graphs import complete_tensor, eccentricities, walk_metrics_from
 from knesergeom.incidence import DisconnectedGeometryError
 from knesergeom import kneser
 from knesergeom.kneser import disjointness_table, neighborhood_summary
 from knesergeom.subsets import GroundSet, enumerate_k_subsets
-from helpers import disjointness_table_oracle, neighborhood_summary_oracle, small_graphs
+from helpers import (
+    cover_eccentricities_oracle,
+    disjointness_table_oracle,
+    neighborhood_summary_oracle,
+    small_graphs,
+)
 
 
 def ceil_div(a, b):
@@ -141,10 +145,10 @@ def test_path_lengths_exhaustive_for_7_3():
 
 def test_neighborhood_geometry_matches_double_cover(petersen):
     ng = neighborhood_geometry(petersen)
-    assert incidence_graph(ng).graph == bipartite_double_cover(petersen)
+    assert incidence_graph(ng).graph == complete_tensor(petersen, 2)
     k2 = Graph(2, [(0, 1)])
     ng2 = neighborhood_geometry(k2)
-    assert incidence_graph(ng2).graph == bipartite_double_cover(k2)
+    assert incidence_graph(ng2).graph == complete_tensor(k2, 2)
 
 
 def test_neighborhood_geometry_kg62_counts():
@@ -170,7 +174,7 @@ def test_gonality_diameter_vs_oracle_small():
 @example(Graph(1))
 @example(Graph(4, [(0, 1), (1, 2), (2, 0)]))  # a triangle and an isolated vertex
 def test_neighborhood_summary_matches_rank2_summary_property(g):
-    ecc = cover_walk_metrics(g)[1]
+    ecc = cover_eccentricities_oracle(g)
     try:
         expected = rank2_summary(neighborhood_geometry(g))
     except DisconnectedGeometryError as exc:
@@ -232,7 +236,7 @@ def test_cover_free_neighborhood_summary_matches_the_cover_path_property(g):
     # the class and gonality read from g's masks equal the summary of the
     # built cover; only the disconnected error builds the cover, to name
     # its components
-    ecc = cover_walk_metrics(g)[1]
+    ecc = cover_eccentricities_oracle(g)
     try:
         expected = neighborhood_summary_oracle(g, ecc)
     except DisconnectedGeometryError as exc:
@@ -256,7 +260,7 @@ def test_transitive_neighborhood_summary_reads_vertex_zero():
     graphs.append(Graph(10, circular))
     graphs += [kneser_graph(KneserParams(n, k)) for n, k in [(5, 2), (6, 2), (7, 3), (9, 4)]]
     for g in graphs:
-        ecc = cover_walk_metrics(g)[1]
+        ecc = cover_eccentricities_oracle(g)
         assert neighborhood_summary(g, ecc, transitive=True) == neighborhood_summary_oracle(g, ecc)
 
 
@@ -264,10 +268,13 @@ def test_neighborhood_summary_ladder():
     for n, k in [(5, 2), (7, 3), (8, 3), (9, 4), (12, 5)]:
         p = KneserParams(n, k)
         g = kneser_graph(p)
-        odd, ecc = cover_walk_metrics(g)
         cover = neighborhood_geometry(g)
-        assert ecc == eccentricities(cover.graph)[:g.n] == eccentricities(cover.graph)[g.n:]
-        assert odd == odd_girth(g) == predicted_odd_girth(p)
+        ecc = eccentricities(cover.graph)
+        assert ecc[:g.n] == ecc[g.n:]
+        ecc = ecc[:g.n]
+        # KG(n,k) is vertex-transitive, so vertex 0's walk sets decide both
+        assert walk_metrics_from(g, 0) == (predicted_odd_girth(p), ecc[0])
+        assert odd_girth(g) == predicted_odd_girth(p)
         s = neighborhood_summary(g, ecc)
         assert s == rank2_summary(cover)
         assert s.diameters == (predicted_diameter(p),) * 2

@@ -12,7 +12,6 @@ from knesergeom import (
     chamber_count,
     flags_of_type,
     incidence_graph,
-    incidence_graph_degree,
     is_geometry,
     is_residually_connected,
     is_thick,
@@ -24,9 +23,14 @@ from knesergeom import (
     predicted_diagram,
     residue,
     satisfies_ip2,
+)
+from knesergeom.graphs import connected_components
+from helpers import (
+    incidence_system_oracle,
+    kneser_graph_oracle,
+    residue_diagram_mismatches,
     truncation,
 )
-from helpers import incidence_system_oracle, kneser_graph_oracle, residue_diagram_mismatches
 
 
 @pytest.mark.parametrize(
@@ -104,6 +108,22 @@ def test_incidence_predicate_matches_materialized():
             assert geom.incident(x, y) == sys_.incident(x, y)
 
 
+def test_element_ids_outside_the_geometry_are_refused():
+    # (5,2,3) has 63 elements: an id past the end no longer wraps into a
+    # type or a subset, and a negative one is no longer incident to any
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    for bad in (63, 100, -1):
+        with pytest.raises(ValueError, match="out of range 0..62"):
+            geom.type_of(bad)
+        with pytest.raises(ValueError, match="out of range 0..62"):
+            geom.subset_of(bad)
+        for x, y in ((bad, 5), (5, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="out of range 0..62"):
+                geom.incident(x, y)
+    assert geom.type_of(62) == 2 and geom.subset_of(62) == geom.subset_of(20)
+    assert geom.incident(62, 62) and not geom.incident(0, 1)
+
+
 def test_counts_360():
     geom = build_geometry(GeometryParams(7, 3, 3))
     assert geom.n_elements == 360
@@ -149,11 +169,9 @@ def test_residue_composition_identity():
 
 
 def test_truncation_pairs_connected():
-    from knesergeom import is_connected
-
     sys_ = build_geometry(GeometryParams(5, 2, 3)).incidence_system()
     for pair in [(0, 1), (0, 2), (1, 2)]:
-        assert is_connected(incidence_graph(truncation(sys_, pair)).graph)
+        assert len(connected_components(incidence_graph(truncation(sys_, pair)).graph)) == 1
 
 
 def test_truncation_is_neighborhood_geometry_of_bigger_kneser():
@@ -207,8 +225,10 @@ def test_ip2_dichotomy():
 
 
 def test_incidence_graph_degree():
+    # (r-1) choices of another type times the C(m-k, k) subsets disjoint
+    # from a fixed one, with m = n + k(r-2)
     params = GeometryParams(5, 2, 3)
     g = incidence_graph(build_geometry(params).incidence_system()).graph
-    expected = incidence_graph_degree(params)
+    expected = (params.r - 1) * math.comb(params.ground_size - params.k, params.k)
     assert expected == 20
     assert all(g.degree(v) == expected for v in range(g.n))
