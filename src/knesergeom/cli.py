@@ -134,46 +134,83 @@ def _with_incidences(text, g):
 # verify
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
-def _symmetry_witness(params, geom):
-    """symmetry_witness of the ground set's adjacent transpositions, memoised
-    so that every check that reads it, the residue checks too, shares it."""
-    return symmetry_witness(geom, adjacent_transpositions(params.ground_size))
+class _Run:
+    """One verify run: params, the geometry built from them, and the facts
+    that several checks share, each computed on first use and dropped with
+    the run."""
+
+    def __init__(self, params):
+        self.params, self.geom = params, build_geometry(params)
+
+    @functools.cached_property
+    def witness(self):
+        """symmetry_witness of the ground set's adjacent transpositions,
+        which every check that reads it, the residue checks too, shares."""
+        return symmetry_witness(self.geom, adjacent_transpositions(self.params.ground_size))
+
+    @functools.cached_property
+    def kneser(self):
+        """The rank-2 KneserGeometry of (n, k), whose factor is KG(n, k) on
+        its subsets: geom itself at r = 2, so a rank-2 verify builds KG once."""
+        p = self.params
+        return self.geom if p.r == 2 else build_geometry(GeometryParams(p.n, p.k, 2))
+
+    @functools.cached_property
+    def walks(self):
+        """The odd girth of KG(n,k) and the eccentricities of K_2 x KG, shared
+        by the odd-girth, gonality and diameter checks: the factor is proved
+        vertex-transitive on its subset masks, so vertex 0's walk sets decide
+        every vertex.  A failed proof raises, so no certificate is written
+        from one vertex of a factor that is not known to be transitive."""
+        factor = self.kneser.factor
+        if not factor_is_vertex_transitive(self.kneser):
+            raise RuntimeError("KG(n,k) failed its vertex-transitivity check")
+        odd, ecc = walk_metrics_from(factor, 0)
+        return odd, [ecc] * factor.n
+
+    @functools.cached_property
+    def summary(self):
+        """The rank-2 summary of the neighborhood geometry of KG(n,k), with its
+        diameters from the shared walk metrics, which hold the factor's proof
+        of vertex-transitivity, so vertex 0 stands for every vertex in the
+        4-cycle scan and girth search too; shared by the gonality, diameter
+        and rank-2 diagram and ip2 checks."""
+        return neighborhood_summary(self.kneser.factor, self.walks[1], transitive=True)
 
 
-def _check_geometry(params, geom):
-    ok, witness = is_geometry(geom.incidence_system(), _symmetry_witness(params, geom))
-    details = {"elements": geom.n_elements, "per_type": params.per_type}
+def _check_geometry(run):
+    ok, witness = is_geometry(run.geom.incidence_system(), run.witness)
+    details = {"elements": run.geom.n_elements, "per_type": run.params.per_type}
     if witness is not None:
         details["witness_flag"] = list(witness)
     return ok, details
 
 
-def _check_residual_connectivity(params, geom):
-    ok, failing = is_residually_connected(geom.incidence_system(), _symmetry_witness(params, geom))
+def _check_residual_connectivity(run):
+    ok, failing = is_residually_connected(run.geom.incidence_system(), run.witness)
     details = {}
     if failing is not None:
         details["failing_flag"] = list(failing)
     return ok, details
 
 
-def _check_thickness(params, geom):
+def _check_thickness(run):
     """Thick iff every rank-1 residue has at least three elements; reports
     the smallest size found."""
-    sizes = _rank1_residue_sizes(geom.incidence_system(), _symmetry_witness(params, geom))
+    sizes = _rank1_residue_sizes(run.geom.incidence_system(), run.witness)
     smallest = min(size for _, size in sizes)
     thick = smallest >= 3
     return thick, {"rank1_residue_size": smallest, "thick": thick}
 
 
-def _check_diagram(params, geom):
-    witness = _symmetry_witness(params, geom)
+def _check_diagram(run):
+    params, witness = run.params, run.witness
     # first residues stand for all once the type sets of r - 1 types are covered
     certified = witness is not None and witness.covered >= params.r - 1
     # at r = 2 the one pair's only residue is the whole geometry, the
     # typed_copies of KG(n,k), whose summary the rank-2 checks share
-    known = {(0, 1): _neighborhood_summary(geom)} if params.r == 2 else None
-    computed = buekenhout_diagram(geom.incidence_system(), known)
+    known = {(0, 1): run.summary} if params.r == 2 else None
+    computed = buekenhout_diagram(run.geom.incidence_system(), known)
     predicted = predicted_diagram(params)
     details = {
         "computed": diagram_to_json(computed),
@@ -185,12 +222,13 @@ def _check_diagram(params, geom):
     return certified and computed == predicted, details
 
 
-def _check_ip2(params, geom):
+def _check_ip2(run):
+    params = run.params
     if params.r == 2:  # the one rank-2 residue, of the empty flag, is the shared summary's
-        ok = _neighborhood_summary(geom).classification != NEITHER
+        ok = run.summary.classification != NEITHER
         pair, flag = (None, None) if ok else ((0, 1), ())
     else:
-        ok, pair, flag = satisfies_ip2(geom.incidence_system(), _symmetry_witness(params, geom))
+        ok, pair, flag = satisfies_ip2(run.geom.incidence_system(), run.witness)
     details = {"closed_form_predicts": params.n == 2 * params.k + 1}
     if pair is not None:
         details["failing_pair"] = list(pair)
@@ -198,9 +236,9 @@ def _check_ip2(params, geom):
     return ok, details
 
 
-def _check_flag_transitivity(params, geom):
+def _check_flag_transitivity(run):
+    params, witness = run.params, run.witness
     gens = adjacent_transpositions(params.ground_size)
-    witness = _symmetry_witness(params, geom)
     if witness is None:
         return False, {"generators_checked": len(gens), "automorphisms": False}
     covered, total = witness.covered, chamber_count(params)
@@ -230,75 +268,30 @@ def _check_flag_transitivity(params, geom):
     return transitive, details
 
 
-def _check_locally_x(params, geom):
-    if params.r < 3:
+def _check_locally_x(run):
+    if run.params.r < 3:
         return True, {"skipped": "rank 2: rank-1 residues are edgeless"}
-    g, witness = geom.incidence_system().graph, _symmetry_witness(params, geom)
-    report = is_locally_x(g, residue_reference_graph(geom), witness or ())
+    g, witness = run.geom.incidence_system().graph, run.witness
+    report = is_locally_x(g, residue_reference_graph(run.geom), witness or ())
     return report.ok, report.to_json()
 
 
-@functools.lru_cache(maxsize=1)
-def _rank2_geometry(kp):
-    """The rank-2 geometry of (n, k) for the rank-2 checks at r > 2,
-    memoised so that they share one build."""
-    return build_geometry(GeometryParams(kp.n, kp.k, 2))
-
-
-def _kneser(params, geom):
-    """The rank-2 KneserGeometry of (n, k), whose factor is KG(n, k) on its
-    subsets: geom itself at r = 2, so a rank-2 verify builds KG once."""
-    return geom if params.r == 2 else _rank2_geometry(params.kneser)
-
-
-@functools.lru_cache(maxsize=1)
-def _kneser_walks(kgeom):
-    """The odd girth of KG(n,k) and the eccentricities of K_2 x KG, shared
-    by the odd-girth, gonality and diameter checks: the factor is proved
-    vertex-transitive on its subset masks, so vertex 0's walk sets decide
-    every vertex.  A failed proof raises, so no certificate is written
-    from one vertex of a factor that is not known to be transitive."""
-    factor = kgeom.factor
-    if not factor_is_vertex_transitive(kgeom):
-        raise RuntimeError("KG(n,k) failed its vertex-transitivity check")
-    odd, ecc = walk_metrics_from(factor, 0)
-    return odd, [ecc] * factor.n
-
-
-def _check_odd_girth(params, geom):
-    kgeom = _kneser(params, geom)
-    predicted = predicted_odd_girth(params.kneser)
-    computed = _kneser_walks(kgeom)[0]
+def _check_odd_girth(run):
+    predicted = predicted_odd_girth(run.params.kneser)
+    computed = run.walks[0]
     details = {"predicted": predicted, "computed": computed if computed != math.inf else "inf"}
     if computed != predicted:
-        details["witness_cycle"] = shortest_odd_cycle(kgeom.factor)
+        details["witness_cycle"] = shortest_odd_cycle(run.kneser.factor)
     return computed == predicted, details
 
 
-@functools.lru_cache(maxsize=1)
-def _neighborhood_summary(kgeom):
-    """The rank-2 summary of the neighborhood geometry of KG(n,k), with its
-    diameters from the shared walk metrics, which hold the factor's proof
-    of vertex-transitivity, so vertex 0 stands for every vertex in the
-    4-cycle scan and girth search too; memoised so that the gonality,
-    diameter and rank-2 diagram checks share one summary."""
-    return neighborhood_summary(kgeom.factor, _kneser_walks(kgeom)[1], transitive=True)
+def _check_gonality(run):
+    s, predicted = run.summary, predicted_gonality(run.params.kneser)
+    return s.gonality == predicted, {"predicted": predicted, "summary": summary_to_json(s)}
 
 
-def _check_gonality(params, geom):
-    kp = params.kneser
-    s = _neighborhood_summary(_kneser(params, geom))
-    predicted = predicted_gonality(kp)
-    return s.gonality == predicted, {
-        "predicted": predicted,
-        "summary": summary_to_json(s),
-    }
-
-
-def _check_diameter(params, geom):
-    kp = params.kneser
-    s = _neighborhood_summary(_kneser(params, geom))
-    predicted = predicted_diameter(kp)
+def _check_diameter(run):
+    s, predicted = run.summary, predicted_diameter(run.params.kneser)
     ok = s.diameters == (predicted, predicted)
     return ok, {"predicted": predicted, "summary": summary_to_json(s)}
 
@@ -328,13 +321,13 @@ def cmd_verify(args) -> int:
     if "locally-x" in (args.check or []) and params.r < 3:
         print("error: locally-x verification needs r >= 3", file=sys.stderr)
         return EXIT_USAGE
-    geom = build_geometry(params)
+    run = _Run(params)
     checks = []
     all_ok = True
     for name in CHECK_NAMES:
         if name not in selected:
             continue
-        ok, details = _CHECKS[name](params, geom)
+        ok, details = _CHECKS[name](run)
         checks.append({"name": name, "pass": ok, "details": details})
         all_ok = all_ok and ok
     cert = {

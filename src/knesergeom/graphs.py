@@ -119,6 +119,9 @@ class Graph:
         ]
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Are u and v adjacent?  ValueError outside 0..n-1."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"vertex pair ({u},{v}) out of range 0..{self.n - 1}")
         return self.neighbor_masks[u] >> v & 1 == 1
 
     def __eq__(self, other):

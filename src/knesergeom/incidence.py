@@ -138,7 +138,8 @@ class IncidenceSystem:
         return tuple(e for e, te in enumerate(self.type_of) if te == t)
 
     def incident(self, x: int, y: int) -> bool:
-        return x == y or self.graph.has_edge(x, y)
+        """x * y: equal or adjacent; ValueError outside 0..n_elements-1."""
+        return self.graph.has_edge(x, y) or x == y
 
     def label_of(self, e: int) -> str:
         return self.labels[e] if self.labels is not None else str(e)

@@ -3,12 +3,13 @@
 McKay & Piperno, "Practical graph isomorphism II" (2014), on ordered
 partitions of bitmask cells.  Refinement splits cells by a splitter queue
 under Hopcroft's rule (Paige & Tarjan 1987), logs each split in a trace and
-stops at the coarsest equitable (1-WL) partition.  _search() refines the
-reference h along one memoised path, searches a vertex set of a host graph
-on the host's own masks and an explicit stack, drops a branch when its
-trace departs from h's, and returns only maps that pass _edge_check().
-are_isomorphic() and verify_isomorphism() are the cases where that set is
-every vertex; a neighborhood is searched in place, with no subgraph built.
+stops at the coarsest equitable (1-WL) partition.  _search() follows a
+_ReferencePath of h, which its caller makes and may share between searches
+against h, searches a vertex set of a host graph on the host's own masks
+and an explicit stack, drops a branch when its trace departs from h's, and
+returns only maps that pass _edge_check().  are_isomorphic() and
+verify_isomorphism() are the cases where that set is every vertex; a
+neighborhood is searched in place, with no subgraph built.
 """
 
 from __future__ import annotations
@@ -108,12 +109,13 @@ def color_refine(masks, colors) -> tuple[int, ...]:
 
 
 class _ReferencePath:
-    """h's side of the search: levels[i] is (the trace refining level i, the
-    cell whose first vertex it individualizes, None once discrete), built on
-    demand; after the last level `cells` is discrete."""
+    """h's side of the search under a dense coloring: levels[i] is (the trace
+    refining level i, the cell whose first vertex it individualizes, None
+    once discrete), built on demand; after the last level `cells` is
+    discrete.  Searches that share one path refine h once between them."""
 
     def __init__(self, h: Graph, colors):
-        self.masks, self.cells, self.levels = h.neighbor_masks, _color_partition(colors), []
+        self.h, self.cells, self.levels = h, _color_partition(colors), []
 
     def level(self, i: int):
         """levels[i], built if i is one past the last level."""
@@ -124,16 +126,10 @@ class _ReferencePath:
                 self.cells[target] = cell & (cell - 1)
                 self.cells.append(cell & -cell)
                 queue = [len(self.cells) - 1]
-            trace = _refine(self.masks, self.cells, queue)
+            trace = _refine(self.h.neighbor_masks, self.cells, queue)
             sizes = [(c.bit_count(), j) for j, c in enumerate(self.cells) if c & (c - 1)]
             self.levels.append((trace, min(sizes)[1] if sizes else None))
         return self.levels[i]
-
-
-# refine each reference once; two entries, so that a graph searched against
-# itself and the X its neighborhoods are searched against do not evict each
-# other
-_reference_path = functools.lru_cache(maxsize=2)(_ReferencePath)
 
 
 def is_automorphism(g: Graph, perm) -> bool:
@@ -193,16 +189,17 @@ def are_isomorphic(g: Graph, h: Graph, g_colors=None, h_colors=None):
     ch = normalize_colors(h_colors, h.n)
     if sorted(Counter(cg).items()) != sorted(Counter(ch).items()):
         return None
-    return _search(g.neighbor_masks, (1 << g.n) - 1, _color_partition(cg), h, ch)
+    ref = _ReferencePath(h, ch)
+    return _search(g.neighbor_masks, (1 << g.n) - 1, _color_partition(cg), ref)
 
 
-def _search(masks, domain, cells, h, h_colors, max_nodes=math.inf):
+def _search(masks, domain, cells, ref, max_nodes=math.inf):
     """An isomorphism from the subgraph that `masks` induce on the vertex
-    set `domain` onto h, as the images of domain's vertices in ascending
-    order, or None.  `cells` splits the domain into the color classes of
-    h_colors, index for index and size for size.
+    set `domain` onto ref.h, as the images of domain's vertices in
+    ascending order, or None.  `cells` splits the domain into the color
+    classes of ref's coloring, index for index and size for size.
 
-    h follows one memoised path, individualizing the first vertex of its
+    h follows the path `ref`, individualizing the first vertex of its
     smallest non-singleton cell; the domain side tries, depth first and in
     ascending order, every vertex of the cell at the same index, and drops
     a branch once its trace differs from h's.  A discrete leaf maps each
@@ -212,12 +209,12 @@ def _search(masks, domain, cells, h, h_colors, max_nodes=math.inf):
     the induced subgraph relabeled in ascending order.  A search that
     would enter more than max_nodes nodes gives up and returns None.
     """
+    h = ref.h
     twice = sum((masks[u] & domain).bit_count() for u in _iter_bits(domain))
     if domain.bit_count() != h.n or twice != 2 * h.n_edges:
         return None
     if h.n == 0:
         return []
-    ref = _reference_path(h, h_colors)
     stack = []  # (level, partition, untried vertices of its target cell)
 
     def enter(level, cells, queue):

@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .graphs import Graph, graph_digest
 from .group_action import SymmetryWitness, _VerifiedWitness
-from .isomorphism import _search, is_automorphism
+from .isomorphism import _ReferencePath, _search, is_automorphism
 from .kneser_geometry import GeometryParams, KneserGeometry, build_geometry
 
 
@@ -50,14 +50,13 @@ class LocallyXReport(
         }
 
 
-def _automorphism(g: Graph, root: int, v: int):
-    """An automorphism of g that maps v to root, as a table, or None: a
-    search of g with v individualized against g with root individualized,
-    so every discovery for one root shares one reference path.  The search
-    returns only edge-checked maps, and gives up after g.n nodes."""
+def _automorphism(g: Graph, root: _ReferencePath, v: int):
+    """An automorphism of g that maps v to the root, as a table, or None: a
+    search of g with v individualized along `root`, the path of g with the
+    root individualized, which every discovery of one call shares.  The
+    search returns only edge-checked maps, and gives up after g.n nodes."""
     full = (1 << g.n) - 1
-    root_colors = tuple(int(u == root) for u in range(g.n))
-    return _search(g.neighbor_masks, full, [full ^ 1 << v, 1 << v], g, root_colors, g.n)
+    return _search(g.neighbor_masks, full, [full ^ 1 << v, 1 << v], root, g.n)
 
 
 def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
@@ -86,7 +85,9 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
     gets its own search.  It runs only when x.n ** 2 > g.n: one search of
     g costs about (g.n / x.n) ** 2 neighborhood searches.  Every verdict
     rests on a search of an orbit mate, so the report does not depend on
-    the tables or on whether discovery ran.
+    the tables or on whether discovery ran.  The call refines X once, along
+    one path that every neighborhood search shares, and g with root
+    individualized once, for every discovery search.
     """
     witness = isinstance(automorphisms, SymmetryWitness)
     given = list(automorphisms.tables if witness else automorphisms)
@@ -96,8 +97,9 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
             if len(t) != g.n or set(t) != set(range(g.n)):
                 raise ValueError("every table must be a permutation of the vertices of g")
     tables = given if verified else [t for t in given if is_automorphism(g, t)]
-    masks, uncolored = g.neighbor_masks, (0,) * x.n
+    masks, ref = g.neighbor_masks, _ReferencePath(x, (0,) * x.n)
     matched = [None] * g.n  # per vertex: None until a verdict, then True or False
+    # root: once a vertex has matched, the path of g with it individualized
     discover, root = not given and x.n ** 2 > g.n, None
 
     def spread(frontier: list) -> None:
@@ -121,9 +123,9 @@ def is_locally_x(g: Graph, x: Graph, automorphisms=()) -> LocallyXReport:
             tables.append(t)
             spread([u for u in range(g.n) if matched[u] is not None])
             continue
-        matched[v] = _search(masks, masks[v], [masks[v]], x, uncolored) is not None
-        if matched[v] and root is None:
-            root = v
+        matched[v] = _search(masks, masks[v], [masks[v]], ref) is not None
+        if discover and matched[v] and root is None:
+            root = _ReferencePath(g, tuple(int(u == v) for u in range(g.n)))
         spread([v])
 
     failures = tuple(v for v, ok in enumerate(matched) if not ok)

@@ -174,7 +174,7 @@ def test_locally_x_relabelled_pair_is_byte_identical(tmp_path):
     # every vertex's bijection N(v) -> X are pinned, so a change to the
     # search order or to what the search returns shows up here
     from knesergeom import Graph, cli
-    from knesergeom.isomorphism import _search
+    from knesergeom.isomorphism import _ReferencePath, _search
 
     rng = random.Random(12)
     paths = []
@@ -192,8 +192,8 @@ def test_locally_x_relabelled_pair_is_byte_identical(tmp_path):
         "1d576b9f16c8350ce20e87476ba284febe3bdf4610b243ef49b5fc6ddac9feaa"
     )
     g, x = (graph6_decode(path.read_bytes().strip()) for path in paths)
-    masks = g.neighbor_masks
-    maps = [_search(masks, masks[v], [masks[v]], x, (0,) * x.n) for v in range(g.n)]
+    masks, ref = g.neighbor_masks, _ReferencePath(x, (0,) * x.n)
+    maps = [_search(masks, masks[v], [masks[v]], ref) for v in range(g.n)]
     assert hashlib.sha256(json.dumps(maps).encode()).hexdigest() == (
         "e6f258fa362657c8c53a1e74bce6486170c262ddc4efcd3b6fc1f9ea63b6ecb2"
     )
@@ -518,7 +518,6 @@ def test_rank2_checks_fail_closed_without_the_transitivity_proof(monkeypatch, tm
     monkeypatch.setattr(cli, "factor_is_vertex_transitive", lambda geom: False)
     for n, k, r in [(12, 5, 2), (7, 3, 2), (6, 2, 3)]:
         for check in ("odd-girth", "gonality", "diameter"):
-            cli._rank2_geometry.cache_clear()
             out = tmp_path / f"{n}-{k}-{r}-{check}.json"
             with pytest.raises(RuntimeError, match="vertex-transitivity"):
                 cli.main(["verify", "--n", str(n), "--k", str(k), "--r", str(r),
@@ -601,9 +600,7 @@ def test_rank2_checks_run_in_bounded_memory(tmp_path):
     out = tmp_path / "cert.json"
     argv = ["verify", "--n", "12", "--k", "5", "--r", "2", "--check", "odd-girth",
             "--check", "gonality", "--check", "diameter", "--out", str(out)]
-    assert cli.main(argv) == 0  # first-use imports and caches stay out of the count
-    for memo in (cli._rank2_geometry, cli._kneser_walks, cli._neighborhood_summary):
-        memo.cache_clear()
+    assert cli.main(argv) == 0  # first-use imports stay out of the count
     tracemalloc.start()
     try:
         code = cli.main(argv)
@@ -618,24 +615,60 @@ def test_rank2_checks_run_in_bounded_memory(tmp_path):
 
 
 def test_locally_x_check_runs_in_bounded_memory():
-    from knesergeom import cli, isomorphism
+    from knesergeom import cli
 
     # at (5,2,8) the 1,088-vertex incidence graph is searched against the
     # 952-vertex X on their masks alone; edge-checking through neighbour
     # lists of X, cached on the Graph, peaked at about 10 MB
-    params = GeometryParams(5, 2, 8)
-    geom = build_geometry(params)
-    geom.incidence_system()
-    cli._symmetry_witness(params, geom)  # memoised; the residue checks share it
-    isomorphism._reference_path.cache_clear()  # X is refined inside the count
-    tracemalloc.start()
+    run = cli._Run(GeometryParams(5, 2, 8))
+    run.geom.incidence_system()
+    run.witness  # held by the run; the residue checks share it
+    tracemalloc.start()  # X is built and refined inside the count
     try:
-        ok, details = cli._check_locally_x(params, geom)
+        ok, details = cli._check_locally_x(run)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert ok and details["total"] == details["passed"] == 1088
     assert peak < 3 << 20, peak
+
+
+def test_verify_leaves_no_geometry_or_reference_path_alive(tmp_path):
+    import gc
+
+    from knesergeom import cli
+    from knesergeom.isomorphism import _ReferencePath
+    from knesergeom.kneser_geometry import KneserGeometry
+
+    # the facts the checks share are held by the run: once main returns,
+    # neither geometry, the run's nor the rank-2 one of its walk checks, nor
+    # a reference path of its locally-x search is left anywhere
+    gc.collect()
+    paths_before = [o for o in gc.get_objects() if isinstance(o, _ReferencePath)]
+    out = tmp_path / "cert.json"
+    assert cli.main(["verify", "--all", "--n", "8", "--k", "3", "--r", "3",
+                     "--out", str(out)]) == 1  # ip2 fails off n = 2k + 1
+    gc.collect()
+    objects = gc.get_objects()
+    geometries = [(o.params.n, o.params.k, o.params.r)
+                  for o in objects if isinstance(o, KneserGeometry)]
+    assert (8, 3, 3) not in geometries and (8, 3, 2) not in geometries
+    paths = [o for o in objects if isinstance(o, _ReferencePath)]
+    assert not [o for o in paths if not any(o is p for p in paths_before)]
+
+
+def test_rank2_checks_never_build_the_symmetry_witness(monkeypatch, tmp_path):
+    from knesergeom import cli
+
+    # the run builds its witness on first use; the rank-2 metrics read
+    # KG(n,k) and its transitivity proof alone
+    monkeypatch.setattr(cli, "symmetry_witness", lambda *a: pytest.fail("witness built"))
+    out = tmp_path / "cert.json"
+    assert cli.main(["verify", "--n", "12", "--k", "5", "--r", "2", "--check", "odd-girth",
+                     "--check", "gonality", "--check", "diameter", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d9bbfa01d1f1ba47e8471fb896e16dcf03efa109d5af07b38ad640a24320238e"
+    )
 
 
 def test_rank2_diagram_reads_the_shared_summary(monkeypatch, tmp_path):
@@ -715,8 +748,9 @@ def test_thickness_reports_computed_minimum(monkeypatch):
     params = GeometryParams(5, 2, 3)
     witness = symmetry_witness(build_geometry(params), adjacent_transpositions(params.ground_size))
     assert witness.covered >= 1
-    monkeypatch.setattr(cli, "_symmetry_witness", lambda params, geom: witness)
-    ok, details = cli._check_thickness(params, stand_in)
+    run = cli._Run(params)
+    run.geom, run.witness = stand_in, witness
+    ok, details = cli._check_thickness(run)
     assert ok is False
     assert details == {"rank1_residue_size": 1, "thick": False}
 
@@ -737,14 +771,13 @@ def test_residue_checks_read_one_flag_per_type_set(monkeypatch):
     monkeypatch.setattr(incidence, "_residues", counted)
     singles, pairs = [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]
     for n, ip2_reads in [(5, singles), (6, singles[:1])]:
-        params = GeometryParams(n, 2, 3)
-        geom = build_geometry(params)
+        run = cli._Run(GeometryParams(n, 2, 3))
         # built before the reads are counted, which are each check's own
-        assert cli._symmetry_witness(params, geom).covered >= 2  # singles and pairs
+        assert run.witness.covered >= 2  # singles and pairs
         per_check = {}
         for name in _RESIDUE_CHECKS:
             del read[:]
-            ok, _ = cli._CHECKS[name](params, geom)
+            ok, _ = cli._CHECKS[name](run)
             per_check[name] = (ok, list(read))
         # 7 + 4 + 3 + 3 flags, one per type set; at (6,2,3) ip2 fails, as
         # predicted, at the first flag of its first type set

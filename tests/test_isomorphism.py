@@ -14,7 +14,13 @@ from knesergeom import (
     verify_isomorphism,
 )
 from knesergeom.graphs import _iter_bits
-from knesergeom.isomorphism import _edge_check, _search, color_refine, wl_signature
+from knesergeom.isomorphism import (
+    _edge_check,
+    _ReferencePath,
+    _search,
+    color_refine,
+    wl_signature,
+)
 from helpers import (
     adjacency,
     brute_force_isomorphism,
@@ -242,7 +248,7 @@ def test_deep_search_has_no_recursion_limit():
 def _search_neighborhood(g, v, x):
     """The in-place search of N(v) against x, as is_locally_x runs it."""
     masks = g.neighbor_masks
-    return _search(masks, masks[v], [masks[v]], x, (0,) * x.n)
+    return _search(masks, masks[v], [masks[v]], _ReferencePath(x, (0,) * x.n))
 
 
 def _moved_edge(g, rng):
@@ -363,6 +369,6 @@ def test_search_gives_up_past_its_node_cap():
     # 5K1 against itself: the root and one node per individualized vertex
     # until one vertex is left, five nodes in all
     g = Graph(5)
-    full = (1 << 5) - 1
-    assert _search(g.neighbor_masks, full, [full], g, (0,) * 5, 4) is None
-    assert _search(g.neighbor_masks, full, [full], g, (0,) * 5, 5) == [0, 1, 2, 3, 4]
+    masks, full = g.neighbor_masks, (1 << 5) - 1
+    assert _search(masks, full, [full], _ReferencePath(g, (0,) * 5), 4) is None
+    assert _search(masks, full, [full], _ReferencePath(g, (0,) * 5), 5) == [0, 1, 2, 3, 4]

@@ -124,6 +124,23 @@ def test_element_ids_outside_the_geometry_are_refused():
     assert geom.incident(62, 62) and not geom.incident(0, 1)
 
 
+def test_system_and_graph_ids_outside_the_geometry_are_refused():
+    # the (5,2,3) system and its incidence graph refuse ids outside 0..62 by
+    # name: unchecked, a negative id reads bits from the far end of a mask,
+    # an id past the end is incident to itself, or the read raises
+    # IndexError or a shift error
+    geom = build_geometry(GeometryParams(5, 2, 3))
+    sys_ = geom.incidence_system()
+    for bad in (63, 100, 1000, -1):
+        for x, y in ((bad, 5), (5, bad), (bad, bad), (0, bad), (bad, 0)):
+            with pytest.raises(ValueError, match="out of range 0..62"):
+                sys_.incident(x, y)
+            with pytest.raises(ValueError, match="out of range 0..62"):
+                sys_.graph.has_edge(x, y)
+    assert sys_.incident(62, 62) and not sys_.graph.has_edge(62, 62)
+    assert all(sys_.incident(0, y) == geom.incident(0, y) for y in range(63))
+
+
 def test_counts_360():
     geom = build_geometry(GeometryParams(7, 3, 3))
     assert geom.n_elements == 360

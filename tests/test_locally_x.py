@@ -218,6 +218,18 @@ def test_reference_is_the_rank_below_geometry(n, k, r):
     assert residue_reference_graph(geom) == sub.graph
 
 
+@pytest.mark.parametrize(
+    "n, k, r", [(5, 2, 3), (6, 2, 3), (5, 2, 4), (7, 3, 3), (9, 4, 3), (7, 3, 4)]
+)
+def test_reference_is_the_neighborhood_of_element_0(n, k, r):
+    # the subgraph that the incidence graph induces on N(0), its vertices
+    # relabelled in ascending order as the in-place search reads them, is X
+    # itself, so the identity maps N(0) onto X
+    geom = build_geometry(GeometryParams(n, k, r))
+    g = geom.incidence_system().graph
+    assert induced_subgraph(g, _iter_bits(g.neighbor_masks[0]))[0] == residue_reference_graph(geom)
+
+
 def test_tables_must_be_permutations():
     sys_, x, tables = _geometry_523()
     with pytest.raises(ValueError):
@@ -227,11 +239,11 @@ def test_tables_must_be_permutations():
 
 
 def test_reference_is_refined_once(monkeypatch):
+    # the call makes one path of X, which every neighborhood search follows
     from knesergeom import isomorphism
 
     sys_, x, _ = _geometry_523()
-    isomorphism._reference_path.cache_clear()
-    on_x = []
+    refs, on_x = _record_references(monkeypatch), []
     refine = isomorphism._refine
 
     def recorded(masks, *args):
@@ -242,8 +254,25 @@ def test_reference_is_refined_once(monkeypatch):
     monkeypatch.setattr(isomorphism, "_refine", recorded)
     report = is_locally_x(sys_.graph, x)
     assert report.ok and report.total == 63
-    depth = len(isomorphism._reference_path(x, (0,) * x.n).levels) - 1
+    on_path = [ref for ref in refs if ref.h is x]
+    assert on_path and all(ref is on_path[0] for ref in on_path)
+    depth = len(on_path[0].levels) - 1
     assert 1 <= len(on_x) <= depth + 1
+
+
+def _record_references(monkeypatch):
+    """Wrap locally_x._search; returns the list of the reference path that
+    every search is handed, in call order."""
+    from knesergeom import locally_x
+
+    refs, search = [], locally_x._search
+
+    def recorded(masks, domain, cells, ref, *args):
+        refs.append(ref)
+        return search(masks, domain, cells, ref, *args)
+
+    monkeypatch.setattr(locally_x, "_search", recorded)
+    return refs
 
 
 def _record_searches(monkeypatch):
@@ -265,14 +294,14 @@ def _record_searches(monkeypatch):
 
 def test_reference_path_of_g_is_refined_once(monkeypatch):
     # every discovery search individualizes the matched root on the
-    # reference side, so all of them follow one memoised path of g, which
-    # stays cached next to X's
+    # reference side, so all of them follow one path of g, made once the
+    # root matches, next to the one path of X
     from knesergeom import isomorphism
 
     sys_, x, _ = _geometry_523()
     g = sys_.graph
-    isomorphism._reference_path.cache_clear()
     searches, on_g = _record_searches(monkeypatch), []
+    refs = _record_references(monkeypatch)
     refine = isomorphism._refine
 
     def recorded(masks, *args):
@@ -284,8 +313,11 @@ def test_reference_path_of_g_is_refined_once(monkeypatch):
     report = is_locally_x(g, x)
     assert report.ok and report.total == 63
     assert len(searches["whole"]) >= 2
-    root_colors = tuple(int(v == 0) for v in range(g.n))
-    depth = len(isomorphism._reference_path(g, root_colors).levels) - 1
+    on_path = [ref for ref in refs if ref.h is g]
+    assert len(on_path) == len(searches["whole"])
+    assert all(ref is on_path[0] for ref in on_path)
+    assert on_path[0].cells[1] == 1  # the root, vertex 0, is a cell of its own
+    depth = len(on_path[0].levels) - 1
     assert 1 <= len(on_g) <= depth + 1
 
 
