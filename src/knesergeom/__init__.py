@@ -52,8 +52,6 @@ from .incidence import (
 )
 from .kneser import (
     KneserParams,
-    construct_even_path,
-    construct_odd_path,
     kneser_graph,
     kneser_neighborhood_geometry,
     neighborhood_geometry,

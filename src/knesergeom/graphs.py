@@ -4,32 +4,37 @@ A Graph stores one neighbor bitmask per vertex and nothing else; every
 algorithm reads the masks, and a row's items are picked by _picked.
 Graph.from_masks takes masks and checks them on bit strings, so builders
 that think in masks never make an edge list; masks that are simple by
-construction (an induced subgraph, complete_tensor, a graph6 decode,
-kneser.disjointness_table) skip the check through Graph._derived.
+construction (an induced subgraph, a graph6 decode, typed rows,
+kneser.disjointness_table) skip the check through Graph._derived.  The
+tensor product K_r x G, complete_tensor, is held as _TypedRows: G's rows
+and r, each row of the product made as it is read, and compared and
+hashed as the tuple of its rows.
 
 Everything here is deterministic and exact: girth, odd girth,
 eccentricities, components, bipartiteness, induced subgraphs, the tensor
 product K_r x G (the bipartite double cover at r = 2), and graph6 I/O.
 Connectivity is one bitmask search, component_mask, which also serves the
-residue checks; bipartiteness is one bitmask layer sweep per component.
+residue checks and takes the union of a frontier of typed rows block by
+block; bipartiteness is one bitmask layer sweep per component.
 Induced subgraphs move each row's kept bits into place one at a time.
 Girth runs one BFS per source over per-vertex neighbor bitmasks and stops
 at the first source that reaches 3, or 4 on a bipartite graph (_girth
 takes a higher floor, and fewer sources, from a caller that knows them,
 and reads its rows through one argument, so that the double cover's can
-be _CoverRows, made from the graph's own as they are read).  Every other
-distance reads walk sets: W_L[v], the endpoints of the walks of exact
-length L from v.  The all-sources sweep, _walks, gives eccentricities
-from the balls W_L | W_{L-1} and the odd girth at the first odd closed
-walk; the shortest odd cycle is walked back on its first vertex's walk
-sets.  walk_metrics_from reads the shortest odd closed walk through one
-vertex and its eccentricity in the double cover K_2 x G off that vertex's
-walk sets alone, without building the cover; on a vertex-transitive graph
-they decide every vertex, and the CLI reads them there.
+be the graph's _TypedRows).  Every other distance reads walk sets: W_L[v],
+the endpoints of the walks of exact length L from v.  The all-sources
+sweep, _walks, gives eccentricities from the balls W_L | W_{L-1} and the
+odd girth at the first odd closed walk; the shortest odd cycle is walked
+back on its first vertex's walk sets.  walk_metrics_from reads the
+shortest odd closed walk through one vertex and its eccentricity in the
+double cover K_2 x G off that vertex's walk sets alone, without building
+the cover; on a vertex-transitive graph they decide every vertex, and the
+CLI reads them there.
 graph6 is encoded in pieces, one window of columns merged into an integer
-at a time, and both ways cut six-bit digits with binascii's base64 codec
-and one byte translation.  graph_digest streams its text into sha256 a row
-at a time.  Infinity is math.inf.
+at a time, and decoded a window of columns at a time; both ways cut
+six-bit digits with binascii's base64 codec and one byte translation.
+graph_digest streams its text into sha256 a row at a time.  Infinity is
+math.inf.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import binascii
 import math
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import eq, or_
 
 INF = math.inf
 _CHECK_CHARS = 1 << 20  # bits per block of Graph.from_masks's symmetry check
@@ -97,11 +102,13 @@ class Graph:
     @classmethod
     def _derived(cls, masks) -> "Graph":
         """from_masks without its checks, for masks that are simple by
-        construction: cut from a Graph's own (an induced subgraph, or the
-        complete_tensor of a simple graph, is simple), decoded from graph6,
-        or a disjointness_table of nonempty subsets (see its docstring)."""
+        construction: cut from a Graph's own (an induced subgraph is
+        simple), decoded from graph6, a disjointness_table of nonempty
+        subsets (see its docstring), or the _TypedRows of a simple graph,
+        which are held as they are (complete_tensor)."""
         g = cls.__new__(cls)
-        g.n, g.neighbor_masks = len(masks), tuple(masks)
+        g.n = len(masks)
+        g.neighbor_masks = masks if isinstance(masks, _TypedRows) else tuple(masks)
         return g
 
     @property
@@ -213,11 +220,15 @@ def eccentricities(g: Graph):
 def component_mask(masks, start: int, within: int) -> int:
     """Bitmask of the vertices reachable from start inside the vertex set
     within (a bitmask that holds start), given per-vertex neighbor masks."""
+    typed = isinstance(masks, _TypedRows)
     seen = cur = 1 << start
     while cur:
-        nxt = 0
-        for v in _iter_bits(cur):
-            nxt |= masks[v]
+        if typed:
+            nxt = masks.union(cur)
+        else:
+            nxt = 0
+            for v in _iter_bits(cur):
+                nxt |= masks[v]
         cur = nxt & within & ~seen
         seen |= cur
     return seen
@@ -430,28 +441,61 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
 
 def complete_tensor(g: Graph, r: int) -> Graph:
     """K_r x g: vertex (v, t) at index t*n + v, adjacent to (w, u) iff
-    t != u and v ~ w.  Its row is v's row of g in every block but block t,
-    so it is simple whenever g is: every bit is in range, no row reaches
-    its own block, and (t != u and v ~ w) is symmetric."""
-    n, masks = g.n, g.neighbor_masks
-    tiled = masks  # each row in every block, by r - 1 shifted copies
-    for u in range(1, r):
-        tiled = [row | m << u * n for row, m in zip(tiled, masks)]
-    return Graph._derived([row ^ m << t * n for t in range(r) for row, m in zip(tiled, masks)])
+    t != u and v ~ w, with _TypedRows(g, r) as its rows, so nothing of the
+    product is stored.  It is simple whenever g is: every bit is in range,
+    no row reaches its own block, and (t != u and v ~ w) is symmetric."""
+    return Graph._derived(_TypedRows(g, r))
 
 
-class _CoverRows:
-    """The neighbor masks of K_2 x g, complete_tensor(g, 2), each made from
-    g's own as it is read: (v,0) at v has v's row moved onto block 1, and
-    (v,1) at n+v has v's row.  Nothing of the cover is held."""
+class _TypedRows:
+    """The neighbor masks of K_r x g, each made from g's own as it is read:
+    (t, v) at t*n + v has v's row of g in every block but block t, placed
+    by r - 1 shifts.  Only g's rows and r are held.  It is a sequence of
+    its rows that compares and hashes as the tuple of them, so a graph
+    equals the same graph with stored rows."""
 
-    __slots__ = ("masks", "n")
+    __slots__ = ("masks", "n", "r", "_others")
 
-    def __init__(self, g: Graph):
-        self.masks, self.n = g.neighbor_masks, g.n
+    def __init__(self, g: Graph, r: int):
+        self.masks, self.n, self.r = g.neighbor_masks, g.n, r
+        # per block t, the shifts of the other blocks
+        self._others = tuple(tuple(u * g.n for u in range(r) if u != t) for t in range(r))
+
+    def __len__(self) -> int:
+        return self.n * self.r
 
     def __getitem__(self, v: int) -> int:
-        return self.masks[v] << self.n if v < self.n else self.masks[v - self.n]
+        if not 0 <= v < self.n * self.r:
+            raise IndexError("row index out of range")
+        t, v = divmod(v, self.n)
+        m, row = self.masks[v], 0
+        for shift in self._others[t]:
+            row |= m << shift
+        return row
+
+    def __iter__(self):
+        for others in self._others:
+            for m in self.masks:
+                row = 0
+                for shift in others:
+                    row |= m << shift
+                yield row
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _TypedRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def union(self, vertices: int) -> int:
+        """The OR of the rows of the vertices in the bitmask vertices, block
+        by block: with F_t the OR of g's rows of those in block t, block u
+        of the union is the OR of F_t over t != u."""
+        n, full = self.n, (1 << self.n) - 1
+        per = [reduce(or_, _picked(self.masks, vertices >> t * n & full), 0) for t in range(self.r)]
+        return sum(reduce(or_, per[:t] + per[t + 1 :], 0) << t * n for t in range(self.r))
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +530,7 @@ _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits 
 
 
 _G6_WINDOW = 3 << 15  # bits per graph6 piece: whole 24-bit groups, 16 KiB of digits
+_G6_DECODE_CHARS = 1 << 18  # the most table characters per decoded window
 
 
 def graph6_encode(g: Graph) -> bytes:
@@ -500,16 +545,18 @@ def graph6_pieces(g: Graph):
     over and the columns that fill _G6_WINDOW bits with them are merged
     pairwise into one integer; its whole windows, or at the end all of it
     padded to 24-bit groups, go out lowest byte first, each bit-reversed,
-    cut into six-bit digits by base64 and moved onto bytes 63..126."""
+    cut into six-bit digits by base64 and moved onto bytes 63..126.  The
+    rows are read once each, in order."""
     n = g.n
     if n > _G6_MAX_N:
         raise ValueError(f"graph6 supports at most {_G6_MAX_N} vertices")
     yield _g6_encode_n(n)
-    masks, carry, width, j = g.neighbor_masks, 0, 0, 1
+    rows, carry, width, j = iter(g.neighbor_masks), 0, 0, 1
+    next(rows, None)  # column 0 is empty
     while j < n or width > 0:
         columns, offsets = [carry], [0]
         while j < n and width < _G6_WINDOW:
-            columns.append(masks[j] & (1 << j) - 1)
+            columns.append(next(rows) & (1 << j) - 1)
             offsets.append(width)
             width, j = width + j, j + 1
         while len(columns) > 1:
@@ -524,7 +571,11 @@ def graph6_pieces(g: Graph):
 
 
 def graph6_decode(data) -> Graph:
-    """Decode a graph6 byte string (optional '>>graph6<<' prefix tolerated)."""
+    """Decode a graph6 byte string (optional '>>graph6<<' prefix tolerated).
+
+    The payload is decoded by base64 into bytes once, and the rows are cut
+    from it a window of columns at a time, at most _G6_DECODE_CHARS table
+    characters, so no bit string of the whole triangle is made."""
     if isinstance(data, str):
         try:
             data = data.encode("ascii")
@@ -578,14 +629,29 @@ def graph6_decode(data) -> Graph:
     # the payload's six-bit digits as base64 text, padded to whole groups
     digits = payload.translate(_G6_TO_B64)
     padded = binascii.a2b_base64(digits + b"A" * (-len(digits) % 4))
-    spare = 8 * len(padded) - nbits  # padding bits, then the base64 fill
-    whole = int.from_bytes(padded, "big")
-    if whole & ((1 << spare) - 1):
+    del payload, digits
+    spare = 8 * len(padded) - nbits  # padding bits, then the base64 fill, < 24
+    if int.from_bytes(padded[-3:], "big") & ((1 << spare) - 1):
         raise Graph6Error("nonzero padding bits", offset=len(data) - 1)
-    bits = format(whole >> spare, f"0{nbits}b") if nbits else ""
-    # cols[j][i] = 1 iff i ~ j, for i < j, zero-filled to n entries; laid
-    # end to end, the columns hold row v's entries above v at [v::n][v + 1:],
-    # so the masks are symmetric, loop-free and in range by construction
-    cols = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] + "0" * (n - j) for j in range(n)]
-    table = "".join(cols)
-    return Graph._derived([int((cols[v][:v] + table[v::n][v:])[::-1], 2) for v in range(n)])
+    rows, lo = [], 0
+    while lo < n:
+        # columns lo..hi-1, bits first..last-1 of the payload, reversed and
+        # cut into cols: column c, highest first, is its entries c-1..0,
+        # left-filled with zeros to hi; laid end to end, cols hold row v's
+        # entries in these columns, highest first, at [hi-1-v::hi], and row
+        # v >= lo is its first hi-v, then column v
+        hi = min(n, lo + max(1, _G6_DECODE_CHARS // n))
+        first, last = lo * (lo - 1) // 2, hi * (hi - 1) // 2
+        chunk = int.from_bytes(padded[first // 8 : -(-last // 8)], "big")
+        rev = format(chunk >> -last % 8 & (1 << last - first) - 1, f"0{last - first}b")[::-1]
+        cols = [
+            "0" * (hi - c) + rev[last - c * (c + 1) // 2 : last - c * (c - 1) // 2]
+            for c in range(hi - 1, lo - 1, -1)
+        ]
+        table = "".join(cols)
+        for v in range(lo):
+            rows[v] |= int(table[hi - 1 - v :: hi], 2) << lo
+        widths = range(hi - lo, 0, -1)  # hi - v for v = lo..hi-1
+        rows += [int(table[w - 1 :: hi][:w] + col[w:], 2) for w, col in zip(widths, cols[::-1])]
+        lo = hi
+    return Graph._derived(rows)

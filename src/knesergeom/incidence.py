@@ -35,6 +35,7 @@ from itertools import combinations, islice
 from .graphs import (
     Graph,
     INF,
+    _TypedRows,
     _girth,
     _iter_bits,
     component_mask,
@@ -111,12 +112,24 @@ class IncidenceSystem:
         self.labels = labels
 
     def _set_graph(self, graph: Graph) -> None:
-        tm = self._type_masks
-        for x, (mask, t) in enumerate(zip(graph.neighbor_masks, self.type_of)):
-            same = mask & tm[t]
-            if same:
-                y = (same & -same).bit_length() - 1
-                raise ValueError(f"elements {x},{y} of equal type {t} cannot be incident")
+        """Hold graph, after one AND of each element's row with its type's
+        mask, which typed rows skip when each type is one of their blocks.
+
+        Lemma: the row of (t, v) in _TypedRows lies in the blocks other
+        than block t.  If the type of the first element of each block has
+        exactly that block as its mask, every element of the block has that
+        type, as the type masks partition the elements, so no row meets
+        its own type's mask and the check always holds."""
+        tm, rows = self._type_masks, graph.neighbor_masks
+        n = rows.n if isinstance(rows, _TypedRows) else 0
+        blocks = n and all(
+            tm[self.type_of[t * n]] == ((1 << n) - 1) << t * n for t in range(rows.r)
+        )
+        if not blocks:
+            for x, (mask, t) in enumerate(zip(rows, self.type_of)):
+                if same := mask & tm[t]:
+                    y = (same & -same).bit_length() - 1
+                    raise ValueError(f"elements {x},{y} of equal type {t} cannot be incident")
         self.graph = graph
 
     @property

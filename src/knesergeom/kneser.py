@@ -1,4 +1,5 @@
-"""Kneser graphs, their closed-form invariants, and explicit path witnesses.
+"""Kneser graphs, their closed-form invariants, and the geometries built
+on them.
 
 KG(n, k) has the k-subsets of {0,...,n-1} as vertices (in colex order, so
 vertex index = colex rank) and joins disjoint subsets.  The closed forms:
@@ -7,33 +8,27 @@ vertex index = colex rank) and joins disjoint subsets.  The closed forms:
     gonality of its neighborhood geometry   3 if n = 2k+1 else 2
     diameters of its neighborhood geometry  2*ceil(k/(n-2k)) + 1
 
-The path constructors build, between any vertices A and B with
-c = |A intersect B|, an even walk of length exactly 2*ceil((k-c)/(n-2k))
-and an odd walk of length exactly 2*ceil(c/(n-2k)) + 1, by swapping
-(n-2k)-sized chunks of the symmetric difference one pair at a time and
-padding from the complement of A union B.  Every constructed walk is
-re-verified before being returned.
-
 KG(n, k) is disjointness_table of its subsets, simple by construction
 (the lemma is in its docstring), so it is built with no symmetry check.
 typed_copies is the one constructor of the geometries here: r typed copies
 of a graph's vertices, incident across types along its edges, so that the
-incidence graph is K_r x g for a simple g; neighborhood_geometry is its
+incidence graph is K_r x g for a simple g, held as graphs._TypedRows, g's
+rows and r, with each row made as it is read; neighborhood_geometry is its
 rank-2 case.  neighborhood_summary is that case's rank-2 summary with no
 cover built: the diameters come from g's own walk sets (the CLI reads them
 from one vertex, graphs.walk_metrics_from, once the factor is proved
 vertex-transitive on its subset masks in group_action), and the class and
 gonality from incidence's one 4-cycle scan and one girth search, run on
-rows of K_2 x g made from g's masks as they are read.
+the typed rows of K_2 x g.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .graphs import INF, Graph, _CoverRows, _iter_bits, complete_tensor
+from .graphs import INF, Graph, _iter_bits, _TypedRows, complete_tensor
 from .incidence import IncidenceSystem, RankTwoSummary, _disconnected, _rank2
-from .subsets import GroundSet, KSubset, enumerate_k_subsets, validate_subset
+from .subsets import GroundSet, enumerate_k_subsets
 
 
 class KneserParams(namedtuple("KneserParams", "n k")):
@@ -91,7 +86,10 @@ def kneser_graph(p: KneserParams) -> Graph:
 def typed_copies(g: Graph, r: int, labels=None) -> IncidenceSystem:
     """r typed copies of g's vertices, (t, v) at t*g.n + v and labelled
     labels[v] if given, with (s, v) incident to (t, w) iff s != t and
-    v ~ w: the incidence graph is K_r x g, simple whenever g is."""
+    v ~ w: the incidence graph is complete_tensor(g, r), K_r x g on typed
+    rows made from g's as they are read, simple whenever g is.  Type t is
+    block t, which no typed row reaches, so the system skips its same-type
+    check (IncidenceSystem._set_graph)."""
     n = g.n
     if labels is not None:
         labels = list(labels)
@@ -118,94 +116,6 @@ def predicted_diameter(p: KneserParams) -> int:
     return 2 * _ceil_div(p.k, p.n - 2 * p.k) + 1
 
 
-def _chunks(elems, size):
-    return [elems[i:i + size] for i in range(0, len(elems), size)]
-
-
-def _check_walk(p: KneserParams, walk, expected_len) -> None:
-    if len(walk) - 1 != expected_len:
-        raise RuntimeError(
-            f"constructed walk has length {len(walk) - 1}, expected {expected_len}"
-        )
-    for s in walk:
-        validate_subset(p.ground, s)
-        if s.k != p.k:
-            raise RuntimeError(f"walk vertex {s} is not a {p.k}-subset")
-    for a, b in zip(walk, walk[1:]):
-        if a.bits & b.bits:
-            raise RuntimeError(f"consecutive walk vertices {a}, {b} intersect")
-
-
-def construct_even_path(A: KSubset, B: KSubset, p: KneserParams) -> list[KSubset]:
-    """An even walk from A to B of length exactly 2*ceil((k-c)/(n-2k)).
-
-    Split A\\B into chunks X_1..X_l and B\\A into Y_1..Y_l of size n-2k
-    (the last pair possibly shorter) and swap one chunk pair per two steps:
-    the even positions carry Y_1..Y_i, X_{i+1}..X_l and A&B; the odd
-    positions carry X_1..X_i, Y_{i+2}..Y_l padded from the complement of
-    A|B, which is large enough exactly because chunks have size <= n-2k.
-    """
-    validate_subset(p.ground, A)
-    validate_subset(p.ground, B)
-    if A.k != p.k or B.k != p.k:
-        raise ValueError(f"path endpoints must be {p.k}-subsets")
-    if A == B:
-        return [A]
-    k, d = p.k, p.n - 2 * p.k
-    c = (A.bits & B.bits).bit_count()
-    l = _ceil_div(k - c, d)
-    xs = _chunks(KSubset(A.bits & ~B.bits).elements(), d)
-    ys = _chunks(KSubset(B.bits & ~A.bits).elements(), d)
-    common = A.bits & B.bits
-    outside = KSubset(p.ground.full_mask & ~(A.bits | B.bits)).elements()
-
-    def mask_of(parts):
-        bits = 0
-        for part in parts:
-            for e in part:
-                bits |= 1 << e
-        return bits
-
-    walk = []
-    for i in range(l + 1):
-        even = mask_of(ys[:i]) | mask_of(xs[i:]) | common
-        walk.append(KSubset(even))
-        if i < l:
-            pad = c + len(ys[i])
-            odd = mask_of(xs[:i]) | mask_of(ys[i + 1:])
-            for e in outside[:pad]:
-                odd |= 1 << e
-            walk.append(KSubset(odd))
-    _check_walk(p, walk, 2 * l)
-    if walk[0] != A or walk[-1] != B:
-        raise RuntimeError("walk endpoints do not match")
-    return walk
-
-
-def construct_odd_path(A: KSubset, B: KSubset, p: KneserParams) -> list[KSubset]:
-    """An odd walk from A to B of length exactly 2*ceil(c/(n-2k)) + 1.
-
-    Pivot through A' = (B\\A) plus c elements borrowed from the complement
-    of A|B; A and A' are disjoint and |A' & B| = k-c, so the even
-    constructor finishes the job.
-    """
-    validate_subset(p.ground, A)
-    validate_subset(p.ground, B)
-    if A.k != p.k or B.k != p.k:
-        raise ValueError(f"path endpoints must be {p.k}-subsets")
-    d = p.n - 2 * p.k
-    c = (A.bits & B.bits).bit_count()
-    outside = KSubset(p.ground.full_mask & ~(A.bits | B.bits)).elements()
-    pivot = B.bits & ~A.bits
-    for e in outside[:c]:
-        pivot |= 1 << e
-    walk = [A] + construct_even_path(KSubset(pivot), B, p)
-    _check_walk(p, walk, 2 * _ceil_div(c, d) + 1)
-    if walk[0] != A or walk[-1] != B:
-        raise RuntimeError("walk endpoints do not match")
-    return walk
-
-
 def neighborhood_geometry(g: Graph, labels=None) -> IncidenceSystem:
     """The rank-2 typed copies of g: (p,0) at index p is incident to (q,1)
     at n+q iff p ~ q, along the edges of the bipartite double cover K_2 x g."""
@@ -218,9 +128,10 @@ def neighborhood_summary(g: Graph, cover_eccentricities, transitive=False) -> Ra
     it, such as graphs.walk_metrics_from on a vertex-transitive g.
 
     The class and gonality are incidence's one 4-cycle scan and one girth
-    search, run on _CoverRows(g), so neither the geometry nor the cover is
-    built; an infinite eccentricity alone builds the cover, to name its
-    components in the error.  (v,0) is never incident to (v,1), so K_2 x g
+    search, run on _TypedRows(g, 2), the cover's rows made from g's as they
+    are read, so neither the geometry nor the cover is built; an infinite
+    eccentricity alone builds the cover graph, to name its components in
+    the error.  (v,0) is never incident to (v,1), so K_2 x g
     is never a digon, and a 4-cycle (a,0)-(b,1)-(a',0)-(b',1) is two
     vertices a != a' of g with two common neighbours b != b'.  Both loops
     start from side 0 only, which holds a vertex of every cycle.  With
@@ -234,7 +145,7 @@ def neighborhood_summary(g: Graph, cover_eccentricities, transitive=False) -> Ra
     side = (1 << g.n) - 1
     diameter = max(ecc, default=0)
     scan = side & 1 if transitive else None
-    return _rank2((0, 1), _CoverRows(g), side, side << g.n, (diameter, diameter), scan)
+    return _rank2((0, 1), _TypedRows(g, 2), side, side << g.n, (diameter, diameter), scan)
 
 
 def kneser_neighborhood_geometry(p: KneserParams) -> IncidenceSystem:

@@ -12,8 +12,10 @@ t*C(m, k) + i, so every derived certificate is byte-reproducible.  The
 incidence graph is the tensor product K_r x KG(m, k), m = n + k(r-2): the
 geometry keeps the factor KG(m, k) on one type's subsets, the
 kneser.disjointness_table of them, simple by construction and so built with
-no symmetry check, and incidence_system is kneser.typed_copies of it, so no
-pair of elements is visited and no edge list is made.
+no symmetry check, and incidence_system is kneser.typed_copies of it, whose
+rows are the factor's and r, each made as it is read (graphs._TypedRows).
+So no pair of elements is visited, no edge list is made, and no row of the
+incidence graph is stored.
 """
 
 from __future__ import annotations
@@ -117,6 +119,8 @@ class KneserGeometry:
         return self._factor
 
     def incidence_system(self) -> IncidenceSystem:
+        """typed_copies of the factor with hex subset-mask labels: beyond the
+        factor it holds the types and labels, not the incidence rows."""
         if self._system is None:
             labels = [f"{m:#x}" for m in self.subsets]
             self._system = typed_copies(self.factor, self.params.r, labels)

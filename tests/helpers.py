@@ -50,6 +50,7 @@ from knesergeom import (
     residue,
 )
 from knesergeom.incidence import _restriction
+from knesergeom.subsets import validate_subset
 
 
 def random_graph(rng, n, p):
@@ -712,3 +713,98 @@ def truncation(sys, J):
         raise ValueError(f"types {sorted(J)} not a subset of {sys.types}")
     keep = [e for e in range(sys.n_elements) if sys.type_of[e] in J]
     return _restriction(sys, keep, tuple(sorted(J)))
+
+
+# Kneser path witnesses: explicit walks of the closed-form lengths, read
+# by the Kneser and acceptance tests, each re-verified before it is returned.
+
+def _ceil_div(a, b):
+    return -(-a // b)
+
+
+def _chunks(elems, size):
+    return [elems[i:i + size] for i in range(0, len(elems), size)]
+
+
+def _check_walk(p: KneserParams, walk, expected_len) -> None:
+    if len(walk) - 1 != expected_len:
+        raise RuntimeError(
+            f"constructed walk has length {len(walk) - 1}, expected {expected_len}"
+        )
+    for s in walk:
+        validate_subset(p.ground, s)
+        if s.k != p.k:
+            raise RuntimeError(f"walk vertex {s} is not a {p.k}-subset")
+    for a, b in zip(walk, walk[1:]):
+        if a.bits & b.bits:
+            raise RuntimeError(f"consecutive walk vertices {a}, {b} intersect")
+
+
+def construct_even_path(A: KSubset, B: KSubset, p: KneserParams) -> list[KSubset]:
+    """An even walk from A to B of length exactly 2*ceil((k-c)/(n-2k)).
+
+    Split A\\B into chunks X_1..X_l and B\\A into Y_1..Y_l of size n-2k
+    (the last pair possibly shorter) and swap one chunk pair per two steps:
+    the even positions carry Y_1..Y_i, X_{i+1}..X_l and A&B; the odd
+    positions carry X_1..X_i, Y_{i+2}..Y_l padded from the complement of
+    A|B, which is large enough exactly because chunks have size <= n-2k.
+    """
+    validate_subset(p.ground, A)
+    validate_subset(p.ground, B)
+    if A.k != p.k or B.k != p.k:
+        raise ValueError(f"path endpoints must be {p.k}-subsets")
+    if A == B:
+        return [A]
+    k, d = p.k, p.n - 2 * p.k
+    c = (A.bits & B.bits).bit_count()
+    l = _ceil_div(k - c, d)
+    xs = _chunks(KSubset(A.bits & ~B.bits).elements(), d)
+    ys = _chunks(KSubset(B.bits & ~A.bits).elements(), d)
+    common = A.bits & B.bits
+    outside = KSubset(p.ground.full_mask & ~(A.bits | B.bits)).elements()
+
+    def mask_of(parts):
+        bits = 0
+        for part in parts:
+            for e in part:
+                bits |= 1 << e
+        return bits
+
+    walk = []
+    for i in range(l + 1):
+        even = mask_of(ys[:i]) | mask_of(xs[i:]) | common
+        walk.append(KSubset(even))
+        if i < l:
+            pad = c + len(ys[i])
+            odd = mask_of(xs[:i]) | mask_of(ys[i + 1:])
+            for e in outside[:pad]:
+                odd |= 1 << e
+            walk.append(KSubset(odd))
+    _check_walk(p, walk, 2 * l)
+    if walk[0] != A or walk[-1] != B:
+        raise RuntimeError("walk endpoints do not match")
+    return walk
+
+
+def construct_odd_path(A: KSubset, B: KSubset, p: KneserParams) -> list[KSubset]:
+    """An odd walk from A to B of length exactly 2*ceil(c/(n-2k)) + 1.
+
+    Pivot through A' = (B\\A) plus c elements borrowed from the complement
+    of A|B; A and A' are disjoint and |A' & B| = k-c, so the even
+    constructor finishes the job.
+    """
+    validate_subset(p.ground, A)
+    validate_subset(p.ground, B)
+    if A.k != p.k or B.k != p.k:
+        raise ValueError(f"path endpoints must be {p.k}-subsets")
+    d = p.n - 2 * p.k
+    c = (A.bits & B.bits).bit_count()
+    outside = KSubset(p.ground.full_mask & ~(A.bits | B.bits)).elements()
+    pivot = B.bits & ~A.bits
+    for e in outside[:c]:
+        pivot |= 1 << e
+    walk = [A] + construct_even_path(KSubset(pivot), B, p)
+    _check_walk(p, walk, 2 * _ceil_div(c, d) + 1)
+    if walk[0] != A or walk[-1] != B:
+        raise RuntimeError("walk endpoints do not match")
+    return walk

@@ -17,8 +17,6 @@ from knesergeom import (
     build_geometry,
     chamber_count,
     chamber_orbit_size,
-    construct_even_path,
-    construct_odd_path,
     flag_orbit_count,
     flags_of_type,
     girth,
@@ -49,6 +47,8 @@ from knesergeom import (
 from knesergeom.graphs import complete_tensor, eccentricities
 from helpers import (
     brute_force_isomorphism,
+    construct_even_path,
+    construct_odd_path,
     isomorphism_corpus,
     residue_diagram_mismatches,
     vertex_edge_geometry,

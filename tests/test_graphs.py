@@ -1,6 +1,9 @@
 import itertools
 import random
 import sys
+import tracemalloc
+from functools import reduce
+from operator import or_
 from unittest import mock
 
 import networkx as nx
@@ -28,7 +31,10 @@ from knesergeom import (
 )
 from knesergeom import graphs
 from knesergeom.graphs import (
+    _TypedRows,
+    _iter_bits,
     complete_tensor,
+    component_mask,
     connected_components,
     eccentricities,
     graph_digest,
@@ -202,10 +208,62 @@ def test_complete_tensor_matches_pair_loop_and_passes_the_checks(g, r):
     assert t == complete_tensor_oracle(g, r)
     # the product skips from_masks's checks; the checked constructor accepts it
     assert Graph.from_masks(t.neighbor_masks) == t
-    if r == 2:
-        # the cover's rows as the rank-2 summary reads them, made from g's
-        rows = graphs._CoverRows(g)
-        assert [rows[v] for v in range(t.n)] == list(t.neighbor_masks)
+    # the rows as the searches and the rank-2 summary read them, one at a
+    # time, made from g's
+    rows = t.neighbor_masks
+    assert [rows[v] for v in range(t.n)] == list(complete_tensor_oracle(g, r).neighbor_masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs(), st.integers(2, 5))
+def test_typed_rows_match_pair_loop_property(g, r):
+    # each row made as it is read, by index or in order, is the pair loop's;
+    # a row that kept its own block would meet the oracle's zero block there
+    rows, oracle = _TypedRows(g, r), complete_tensor_oracle(g, r).neighbor_masks
+    assert len(rows) == len(oracle) == r * g.n
+    assert [rows[v] for v in range(len(rows))] == list(oracle)
+    assert list(rows) == list(oracle) and list(iter(rows)) == list(oracle)
+    for v in (-1, len(rows)):
+        with pytest.raises(IndexError):
+            rows[v]
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs(), st.integers(1, 5))
+def test_graphs_are_equal_however_their_rows_are_held_property(g, r):
+    typed, stored = complete_tensor(g, r), complete_tensor_oracle(g, r)
+    assert type(typed.neighbor_masks) is _TypedRows and type(stored.neighbor_masks) is tuple
+    assert typed == stored and stored == typed and typed == complete_tensor(g, r)
+    assert hash(typed) == hash(stored) == hash(complete_tensor(g, r))
+    assert len({typed, stored, complete_tensor(g, r)}) == 1
+    assert typed.neighbor_masks == stored.neighbor_masks == typed.neighbor_masks
+    if stored.n_edges:  # one edge fewer is another graph, either way round
+        u, v = stored.edges()[0]
+        fewer = Graph(stored.n, [e for e in stored.edges() if e != (u, v)])
+        assert typed != fewer and fewer != typed and typed.neighbor_masks != fewer.neighbor_masks
+    assert typed != Graph(typed.n + 1) and typed.neighbor_masks != (0,) * (typed.n + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs(), st.integers(1, 5), st.integers(0, 2**30))
+def test_component_mask_on_typed_rows_matches_stored_rows_property(g, r, seed):
+    typed, stored = _TypedRows(g, r), complete_tensor_oracle(g, r).neighbor_masks
+    rng = random.Random(seed)
+    for _ in range(12):
+        within = rng.getrandbits(len(stored)) if stored else 0
+        assert typed.union(within) == reduce(or_, [stored[v] for v in _iter_bits(within)], 0)
+        if within:
+            start = rng.choice(list(_iter_bits(within)))
+            assert component_mask(typed, start, within) == component_mask(stored, start, within)
+
+
+def test_component_mask_takes_typed_frontiers_by_block(monkeypatch, petersen):
+    # a frontier of typed rows is one union per step, not a row per vertex
+    rows = _TypedRows(petersen, 4)
+    monkeypatch.setattr(_TypedRows, "__getitem__", lambda *a: pytest.fail("row read"))
+    full = (1 << 40) - 1
+    assert component_mask(rows, 0, full) == full
+    assert component_mask(rows, 3, 1 << 3 | 1 << 25) == 1 << 3  # 3 and 5 are not adjacent
 
 
 def test_double_cover_connectivity_criterion():
@@ -600,6 +658,39 @@ def test_graph6_window_is_whole_24_bit_groups(monkeypatch):
             except OverflowError:
                 wrong += 1
         assert wrong, window
+
+
+# windows of one to a few columns put many window boundaries inside each graph
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 7, 50, 200]),
+    st.integers(0, 70),
+    st.integers(0, 2**30),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+@example(1, 0, 0, 0.0)
+@example(1, 1, 0, 0.0)
+@example(1, 2, 0, 1.0)
+@example(7, 63, 1, 1.0)
+def test_graph6_decode_in_small_windows_matches_oracle_property(chars, n, seed, p):
+    g = random_graph(random.Random(seed), n, p)
+    with mock.patch.object(graphs, "_G6_DECODE_CHARS", chars):
+        assert graph6_decode(graph6_encode_oracle(g)) == g
+
+
+def test_graph6_decode_runs_in_bounded_memory():
+    # a window of columns at a time: the whole bit string and an n^2 column
+    # table of the 2,145-vertex (9,4,3) incidence graph peaked at 13.0 MB
+    g = build_geometry(GeometryParams(9, 4, 3)).incidence_system().graph
+    data = graph6_encode(g)
+    tracemalloc.start()
+    try:
+        decoded = graph6_decode(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded == g
+    assert peak < 3 << 20, peak
 
 
 def test_graph6_extended_size_header():

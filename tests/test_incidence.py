@@ -83,6 +83,29 @@ def test_system_from_graph_rejects_equal_type_masks():
     assert sys_ == IncidenceSystem((0, 1), [0, 1, 1], [(0, 1), (0, 2)])
 
 
+def test_typed_rows_skip_the_type_check_only_when_each_type_is_a_block(monkeypatch, petersen):
+    # a typed row never reaches its own block, so a system whose types are
+    # the blocks reads no row; any other typing is checked row by row
+    from knesergeom.graphs import _TypedRows, complete_tensor
+
+    product = complete_tensor(petersen, 3)
+    blocks = [v // 10 for v in range(30)]
+    swapped = blocks[:]  # 0 is incident to 15, 18 and 19: of type 1, it meets 18
+    swapped[0], swapped[15] = 1, 0
+    with monkeypatch.context() as m:
+        m.setattr(_TypedRows, "__iter__", lambda self: pytest.fail("rows read"))
+        m.setattr(_TypedRows, "__getitem__", lambda self, v: pytest.fail("rows read"))
+        sys_ = IncidenceSystem.from_graph(range(3), blocks, product)
+        renamed = IncidenceSystem.from_graph((4, 7, 9), [(4, 7, 9)[t] for t in blocks], product)
+    assert sys_.graph is product and renamed.graph is product
+    with pytest.raises(ValueError, match="of equal type"):
+        IncidenceSystem.from_graph(range(3), swapped, product)
+    with pytest.raises(ValueError, match="of equal type"):
+        IncidenceSystem.from_graph(range(3), [v % 3 for v in range(30)], product)
+    empty = IncidenceSystem.from_graph(range(3), [], complete_tensor(Graph(0), 3))
+    assert empty.n_elements == 0
+
+
 def test_incidence_graph_k2():
     sys_ = IncidenceSystem((0, 1), [0, 1], [(0, 1)])
     tig = incidence_graph(sys_)

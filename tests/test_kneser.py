@@ -7,8 +7,6 @@ from knesergeom import (
     Graph,
     KneserParams,
     KSubset,
-    construct_even_path,
-    construct_odd_path,
     incidence_graph,
     kneser_graph,
     kneser_neighborhood_geometry,
@@ -25,6 +23,8 @@ from knesergeom import kneser
 from knesergeom.kneser import disjointness_table, neighborhood_summary
 from knesergeom.subsets import GroundSet, enumerate_k_subsets
 from helpers import (
+    construct_even_path,
+    construct_odd_path,
     cover_eccentricities_oracle,
     disjointness_table_oracle,
     neighborhood_summary_oracle,

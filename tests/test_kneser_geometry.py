@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -24,13 +25,30 @@ from knesergeom import (
     residue,
     satisfies_ip2,
 )
-from knesergeom.graphs import connected_components
+from knesergeom.graphs import _TypedRows, connected_components
 from helpers import (
     incidence_system_oracle,
     kneser_graph_oracle,
     residue_diagram_mismatches,
     truncation,
 )
+
+
+def test_incidence_system_holds_no_incidence_rows():
+    # beyond the factor, the system holds its types and labels; the 2,145
+    # stored rows of K_3 x KG(13,4) held 713 KB and peaked at 951 KB
+    geom = build_geometry(GeometryParams(9, 4, 3))
+    geom.factor  # built outside the count
+    tracemalloc.start()
+    try:
+        sys_ = geom.incidence_system()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert type(sys_.graph.neighbor_masks) is _TypedRows
+    assert sys_.graph.neighbor_masks.masks is geom.factor.neighbor_masks
+    assert held < 128 << 10, held
+    assert peak < 256 << 10, peak
 
 
 @pytest.mark.parametrize(
