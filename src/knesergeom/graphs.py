@@ -172,10 +172,13 @@ def graph_digest(g: Graph) -> str:
     The text hashed is n followed by ",u-v" for every edge u < v in
     ascending order.  It is fed to sha256 one _upper_rows row at a time and
     never held whole."""
-    try:  # hashlib loads OpenSSL; the stdlib's random tries the lean module too
-        from _sha256 import sha256
+    try:  # hashlib loads OpenSSL, so the lean built-in goes first: _sha2 from
+        from _sha2 import sha256  # Python 3.12 on, _sha256 before
     except ImportError:
-        from hashlib import sha256
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     digest = sha256(b"%d" % g.n)
     for row in _upper_rows(g, [b"%d" % v for v in range(g.n)], b",%d-"):

@@ -5,21 +5,20 @@ partitions of bitmask cells.  Refinement splits cells by a splitter queue
 under Hopcroft's rule (Paige & Tarjan 1987), logs each split in a trace and
 stops at the coarsest equitable (1-WL) partition.  _search() follows a
 _ReferencePath of h, which its caller makes and may share between searches
-against h, searches a vertex set of a host graph on the host's own masks
-and an explicit stack, drops a branch when its trace departs from h's, and
-returns only maps that pass _edge_check().  are_isomorphic() and
-verify_isomorphism() are the cases where that set is every vertex; a
-neighborhood is searched in place, with no subgraph built.
+against h, searches a vertex set of a host graph on the host's own masks,
+drops a branch when its trace departs from h's, and returns only maps that
+pass _edge_check(), which picks each host row's bits in h's order by index.
+are_isomorphic() and verify_isomorphism() are the cases where that set is
+every vertex; a neighborhood is searched in place, with no subgraph built.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
-from operator import or_
+from operator import itemgetter
 
-from .graphs import Graph, _iter_bits, _picked
+from .graphs import Graph, _iter_bits
 
 
 def normalize_colors(colors, n: int) -> tuple[int, ...]:
@@ -161,19 +160,16 @@ def _edge_check(masks, domain, h, mapping) -> bool:
     set `domain`, whose i-th lowest vertex goes to mapping[i]: vertex u's
     row is masks[u] & domain, so neighbors outside the domain are ignored."""
     n = h.n
-    if domain.bit_count() != n or len(mapping) != n or set(mapping) != set(range(n)):
-        return False
-    # a bijection does that iff its inverse maps each neighborhood of h onto
-    # that of the preimage: each of h's mask rows goes through the
-    # preimage bits of its vertices, picked by one _picked pass
-    preimage, rest = [0] * n, domain  # preimage[a]: the bit of a's preimage
-    for a in mapping:
-        b = rest & -rest
-        rest ^= b
-        preimage[a] = b
-    for a, row in enumerate(h.neighbor_masks):
-        img = functools.reduce(or_, _picked(preimage, row), 0)
-        if img != masks[preimage[a].bit_length() - 1] & domain:
+    if not n or domain.bit_count() != n or len(mapping) != n or set(mapping) != set(range(n)):
+        return not (n or domain or mapping)  # no vertices: only the empty map
+    # a bijection does that iff its inverse maps each row of h onto the row
+    # of the preimage: pre[a] goes to a, and h's row a is the bits of
+    # masks[pre[a]] at pre, in h's order, read off the domain's span alone
+    pre = [u for _, u in sorted(zip(mapping, _iter_bits(domain)))]
+    low, width = (domain & -domain).bit_length() - 1, domain.bit_length()
+    pick = itemgetter(*[width - 1 - u for u in reversed(pre)])  # bit string order
+    for u, row in zip(pre, h.neighbor_masks):
+        if int("".join(pick(format((masks[u] & domain) >> low, f"0{width - low}b"))), 2) != row:
             return False
     return True
 

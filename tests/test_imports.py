@@ -72,8 +72,9 @@ def test_cli_import_loads_no_costly_modules():
 
 
 def test_digests_load_no_openssl(tmp_path):
-    # graph_digest takes sha256 from the built-in _sha256 module; hashlib
-    # would load _hashlib and libcrypto, about 3.6 MB of resident memory
+    # graph_digest takes sha256 from the built-in module, _sha2 from Python
+    # 3.12 on and _sha256 before; hashlib would load _hashlib and libcrypto,
+    # about 3.6 MB of resident memory
     g6, x6 = tmp_path / "g.g6", tmp_path / "x.g6"
     runs = [
         ["verify", "--all", "--n", "6", "--k", "2", "--r", "3", "--out", str(tmp_path / "v")],

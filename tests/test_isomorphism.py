@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -318,6 +319,24 @@ def test_in_place_edge_check_rejects_swaps_and_ignores_outside_neighbors():
         assert _edge_check(masks, domain, x, swapped) == twins
         non_twins += not twins
     assert non_twins > 0
+
+
+def test_edge_check_holds_nothing_of_host_width():
+    # X is N(0) of the 9,520-vertex (9,4,4) incidence graph, read in place
+    # on g's rows; a table of one host-width preimage bit per vertex of X
+    # peaked at about 2.8 MB
+    g = build_geometry(GeometryParams(9, 4, 4)).incidence_system().graph
+    masks = g.neighbor_masks
+    x = induced_subgraph(g, _iter_bits(masks[0]))[0]
+    mapping = list(range(x.n))
+    tracemalloc.start()
+    try:
+        ok = _edge_check(masks, masks[0], x, mapping)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and x.n == 2145
+    assert peak < 1 << 20, peak
 
 
 @st.composite
