@@ -1105,3 +1105,74 @@ def test_locally_x_second_graph6_line_exit2(tmp_path):
     assert res.returncode == 2
     assert res.stdout == b""
     assert str(two).encode() in res.stderr and b"line 3" in res.stderr
+
+
+# argv, exit code, and what the last line of stderr (the error) must name;
+# for exit 0, what stdout must hold
+_PARAMS = ["--n", "5", "--k", "2", "--r", "3"]
+USAGE_CASES = [
+    (["build", "--n", "5", "--r", "3"], 2, ("--k",)),
+    (["build", "--n", "x", "--k", "2", "--r", "3"], 2, ("--n", "'x'")),
+    (["verify", *_PARAMS, "--check", "nope"], 2, ("--check", "'nope'")),
+    (["build", *_PARAMS, "--format", "svg"], 2, ("--format", "'svg'")),
+    (["locally-x", "g.g6", "x.g6", "extra.g6"], 2, ("extra.g6",)),
+    (["frob"], 2, ("'frob'",)),
+    ([], 2, ("command",)),
+    (["--help"], 0, ("usage:", "locally-x")),
+    (["-h"], 0, ("usage:", "locally-x")),
+    (["verify", "--help"], 0, ("usage:", "--check")),
+]
+
+
+@pytest.mark.parametrize("argv, code, needles", USAGE_CASES)
+def test_cli_usage_parity(capsys, argv, code, needles):
+    from knesergeom import cli
+
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        last = err.strip().splitlines()[-1]
+        assert "error:" in last and all(s in last for s in needles), err
+    else:
+        assert all(s in out for s in needles), out
+
+
+def test_cli_version(capsys):
+    from knesergeom import cli
+
+    assert cli.main(["--version"]) == 0
+    assert capsys.readouterr().out == "0.1.0\n"
+
+
+# pairs of argv that must print the same bytes: an option's value joined by
+# "=" or given apart, a unique prefix of an option, options after positionals
+SPELLING_PAIRS = [
+    (["verify", "--n=6", "--k", "2", "--r", "2", "--check", "odd-girth"],
+     ["verify", "--n", "6", "--k", "2", "--r", "2", "--check", "odd-girth"]),
+    (["build", "--form", "graph6", *_PARAMS], ["build", "--format", "graph6", *_PARAMS]),
+    (["verify", "--ch=gonality", "--c", "diameter", "--n", "5", "--k", "2", "--r", "2"],
+     ["verify", "--check", "gonality", "--check", "diameter", "--n", "5", "--k", "2", "--r", "2"]),
+]
+
+
+@pytest.mark.parametrize("one, other", SPELLING_PAIRS)
+def test_cli_spellings_print_the_same_bytes(capsysbinary, one, other):
+    from knesergeom import cli
+
+    outs = []
+    for argv in (one, other):
+        assert cli.main(argv) == 0
+        outs.append(capsysbinary.readouterr().out)
+    assert outs[0] == outs[1] and outs[0]
+
+
+def test_locally_x_options_after_positionals(tmp_path, petersen):
+    from knesergeom import cli
+
+    g6 = tmp_path / "p.g6"
+    g6.write_bytes(graph6_encode(petersen) + b"\n")
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert cli.main(["locally-x", "--out", str(before), str(g6), str(g6)]) == 1
+    assert cli.main(["locally-x", str(g6), str(g6), "--out", str(after)]) == 1
+    assert before.read_bytes() == after.read_bytes()
