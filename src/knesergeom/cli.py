@@ -7,16 +7,23 @@ failing partway).  Every result goes through one writer to stdout (or
 --out), a piece at a time as it is made, so build never holds a whole
 export; diagnostics go to stderr.  Certificates are JSON with sorted keys
 and fixed element order, so a given invocation is byte-reproducible.
+
+The command line is read by getopt.gnu_getopt from one table, _COMMANDS:
+each command's long options and positionals.  _parse checks the ints, the
+choices and the required options, and one text, USAGE, serves --help and
+every usage error.  argparse is not used (it cost a process about 0.35 MB
+to import and some milliseconds to build its parser), and json is loaded
+by _dump alone, so a graph6 or DOT export never loads it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
+import getopt
 import math
 import sys
 from itertools import chain, combinations
+from types import SimpleNamespace
 
 from . import __version__
 from .graphs import (
@@ -65,6 +72,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 def _dump(obj) -> str:
+    import json  # here, so that a graph6 or DOT export never loads it
+
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -383,57 +392,102 @@ def cmd_locally_x(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="knesergeom",
-        description="Construct and certify Kneser-graph incidence geometries.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = f"""\
+usage: knesergeom build --n N --k K --r R [--format json|graph6|dot] [--out FILE]
+       knesergeom verify --n N --k K --r R [--all | --check NAME ...] [--out FILE]
+       knesergeom locally-x GRAPH REFERENCE [--out FILE]
+       knesergeom --version | --help
 
-    def add_params(p):
-        p.add_argument("--n", type=int, required=True, help="ground parameter n (n > 2k)")
-        p.add_argument("--k", type=int, required=True, help="subset size k >= 1")
-        p.add_argument("--r", type=int, required=True, help="rank r >= 2")
-        p.add_argument("--out", help="write output to this path instead of stdout")
+Construct and certify Kneser-graph incidence geometries.
 
-    p_build = sub.add_parser("build", help="build a geometry and export it")
-    add_params(p_build)
-    p_build.add_argument(
-        "--format",
-        choices=["json", "graph6", "dot"],
-        default="json",
-        help="geometry JSON, incidence-graph graph6, or diagram DOT",
-    )
-    p_build.set_defaults(func=cmd_build)
+commands:
+  build       build a geometry and export it: geometry JSON (the default),
+              incidence-graph graph6, or diagram DOT
+  verify      run structural checks and emit a certificate: each --check NAME
+              runs one check, and with none given or --all every check runs
+  locally-x   check the graph in graph6 file GRAPH against the reference X in
+              graph6 file REFERENCE
 
-    p_verify = sub.add_parser("verify", help="run structural checks, emit a certificate")
-    add_params(p_verify)
-    p_verify.add_argument("--all", action="store_true", help="run every check")
-    p_verify.add_argument(
-        "--check",
-        action="append",
-        choices=CHECK_NAMES,
-        help="run this check (repeatable); default is --all",
-    )
-    p_verify.set_defaults(func=cmd_verify)
+options:
+  --n N       ground parameter n (n > 2k)
+  --k K       subset size k >= 1
+  --r R       rank r >= 2
+  --out FILE  write output to this path instead of stdout
+  -h, --help  show this help and exit
+  --version   show the version and exit
 
-    p_lx = sub.add_parser("locally-x", help="check a graph6 graph against a reference")
-    p_lx.add_argument("graph", help="graph6 file with the graph to check")
-    p_lx.add_argument("reference", help="graph6 file with the reference X")
-    p_lx.add_argument("--out", help="write the report to this path")
-    p_lx.set_defaults(func=cmd_locally_x)
-    return parser
+An option takes its value as --opt VALUE or --opt=VALUE, and may be shortened
+to a unique prefix.  The checks, in the order a certificate lists them:
+  {", ".join(CHECK_NAMES[:5])},
+  {", ".join(CHECK_NAMES[5:])}"""
+
+_PARAMS = ["n=", "k=", "r=", "out=", "help"]
+# command -> (handler, its long options as getopt takes them, its positionals)
+_COMMANDS = {
+    "build": (cmd_build, [*_PARAMS, "format="], ()),
+    "verify": (cmd_verify, [*_PARAMS, "all", "check="], ()),
+    "locally-x": (cmd_locally_x, ["out=", "help"], ("graph", "reference")),
+}
+_CHOICES = {"--format": ["json", "graph6", "dot"], "--check": CHECK_NAMES}
+
+
+def _usage_error(message) -> int:
+    print(USAGE.partition("\n\n")[0], f"knesergeom: error: {message}", sep="\n", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _invalid_choice(name, value, choices) -> int:
+    listed = ", ".join(map(repr, choices))
+    return _usage_error(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+
+
+def _parse(argv):
+    """(handler, args) of argv, or the exit code once argv has asked for the
+    help or the version, or has failed as a command line."""
+    try:
+        opts, rest = getopt.getopt(argv, "h", ["help", "version"])
+        if opts:  # the first of them is acted on
+            print(__version__ if opts[0][0] == "--version" else USAGE)
+            return EXIT_OK
+        if not rest:
+            return _usage_error("the following arguments are required: command")
+        if rest[0] not in _COMMANDS:
+            return _invalid_choice("command", rest[0], _COMMANDS)
+        func, longopts, positionals = _COMMANDS[rest[0]]
+        opts, rest = getopt.gnu_getopt(rest[1:], "h", longopts)
+    except getopt.GetoptError as exc:
+        return _usage_error(exc.msg)
+    args = {"out": None, "format": "json", "all": False, "check": None}
+    for opt, value in opts:
+        if opt in ("-h", "--help"):
+            print(USAGE)
+            return EXIT_OK
+        if opt in ("--n", "--k", "--r"):
+            try:
+                value = int(value)
+            except ValueError:
+                return _usage_error(f"argument {opt}: invalid int value: {value!r}")
+        elif opt in _CHOICES and value not in _CHOICES[opt]:
+            return _invalid_choice(opt, value, _CHOICES[opt])
+        if opt == "--check":
+            value = [*(args["check"] or ()), value]
+        args[opt[2:]] = True if opt == "--all" else value
+    missing = [f"--{o}" for o in "nkr" if f"{o}=" in longopts and o not in args]
+    missing += positionals[len(rest):]
+    if missing:
+        return _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if len(rest) > len(positionals):
+        return _usage_error(f"unrecognized arguments: {' '.join(rest[len(positionals):])}")
+    args.update(zip(positionals, rest))
+    return func, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help/--version
-        return int(exc.code or 0)
-    return args.func(args)
+    parsed = _parse(sys.argv[1:] if argv is None else argv)
+    if isinstance(parsed, int):
+        return parsed
+    func, args = parsed
+    return func(args)
 
 
 def entry():  # console_scripts hook

@@ -16,7 +16,8 @@ product K_r x G (the bipartite double cover at r = 2), and graph6 I/O.
 Connectivity is one bitmask search, component_mask, which also serves the
 residue checks and takes the union of a frontier of typed rows block by
 block; bipartiteness is one bitmask layer sweep per component.
-Induced subgraphs move each row's kept bits into place one at a time.
+Induced subgraphs pick a dense row's kept bits by index from its bit
+string, and move a sparse row's into place one at a time.
 Girth runs one BFS per source over per-vertex neighbor bitmasks and stops
 at the first source that reaches 3, or 4 on a bipartite graph (_girth
 takes a higher floor, and fewer sources, from a caller that knows them,
@@ -43,7 +44,7 @@ import binascii
 import math
 from functools import reduce
 from itertools import compress
-from operator import eq, or_
+from operator import eq, itemgetter, or_
 
 INF = math.inf
 _CHECK_CHARS = 1 << 20  # bits per block of Graph.from_masks's symmetry check
@@ -423,21 +424,34 @@ def shortest_odd_cycle(g: Graph):
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on the given vertices, relabeled 0..len-1 in ascending
     original order; returns (subgraph, mapping) with mapping[new] = old.
-    Each row keeps its neighbours among the vertices and moves each kept bit
-    to the neighbour's new index."""
+
+    Rows are read over the span of the vertices.  A dense row has its bits
+    at the vertices picked by index from its bit string, highest first, as
+    isomorphism._edge_check does; a sparse row moves its few kept bits into
+    place one at a time, each a shift of an int of the span's width."""
     vs = sorted(set(vertices))
+    if vs and (vs[0] < 0 or vs[-1] >= g.n):
+        raise ValueError(f"vertex {next(v for v in vs if not 0 <= v < g.n)} out of range")
+    if not vs:
+        return Graph._derived(()), ()
+    low, width = vs[0], vs[-1] + 1 - vs[0]
+    sel = bytearray(b"0") * width  # the kept set's bit string, made in one pass
+    for u in vs:
+        sel[low + width - 1 - u] = 49
+    kept, place = int(sel, 2), {u - low: 1 << i for i, u in enumerate(vs)}
+    # bit u - low of a row sits at index -1 - (u - low) of its bit string
+    pick, rows = itemgetter(*[low - 1 - u for u in reversed(vs)]), g.neighbor_masks
+    # d bits one at a time cost about d * width / 16 ns, a pick about
+    # width + 24 * len(vs) ns (measured on rows of 7,000 to 61,000 bits)
+    budget, masks = 16 * width + 384 * len(vs), []
     for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    place = {v: 1 << i for i, v in enumerate(vs)}
-    kept = 0
-    for v in vs:
-        kept |= 1 << v
-    nbrs, masks = g.neighbor_masks, []
-    for v in vs:
-        m = 0
-        for w in _iter_bits(nbrs[v] & kept):
-            m |= place[w]
+        x = rows[v] >> low & kept
+        if x.bit_count() * width < budget:
+            m = 0
+            for w in _iter_bits(x):
+                m |= place[w]
+        else:
+            m = int("".join(pick(format(x, f"0{width}b"))), 2)
         masks.append(m)
     return Graph._derived(masks), tuple(vs)
 

@@ -184,6 +184,49 @@ def test_induced_subgraph_matches_edge_renumbering(n, seed, p):
         assert sub == induced_subgraph_oracle(g, vs) and mapping == tuple(sorted(vs))
 
 
+def _induced_cases(rng, n, r, p):
+    """A stored random graph on n vertices and its K_r tensor, held as typed
+    rows, each with vertex sets: a random subset of random density, the
+    neighbourhood of a random vertex and a contiguous run."""
+    base = random_graph(rng, n, p)
+    for g in (base, complete_tensor(base, r)):
+        density = rng.random()
+        lo = rng.randrange(g.n + 1)
+        yield g, [v for v in range(g.n) if rng.random() < density]
+        yield g, list(_iter_bits(g.neighbor_masks[rng.randrange(g.n)])) if g.n else []
+        yield g, range(lo, rng.randrange(lo, g.n + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([(12, 2), (40, 3), (160, 3)]),
+       st.sampled_from([0.1, 0.5, 0.95]))
+def test_induced_subgraph_of_stored_and_typed_rows_matches_oracle(seed, size, p):
+    rng = random.Random(seed)
+    n = rng.randrange(size[0] + 1)
+    for g, vs in _induced_cases(rng, n, size[1], p):
+        sub, mapping = induced_subgraph(g, vs)
+        assert sub == induced_subgraph_oracle(g, vs) and mapping == tuple(sorted(set(vs)))
+
+
+def test_induced_subgraph_moves_sparse_rows_and_picks_dense_ones():
+    # a dense row's kept bits are picked from its bit string, a sparse row's
+    # moved one at a time; the oracle checks both, in one graph and apart
+    rng = random.Random(7)
+    dense = complete_tensor(random_graph(rng, 300, 0.9), 3)
+    sparse = complete_tensor(random_graph(rng, 300, 0.02), 3)
+    stored = Graph.from_masks(list(dense.neighbor_masks))
+    for g, picked in ((dense, True), (stored, True), (sparse, False)):
+        vs = [v for v in range(g.n) if rng.random() < 0.6]
+        with mock.patch.object(graphs, "_iter_bits", wraps=graphs._iter_bits) as moved:
+            sub, _ = induced_subgraph(g, vs)
+        assert sub == induced_subgraph_oracle(g, vs)
+        assert (moved.call_count == 0) == picked, moved.call_count
+    with pytest.raises(ValueError, match="vertex 5 out of range"):
+        induced_subgraph(TRIANGLE, [0, 5, 9])
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        induced_subgraph(TRIANGLE, [-1, 0, 9])
+
+
 def test_double_cover_fixtures():
     k2 = Graph(2, [(0, 1)])
     dc = complete_tensor(k2, 2)

@@ -1,6 +1,7 @@
 """The package's modules import one another without a cycle, counting the
 relative imports inside function bodies too, importing the CLI loads none
-of the standard modules that cost a process most of its start-up, and the
+of the standard modules that cost a process most of its start-up, no
+command loads argparse and a graph6 export never loads json, and the
 commands that print a digest never load hashlib or OpenSSL."""
 
 import ast
@@ -63,7 +64,7 @@ def test_package_import_graph_is_acyclic():
 
 def test_cli_import_loads_no_costly_modules():
     # -S skips site, whose .pth hooks may import typing on their own
-    costly = ("dataclasses", "inspect", "typing", "hashlib")
+    costly = ("dataclasses", "inspect", "typing", "hashlib", "argparse", "json")
     code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import knesergeom.cli; "
             f"print(*[m for m in {costly!r} if m in sys.modules])")
     res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
@@ -91,3 +92,22 @@ def test_digests_load_no_openssl(tmp_path):
     assert codes.split() == ["1", "0", "0", "0"]  # ip2 fails at n > 2k+1
     assert loaded.split() == []
     assert '"reference":' in (tmp_path / "l").read_text()
+
+
+def test_commands_load_no_argparse_and_graph6_exports_no_json(tmp_path):
+    # argparse costs a process about 0.35 MB and json about 0.1 MB; only the
+    # JSON outputs (verify, locally-x, build --format json) need json
+    g6, x6 = tmp_path / "g.g6", tmp_path / "x.g6"
+    exports = [
+        ["build", "--format", "graph6", "--n", "5", "--k", "2", "--r", "4", "--out", str(g6)],
+        ["build", "--format", "graph6", "--n", "5", "--k", "2", "--r", "3", "--out", str(x6)],
+    ]
+    check = ["locally-x", str(g6), str(x6), "--out", str(tmp_path / "l")]
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); from knesergeom import cli; "
+            f"codes = [cli.main(a) for a in (['--version'], ['--help'], *{exports!r})]; "
+            f"exported = [m for m in ('argparse', 'json') if m in sys.modules]; "
+            f"codes.append(cli.main({check!r})); "
+            f"print(codes, exported, 'argparse' in sys.modules, 'json' in sys.modules)")
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] [] False True"
