@@ -8,12 +8,8 @@ failing partway).  Every result goes through one writer to stdout (or
 export; diagnostics go to stderr.  Certificates are JSON with sorted keys
 and fixed element order, so a given invocation is byte-reproducible.
 
-The command line is read by getopt.gnu_getopt from one table, _COMMANDS:
-each command's long options and positionals.  _parse checks the ints, the
-choices and the required options, and one text, USAGE, serves --help and
-every usage error.  argparse is not used (it cost a process about 0.35 MB
-to import and some milliseconds to build its parser), and json is loaded
-by _dump alone, so a graph6 or DOT export never loads it.
+The command line is read by getopt from one table, _COMMANDS.  argparse is
+not imported, and json only by _dump, so graph6 and DOT exports never load it.
 """
 
 from __future__ import annotations
@@ -327,7 +323,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     selected = CHECK_NAMES if args.all or not args.check else args.check
-    if "locally-x" in (args.check or []) and params.r < 3:
+    if "locally-x" in args.check and params.r < 3:
         print("error: locally-x verification needs r >= 3", file=sys.stderr)
         return EXIT_USAGE
     run = _Run(params)
@@ -393,40 +389,28 @@ def cmd_locally_x(args) -> int:
 # ---------------------------------------------------------------------------
 
 USAGE = f"""\
-usage: knesergeom build --n N --k K --r R [--format json|graph6|dot] [--out FILE]
-       knesergeom verify --n N --k K --r R [--all | --check NAME ...] [--out FILE]
-       knesergeom locally-x GRAPH REFERENCE [--out FILE]
+usage: knesergeom build --n N --k K --r R [--format json|graph6|dot] [--out F]
+       knesergeom verify --n N --k K --r R [--all | --check NAME ...] [--out F]
+       knesergeom locally-x GRAPH REFERENCE [--out F]
        knesergeom --version | --help
 
-Construct and certify Kneser-graph incidence geometries.
+Construct and certify Kneser-graph incidence geometries.  build exports one as
+JSON (the default), its incidence graph as graph6 or its diagram as DOT; verify
+certifies each check named by --check, or every check with --all or none named;
+locally-x checks the graph in graph6 file GRAPH against the one in REFERENCE.
 
-commands:
-  build       build a geometry and export it: geometry JSON (the default),
-              incidence-graph graph6, or diagram DOT
-  verify      run structural checks and emit a certificate: each --check NAME
-              runs one check, and with none given or --all every check runs
-  locally-x   check the graph in graph6 file GRAPH against the reference X in
-              graph6 file REFERENCE
+  --n, --k, --r  ground size n > 2k, subset size k >= 1, rank r >= 2
+  --out F        write the output to file F instead of stdout
+  --check NAME   {", ".join(CHECK_NAMES[:5])},
+                 {", ".join(CHECK_NAMES[5:])}
 
-options:
-  --n N       ground parameter n (n > 2k)
-  --k K       subset size k >= 1
-  --r R       rank r >= 2
-  --out FILE  write output to this path instead of stdout
-  -h, --help  show this help and exit
-  --version   show the version and exit
+Options may be shortened to a unique prefix, and take --opt V or --opt=V."""
 
-An option takes its value as --opt VALUE or --opt=VALUE, and may be shortened
-to a unique prefix.  The checks, in the order a certificate lists them:
-  {", ".join(CHECK_NAMES[:5])},
-  {", ".join(CHECK_NAMES[5:])}"""
-
-_PARAMS = ["n=", "k=", "r=", "out=", "help"]
 # command -> (handler, its long options as getopt takes them, its positionals)
 _COMMANDS = {
-    "build": (cmd_build, [*_PARAMS, "format="], ()),
-    "verify": (cmd_verify, [*_PARAMS, "all", "check="], ()),
-    "locally-x": (cmd_locally_x, ["out=", "help"], ("graph", "reference")),
+    "build": (cmd_build, ["n=", "k=", "r=", "out=", "format="], ()),
+    "verify": (cmd_verify, ["n=", "k=", "r=", "out=", "all", "check="], ()),
+    "locally-x": (cmd_locally_x, ["out="], ("graph", "reference")),
 }
 _CHOICES = {"--format": ["json", "graph6", "dot"], "--check": CHECK_NAMES}
 
@@ -454,10 +438,10 @@ def _parse(argv):
         if rest[0] not in _COMMANDS:
             return _invalid_choice("command", rest[0], _COMMANDS)
         func, longopts, positionals = _COMMANDS[rest[0]]
-        opts, rest = getopt.gnu_getopt(rest[1:], "h", longopts)
+        opts, rest = getopt.gnu_getopt(rest[1:], "h", [*longopts, "help"])
     except getopt.GetoptError as exc:
         return _usage_error(exc.msg)
-    args = {"out": None, "format": "json", "all": False, "check": None}
+    args = {"out": None, "format": "json", "all": False, "check": []}
     for opt, value in opts:
         if opt in ("-h", "--help"):
             print(USAGE)
@@ -470,7 +454,7 @@ def _parse(argv):
         elif opt in _CHOICES and value not in _CHOICES[opt]:
             return _invalid_choice(opt, value, _CHOICES[opt])
         if opt == "--check":
-            value = [*(args["check"] or ()), value]
+            value = [*args["check"], value]
         args[opt[2:]] = True if opt == "--all" else value
     missing = [f"--{o}" for o in "nkr" if f"{o}=" in longopts and o not in args]
     missing += positionals[len(rest):]
@@ -484,10 +468,7 @@ def _parse(argv):
 
 def main(argv=None) -> int:
     parsed = _parse(sys.argv[1:] if argv is None else argv)
-    if isinstance(parsed, int):
-        return parsed
-    func, args = parsed
-    return func(args)
+    return parsed if isinstance(parsed, int) else parsed[0](parsed[1])
 
 
 def entry():  # console_scripts hook

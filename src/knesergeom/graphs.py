@@ -16,8 +16,7 @@ product K_r x G (the bipartite double cover at r = 2), and graph6 I/O.
 Connectivity is one bitmask search, component_mask, which also serves the
 residue checks and takes the union of a frontier of typed rows block by
 block; bipartiteness is one bitmask layer sweep per component.
-Induced subgraphs pick a dense row's kept bits by index from its bit
-string, and move a sparse row's into place one at a time.
+Induced subgraphs pick dense rows' bits by index, move sparse rows' one by one.
 Girth runs one BFS per source over per-vertex neighbor bitmasks and stops
 at the first source that reaches 3, or 4 on a bipartite graph (_girth
 takes a higher floor, and fewer sources, from a caller that knows them,
@@ -424,11 +423,9 @@ def shortest_odd_cycle(g: Graph):
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on the given vertices, relabeled 0..len-1 in ascending
     original order; returns (subgraph, mapping) with mapping[new] = old.
-
-    Rows are read over the span of the vertices.  A dense row has its bits
-    at the vertices picked by index from its bit string, highest first, as
-    isomorphism._edge_check does; a sparse row moves its few kept bits into
-    place one at a time, each a shift of an int of the span's width."""
+    Rows are read over the vertices' span: a dense row has its bits at them
+    picked by index from its bit string, as isomorphism._edge_check does, a
+    sparse row moves its few kept bits one at a time, each a span-wide op."""
     vs = sorted(set(vertices))
     if vs and (vs[0] < 0 or vs[-1] >= g.n):
         raise ValueError(f"vertex {next(v for v in vs if not 0 <= v < g.n)} out of range")
@@ -446,10 +443,8 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     budget, masks = 16 * width + 384 * len(vs), []
     for v in vs:
         x = rows[v] >> low & kept
-        if x.bit_count() * width < budget:
-            m = 0
-            for w in _iter_bits(x):
-                m |= place[w]
+        if x.bit_count() * width < budget:  # distinct powers of two: the sum is the OR
+            m = sum(place[w] for w in _iter_bits(x))
         else:
             m = int("".join(pick(format(x, f"0{width}b"))), 2)
         masks.append(m)
