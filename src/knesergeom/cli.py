@@ -425,6 +425,18 @@ def _invalid_choice(name, value, choices) -> int:
     return _usage_error(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
 
 
+def _options_anywhere(args, longopts):
+    """(options, positionals) of args, options read wherever they stand, not
+    only up to the first positional as getopt.getopt reads them (and
+    getopt.gnu_getopt under POSIXLY_CORRECT); all after "--" are positionals."""
+    cut = args.index("--") if "--" in args else len(args)
+    opts, positionals, rest = [], [], args[:cut]
+    while rest:
+        found, rest = getopt.getopt(rest, "h", longopts)
+        opts, positionals, rest = opts + found, positionals + rest[:1], rest[1:]
+    return opts, positionals + args[cut + 1 :]
+
+
 def _parse(argv):
     """(handler, args) of argv, or the exit code once argv has asked for the
     help or the version, or has failed as a command line."""
@@ -438,7 +450,7 @@ def _parse(argv):
         if rest[0] not in _COMMANDS:
             return _invalid_choice("command", rest[0], _COMMANDS)
         func, longopts, positionals = _COMMANDS[rest[0]]
-        opts, rest = getopt.gnu_getopt(rest[1:], "h", [*longopts, "help"])
+        opts, rest = _options_anywhere(rest[1:], [*longopts, "help"])
     except getopt.GetoptError as exc:
         return _usage_error(exc.msg)
     args = {"out": None, "format": "json", "all": False, "check": []}

@@ -16,7 +16,7 @@ product K_r x G (the bipartite double cover at r = 2), and graph6 I/O.
 Connectivity is one bitmask search, component_mask, which also serves the
 residue checks and takes the union of a frontier of typed rows block by
 block; bipartiteness is one bitmask layer sweep per component.
-Induced subgraphs pick dense rows' bits by index, move sparse rows' one by one.
+Induced subgraphs move each row's kept bits into place one at a time.
 Girth runs one BFS per source over per-vertex neighbor bitmasks and stops
 at the first source that reaches 3, or 4 on a bipartite graph (_girth
 takes a higher floor, and fewer sources, from a caller that knows them,
@@ -43,7 +43,7 @@ import binascii
 import math
 from functools import reduce
 from itertools import compress
-from operator import eq, itemgetter, or_
+from operator import eq, or_
 
 INF = math.inf
 _CHECK_CHARS = 1 << 20  # bits per block of Graph.from_masks's symmetry check
@@ -423,9 +423,8 @@ def shortest_odd_cycle(g: Graph):
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on the given vertices, relabeled 0..len-1 in ascending
     original order; returns (subgraph, mapping) with mapping[new] = old.
-    Rows are read over the vertices' span: a dense row has its bits at them
-    picked by index from its bit string, as isomorphism._edge_check does, a
-    sparse row moves its few kept bits one at a time, each a span-wide op."""
+    Each row is read over the vertices' span, and its kept bits are moved
+    to their new indices one at a time."""
     vs = sorted(set(vertices))
     if vs and (vs[0] < 0 or vs[-1] >= g.n):
         raise ValueError(f"vertex {next(v for v in vs if not 0 <= v < g.n)} out of range")
@@ -435,19 +434,9 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     sel = bytearray(b"0") * width  # the kept set's bit string, made in one pass
     for u in vs:
         sel[low + width - 1 - u] = 49
-    kept, place = int(sel, 2), {u - low: 1 << i for i, u in enumerate(vs)}
-    # bit u - low of a row sits at index -1 - (u - low) of its bit string
-    pick, rows = itemgetter(*[low - 1 - u for u in reversed(vs)]), g.neighbor_masks
-    # d bits one at a time cost about d * width / 16 ns, a pick about
-    # width + 24 * len(vs) ns (measured on rows of 7,000 to 61,000 bits)
-    budget, masks = 16 * width + 384 * len(vs), []
-    for v in vs:
-        x = rows[v] >> low & kept
-        if x.bit_count() * width < budget:  # distinct powers of two: the sum is the OR
-            m = sum(place[w] for w in _iter_bits(x))
-        else:
-            m = int("".join(pick(format(x, f"0{width}b"))), 2)
-        masks.append(m)
+    kept, place, rows = int(sel, 2), {u - low: 1 << i for i, u in enumerate(vs)}, g.neighbor_masks
+    # distinct powers of two: the sum is the OR
+    masks = [sum(place[w] for w in _iter_bits(rows[v] >> low & kept)) for v in vs]
     return Graph._derived(masks), tuple(vs)
 
 

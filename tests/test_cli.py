@@ -1167,12 +1167,23 @@ def test_cli_spellings_print_the_same_bytes(capsysbinary, one, other):
     assert outs[0] == outs[1] and outs[0]
 
 
-def test_locally_x_options_after_positionals(tmp_path, petersen):
+@pytest.mark.parametrize("posixly_correct", [False, True])
+def test_locally_x_options_after_positionals(tmp_path, petersen, monkeypatch, capsys,
+                                             posixly_correct):
+    # options are read after positionals whatever the environment says, and
+    # everything after "--" is a positional
     from knesergeom import cli
 
+    if posixly_correct:
+        monkeypatch.setenv("POSIXLY_CORRECT", "1")
     g6 = tmp_path / "p.g6"
     g6.write_bytes(graph6_encode(petersen) + b"\n")
     before, after = tmp_path / "before.json", tmp_path / "after.json"
     assert cli.main(["locally-x", "--out", str(before), str(g6), str(g6)]) == 1
     assert cli.main(["locally-x", str(g6), str(g6), "--out", str(after)]) == 1
     assert before.read_bytes() == after.read_bytes()
+    assert cli.main(["locally-x", str(g6), "--out", str(after), "--", str(g6)]) == 1
+    assert before.read_bytes() == after.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["locally-x", str(g6), "--", str(g6), "--out", str(after)]) == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
