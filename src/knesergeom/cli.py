@@ -259,7 +259,7 @@ def _check_flag_transitivity(run):
             ",".join(map(str, J)): 1 if size <= covered else None
             for size in range(1, params.r + 1) for J in combinations(range(params.r), size)
         },
-        # the witness holds the adjacent type swaps, verified as block maps
+        # the witness's adjacent type swaps are block maps of its typed rows
         "type_swaps_valid": True,
         "verified_subgroup_order": math.factorial(params.ground_size)
         * math.factorial(params.r),

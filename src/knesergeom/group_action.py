@@ -3,13 +3,13 @@ orders.
 
 Ground-set permutations and element tables are both image tuples.  Point
 permutations act on elements by mapping subsets pointwise inside each type,
-type permutations by relabeling the copies.  The incidence graph is
-K_r x KG(m, k), so neither kind is checked edge by edge.  symmetry_witness
-is the one place a symmetry is verified: the block-form point_tables, each
-against its ground-set permutation on the subset masks, and the adjacent
-type swaps, each as a label pairing that is the block map
-(t, v) -> (sigma t, v) (the direct-product and mask lemmas in its
-docstring).  Its SymmetryWitness is what every symmetry shortcut reads.
+type permutations by relabeling the copies: both are block maps
+(t, v) -> (sigma t, pi v) of K_r x KG(m, k), checked with no edge read.
+symmetry_witness is the one place a symmetry is verified: it checks that
+the incidence rows are the typed rows of the geometry's own factor, one
+block per type, and point_tables defines each pi by lookup, so the lemmas
+in its docstring make every table an automorphism.  Its SymmetryWitness is
+what every symmetry shortcut reads.
 factor_is_vertex_transitive proves the factor KG(m, k) vertex-transitive
 by the same mask lemma, closing one subset's orbit under two generators of
 S_m, so that one vertex's walk sets give the rank-2 metrics.
@@ -32,7 +32,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import pairwise
 
-from .graphs import _iter_bits
+from .graphs import _iter_bits, _TypedRows
 from .incidence import IncidenceSystem, flags_of_type, residue_mask
 from .isomorphism import is_automorphism
 from .kneser_geometry import KneserGeometry
@@ -51,18 +51,32 @@ def adjacent_transpositions(m: int) -> list[tuple[int, ...]]:
     return [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, m)) for i in range(m - 1)]
 
 
-def point_tables(geom: KneserGeometry, perms) -> list[tuple[int, ...]]:
-    """One element table per ground-set permutation: element e goes to the
-    element of its type whose subset is the pointwise image of e's subset,
-    so each table repeats one type's subset permutation in every type."""
+def _block_map(sigma, pi) -> tuple[int, ...]:
+    """The table (t, i) -> (sigma t, pi i) of K_r x G, (t, i) at t*N + i."""
+    n = len(pi)
+    return tuple([s * n + x for s in sigma for x in pi])
+
+
+def point_tables(geom: KneserGeometry, perms) -> list[tuple[int, ...]] | None:
+    """One block table (t, i) -> (t, pi i) per ground-set permutation perm,
+    S_{pi i} = perm S_i found by one lookup in the index of the subsets;
+    None if an image is missing or two subsets, and so their images, are
+    equal."""
     perms = [_permutation(pi) for pi in perms]
     if any(len(pi) != geom.params.ground_size for pi in perms):
         raise ValueError("permutation degree does not match the ground set")
     subsets = geom.subsets
     index = {mask: i for i, mask in enumerate(subsets)}
-    offsets = range(0, geom.n_elements, len(subsets))
-    blocks = [[index[sum(1 << pi[p] for p in _iter_bits(s))] for s in subsets] for pi in perms]
-    return [tuple([off + i for off in offsets for i in block]) for block in blocks]
+    if len(index) != len(subsets):
+        return None
+    tables, types = [], range(geom.params.r)
+    for perm in perms:
+        bit = [1 << q for q in perm]
+        pi = [index.get(sum([bit[p] for p in _iter_bits(s)])) for s in subsets]
+        if None in pi:
+            return None
+        tables.append(_block_map(types, pi))
+    return tables
 
 
 class SymmetryWitness(namedtuple("SymmetryWitness", "graph tables levels")):
@@ -87,47 +101,30 @@ class _VerifiedWitness(SymmetryWitness):
         return next((i for i, (s, c) in enumerate(self.levels) if s != c), len(self.levels))
 
 
-def _is_block_automorphism(geom: KneserGeometry, perm, table) -> bool:
-    """Is the table of K_r x KG(m, k), (t, i) at t*N + i, of block form
-    (t, i) -> (t, pi i), with pi a permutation of the N subsets that sends
-    each S_i to perm S_i?  Then it is an automorphism (symmetry_witness)."""
-    subsets = geom.subsets
-    n = len(subsets)
-    pi = list(table[:n])
-    if list(table) != [off + x for off in range(0, geom.n_elements, n) for x in pi]:
-        return False
-    if sorted(pi) != list(range(n)):
-        return False
-    bit = [1 << q for q in perm]
-    return all(subsets[j] == sum([bit[p] for p in _iter_bits(s)]) for s, j in zip(subsets, pi))
-
-
 def symmetry_witness(geom: KneserGeometry, perms) -> SymmetryWitness | None:
     """The point tables of the ground-set permutations, then the r - 1
-    adjacent type swaps, all verified, and the point tables' level_orbits on
-    the chamber type; None if a table fails.
+    adjacent type swaps, and the point tables' level_orbits on the chamber
+    type; None if the premise below fails or a permutation does not map the
+    subsets onto themselves.
 
-    The incidence graph is K_r x G, where G = KG(m, k) is the factor that
-    kneser.disjointness_table builds on the distinct subsets S_0..S_{N-1}:
-    row i of G is {j : S_j and S_i are disjoint}.  Two lemmas make a table
-    an automorphism with no edge read, so each table is checked on its
-    image tuple and the subset masks only.
+    Premise: the incidence graph is K_r x G, G = geom.factor, the
+    kneser.disjointness_table of the distinct subsets S_0..S_{N-1}.  It is
+    checked on what the system holds: its rows are graphs._TypedRows on G's
+    own rows, and its t-th type is block t.  Two lemmas then make each table
+    an automorphism with no edge read.
 
-    Direct product: for r >= 2 a block table (t, v) -> (t, pi v), which
-    fixes every type, is an automorphism of K_r x G exactly when pi is one
-    of G, since (s, v) ~ (t, w) iff s != t and v ~ w (Hammack, Imrich and
-    Klavzar, Handbook of Product Graphs, 2011).  So is the block table
-    (t, v) -> (sigma t, v) of any permutation sigma of the types, since
-    sigma s != sigma t iff s != t; each adjacent swap is checked to be the
-    label pairing _label_pairing makes, the map that pairs equal subsets
-    across types.  Label pairings compose, so the adjacent swaps stand for
+    Direct product: for r >= 2 the block table (t, v) -> (sigma t, pi v) is
+    an automorphism of K_r x G whenever sigma permutes the types and pi is
+    an automorphism of G, since (s, v) ~ (t, w) iff s != t and v ~ w, and
+    sigma s != sigma t iff s != t (Hammack, Imrich and Klavzar, Handbook of
+    Product Graphs, 2011).  The point tables take sigma = id, so they fix
+    every type; the swaps take pi = id, and the adjacent ones stand for
     every type permutation.
 
     Masks: let perm be a permutation of the points and pi a permutation of
-    the subsets with S_{pi i} = perm S_i for every i; equivalently, pi maps
-    star(p), the subsets that hold p, onto star(perm p) for every point p.
-    Then pi is an automorphism of G, since perm S_j and perm S_i meet in
-    perm(S_j and S_i), which is empty exactly when S_j and S_i are disjoint.
+    the subsets with S_{pi i} = perm S_i for every i, as point_tables finds
+    it.  Then pi is an automorphism of G, since perm S_j and perm S_i meet
+    in perm(S_j and S_i), empty exactly when S_j and S_i are disjoint.
 
     Prefix: J = (j_0 < ... < j_{s-1}) has the chamber type's levels cut to
     s.  _residues picks in each type the lowest subset disjoint from those
@@ -138,17 +135,16 @@ def symmetry_witness(geom: KneserGeometry, perms) -> SymmetryWitness | None:
     The levels are closed under the point tables alone, which fix every
     type, so the swaps change none of them.
     """
-    perms = [_permutation(pi) for pi in perms]
     sys_, tables = geom.incidence_system(), point_tables(geom, perms)
-    if not all(_is_block_automorphism(geom, pi, t) for pi, t in zip(perms, tables)):
+    rows, n, r = sys_.graph.neighbor_masks, len(geom.subsets), geom.params.r
+    if tables is None or not (
+        isinstance(rows, _TypedRows)
+        and rows.masks is geom.factor.neighbor_masks
+        and [sys_.type_mask(t) for t in sys_.types] == [((1 << n) - 1) << t * n for t in range(r)]
+    ):
         return None
     levels = tuple(level_orbits(sys_, tables, sys_.types))
-    n = len(geom.subsets)
-    for sigma in adjacent_transpositions(sys_.rank):
-        swap = tuple([s * n + v for s in sigma for v in range(n)])
-        if _label_pairing(sys_, sigma) != swap:
-            return None
-        tables.append(swap)
+    tables += [_block_map(sigma, range(n)) for sigma in adjacent_transpositions(r)]
     return _VerifiedWitness(sys_.graph, tuple(tables), levels)
 
 
@@ -259,7 +255,7 @@ def level_orbits(sys: IncidenceSystem, tables, J) -> list[tuple[int, int]]:
     for i, e in enumerate(F):
         fixing = [t for t in tables if all(t[x] == x for x in F[:i])]
         cand = residue_mask(sys, F[:i]) & sys.type_mask(sys.type_of[e])
-        pool = {(c,): (c,) for c in range(sys.n_elements) if cand >> c & 1}
+        pool = {(c,): (c,) for c in _iter_bits(cand)}
         levels.append((_orbit(fixing, (e,), pool), cand.bit_count()))
     return levels
 

@@ -24,16 +24,17 @@ from knesergeom import (
     symmetry_witness,
     type_swap_map,
 )
-from knesergeom.graphs import complete_tensor
+from knesergeom.graphs import Graph, complete_tensor
 from knesergeom.isomorphism import is_automorphism
+from knesergeom.kneser import typed_copies
 from knesergeom.group_action import (
-    _is_block_automorphism,
     _label_pairing,
     factor_is_vertex_transitive,
 )
 from helpers import (
     block_automorphism_oracle,
     colex_point_table,
+    complete_tensor_oracle,
     labelled_typed_systems,
     preserves_incidence_oracle,
     restricted_orbits_oracle,
@@ -105,66 +106,52 @@ def test_generators_are_automorphisms():
         assert is_type_preserving_automorphism(sys_, table)
 
 
-_BLOCK_GEOMETRIES = {
-    params: build_geometry(params)
-    for params in [GeometryParams(5, 2, 2), GeometryParams(5, 2, 3), GeometryParams(4, 1, 3),
-                   GeometryParams(6, 2, 3)]
-}
+_FAMILY_PARAMS = [GeometryParams(5, 2, 2), GeometryParams(5, 2, 3), GeometryParams(4, 1, 3),
+                  GeometryParams(6, 2, 3)]
 
 
 @st.composite
-def element_tables(draw):
-    """A built geometry, a ground-set permutation and an element table of
-    one of four kinds: a block table, (t, v) -> (t, pi v), with pi the
-    permutation's own subset map, that map with two images swapped, the
-    subset map of another ground-set permutation or a random permutation
-    of one type; a different pi in one block; a table that moves the
-    types; and a non-permutation."""
-    params = draw(st.sampled_from(list(_BLOCK_GEOMETRIES)))
-    geom = _BLOCK_GEOMETRIES[params]
-    per, r = params.per_type, params.r
-    ground = draw(st.permutations(range(params.ground_size)))
-
-    def block_pi():
-        source = draw(st.sampled_from(["own", "swapped", "other", "random"]))
-        if source == "random":
-            return draw(st.permutations(range(per)))
-        if source == "other":
-            ground_pi = draw(st.permutations(range(params.ground_size)))
-        else:
-            ground_pi = ground
-        pi = list(point_tables(geom, [ground_pi])[0][:per])
-        if source == "swapped":
-            a, b = draw(st.lists(st.integers(0, per - 1), min_size=2, max_size=2, unique=True))
-            pi[a], pi[b] = pi[b], pi[a]
-        return pi
-
-    pis = [block_pi()] * r
-    kind = draw(st.sampled_from(["block", "per-block", "type-changing", "non-permutation"]))
-    if kind == "per-block":
-        pis[draw(st.integers(1, r - 1))] = block_pi()
-    shift = draw(st.integers(1, r - 1)) if kind == "type-changing" else 0
-    table = [(t + shift) % r * per + x for t in range(r) for x in pis[t]]
-    if kind == "non-permutation":
-        a, b = draw(st.lists(st.integers(0, len(table) - 1), min_size=2, max_size=2, unique=True))
-        table[a] = table[b]
-    return geom, kind, ground, table
+def families_and_permutations(draw):
+    """A geometry whose subsets are its own colex family, a shuffle of it,
+    or that family with one subset replaced by a nonempty mask (a repeat of
+    another, a foreign mask or the same one), and a ground-set permutation:
+    the identity, an adjacent transposition or any."""
+    params = draw(st.sampled_from(_FAMILY_PARAMS))
+    m = params.ground_size
+    family = list(build_geometry(params).subsets)
+    kind = draw(st.sampled_from(["colex", "shuffled", "replaced"]))
+    if kind == "shuffled":
+        family = draw(st.permutations(family))
+    elif kind == "replaced":
+        family[draw(st.integers(0, len(family) - 1))] = draw(st.integers(1, (1 << m) - 1))
+    ground = draw(st.one_of(st.just(tuple(range(m))),
+                            st.sampled_from(adjacent_transpositions(m)),
+                            st.permutations(range(m))))
+    return _with_subsets(params, family), kind, tuple(ground)
 
 
 @settings(max_examples=300, deadline=None)
-@given(element_tables())
-def test_block_form_and_factor_check_match_whole_graph_check_property(case):
-    geom, kind, ground, table = case
-    verdict = _is_block_automorphism(geom, ground, table)
-    whole = is_type_preserving_automorphism(geom.incidence_system(), table)
-    # the mask lemma: a table that passes is an automorphism, and it passes
-    # exactly when it is the block table of its ground-set permutation
-    assert not verdict or whole
-    assert verdict == (tuple(table) == colex_point_table(geom, ground))
-    assert not verdict or kind in ("block", "per-block")
-    # the direct-product lemma behind the block form, with the factor
-    # checked pair by pair
-    assert block_automorphism_oracle(geom.factor, geom.params.r, table) == whole
+@given(families_and_permutations())
+def test_point_tables_are_automorphisms_exactly_when_defined_property(case):
+    geom, kind, ground = case
+    family, m = geom.subsets, geom.params.ground_size
+    images = [sum(1 << ground[p] for p in range(m) if s >> p & 1) for s in family]
+    # a table exactly when the permutation maps the distinct subsets onto
+    # themselves
+    preserved = len(set(family)) == len(family) and sorted(images) == sorted(family)
+    tables = point_tables(geom, [ground])
+    assert (tables is not None) == preserved
+    if tables is None:
+        return
+    (table,) = tables
+    # pi is the lookup S_{pi i} = ground S_i, and by the mask and
+    # direct-product lemmas its block table is an automorphism, by the
+    # whole-graph check and with the factor checked pair by pair
+    assert [family[j] for j in table[: len(family)]] == images
+    assert is_type_preserving_automorphism(geom.incidence_system(), table)
+    assert block_automorphism_oracle(geom.factor, geom.params.r, table)
+    if kind == "colex":
+        assert table == colex_point_table(geom, ground)
 
 
 def test_symmetry_witness_fields():
@@ -200,22 +187,6 @@ def test_symmetry_witness_tables_are_automorphisms(params):
     swaps = [tuple(s * per + v for s in sigma for v in range(per))
              for sigma in adjacent_transpositions(r)]
     assert list(witness.tables[-(r - 1):]) == swaps
-
-
-def test_symmetry_witness_checks_the_type_swaps(monkeypatch):
-    from knesergeom import group_action
-
-    # a label pairing with two images swapped is no block map
-    geom = build_geometry(GeometryParams(5, 2, 3))
-    pairing = group_action._label_pairing
-
-    def swapped(sys_, sigma):
-        mapping = list(pairing(sys_, sigma))
-        mapping[3], mapping[7] = mapping[7], mapping[3]
-        return tuple(mapping)
-
-    monkeypatch.setattr(group_action, "_label_pairing", swapped)
-    assert symmetry_witness(geom, adjacent_transpositions(7)) is None
 
 
 def _generators(kind, m):
@@ -293,45 +264,58 @@ def test_verified_witness_levels_cannot_be_edited():
     assert witness.covered == 1 and type(witness) is _VerifiedWitness
 
 
-def test_symmetry_witness_checks_the_block_form(monkeypatch):
-    from knesergeom import group_action
-
-    # block 0 carries the (0 1) table and block 1 the (1 2) table: both are
-    # automorphisms of the factor, but the mixed table is no automorphism
-    geom = build_geometry(GeometryParams(5, 2, 3))
-    per = geom.params.per_type
-    first, second = point_tables(geom, adjacent_transpositions(7)[:2])
-    mixed = first[:per] + second[per : 2 * per] + first[2 * per :]
-    assert not is_type_preserving_automorphism(geom.incidence_system(), mixed)
-    monkeypatch.setattr(group_action, "point_tables", lambda geom, perms: [first, mixed])
-    assert symmetry_witness(geom, adjacent_transpositions(7)[:2]) is None
-
-
-def test_symmetry_witness_checks_each_table_against_its_permutation(monkeypatch):
-    from knesergeom import group_action
-
-    # two images swapped in every block keep the block form, so only the
-    # mask check of each table against its ground-set permutation sees it
-    geom = build_geometry(GeometryParams(5, 2, 3))
-    per, perms = geom.params.per_type, adjacent_transpositions(7)
-    tables = point_tables(geom, perms)
-    swapped = list(tables[2])
-    for off in range(0, geom.n_elements, per):
-        swapped[off + 3], swapped[off + 7] = swapped[off + 7], swapped[off + 3]
-    assert swapped != list(tables[2])
-    assert symmetry_witness(geom, perms) is not None
-    monkeypatch.setattr(group_action, "point_tables",
-                        lambda geom, perms: tables[:2] + [tuple(swapped)] + tables[3:])
-    assert symmetry_witness(geom, perms) is None
-    # a table checked against another generator's permutation fails too
-    monkeypatch.setattr(group_action, "point_tables", lambda geom, perms: tables[::-1])
-    assert symmetry_witness(geom, perms) is None
-
-
 def _with_subsets(params, subsets):
     geom = build_geometry(params)
     geom.subsets = tuple(subsets)
     return geom
+
+
+def _premise_mutant(kind):
+    """A (5,2,3) geometry whose system breaks one premise of
+    symmetry_witness."""
+    params = GeometryParams(5, 2, 3)
+    geom = build_geometry(params)
+    subsets, sys_ = geom.subsets, geom.incidence_system()
+    if kind == "stored_rows":
+        # the same graph, with its rows stored rather than typed
+        stored = complete_tensor_oracle(geom.factor, 3)
+        geom._system = IncidenceSystem.from_graph(sys_.types, sys_.type_of, stored, sys_.labels)
+        assert geom._system == sys_
+    elif kind == "other_factor":
+        # typed rows of the factor with one edge at subset 0 dropped
+        masks = list(geom.factor.neighbor_masks)
+        j = (masks[0] & -masks[0]).bit_length() - 1
+        masks[0] ^= 1 << j
+        masks[j] ^= 1
+        geom._system = typed_copies(Graph.from_masks(masks), 3, sys_.labels[:21])
+    elif kind == "repeated_subset":
+        # every subset, then the first one again
+        geom = _with_subsets(params, subsets + subsets[:1])
+    else:
+        # {5, 6} replaced by {4, 5, 6}: (3 4) maps it to {3, 5, 6}, no subset
+        geom = _with_subsets(params, subsets[:-1] + (0b1110000,))
+    return geom
+
+
+# per premise mutant: are the point tables automorphisms of its graph, or
+# None where point_tables defines none
+_PREMISE_MUTANTS = {"stored_rows": True, "other_factor": False, "repeated_subset": None,
+                    "unpreserved_family": None}
+
+
+@pytest.mark.parametrize("kind", list(_PREMISE_MUTANTS))
+def test_symmetry_witness_refuses_a_broken_premise(kind):
+    # each mutant gives no witness, whether or not its tables would be
+    # automorphisms: the premise is checked on what the system holds
+    geom, automorphisms = _premise_mutant(kind), _PREMISE_MUTANTS[kind]
+    perms = adjacent_transpositions(7)
+    assert symmetry_witness(geom, perms) is None
+    tables = point_tables(geom, perms)
+    if automorphisms is None:
+        assert tables is None
+    else:
+        sys_ = geom.incidence_system()
+        assert all(is_type_preserving_automorphism(sys_, t) for t in tables) == automorphisms
 
 
 def _is_vertex_transitive_oracle(g) -> bool:
