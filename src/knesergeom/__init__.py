@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .subsets import (
     GroundSet,
     KSubset,
-    colex_rank,
     disjoint,
     enumerate_k_subsets,
 )

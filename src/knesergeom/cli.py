@@ -8,8 +8,8 @@ failing partway).  Every result goes through one writer to stdout (or
 export; diagnostics go to stderr.  Certificates are JSON with sorted keys
 and fixed element order, so a given invocation is byte-reproducible.
 
-The command line is read by getopt from one table, _COMMANDS.  argparse is
-not imported, and json only by _dump, so graph6 and DOT exports never load it.
+The command line is read by getopt from one table, _COMMANDS.  Neither
+argparse nor json is imported: _dump lays out JSON as json.dumps would.
 """
 
 from __future__ import annotations
@@ -67,10 +67,35 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-def _dump(obj) -> str:
-    import json  # here, so that a graph6 or DOT export never loads it
+# json's escapes of the ASCII characters it does not print as they are
+_ESCAPES = {c: f"\\u{c:04x}" for c in (*range(32), 127)} | {
+    8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r", 34: '\\"', 92: "\\\\"}
 
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+def _json(obj, pad) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) lays it out, pad the
+    newline and indent of its line.  A dict with str keys, list, tuple, ASCII
+    str, int, bool or None, of exactly that type; any other, which json might
+    write otherwise, raises TypeError."""
+    t = type(obj)
+    if t is str and obj.isascii():
+        return f'"{obj.translate(_ESCAPES)}"'
+    if t is int:
+        return str(obj)
+    if obj is None or t is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = pad + "  "
+    if t is dict and all(type(key) is str and key.isascii() for key in obj):
+        items = [f'"{key.translate(_ESCAPES)}": {_json(obj[key], inner)}' for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if t is list or t is tuple:
+        items = [_json(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"a result holds no {t.__name__} value: {obj!r}")
+
+
+def _dump(obj) -> str:
+    return _json(obj, "\n") + "\n"
 
 
 def _write(output, out_path) -> int:

@@ -530,7 +530,7 @@ _G6_TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
-_G6_WINDOW = 3 << 15  # bits per graph6 piece: whole 24-bit groups, 16 KiB of digits
+_G6_WINDOW = 3 << 13  # bits per graph6 piece: whole 24-bit groups, 4 KiB of digits
 _G6_DECODE_CHARS = 1 << 18  # the most table characters per decoded window
 
 

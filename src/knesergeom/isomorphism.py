@@ -65,7 +65,11 @@ def _refine(masks, cells, queue, expected=None):
                 planes[j], carry = planes[j] ^ carry, planes[j] & carry
                 j += 1
         high_first = range(len(planes) - 1, -1, -1)
-        for ci in [i for i in live if cells[i] & touched]:
+        if len(planes) == 1:  # counts 0 or 1: a cell splits iff touched cuts it
+            hit = [i for i in live if 0 != cells[i] & touched != cells[i]]
+        else:
+            hit = [i for i in live if cells[i] & touched]
+        for ci in hit:
             cell = cells[ci]
             frags, common = [(cell, 0)], 0  # common: count bits of every vertex
             for j in high_first:

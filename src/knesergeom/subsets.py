@@ -9,7 +9,6 @@ construction, so KSubset(5) == (5,) and both hash as tuples.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 
@@ -45,24 +44,8 @@ class KSubset(namedtuple("KSubset", "bits")):
     def elements(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.bits.bit_length()) if self.bits >> i & 1)
 
-    @classmethod
-    def from_elements(cls, elems) -> "KSubset":
-        bits = 0
-        for e in elems:
-            b = 1 << e
-            if bits & b:
-                raise ValueError(f"repeated element {e}")
-            bits |= b
-        return cls(bits)
-
     def __repr__(self):
         return f"KSubset({{{','.join(map(str, self.elements()))}}})"
-
-
-def validate_subset(ground: GroundSet, s: KSubset) -> None:
-    """Raise ValueError unless every set bit of s lies in the ground set."""
-    if s.bits & ~ground.full_mask:
-        raise ValueError("subset out of range")
 
 
 def enumerate_k_subsets(ground: GroundSet, k: int) -> list[KSubset]:
@@ -87,15 +70,6 @@ def enumerate_k_subsets(ground: GroundSet, k: int) -> list[KSubset]:
         w = v + u
         v = w | (((v ^ w) // u) >> 2)
     return out
-
-
-def colex_rank(ground: GroundSet, s: KSubset) -> int:
-    """Index of s in enumerate_k_subsets(ground, s.k)."""
-    validate_subset(ground, s)
-    r = 0
-    for i, e in enumerate(s.elements()):
-        r += math.comb(e, i + 1)
-    return r
 
 
 def disjoint(a: KSubset, b: KSubset) -> bool:

@@ -6,7 +6,9 @@ girth by edge-deletion BFS, odd girth by boolean adjacency powers,
 eccentricities and odd girth by one BFS per source instead of one sweep
 for all sources, isomorphism by exhaustive backtracking over consistent
 injections, group order by listing every element, colour refinement by
-recomputing every vertex's neighbour-colour multiset each round, flags by
+recomputing every vertex's neighbour-colour multiset each round, the
+refinement kernel's skip of cells a one-vertex splitter cannot split by
+the kernel that visits every cell the splitter touches, flags by
 itertools.product over the per-type element lists, residue connectivity
 and the geometry test (maximal cliques) by networkx, diagram uniformity by
 building every corank-1 and corank-2 residue with residue(), Kneser graphs,
@@ -43,14 +45,38 @@ from knesergeom import (
     IncidenceSystem,
     KSubset,
     build_geometry,
-    colex_rank,
     enumerate_k_subsets,
     flags_of_type,
     rank2_summary,
     residue,
 )
 from knesergeom.incidence import _restriction
-from knesergeom.subsets import validate_subset
+
+
+# Subset arithmetic that no command reads: the tests build subsets from their
+# elements and check that a subset's colex rank is its enumeration index.
+
+def subset_from_elements(elems) -> KSubset:
+    """The subset of the given elements; ValueError on a repeated one."""
+    bits = 0
+    for e in elems:
+        b = 1 << e
+        if bits & b:
+            raise ValueError(f"repeated element {e}")
+        bits |= b
+    return KSubset(bits)
+
+
+def validate_subset(ground, s: KSubset) -> None:
+    """Raise ValueError unless every set bit of s lies in the ground set."""
+    if s.bits & ~ground.full_mask:
+        raise ValueError("subset out of range")
+
+
+def colex_rank(ground, s: KSubset) -> int:
+    """Index of s in enumerate_k_subsets(ground, s.k), by the combinadic sum."""
+    validate_subset(ground, s)
+    return sum(math.comb(e, i + 1) for i, e in enumerate(s.elements()))
 
 
 def random_graph(rng, n, p):
@@ -203,7 +229,7 @@ def colex_point_table(geom, pi):
     ground, per = geom.params.ground, geom.params.per_type
     return tuple(
         geom.type_of(e) * per
-        + colex_rank(ground, KSubset.from_elements(pi[x] for x in geom.subset_of(e).elements()))
+        + colex_rank(ground, subset_from_elements(pi[x] for x in geom.subset_of(e).elements()))
         for e in range(geom.n_elements)
     )
 
@@ -245,6 +271,57 @@ def wl_refine_oracle(adj, colors):
         if len(ids) == ncls:
             return tuple(new)
         colors, ncls = new, len(ids)
+
+
+def refine_scan_all_oracle(masks, cells, queue, expected=None):
+    """isomorphism._refine as it was before it skipped cells that a one-vertex
+    splitter cannot split: each splitter visits every live cell its
+    neighbourhood touches.  Its trace and cells are the reference for the
+    filtered kernel's."""
+    queued, trace = set(queue), []
+    live = [i for i, x in enumerate(cells) if x & (x - 1)]
+    while queue:
+        queued.discard(s := queue.pop())
+        x = cells[s]
+        planes, touched = [0] * x.bit_count().bit_length(), 0
+        while x:
+            b = x & -x
+            x ^= b
+            carry, j = masks[b.bit_length() - 1], 0
+            touched |= carry
+            while carry:
+                planes[j], carry = planes[j] ^ carry, planes[j] & carry
+                j += 1
+        high_first = range(len(planes) - 1, -1, -1)
+        for ci in [i for i in live if cells[i] & touched]:
+            cell = cells[ci]
+            frags, common = [(cell, 0)], 0
+            for j in high_first:
+                p = planes[j] & cell
+                if p == cell:
+                    common |= 1 << j
+                elif p:
+                    bit = 1 << j
+                    frags = [(f, c) for x, c0 in frags
+                             for f, c in ((x & ~p, c0), (x & p, c0 | bit)) if f]
+            if len(frags) == 1:
+                continue
+            entry = (ci, tuple((c | common, f.bit_count()) for f, c in frags))
+            if expected is not None and expected[len(trace):len(trace) + 1] != [entry]:
+                return None
+            trace.append(entry)
+            cells[ci] = first = frags[0][0]
+            if not first & (first - 1):
+                live.remove(ci)
+            new = list(range(len(cells), len(cells) + len(frags) - 1))
+            live.extend(i for i, (f, _) in zip(new, frags[1:]) if f & (f - 1))
+            cells.extend(f for f, _ in frags[1:])
+            if ci not in queued:
+                new = [ci] + new
+                del new[max(range(len(frags)), key=lambda j: entry[1][j][1])]
+            queue.extend(new)
+            queued.update(new)
+    return None if expected is not None and len(trace) != len(expected) else trace
 
 
 def edge_check_oracle(masks, domain, h, mapping):

@@ -8,9 +8,11 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import knesergeom
 from knesergeom import (
@@ -997,6 +999,34 @@ def test_build_json_matches_whole_document_oracle(tmp_path):
         assert out.read_bytes() == expected, (n, k, r)
         # the spliced pairs are json's own layout
         assert cli._dump(json.loads(expected)).encode() == expected
+
+
+_ASCII = st.text(st.characters(max_codepoint=127), max_size=8)
+_RESULT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _ASCII,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_ASCII, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_RESULT_VALUES)
+def test_dump_writes_what_json_dumps_writes_property(value):
+    # json is the oracle here alone: the CLI never imports it
+    from knesergeom import cli
+
+    assert cli._dump(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {1: 2}, "\u00e9", namedtuple("Pair", "a b")(1, 2), [0, {"x": (1, 2.0)}], {"\u00e9": 1},
+])
+def test_dump_refuses_values_json_might_write_otherwise(value):
+    from knesergeom import cli
+
+    with pytest.raises(TypeError):
+        cli._dump(value)
 
 
 def test_build_out_bytes_equal_stdout(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from knesergeom import (
     GeometryParams,
-    KSubset,
     adjacent_transpositions,
     IncidenceSystem,
     build_geometry,
@@ -39,6 +38,7 @@ from helpers import (
     preserves_incidence_oracle,
     restricted_orbits_oracle,
     small_graphs,
+    subset_from_elements,
     tuple_orbit_group_order,
     typed_systems,
     vertex_edge_geometry,
@@ -72,8 +72,8 @@ def test_point_tables_map_subsets():
     (swap,) = point_tables(geom, [_transposition(7, 0, 1)])
     for e in range(63):
         assert geom.type_of(swap[e]) == geom.type_of(e)
-    e = next(e for e in range(21) if geom.subset_of(e) == KSubset.from_elements([0, 2]))
-    assert geom.subset_of(swap[e]) == KSubset.from_elements([1, 2])
+    e = next(e for e in range(21) if geom.subset_of(e) == subset_from_elements([0, 2]))
+    assert geom.subset_of(swap[e]) == subset_from_elements([1, 2])
     with pytest.raises(ValueError):
         point_tables(geom, [tuple(range(6))])
 

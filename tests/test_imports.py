@@ -1,8 +1,8 @@
 """The package's modules import one another without a cycle, counting the
 relative imports inside function bodies too, importing the CLI loads none
 of the standard modules that cost a process most of its start-up, no
-command loads argparse and a graph6 export never loads json, and the
-commands that print a digest never load hashlib or OpenSSL."""
+command loads argparse or json, and the commands that print a digest never
+load hashlib or OpenSSL."""
 
 import ast
 import subprocess
@@ -95,19 +95,24 @@ def test_digests_load_no_openssl(tmp_path):
 
 
 def test_commands_load_no_argparse_and_graph6_exports_no_json(tmp_path):
-    # argparse costs a process about 0.35 MB and json about 0.1 MB; only the
-    # JSON outputs (verify, locally-x, build --format json) need json
+    # argparse costs a process about 0.35 MB and json about 0.15 MB; no
+    # command loads either, the JSON outputs (build --format json, verify,
+    # locally-x) included, as cli._dump lays JSON out itself
     g6, x6 = tmp_path / "g.g6", tmp_path / "x.g6"
-    exports = [
+    runs = [
+        ["--version"],
+        ["--help"],
         ["build", "--format", "graph6", "--n", "5", "--k", "2", "--r", "4", "--out", str(g6)],
         ["build", "--format", "graph6", "--n", "5", "--k", "2", "--r", "3", "--out", str(x6)],
+        ["build", "--format", "dot", "--n", "5", "--k", "2", "--r", "3", "--out", str(tmp_path / "d")],
+        ["build", "--n", "5", "--k", "2", "--r", "3", "--out", str(tmp_path / "b")],
+        ["verify", "--all", "--n", "5", "--k", "2", "--r", "3", "--out", str(tmp_path / "v")],
+        ["locally-x", str(g6), str(x6), "--out", str(tmp_path / "l")],
     ]
-    check = ["locally-x", str(g6), str(x6), "--out", str(tmp_path / "l")]
     code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); from knesergeom import cli; "
-            f"codes = [cli.main(a) for a in (['--version'], ['--help'], *{exports!r})]; "
-            f"exported = [m for m in ('argparse', 'json') if m in sys.modules]; "
-            f"codes.append(cli.main({check!r})); "
-            f"print(codes, exported, 'argparse' in sys.modules, 'json' in sys.modules)")
+            f"print([(cli.main(a), *[m for m in ('argparse', 'json') if m in sys.modules]) "
+            f"for a in {runs!r}])")
     res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] [] False True"
+    assert res.stdout.splitlines()[-1] == repr([(0,)] * len(runs))
+    assert '"reference":' in (tmp_path / "l").read_text()

@@ -18,8 +18,11 @@ from knesergeom.graphs import _iter_bits
 from knesergeom.isomorphism import (
     _edge_check,
     _ReferencePath,
+    _color_partition,
+    _refine,
     _search,
     color_refine,
+    normalize_colors,
     wl_signature,
 )
 from helpers import (
@@ -29,6 +32,7 @@ from helpers import (
     graph_from_nx,
     induced_subgraph_oracle,
     random_graph,
+    refine_scan_all_oracle,
     wl_refine_oracle,
 )
 
@@ -198,6 +202,50 @@ def test_color_refine_matches_wl_oracle_property(case):
         relabelled_colors[perm[v]] = colors[v]
     new_ids = color_refine(relabel(g, perm).neighbor_masks, relabelled_colors)
     assert all(new_ids[perm[v]] == ids[v] for v in range(g.n))
+
+
+@st.composite
+def refine_cases(draw):
+    """(masks, cells, queue) twice over one vertex set of up to 14: a random
+    graph, the cells of a coloring in at most 3 colours, and as the queue
+    either every cell or, as a search level makes it, one vertex split off
+    its cell; the second graph is the first relabelled or another one."""
+    n = draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def case(g):
+        colors = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        cells = _color_partition(normalize_colors(colors, n))
+        v = draw(st.none() | st.integers(0, n - 1))
+        if v is not None:
+            ci = next(i for i, cell in enumerate(cells) if cell >> v & 1)
+            if cells[ci] != 1 << v:
+                cells[ci] ^= 1 << v
+                return g.neighbor_masks, [*cells, 1 << v], [len(cells)]
+        return g.neighbor_masks, cells, list(range(len(cells)))
+
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [p for p, b in zip(pairs, bits) if b])
+    other = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    h = relabel(g, draw(st.permutations(range(n)))) if draw(st.booleans()) else \
+        Graph(n, [p for p, b in zip(pairs, other) if b])
+    return case(g), case(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(refine_cases())
+def test_refine_matches_the_unfiltered_scan_property(cases):
+    # a one-vertex splitter visits only the cells its neighbourhood cuts;
+    # the traces and the cells left must be those of a visit to every cell
+    # the neighbourhood touches, with and without an expected trace, which
+    # is taken from the second graph and may depart from the first's
+    (masks, cells, queue), (h_masks, h_cells, h_queue) = cases
+    expected = refine_scan_all_oracle(h_masks, h_cells, h_queue)
+    for exp in (None, expected):
+        ours, theirs = list(cells), list(cells)
+        trace = _refine(masks, ours, list(queue), exp)
+        assert trace == refine_scan_all_oracle(masks, theirs, list(queue), exp)
+        assert ours == theirs
 
 
 def cayley_z4xz4(connection):

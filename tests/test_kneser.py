@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from knesergeom import (
     Graph,
     KneserParams,
-    KSubset,
     incidence_graph,
     kneser_graph,
     kneser_neighborhood_geometry,
@@ -29,6 +28,7 @@ from helpers import (
     disjointness_table_oracle,
     neighborhood_summary_oracle,
     small_graphs,
+    subset_from_elements,
 )
 
 
@@ -87,14 +87,14 @@ def check_walk(p, walk, length):
 
 def test_even_path_trivial():
     p = KneserParams(7, 3)
-    a = KSubset.from_elements([0, 1, 2])
+    a = subset_from_elements([0, 1, 2])
     assert construct_even_path(a, a, p) == [a]
 
 
 def test_even_path_c2():
     p = KneserParams(7, 3)
-    a = KSubset.from_elements([0, 1, 2])
-    b = KSubset.from_elements([0, 1, 3])
+    a = subset_from_elements([0, 1, 2])
+    b = subset_from_elements([0, 1, 3])
     walk = construct_even_path(a, b, p)
     check_walk(p, walk, 2)
     assert walk[0] == a and walk[-1] == b
@@ -102,23 +102,23 @@ def test_even_path_c2():
 
 def test_even_path_disjoint_endpoints():
     p = KneserParams(7, 3)
-    a = KSubset.from_elements([0, 1, 2])
-    b = KSubset.from_elements([3, 4, 5])
+    a = subset_from_elements([0, 1, 2])
+    b = subset_from_elements([3, 4, 5])
     walk = construct_even_path(a, b, p)
     check_walk(p, walk, 6)
 
 
 def test_odd_path_adjacent():
     p = KneserParams(7, 3)
-    a = KSubset.from_elements([0, 1, 2])
-    b = KSubset.from_elements([3, 4, 5])
+    a = subset_from_elements([0, 1, 2])
+    b = subset_from_elements([3, 4, 5])
     walk = construct_odd_path(a, b, p)
     check_walk(p, walk, 1)
 
 
 def test_odd_closed_walk_petersen():
     p = KneserParams(5, 2)
-    a = KSubset.from_elements([0, 1])
+    a = subset_from_elements([0, 1])
     walk = construct_odd_path(a, a, p)
     check_walk(p, walk, 5)
     assert walk[0] == walk[-1] == a
@@ -126,8 +126,8 @@ def test_odd_closed_walk_petersen():
 
 def test_odd_path_c1():
     p = KneserParams(7, 3)
-    a = KSubset.from_elements([0, 1, 2])
-    b = KSubset.from_elements([2, 3, 4])
+    a = subset_from_elements([0, 1, 2])
+    b = subset_from_elements([2, 3, 4])
     walk = construct_odd_path(a, b, p)
     check_walk(p, walk, 3)
 
@@ -284,4 +284,4 @@ def test_neighborhood_summary_ladder():
 def test_path_endpoints_must_be_k_subsets():
     p = KneserParams(5, 2)
     with pytest.raises(ValueError):
-        construct_even_path(KSubset.from_elements([0]), KSubset.from_elements([1, 2]), p)
+        construct_even_path(subset_from_elements([0]), subset_from_elements([1, 2]), p)

@@ -16,7 +16,6 @@ from knesergeom import (
     is_geometry,
     is_residually_connected,
     is_thick,
-    colex_rank,
     enumerate_k_subsets,
     kneser_graph,
     kneser_neighborhood_geometry,
@@ -27,6 +26,7 @@ from knesergeom import (
 )
 from knesergeom.graphs import _TypedRows, connected_components
 from helpers import (
+    colex_rank,
     incidence_system_oracle,
     kneser_graph_oracle,
     residue_diagram_mismatches,

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from knesergeom.subsets import (
     GroundSet,
     KSubset,
-    colex_rank,
     disjoint,
     enumerate_k_subsets,
 )
+from helpers import colex_rank, subset_from_elements
 
 
 def test_ground_set_bounds():
@@ -48,8 +48,8 @@ def test_enumerate_matches_itertools():
 
 def test_rank_examples():
     g5 = GroundSet(5)
-    assert colex_rank(g5, KSubset.from_elements([0, 1])) == 0
-    assert colex_rank(g5, KSubset.from_elements([3, 4])) == 9
+    assert colex_rank(g5, subset_from_elements([0, 1])) == 0
+    assert colex_rank(g5, subset_from_elements([3, 4])) == 9
 
 
 def test_rank_is_enumeration_index():
@@ -62,17 +62,17 @@ def test_rank_is_enumeration_index():
 
 def test_rank_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        colex_rank(GroundSet(3), KSubset.from_elements([0, 5]))
+        colex_rank(GroundSet(3), subset_from_elements([0, 5]))
 
 
 def test_disjoint_and_intersection():
-    a = KSubset.from_elements([0, 1])
-    b = KSubset.from_elements([2, 3])
-    c = KSubset.from_elements([1, 2])
+    a = subset_from_elements([0, 1])
+    b = subset_from_elements([2, 3])
+    c = subset_from_elements([1, 2])
     assert disjoint(a, b)
     assert not disjoint(a, c)
     assert not disjoint(a, a)
-    assert not disjoint(KSubset.from_elements([0, 1, 2]), KSubset.from_elements([2, 3, 4]))
+    assert not disjoint(subset_from_elements([0, 1, 2]), subset_from_elements([2, 3, 4]))
     assert (a.bits & c.bits).bit_count() == len(set(a.elements()) & set(c.elements())) == 1
 
 
@@ -86,4 +86,4 @@ def test_disjoint_iff_empty_intersection(abits, bbits):
 
 def test_from_elements_rejects_repeats():
     with pytest.raises(ValueError):
-        KSubset.from_elements([1, 1])
+        subset_from_elements([1, 1])
